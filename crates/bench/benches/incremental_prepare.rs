@@ -1,7 +1,7 @@
 //! Incremental sync vs from-scratch prepare.
 //!
 //! A calibration update dirties a handful of coarse cells;
-//! [`PreparedVireOwned::sync`] re-interpolates only the kernel-support
+//! `PreparedVire`'s `sync` re-interpolates only the kernel-support
 //! region of each and repairs the flattened/sorted planes in place, where
 //! the pre-incremental path rebuilt the whole prepared state. This bench
 //! sweeps the dirty-cell count (1, 4, 16, all) on the default 3-reader
@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
-use vire_core::{OwnedPreparedLocalizer, PreparedVireOwned, ReferenceRssiMap, Vire, VireConfig};
+use vire_core::{OwnedPreparedLocalizer, ReferenceRssiMap, Vire, VireConfig};
 use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
 const SIDE: usize = 4;
@@ -67,7 +67,7 @@ fn bench_incremental_prepare(c: &mut Criterion) {
         let mut map = base_map();
         let cells = dirty_cells(&map, dirty);
 
-        let mut owned = PreparedVireOwned::build(vire.config(), &map).expect("refine > 0");
+        let mut owned = vire.prepare(&map).expect("refine > 0");
         let mut round = 0u64;
         group.bench_with_input(BenchmarkId::new("patched", dirty), &dirty, |b, _| {
             b.iter(|| {
@@ -82,7 +82,6 @@ fn bench_incremental_prepare(c: &mut Criterion) {
             b.iter(|| {
                 toggle(&mut map, &cells, round);
                 round += 1;
-                // The prepared state borrows `map`, so consume it here.
                 let prepared = vire.prepare(black_box(&map)).expect("refine > 0");
                 black_box(prepared.planes()[0]);
             })
@@ -153,7 +152,7 @@ fn emit_json_summary(_c: &mut Criterion) {
         .map(|&dirty| {
             let mut map = base_map();
             let cells = dirty_cells(&map, dirty);
-            let mut owned = PreparedVireOwned::build(vire.config(), &map).expect("refine > 0");
+            let mut owned = vire.prepare(&map).expect("refine > 0");
 
             // Bit-identity sanity check rides along with the timing run.
             toggle(&mut map, &cells, 0);

@@ -26,6 +26,7 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
+use vire_bench::percentile;
 use vire_core::{BeaconEvent, InterpolationKernel, LocationQuery, TagKey, Vire, VireConfig};
 use vire_geom::Point2;
 use vire_net::{Encoding, GatewayClient, NetConfig, NetServer, ReaderRoute};
@@ -69,12 +70,6 @@ fn capture_zone(seed: u64) -> Trace {
     }
     tb.run_for(60.0);
     tb.export_trace(format!("net throughput zone capture, seed {seed}"))
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Pre-builds gateway `round`'s batch: the zone pool cycled, timestamps

@@ -28,6 +28,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
+use vire_bench::percentile;
 use vire_core::{
     BeaconEvent, IngestConfig, InterpolationKernel, LocationQuery, QueryResponse, ServiceConfig,
     TagKey, Vire, VireConfig,
@@ -65,12 +66,6 @@ fn capture() -> Trace {
     }
     tb.run_for(100.0);
     tb.export_trace("service latency capture")
-}
-
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty());
-    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[derive(Serialize)]

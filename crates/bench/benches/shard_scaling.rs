@@ -17,8 +17,8 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 use vire_core::{
-    LocalizeError, LocationService, PreparedVireOwned, ReferenceRssiMap, ServiceConfig,
-    SnapshotSource, TagKey, TrackedEstimate, TrackingReading, Vire, VireConfig, ZoneFabric,
+    LocalizeError, LocationService, ReferenceRssiMap, ServiceConfig, SnapshotSource, TagKey,
+    TrackedEstimate, TrackingReading, Vire, VireConfig, ZoneFabric,
 };
 use vire_geom::{GridData, Point2, RegularGrid};
 
@@ -355,21 +355,12 @@ fn emit_json_summary(_c: &mut Criterion) {
     // build vs building every zone's prepared state.
     let vire = Vire::new(VireConfig::default());
     let union = union_map(largest);
-    let union_rebuild_ns = time_ns(|| {
-        black_box(
-            PreparedVireOwned::build(vire.config(), &union)
-                .expect("refine > 0")
-                .planes()[0],
-        )
-    });
+    let union_rebuild_ns =
+        time_ns(|| black_box(vire.prepare(&union).expect("refine > 0").planes()[0]));
     let zone = zone_map();
     let zones_rebuild_ns = time_ns(|| {
         for _ in 0..largest {
-            black_box(
-                PreparedVireOwned::build(vire.config(), &zone)
-                    .expect("refine > 0")
-                    .planes()[0],
-            );
+            black_box(vire.prepare(&zone).expect("refine > 0").planes()[0]);
         }
     });
 

@@ -1,17 +1,22 @@
 //! # vire-bench
 //!
-//! Shared fixtures for the Criterion benchmark harness.
+//! Shared fixtures for the Criterion benchmark harness in `benches/`:
 //!
-//! Three bench binaries live in `benches/`:
+//! * paper reproduction — `figures` (every figure's wall-clock cost, with
+//!   the rendered tables printed once) and `ablations` (design-choice
+//!   variants);
+//! * the localization core — `algorithms` (per-call cost of each
+//!   localizer and VIRE stage), `prepared` (prepared vs per-reading
+//!   rebuild), `incremental_prepare` (dirty-cell sync vs fresh prepare)
+//!   and `kernels` (scalar vs vector data-plane sweeps);
+//! * the simulation substrate — `substrate`, `channel_cache` and
+//!   `trial_cache`;
+//! * serving — `pipeline`, `service_latency`, `shard_scaling`,
+//!   `tag_churn` and `net_throughput`.
 //!
-//! * `figures` — regenerates every paper figure (2(b), 3, 4, 6(a–c), 7, 8)
-//!   and reports the wall-clock cost of each reproduction; the rendered
-//!   tables are printed once per run so `cargo bench | tee` doubles as the
-//!   EXPERIMENTS.md data source,
-//! * `algorithms` — per-call cost of each localizer and of the VIRE
-//!   pipeline stages (interpolation O(N²), elimination, weighting),
-//! * `ablations` — design-choice variants (kernel, weighting, threshold
-//!   mode, two-pass granularity).
+//! Under `cargo bench` most of them also write a JSON summary to
+//! `target/`, which `scripts/collect_bench.sh` copies to the committed
+//! `BENCH_*.json` files.
 
 #![warn(missing_docs)]
 
@@ -38,4 +43,15 @@ pub fn fixture() -> (ReferenceRssiMap, Vec<(Point2, TrackingReading)>) {
 /// full `cargo bench` stays tractable; the rendered tables note the count.
 pub fn bench_seeds() -> Vec<u64> {
     vec![1, 2, 3]
+}
+
+/// The `q`-th percentile (0–100) of ascending-sorted samples, by the
+/// nearest-rank method.
+///
+/// # Panics
+/// Panics when `sorted` is empty.
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    assert!(!sorted.is_empty());
+    let rank = ((q / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }

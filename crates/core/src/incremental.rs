@@ -1,22 +1,27 @@
-//! Persistent prepared localizers with dirty-cell patching.
+//! The prepared states of VIRE and LANDMARC, and the dirty-cell patching
+//! that keeps them in step with a changing calibration map.
 //!
-//! [`crate::PreparedVire`] borrows its calibration map, so it cannot
-//! outlive one [`crate::service::LocationService::drive`] call — every
-//! snapshot re-interpolates the virtual grid and re-sorts the elimination
-//! planes even when a single calibration cell moved. This module provides
-//! the **owned** counterparts that survive across snapshots:
+//! Each state owns a mirror of its map, so one instance can outlive any
+//! single snapshot — [`crate::service::LocationService::drive`] keeps one
+//! hot across drives instead of re-interpolating the virtual grid and
+//! re-sorting the elimination planes whenever a calibration cell moves:
 //!
-//! * [`PreparedVireOwned`] — owns a mirror of the calibration map, the
-//!   [`VireState`](crate::prepared) planes, and a
-//!   [`GridPatcher`]. On
+//! * [`PreparedVire`] — owns the map mirror, the virtual grid with its
+//!   flattened and sorted reader-major planes, and a [`GridPatcher`]. On
 //!   [`sync`](OwnedPreparedLocalizer::sync) it re-interpolates only the
 //!   kernel-support region of each changed cell, patches the flattened
-//!   reader-major planes in place, and repairs the sorted planes by a
-//!   chunked merge — producing state **bit-identical** to a from-scratch
-//!   prepare (pinned by property tests in `tests/incremental.rs`).
-//! * [`PreparedLandmarcOwned`] — the same lifecycle for the LANDMARC
+//!   planes in place, and repairs the sorted planes by a chunked merge —
+//!   producing state **bit-identical** to a from-scratch
+//!   [`PreparedVire::build`] (pinned by property tests in
+//!   `tests/incremental.rs`).
+//! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
 //!   baseline, where a dirty cell is an O(1) write into the reader-major
 //!   signal planes.
+//!
+//! These are the only prepared forms: [`Vire::prepare`] and
+//! [`Landmarc::prepare`] build them, and the one-shot
+//! [`Localizer::locate`](crate::Localizer::locate) of both algorithms is
+//! prepare-then-locate on the same state.
 //!
 //! Sync resolves what changed in this order: an `(id, epoch)` match means
 //! *nothing* (reuse as-is); the map's change journal yields the exact
@@ -33,13 +38,13 @@
 use crate::landmarc::{Landmarc, LandmarcConfig};
 use crate::localizer::{Estimate, LocalizeError};
 use crate::prepared::{
-    landmarc_locate_core, landmarc_planes, with_landmarc_scratch, PreparedLocalizer, PreparedVire,
-    VireScratch, VireState,
+    landmarc_locate_core, landmarc_planes, with_landmarc_scratch, with_vire_scratch,
+    PreparedLocalizer, VireScratch, VireState,
 };
 use crate::sorted_vec;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::{Vire, VireConfig};
-use crate::virtual_grid::GridPatcher;
+use crate::virtual_grid::{GridPatcher, VirtualGrid};
 use vire_geom::{GridIndex, Point2};
 
 /// One changed calibration entry: `(reader, coarse lattice node)`.
@@ -125,14 +130,16 @@ fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
     a.grid() == b.grid() && a.readers() == b.readers()
 }
 
-/// VIRE prepared state that survives across snapshots.
+/// VIRE bound to one calibration map, surviving across snapshots.
 ///
-/// Owns everything [`PreparedVire`] borrows: a mirror of the calibration
-/// map, the virtual grid, the flattened reader-major planes, the sorted
-/// planes, and the [`GridPatcher`] retaining the horizontal-pass
-/// intermediates. [`sync`](OwnedPreparedLocalizer::sync) patches all of
-/// them in place for small dirty sets.
-pub struct PreparedVireOwned {
+/// Owns a mirror of the calibration map, the interpolated virtual grid,
+/// its per-reader RSSI planes flattened reader-major
+/// (`planes[k * nodes + flat]`) so elimination and weighting scan
+/// contiguous memory, the sorted planes, and the [`GridPatcher`]
+/// retaining the horizontal-pass intermediates.
+/// [`sync`](OwnedPreparedLocalizer::sync) patches all of them in place
+/// for small dirty sets.
+pub struct PreparedVire {
     state: VireState,
     patcher: GridPatcher,
     /// Owned mirror of the source map, bit-identical to it as of
@@ -147,15 +154,15 @@ pub struct PreparedVireOwned {
     dirty_scratch: Vec<DirtyCell>,
 }
 
-impl PreparedVireOwned {
-    /// Builds the owned prepared state bound to `refs` (cloned into an
-    /// internal mirror). Errors when the configuration is degenerate
+impl PreparedVire {
+    /// Builds the prepared state bound to `refs` (cloned into an internal
+    /// mirror). Errors when the configuration is degenerate
     /// (`refine == 0`).
     pub fn build(config: &VireConfig, refs: &ReferenceRssiMap) -> Result<Self, LocalizeError> {
         let mirror = refs.clone();
         let (state, patcher) = VireState::build_with_patcher(config, &mirror)?;
         let k = mirror.reader_count();
-        Ok(PreparedVireOwned {
+        Ok(PreparedVire {
             state,
             patcher,
             refs: mirror,
@@ -180,7 +187,7 @@ impl PreparedVireOwned {
     }
 
     /// The cached virtual grid.
-    pub fn grid(&self) -> &crate::virtual_grid::VirtualGrid {
+    pub fn grid(&self) -> &VirtualGrid {
         &self.state.grid
     }
 
@@ -189,28 +196,36 @@ impl PreparedVireOwned {
         &self.refs
     }
 
-    /// Localizes through an explicit scratch arena (see
-    /// [`PreparedVire::locate_with_scratch`]).
+    /// Localizes one reading through an explicit scratch arena — the
+    /// fully allocation-free entry point for callers managing their own
+    /// scratch. [`PreparedLocalizer::locate`] is the implicit
+    /// (thread-local scratch) equivalent.
     pub fn locate_with_scratch(
         &self,
         reading: &TrackingReading,
         scratch: &mut VireScratch,
     ) -> Result<Estimate, LocalizeError> {
-        self.state
-            .locate_core(&self.refs, reading, scratch)
-            .map(|(est, _)| est)
+        self.locate_core(reading, scratch).map(|(est, _)| est)
     }
 
-    /// Applies `new_values` for the given dirty cells and patches the
-    /// prepared state in place — **always** the patch path, regardless of
-    /// batch size (the [`sync`](OwnedPreparedLocalizer::sync) entry point
-    /// adds the rebuild heuristic on top). `dirty` pairs with bit-new
-    /// values already written into the internal mirror by the caller via
-    /// [`Self::set_mirror_rssi`], or more commonly arrives from `sync`.
+    /// The query core with its diagnostics flag (see
+    /// [`VireState::locate_core`]).
+    pub(crate) fn locate_core(
+        &self,
+        reading: &TrackingReading,
+        scratch: &mut VireScratch,
+    ) -> Result<(Estimate, bool), LocalizeError> {
+        self.state.locate_core(&self.refs, reading, scratch)
+    }
+
+    /// Patches the prepared state in place for `dirty` cells whose new
+    /// values `sync` has already written into the mirror — **always** the
+    /// patch path, regardless of batch size (`sync` adds the rebuild
+    /// heuristic on top).
     ///
     /// After the call, `planes`, `sorted_planes`, and the virtual grid are
     /// bit-identical to a from-scratch prepare against the mirror.
-    pub fn apply_dirty(&mut self, dirty: &[DirtyCell]) {
+    fn apply_dirty(&mut self, dirty: &[DirtyCell]) {
         let k_readers = self.refs.reader_count();
         let nodes = self.state.grid.tag_count();
         for batch in self.removed.iter_mut().chain(self.inserted.iter_mut()) {
@@ -255,12 +270,6 @@ impl PreparedVireOwned {
         }
     }
 
-    /// Writes one mirror cell (testing hook for driving [`Self::apply_dirty`]
-    /// directly). Returns whether the bits changed.
-    pub fn set_mirror_rssi(&mut self, k: usize, idx: GridIndex, value: f64) -> bool {
-        self.refs.set_rssi(k, idx, value)
-    }
-
     fn rebuild(&mut self, refs: &ReferenceRssiMap) {
         if same_shape(&self.refs, refs) {
             // The cutover path out of `sync`: too many cells moved for
@@ -283,9 +292,9 @@ impl PreparedVireOwned {
     }
 }
 
-impl PreparedLocalizer for PreparedVireOwned {
+impl PreparedLocalizer for PreparedVire {
     fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        PreparedVire::with_thread_scratch(|scratch| self.locate_with_scratch(reading, scratch))
+        with_vire_scratch(|scratch| self.locate_with_scratch(reading, scratch))
     }
 
     fn name(&self) -> &'static str {
@@ -293,7 +302,7 @@ impl PreparedLocalizer for PreparedVireOwned {
     }
 }
 
-impl OwnedPreparedLocalizer for PreparedVireOwned {
+impl OwnedPreparedLocalizer for PreparedVire {
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
         if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
             return SyncOutcome::Reused;
@@ -358,19 +367,20 @@ impl OwnedPreparedLocalizer for PreparedVireOwned {
 }
 
 impl Vire {
-    /// Builds an owned, snapshot-persistent prepared instance (see
-    /// [`PreparedVireOwned`]), or `None` when the configuration cannot be
-    /// prepared (`refine == 0` falls back to the per-call path).
-    pub fn prepare_owned_vire(&self, refs: &ReferenceRssiMap) -> Option<PreparedVireOwned> {
-        PreparedVireOwned::build(self.config(), refs).ok()
+    /// Binds this VIRE configuration to one calibration map, building the
+    /// virtual grid and flattened RSSI planes once (see [`PreparedVire`]).
+    /// Errors when the configuration is degenerate (`refine == 0`).
+    pub fn prepare(&self, refs: &ReferenceRssiMap) -> Result<PreparedVire, LocalizeError> {
+        PreparedVire::build(self.config(), refs)
     }
 }
 
-/// LANDMARC prepared state that survives across snapshots: a dirty
-/// calibration cell is one write into the reader-major signal planes
-/// (`planes[k * nodes + flat]`, the same layout the borrowed
-/// [`crate::PreparedLandmarc`] feeds the vector kernels).
-pub struct PreparedLandmarcOwned {
+/// LANDMARC bound to one calibration map, surviving across snapshots:
+/// reader-major RSSI planes (`planes[k * nodes + flat]`, the layout VIRE
+/// uses) plus node positions, so each query runs the lane-chunked
+/// squared-E-distance kernel over contiguous memory. A dirty calibration
+/// cell is one write into the planes.
+pub struct PreparedLandmarc {
     config: LandmarcConfig,
     refs: ReferenceRssiMap,
     planes: Vec<f64>,
@@ -380,12 +390,12 @@ pub struct PreparedLandmarcOwned {
     dirty_scratch: Vec<DirtyCell>,
 }
 
-impl PreparedLandmarcOwned {
-    /// Builds the owned prepared state bound to `refs` (cloned).
+impl PreparedLandmarc {
+    /// Builds the prepared state bound to `refs` (cloned).
     pub fn build(config: LandmarcConfig, refs: &ReferenceRssiMap) -> Self {
         let mirror = refs.clone();
         let (planes, positions) = landmarc_planes(&mirror);
-        PreparedLandmarcOwned {
+        PreparedLandmarc {
             config,
             refs: mirror,
             planes,
@@ -402,11 +412,9 @@ impl PreparedLandmarcOwned {
     }
 }
 
-impl PreparedLocalizer for PreparedLandmarcOwned {
+impl PreparedLocalizer for PreparedLandmarc {
     fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
         crate::localizer::check_readers(&self.refs, reading)?;
-        // Same kernel core as the borrowed PreparedLandmarc, over the
-        // owned planes — no per-call table rebuild.
         with_landmarc_scratch(|scratch| {
             landmarc_locate_core(
                 &self.planes,
@@ -423,13 +431,13 @@ impl PreparedLocalizer for PreparedLandmarcOwned {
     }
 }
 
-impl OwnedPreparedLocalizer for PreparedLandmarcOwned {
+impl OwnedPreparedLocalizer for PreparedLandmarc {
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
         if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
             return SyncOutcome::Reused;
         }
         if !same_shape(&self.refs, refs) {
-            *self = PreparedLandmarcOwned::build(self.config, refs);
+            *self = PreparedLandmarc::build(self.config, refs);
             return SyncOutcome::Rebuilt;
         }
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
@@ -460,10 +468,11 @@ impl OwnedPreparedLocalizer for PreparedLandmarcOwned {
 }
 
 impl Landmarc {
-    /// Builds an owned, snapshot-persistent prepared instance (see
-    /// [`PreparedLandmarcOwned`]).
-    pub fn prepare_owned_landmarc(&self, refs: &ReferenceRssiMap) -> PreparedLandmarcOwned {
-        PreparedLandmarcOwned::build(LandmarcConfig { k: self.k() }, refs)
+    /// Binds this LANDMARC configuration to one calibration map, caching
+    /// reader-major signal planes and node positions (see
+    /// [`PreparedLandmarc`]).
+    pub fn prepare(&self, refs: &ReferenceRssiMap) -> PreparedLandmarc {
+        PreparedLandmarc::build(LandmarcConfig { k: self.k() }, refs)
     }
 }
 
@@ -493,7 +502,7 @@ mod tests {
         ReferenceRssiMap::new(grid, readers(), fields)
     }
 
-    fn assert_matches_fresh(owned: &PreparedVireOwned, refs: &ReferenceRssiMap) {
+    fn assert_matches_fresh(owned: &PreparedVire, refs: &ReferenceRssiMap) {
         let fresh = Vire::default().prepare(refs).unwrap();
         let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(owned.planes()), bits(fresh.planes()));
@@ -503,14 +512,14 @@ mod tests {
     #[test]
     fn sync_reuses_on_identical_epoch() {
         let refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Reused);
     }
 
     #[test]
     fn sync_patches_via_the_journal_and_matches_fresh() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         let cell = GridIndex::new(1, 2);
         refs.set_rssi(0, cell, refs.rssi(0, cell) - 4.0);
         assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Patched(1));
@@ -522,7 +531,7 @@ mod tests {
     #[test]
     fn sync_patches_a_fresh_identity_via_full_diff() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         // A clone has a new id and empty journal; change two cells.
         let mut other = refs.clone();
         other.set_rssi(1, GridIndex::new(3, 3), -88.25);
@@ -542,7 +551,7 @@ mod tests {
     #[test]
     fn sync_rebuilds_on_bulk_change_and_matches_fresh() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         for k in 0..refs.reader_count() {
             for idx in refs.grid().indices().collect::<Vec<_>>() {
                 let v = refs.rssi(k, idx);
@@ -556,16 +565,16 @@ mod tests {
     #[test]
     fn sync_rebuilds_on_lattice_change() {
         let refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         let smaller = refs.without_reader(2).unwrap();
         assert_eq!(owned.sync(&smaller, &[]), SyncOutcome::Rebuilt);
         assert_matches_fresh(&owned, &smaller);
     }
 
     #[test]
-    fn owned_locate_matches_borrowed_prepare() {
+    fn synced_locate_matches_fresh_prepare() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         refs.set_rssi(1, GridIndex::new(2, 1), -84.75);
         owned.sync(&refs, &[]);
         let fresh = Vire::default().prepare(&refs).unwrap();
@@ -584,7 +593,7 @@ mod tests {
     #[test]
     fn landmarc_owned_patches_signal_table() {
         let mut refs = map();
-        let mut owned = Landmarc::default().prepare_owned_landmarc(&refs);
+        let mut owned = Landmarc::default().prepare(&refs);
         let cell = GridIndex::new(1, 1);
         refs.set_rssi(2, cell, -91.0);
         assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Patched(1));
@@ -599,16 +608,15 @@ mod tests {
             owned.locate(&reading).unwrap(),
             fresh.locate(&reading).unwrap()
         );
-        // The patched signal planes match a rebuilt instance exactly.
-        let rebuilt = Landmarc::default().prepare_owned_landmarc(&refs);
+        // The patched signal planes match the fresh instance exactly.
         let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(owned.planes()), bits(rebuilt.planes()));
+        assert_eq!(bits(owned.planes()), bits(fresh.planes()));
     }
 
     #[test]
     fn hint_path_is_used_when_the_journal_is_gone() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare_owned_vire(&refs).unwrap();
+        let mut owned = Vire::default().prepare(&refs).unwrap();
         // Overflow the journal (capacity 2 × 3 × 16 = 96) with churn on
         // one cell, netting out to a small real change set.
         let cell = GridIndex::new(2, 3);

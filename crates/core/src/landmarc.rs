@@ -6,7 +6,9 @@
 //! is their weighted centroid with weights `w_j ∝ 1/E_j²`. The paper under
 //! reproduction uses k = 4 ("an algorithm looking for the 4 nearest tags").
 
+use crate::incremental::OwnedPreparedLocalizer;
 use crate::localizer::{Estimate, LocalizeError, Localizer};
+use crate::prepared::PreparedLocalizer;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use vire_geom::Point2;
 
@@ -115,16 +117,15 @@ pub(crate) fn inverse_square_weights_into(distances: &[f64], out: &mut Vec<f64>)
 
 impl Localizer for Landmarc {
     /// One-shot localization: prepares the reader-major signal planes for
-    /// `refs`, answers the single query, and discards it. Loops over many
-    /// readings against one map should use [`Landmarc::prepare`] — the
-    /// results are bit-identical (this method routes through the same
-    /// prepared core).
+    /// `refs`, answers the single query, and discards them. Loops over
+    /// many readings against one map should use [`Landmarc::prepare`] —
+    /// the results are bit-identical (this method routes through the same
+    /// prepared state).
     fn locate(
         &self,
         refs: &ReferenceRssiMap,
         reading: &TrackingReading,
     ) -> Result<Estimate, LocalizeError> {
-        use crate::prepared::PreparedLocalizer as _;
         self.prepare(refs).locate(reading)
     }
 
@@ -132,18 +133,8 @@ impl Localizer for Landmarc {
         "LANDMARC"
     }
 
-    fn prepare<'a>(
-        &'a self,
-        refs: &'a ReferenceRssiMap,
-    ) -> Box<dyn crate::prepared::PreparedLocalizer + 'a> {
-        Box::new(Landmarc::prepare(self, refs))
-    }
-
-    fn prepare_owned(
-        &self,
-        refs: &ReferenceRssiMap,
-    ) -> Option<Box<dyn crate::incremental::OwnedPreparedLocalizer>> {
-        Some(Box::new(self.prepare_owned_landmarc(refs)))
+    fn prepare_owned(&self, refs: &ReferenceRssiMap) -> Option<Box<dyn OwnedPreparedLocalizer>> {
+        Some(Box::new(self.prepare(refs)))
     }
 }
 

@@ -31,14 +31,18 @@
 //!
 //! ## Prepared (two-phase) localization
 //!
-//! Hot loops should not rebuild the virtual grid per reading. The
-//! [`prepared`] module splits every localizer into a *prepare* phase
-//! (bind to one [`ReferenceRssiMap`], via [`Localizer::prepare`] or the
-//! concrete [`Vire::prepare`] / [`Landmarc::prepare`]) and a *query*
-//! phase ([`PreparedLocalizer::locate`] /
-//! [`PreparedLocalizer::locate_batch`]) that allocates nothing in steady
-//! state and can fan a batch across threads. See DESIGN.md §"Prepared
-//! localization".
+//! Hot loops should not rebuild the virtual grid per reading. Every
+//! localizer splits into a *prepare* phase (bind to one
+//! [`ReferenceRssiMap`], via [`Localizer::prepare`] or the concrete
+//! [`Vire::prepare`] / [`Landmarc::prepare`]) and a *query* phase
+//! ([`PreparedLocalizer::locate`] / [`PreparedLocalizer::locate_batch`])
+//! that allocates nothing in steady state and can fan a batch across
+//! threads. VIRE and LANDMARC have one prepared form each,
+//! [`PreparedVire`] and [`PreparedLandmarc`]: it owns a mirror of the
+//! map, follows later snapshots by patching only the dirty cells
+//! ([`OwnedPreparedLocalizer::sync`], module [`incremental`]), and is
+//! also what one-shot [`Localizer::locate`] prepares and discards. See
+//! DESIGN.md §"Prepared localization".
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -70,7 +74,7 @@ pub mod weights;
 
 pub use fabric::{plan_waves, ShardAccess, StageAccess, ZoneFabric, ZoneStats};
 pub use incremental::{
-    DirtyCell, OwnedPreparedLocalizer, PreparedLandmarcOwned, PreparedVireOwned, SyncOutcome,
+    DirtyCell, OwnedPreparedLocalizer, PreparedLandmarc, PreparedVire, SyncOutcome,
 };
 pub use ingest::{
     beacon_key, parse_wire, parse_wire_versioned, BeaconEvent, IngestBatch, IngestConfig,
@@ -81,10 +85,7 @@ pub use landmarc::{Landmarc, LandmarcConfig};
 pub use localizer::{Estimate, LocalizeError, Localizer};
 pub use pipeline::SnapshotSource;
 pub use pool::WorkerPool;
-pub use prepared::{
-    locate_batch_parallel, PreparedLandmarc, PreparedLocalizer, PreparedVire, Unprepared,
-    VireScratch,
-};
+pub use prepared::{locate_batch_parallel, PreparedLocalizer, Unprepared, VireScratch};
 pub use quality::{FixQuality, ScoredLocate};
 pub use scattered::{ScatteredLandmarc, ScatteredReferenceMap, ScatteredVire};
 pub use service::{

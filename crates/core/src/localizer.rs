@@ -79,7 +79,7 @@ impl std::error::Error for LocalizeError {}
 /// `Sync` is a supertrait: localizers are immutable algorithm
 /// configurations, and the experiment harness and
 /// [`PreparedLocalizer::locate_batch`](crate::PreparedLocalizer::locate_batch)
-/// share them across scoped threads.
+/// share them across worker-pool lanes.
 pub trait Localizer: Sync {
     /// Estimates the tracking tag's position.
     fn locate(
@@ -95,16 +95,21 @@ pub trait Localizer: Sync {
     /// query object that amortizes per-map work (virtual-grid
     /// interpolation, plane flattening) across many readings.
     ///
-    /// The default implementation performs no precomputation — each
+    /// The default returns the owned state from
+    /// [`Localizer::prepare_owned`] when there is one (VIRE, LANDMARC).
+    /// Otherwise it performs no precomputation — each
     /// [`PreparedLocalizer::locate`](crate::PreparedLocalizer::locate)
-    /// call simply delegates to [`Localizer::locate`], so every localizer
-    /// gets the prepared/batch API for free. Algorithms with real per-map
-    /// setup (VIRE, LANDMARC) override this.
+    /// call simply delegates to [`Localizer::locate`] through
+    /// [`Unprepared`](crate::Unprepared), so every localizer gets the
+    /// prepared/batch API for free.
     fn prepare<'a>(
         &'a self,
         refs: &'a ReferenceRssiMap,
     ) -> Box<dyn crate::prepared::PreparedLocalizer + 'a> {
-        Box::new(crate::prepared::Unprepared::new(self, refs))
+        match self.prepare_owned(refs) {
+            Some(owned) => owned,
+            None => Box::new(crate::prepared::Unprepared::new(self, refs)),
+        }
     }
 
     /// Binds this localizer to a *copy* of the calibration map, returning
@@ -112,7 +117,7 @@ pub trait Localizer: Sync {
     /// kept in [`sync`](crate::incremental::OwnedPreparedLocalizer::sync)
     /// with later calibration snapshots by patching only the dirty cells.
     ///
-    /// Returns `None` when the algorithm has no incremental path (the
+    /// Returns `None` when the algorithm has no per-map state (the
     /// default) or the configuration cannot be prepared; callers fall back
     /// to per-snapshot [`Localizer::prepare`].
     fn prepare_owned(

@@ -1,25 +1,25 @@
 //! Prepared (two-phase) localization: bind a localizer to one calibration
 //! map once, then answer many queries cheaply.
 //!
-//! The one-shot [`Localizer::locate`] API rebuilds everything per reading:
-//! VIRE re-interpolates the virtual grid and re-allocates elimination
-//! masks and weight buffers every call, even though none of that depends
-//! on the reading. This module splits the pipeline:
+//! VIRE's map-dependent work — interpolating the virtual grid (§4.2),
+//! flattening and sorting its per-reader RSSI planes — does not depend on
+//! the reading. This module holds the query side of that split:
 //!
-//! * **prepare** — [`Vire::prepare`] / [`Landmarc::prepare`] do all
-//!   map-dependent work up front: the interpolated [`VirtualGrid`], the
-//!   per-reader RSSI planes flattened reader-major for cache-friendly
-//!   scans, and (for LANDMARC) the same reader-major planes plus
-//!   positions.
-//! * **query** — [`PreparedVire::locate_with_scratch`] runs elimination
-//!   and weighting through a reusable [`VireScratch`] arena, so steady
-//!   state performs **zero heap allocation** per reading.
+//! * the [`PreparedLocalizer`] trait every prepared form implements, with
+//!   an order-preserving [`PreparedLocalizer::locate_batch`] that fans a
+//!   slice of readings across the [`WorkerPool`](crate::pool::WorkerPool)
+//!   (each lane with its own thread-local scratch);
+//! * the VIRE and LANDMARC query cores, which run elimination and
+//!   weighting through a reusable [`VireScratch`] arena, so steady state
+//!   performs **zero heap allocation** per reading;
+//! * [`Unprepared`], the adapter for localizers with no per-map state.
 //!
-//! [`PreparedLocalizer::locate_batch`] fans a slice of readings across
-//! scoped threads (each with its own thread-local scratch), preserving
-//! input order. Results are bit-identical to calling [`Localizer::locate`]
-//! per reading — the one-shot path is itself routed through the prepared
-//! implementation, so there is a single code path to trust.
+//! The prepared states themselves, [`crate::PreparedVire`] and
+//! [`crate::PreparedLandmarc`], own a mirror of their map and live in
+//! [`crate::incremental`] beside the `sync` that patches them. They are
+//! the only prepared form of either algorithm: one-shot
+//! [`Localizer::locate`] is prepare-then-locate on the same state, so
+//! there is a single code path to trust.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -29,7 +29,7 @@ use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
 use crate::types::{ReferenceRssiMap, TrackingReading};
-use crate::vire_alg::{EmptyFallback, Vire, VireConfig};
+use crate::vire_alg::{EmptyFallback, VireConfig};
 use crate::virtual_grid::{GridPatcher, VirtualGrid};
 use crate::weights::{candidate_weights_into, WeightBuffers};
 use vire_geom::Point2;
@@ -46,7 +46,7 @@ pub trait PreparedLocalizer: Sync {
 
     /// Localizes a batch of readings, preserving input order.
     ///
-    /// The default fans the slice across scoped threads via
+    /// The default fans the slice across the worker pool via
     /// [`locate_batch_parallel`]; results are identical to calling
     /// [`PreparedLocalizer::locate`] sequentially.
     fn locate_batch(&self, readings: &[TrackingReading]) -> Vec<Result<Estimate, LocalizeError>> {
@@ -103,9 +103,10 @@ where
     out
 }
 
-/// The trivial prepared adapter behind [`Localizer::prepare`]'s default:
-/// holds the localizer and map and delegates every query to the one-shot
-/// path. No precomputation, but it still provides `locate_batch`.
+/// The trivial prepared adapter [`Localizer::prepare`]'s default falls
+/// back to when a localizer has no owned prepared form: holds the
+/// localizer and map and delegates every query to the one-shot path. No
+/// precomputation, but it still provides `locate_batch`.
 pub struct Unprepared<'a, L: ?Sized> {
     inner: &'a L,
     refs: &'a ReferenceRssiMap,
@@ -128,7 +129,7 @@ impl<L: Localizer + ?Sized> PreparedLocalizer for Unprepared<'_, L> {
     }
 }
 
-/// Reusable per-thread scratch arena for [`PreparedVire`] queries:
+/// Reusable per-thread scratch arena for [`crate::PreparedVire`] queries:
 /// elimination gap planes and masks, candidate/weight buffers, and the
 /// centroid position buffer. After the first query every vector has its
 /// steady-state capacity, so subsequent queries allocate nothing.
@@ -149,18 +150,22 @@ impl VireScratch {
 
 thread_local! {
     /// Scratch for the implicit-arena entry points
-    /// ([`PreparedLocalizer::locate`] on [`PreparedVire`], and the
+    /// ([`PreparedLocalizer::locate`] on [`crate::PreparedVire`], and the
     /// one-shot `Vire::locate` which routes through it). One arena per
     /// thread keeps `locate_batch` workers allocation-free without
     /// synchronization.
     static VIRE_SCRATCH: RefCell<VireScratch> = RefCell::new(VireScratch::new());
 }
 
-/// The map-bound VIRE state shared by the borrowed [`PreparedVire`] and
-/// the owned incremental [`crate::incremental::PreparedVireOwned`]: the
-/// interpolated [`VirtualGrid`], the per-reader RSSI planes flattened
-/// reader-major (`planes[k * nodes + flat]`), the per-reader sorted
-/// planes, and the resolved threshold mode.
+/// Runs `f` with this thread's VIRE scratch borrowed mutably.
+pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
+    VIRE_SCRATCH.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// The map-bound core of [`crate::PreparedVire`]: the interpolated
+/// [`VirtualGrid`], the per-reader RSSI planes flattened reader-major
+/// (`planes[k * nodes + flat]`), the per-reader sorted planes, and the
+/// resolved threshold mode.
 pub(crate) struct VireState {
     pub(crate) config: VireConfig,
     pub(crate) grid: VirtualGrid,
@@ -211,31 +216,18 @@ impl VireState {
         }
     }
 
-    fn check_refine(config: &VireConfig) -> Result<(), LocalizeError> {
+    /// Builds the state along with the [`GridPatcher`] the incremental
+    /// path uses to re-interpolate dirty regions in place. Errors when
+    /// the configuration is degenerate (`refine == 0`).
+    pub(crate) fn build_with_patcher(
+        config: &VireConfig,
+        refs: &ReferenceRssiMap,
+    ) -> Result<(Self, GridPatcher), LocalizeError> {
         if config.refine == 0 {
             return Err(LocalizeError::InsufficientData(
                 "refinement factor must be >= 1".into(),
             ));
         }
-        Ok(())
-    }
-
-    pub(crate) fn build(
-        config: &VireConfig,
-        refs: &ReferenceRssiMap,
-    ) -> Result<Self, LocalizeError> {
-        Self::check_refine(config)?;
-        let grid = VirtualGrid::build(refs, config.refine, config.kernel);
-        Ok(Self::from_grid(config, grid))
-    }
-
-    /// Builds the state along with the [`GridPatcher`] the incremental
-    /// path uses to re-interpolate dirty regions in place.
-    pub(crate) fn build_with_patcher(
-        config: &VireConfig,
-        refs: &ReferenceRssiMap,
-    ) -> Result<(Self, GridPatcher), LocalizeError> {
-        Self::check_refine(config)?;
         let (grid, patcher) = VirtualGrid::build_with_patcher(refs, config.refine, config.kernel);
         Ok((Self::from_grid(config, grid), patcher))
     }
@@ -266,9 +258,13 @@ impl VireState {
         }
     }
 
-    /// Query core shared by every VIRE entry point. `refs` supplies the
-    /// reader count check and the LANDMARC fallback; it must be the map
-    /// this state was built from (bit-identical values).
+    /// Query core shared by every VIRE entry point (prepared, batch, and
+    /// the one-shot [`crate::Vire::locate_with_diagnostics`]). `refs`
+    /// supplies the reader count check and the LANDMARC fallback; it must
+    /// be the map this state was built from (bit-identical values). The
+    /// bool is false when the fallback produced the estimate (no
+    /// elimination diagnostics exist); on true, `scratch.elim` holds the
+    /// final mask and thresholds.
     pub(crate) fn locate_core(
         &self,
         refs: &ReferenceRssiMap,
@@ -329,107 +325,7 @@ impl VireState {
     }
 }
 
-/// VIRE bound to one calibration map: owns the interpolated
-/// [`VirtualGrid`] plus the per-reader RSSI planes flattened reader-major
-/// (`planes[k * nodes + flat]`) so elimination and weighting scan
-/// contiguous memory.
-pub struct PreparedVire<'a> {
-    refs: &'a ReferenceRssiMap,
-    state: VireState,
-}
-
-impl<'a> PreparedVire<'a> {
-    pub(crate) fn build(
-        config: &VireConfig,
-        refs: &'a ReferenceRssiMap,
-    ) -> Result<Self, LocalizeError> {
-        Ok(PreparedVire {
-            refs,
-            state: VireState::build(config, refs)?,
-        })
-    }
-
-    /// The cached virtual grid.
-    pub fn grid(&self) -> &VirtualGrid {
-        &self.state.grid
-    }
-
-    /// The configuration this instance was prepared with.
-    pub fn config(&self) -> &VireConfig {
-        &self.state.config
-    }
-
-    /// The calibration map this instance is bound to.
-    pub fn refs(&self) -> &ReferenceRssiMap {
-        self.refs
-    }
-
-    /// The flattened reader-major RSSI planes (`planes[k * nodes + flat]`)
-    /// — exposed so bit-identity tests can compare prepared states.
-    pub fn planes(&self) -> &[f64] {
-        &self.state.planes
-    }
-
-    /// The per-reader ascending-sorted planes (empty under a fixed
-    /// threshold) — exposed for bit-identity tests.
-    pub fn sorted_planes(&self) -> &[f64] {
-        &self.state.sorted
-    }
-
-    /// Localizes one reading through an explicit scratch arena — the
-    /// fully allocation-free entry point for callers managing their own
-    /// scratch. [`PreparedLocalizer::locate`] is the implicit
-    /// (thread-local scratch) equivalent.
-    pub fn locate_with_scratch(
-        &self,
-        reading: &TrackingReading,
-        scratch: &mut VireScratch,
-    ) -> Result<Estimate, LocalizeError> {
-        self.locate_core(reading, scratch).map(|(est, _)| est)
-    }
-
-    /// Query core shared by every VIRE entry point (prepared, batch, and
-    /// the one-shot [`Vire::locate_with_diagnostics`]). Returns the final
-    /// thresholds alongside the estimate so the diagnostic path can
-    /// materialize an `EliminationResult` without a second run; the bool
-    /// is false when the fallback path produced the estimate (no
-    /// elimination diagnostics exist).
-    pub(crate) fn locate_core(
-        &self,
-        reading: &TrackingReading,
-        scratch: &mut VireScratch,
-    ) -> Result<(Estimate, bool), LocalizeError> {
-        self.state.locate_core(self.refs, reading, scratch)
-    }
-
-    /// Runs `f` with this thread's scratch arena borrowed mutably.
-    pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
-        VIRE_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-    }
-}
-
-impl PreparedLocalizer for PreparedVire<'_> {
-    fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        Self::with_thread_scratch(|scratch| self.locate_with_scratch(reading, scratch))
-    }
-
-    fn name(&self) -> &'static str {
-        "VIRE"
-    }
-}
-
-/// LANDMARC bound to one calibration map: reader-major RSSI planes
-/// (`planes[k * nodes + flat]`, the same layout VIRE's prepared state
-/// uses) plus node positions, so each query runs the lane-chunked
-/// squared-E-distance kernel over contiguous plane memory.
-pub struct PreparedLandmarc<'a> {
-    config: LandmarcConfig,
-    refs: &'a ReferenceRssiMap,
-    planes: Vec<f64>,
-    positions: Vec<Point2>,
-}
-
-/// Scratch for LANDMARC queries (borrowed and owned-incremental alike):
+/// Scratch for [`crate::PreparedLandmarc`] queries:
 /// the kernel's squared-distance plane, the `(e², flat)` selection pairs,
 /// and the winner distance/position/weight buffers.
 #[derive(Debug, Default)]
@@ -450,8 +346,8 @@ pub(crate) fn with_landmarc_scratch<R>(f: impl FnOnce(&mut LandmarcScratch) -> R
     LANDMARC_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
-/// LANDMARC query core over reader-major planes, shared by
-/// [`PreparedLandmarc`] and [`crate::incremental::PreparedLandmarcOwned`].
+/// LANDMARC query core over the reader-major planes of
+/// [`crate::PreparedLandmarc`].
 ///
 /// The per-node E-distance plane comes from the vector kernel in squared
 /// form; selection of the `k_select` nearest runs on `(e², flat)` — exact
@@ -513,65 +409,11 @@ pub(crate) fn landmarc_planes(refs: &ReferenceRssiMap) -> (Vec<f64>, Vec<Point2>
     (planes, positions)
 }
 
-impl<'a> PreparedLandmarc<'a> {
-    pub(crate) fn build(config: LandmarcConfig, refs: &'a ReferenceRssiMap) -> Self {
-        let (planes, positions) = landmarc_planes(refs);
-        PreparedLandmarc {
-            config,
-            refs,
-            planes,
-            positions,
-        }
-    }
-
-    /// The calibration map this instance is bound to.
-    pub fn refs(&self) -> &ReferenceRssiMap {
-        self.refs
-    }
-}
-
-impl PreparedLocalizer for PreparedLandmarc<'_> {
-    fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        check_readers(self.refs, reading)?;
-        with_landmarc_scratch(|scratch| {
-            landmarc_locate_core(
-                &self.planes,
-                &self.positions,
-                self.config.k,
-                reading,
-                scratch,
-            )
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "LANDMARC"
-    }
-}
-
-impl Vire {
-    /// Binds this VIRE configuration to one calibration map, building the
-    /// virtual grid and flattened RSSI planes once. Errors when the
-    /// configuration is degenerate (`refine == 0`).
-    pub fn prepare<'a>(
-        &self,
-        refs: &'a ReferenceRssiMap,
-    ) -> Result<PreparedVire<'a>, LocalizeError> {
-        PreparedVire::build(self.config(), refs)
-    }
-}
-
-impl Landmarc {
-    /// Binds this LANDMARC configuration to one calibration map, caching
-    /// reader-major signal planes and node positions.
-    pub fn prepare<'a>(&self, refs: &'a ReferenceRssiMap) -> PreparedLandmarc<'a> {
-        PreparedLandmarc::build(LandmarcConfig { k: self.k() }, refs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::nearest::NearestReference;
+    use crate::vire_alg::Vire;
     use vire_geom::{GridData, RegularGrid};
 
     fn readers() -> Vec<Point2> {
@@ -616,31 +458,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_vire_matches_one_shot_exactly() {
-        let refs = map();
-        let vire = Vire::default();
-        let prepared = vire.prepare(&refs).unwrap();
-        for reading in sample_readings() {
-            let one_shot = vire.locate(&refs, &reading).unwrap();
-            let fast = prepared.locate(&reading).unwrap();
-            assert_eq!(one_shot, fast);
-        }
-    }
-
-    #[test]
-    fn prepared_landmarc_matches_one_shot_exactly() {
-        let refs = map();
-        let lm = Landmarc::default();
-        let prepared = lm.prepare(&refs);
-        for reading in sample_readings() {
-            assert_eq!(
-                lm.locate(&refs, &reading).unwrap(),
-                prepared.locate(&reading).unwrap()
-            );
-        }
-    }
-
-    #[test]
     fn batch_matches_sequential_in_order() {
         let refs = map();
         let vire = Vire::default();
@@ -672,8 +489,17 @@ mod tests {
     }
 
     #[test]
-    fn prepare_on_degenerate_config_errors_like_locate() {
+    fn default_prepare_matches_one_shot_without_an_owned_form() {
         let refs = map();
+        let reading = reading_at(Point2::new(1.2, 2.1));
+        // A localizer with no per-map state gets the unprepared adapter.
+        let nearest = NearestReference;
+        assert!(nearest.prepare_owned(&refs).is_none());
+        let boxed = Localizer::prepare(&nearest, &refs);
+        assert_eq!(boxed.name(), nearest.name());
+        assert_eq!(boxed.locate(&reading), nearest.locate(&refs, &reading));
+        // A degenerate VIRE (refine = 0) has no owned form either: the
+        // adapter reports the same per-reading error as one-shot.
         let vire = Vire::new(VireConfig {
             refine: 0,
             ..VireConfig::default()
@@ -682,15 +508,11 @@ mod tests {
             vire.prepare(&refs),
             Err(LocalizeError::InsufficientData(_))
         ));
-        // The trait-level prepare falls back to the unprepared adapter,
-        // which reports the same error per reading as the one-shot path.
-        let boxed = Localizer::prepare(&vire, &refs);
         assert_eq!(
-            boxed
-                .locate(&reading_at(Point2::new(1.0, 1.0)))
+            Localizer::prepare(&vire, &refs)
+                .locate(&reading)
                 .unwrap_err(),
-            vire.locate(&refs, &reading_at(Point2::new(1.0, 1.0)))
-                .unwrap_err()
+            vire.locate(&refs, &reading).unwrap_err()
         );
     }
 

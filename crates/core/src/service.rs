@@ -151,9 +151,9 @@ pub struct LocationService<L: Localizer> {
     last_sweep: f64,
     /// Owned prepared state persisted across [`LocationService::drive`]
     /// calls and kept in sync with the source map by dirty-cell patching.
-    /// `None` until the first drive, or when the localizer has no
-    /// incremental path (then each drive prepares against the borrowed
-    /// map, as before).
+    /// `None` until the first drive, or when the localizer has no owned
+    /// prepared form (then each drive prepares against that drive's map
+    /// through [`Localizer::prepare`]).
     prepared: Option<Box<dyn OwnedPreparedLocalizer>>,
     /// Changed readings drained from the stage but not yet localized
     /// (the calibration map was still incomplete). First-dirtied order;
@@ -381,8 +381,8 @@ impl<L: Localizer> LocationService<L> {
                 }
                 prepared.locate_batch_refs(&readings)
             }
-            // No incremental path for this localizer: prepare against the
-            // borrowed map for this drive only, as before.
+            // No owned prepared form for this localizer: prepare against
+            // this drive's map for this drive only.
             None => self.localizer.prepare(refs).locate_batch_refs(&readings),
         };
         drop(readings);

@@ -1,7 +1,7 @@
 //! The assembled VIRE localizer (paper §4).
 //!
 //! The pipeline is split into a **prepare** phase and a **query** phase
-//! (see [`crate::prepared`]):
+//! (see [`crate::prepared`] and [`crate::PreparedVire`]):
 //!
 //! 1. *prepare, once per calibration map:* build the virtual reference
 //!    grid (interpolation, §4.2) and flatten its per-reader RSSI planes,
@@ -10,17 +10,18 @@
 //! 3. weight the surviving virtual tags by `w1·w2`,
 //! 4. estimate `(x, y) = Σ wᵢ (xᵢ, yᵢ)`.
 //!
-//! The one-shot [`Localizer::locate`] API is retained — it prepares,
-//! queries once, and discards — so both paths share one implementation
-//! and produce bit-identical estimates.
+//! The one-shot [`Localizer::locate`] API is retained — it prepares a
+//! [`crate::PreparedVire`], queries once, and discards it — so both paths
+//! share one implementation and produce bit-identical estimates.
 //!
 //! When a **fixed** threshold eliminates everything, the configured
 //! fallback applies: error out, or degrade gracefully to LANDMARC on the
 //! real reference tags (the behaviour a deployment would want).
 
 use crate::elimination::EliminationResult;
+use crate::incremental::OwnedPreparedLocalizer;
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
-use crate::prepared::{PreparedLocalizer, PreparedVire, Unprepared};
+use crate::prepared::with_vire_scratch;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::virtual_grid::InterpolationKernel;
 use crate::weights::{W1Mode, WeightingMode};
@@ -138,8 +139,8 @@ impl Vire {
     /// One-shot: prepares the virtual grid for `refs`, answers the single
     /// query, and discards the preparation. Loops over many readings
     /// against one map should use [`Vire::prepare`] instead and query the
-    /// returned [`PreparedVire`] — the results are bit-identical (this
-    /// method routes through the same prepared core).
+    /// returned [`crate::PreparedVire`] — the results are bit-identical
+    /// (this method routes through the same prepared core).
     pub fn locate_with_diagnostics(
         &self,
         refs: &ReferenceRssiMap,
@@ -147,7 +148,7 @@ impl Vire {
     ) -> Result<(Estimate, Option<EliminationResult>), LocalizeError> {
         check_readers(refs, reading)?;
         let prepared = self.prepare(refs)?;
-        PreparedVire::with_thread_scratch(|scratch| {
+        with_vire_scratch(|scratch| {
             let (estimate, eliminated) = prepared.locate_core(reading, scratch)?;
             let diag = eliminated.then(|| EliminationResult {
                 mask: BitGrid::from_words(*prepared.grid().grid(), scratch.elim.mask.clone()),
@@ -166,29 +167,19 @@ impl Localizer for Vire {
     ) -> Result<Estimate, LocalizeError> {
         check_readers(refs, reading)?;
         let prepared = self.prepare(refs)?;
-        PreparedVire::with_thread_scratch(|scratch| prepared.locate_with_scratch(reading, scratch))
+        with_vire_scratch(|scratch| prepared.locate_with_scratch(reading, scratch))
     }
 
     fn name(&self) -> &'static str {
         "VIRE"
     }
 
-    fn prepare<'a>(&'a self, refs: &'a ReferenceRssiMap) -> Box<dyn PreparedLocalizer + 'a> {
-        // A degenerate configuration (refine = 0) cannot be prepared; the
-        // unprepared adapter surfaces the same per-reading error as the
-        // one-shot path.
-        match Vire::prepare(self, refs) {
-            Ok(prepared) => Box::new(prepared),
-            Err(_) => Box::new(Unprepared::new(self, refs)),
-        }
-    }
-
-    fn prepare_owned(
-        &self,
-        refs: &ReferenceRssiMap,
-    ) -> Option<Box<dyn crate::incremental::OwnedPreparedLocalizer>> {
-        self.prepare_owned_vire(refs)
-            .map(|p| Box::new(p) as Box<dyn crate::incremental::OwnedPreparedLocalizer>)
+    /// `None` for a degenerate configuration (`refine == 0`): the default
+    /// [`Localizer::prepare`] then falls back to the unprepared adapter,
+    /// which surfaces the same per-reading error as the one-shot path.
+    fn prepare_owned(&self, refs: &ReferenceRssiMap) -> Option<Box<dyn OwnedPreparedLocalizer>> {
+        let prepared = self.prepare(refs).ok()?;
+        Some(Box::new(prepared))
     }
 }
 

@@ -83,24 +83,13 @@ impl VirtualGrid {
     ///
     /// `n` is the per-cell refinement factor (`n = 1` keeps only the real
     /// tags). The total number of virtual+real tags is
-    /// `((nx−1)·n+1) · ((ny−1)·n+1)`.
+    /// `((nx−1)·n+1) · ((ny−1)·n+1)`. This is the grid half of
+    /// [`Self::build_with_patcher`], with the patcher dropped.
     ///
     /// # Panics
     /// Panics when `n == 0`.
     pub fn build(refs: &ReferenceRssiMap, n: usize, kernel: InterpolationKernel) -> Self {
-        assert!(n > 0, "refinement factor must be at least 1");
-        let coarse = *refs.grid();
-        let fine = coarse.refined(n);
-        let per_reader = refs
-            .fields()
-            .iter()
-            .map(|field| interpolate_field(&coarse, field, &fine, n, kernel))
-            .collect();
-        VirtualGrid {
-            fine,
-            per_reader,
-            refine: n,
-        }
+        Self::build_with_patcher(refs, n, kernel).0
     }
 
     /// Builds the virtual grid along with a [`GridPatcher`] that can later
@@ -291,22 +280,6 @@ fn vertical_pass(
             out.set(GridIndex::new(fi, fj), v);
         }
     }
-}
-
-/// Row pass then column pass for one reader's field.
-fn interpolate_field(
-    coarse: &RegularGrid,
-    field: &GridData<f64>,
-    fine: &RegularGrid,
-    n: usize,
-    kernel: InterpolationKernel,
-) -> GridData<f64> {
-    let (coarse_xs, fine_xs, coarse_ys, fine_ys) = axis_positions(coarse, fine);
-    let mut intermediate = vec![0.0f64; coarse.ny() * fine.nx()];
-    horizontal_pass(field, &coarse_xs, &fine_xs, n, kernel, &mut intermediate);
-    let mut out = GridData::filled(*fine, 0.0f64);
-    vertical_pass(&intermediate, &coarse_ys, &fine_ys, n, kernel, &mut out);
-    out
 }
 
 /// Extends `ranges` (sorted by start, disjoint) with `[lo, hi]`, merging
@@ -730,16 +703,6 @@ mod tests {
                 .zip(b.field(k).as_slice())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
         })
-    }
-
-    #[test]
-    fn build_with_patcher_matches_plain_build() {
-        let refs = map_with(|p| -70.0 - 1.3 * p.x + 0.4 * p.y * p.y);
-        for kernel in InterpolationKernel::ALL {
-            let plain = VirtualGrid::build(&refs, 5, kernel);
-            let (with, _) = VirtualGrid::build_with_patcher(&refs, 5, kernel);
-            assert!(grids_bit_identical(&plain, &with), "{kernel:?}");
-        }
     }
 
     #[test]

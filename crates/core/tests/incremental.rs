@@ -1,15 +1,15 @@
 //! Property tests pinning the incremental-sync contract: after an
 //! arbitrary sequence of calibration-cell writes, a patched
-//! [`PreparedVireOwned`] must be **bit-identical** — flattened planes,
-//! sorted planes, and every estimate — to preparing against the final map
-//! from scratch, for every interpolation kernel.
+//! [`PreparedVire`] must be **bit-identical** — flattened planes, sorted
+//! planes, and every estimate — to a fresh [`PreparedVire::build`]
+//! against the final map, for every interpolation kernel.
 
 use proptest::prelude::*;
 use vire_core::elimination::ThresholdMode;
 use vire_core::incremental::SyncOutcome;
 use vire_core::{
-    InterpolationKernel, OwnedPreparedLocalizer, PreparedLocalizer, PreparedVireOwned,
-    ReferenceRssiMap, TrackingReading, Vire, VireConfig,
+    InterpolationKernel, OwnedPreparedLocalizer, PreparedLocalizer, PreparedVire, ReferenceRssiMap,
+    TrackingReading, VireConfig,
 };
 use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
@@ -47,15 +47,14 @@ fn kernels() -> [InterpolationKernel; 4] {
     ]
 }
 
-/// Asserts `owned` is bit-identical to a from-scratch prepare against
-/// `map`, including on a probe localization.
+/// Asserts the synced `owned` state is bit-identical to a from-scratch
+/// build against `map`, including on a probe localization.
 fn assert_matches_fresh(
-    owned: &PreparedVireOwned,
+    owned: &PreparedVire,
     config: &VireConfig,
     map: &ReferenceRssiMap,
 ) -> Result<(), TestCaseError> {
-    let vire = Vire::new(config.clone());
-    let fresh = vire.prepare(map).expect("config is non-degenerate");
+    let fresh = PreparedVire::build(config, map).expect("config is non-degenerate");
     let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(
         bits(owned.planes()),
@@ -85,7 +84,7 @@ proptest! {
         for kernel in kernels() {
             let config = VireConfig { kernel, ..VireConfig::default() };
             let mut map = base_map();
-            let mut owned = PreparedVireOwned::build(&config, &map)
+            let mut owned = PreparedVire::build(&config, &map)
                 .expect("default refine prepares");
             // Split the write sequence into `rounds` sync batches so the
             // journal replay crosses several epochs.
@@ -126,7 +125,7 @@ proptest! {
             ..VireConfig::default()
         };
         let mut map = base_map();
-        let mut owned = PreparedVireOwned::build(&config, &map).unwrap();
+        let mut owned = PreparedVire::build(&config, &map).unwrap();
         for &(k, i, j, value) in &writes {
             map.set_rssi(k, GridIndex::new(i, j), value);
         }
@@ -141,7 +140,7 @@ proptest! {
     fn foreign_map_identity_syncs_via_full_diff(writes in writes()) {
         let config = VireConfig::default();
         let map = base_map();
-        let mut owned = PreparedVireOwned::build(&config, &map).unwrap();
+        let mut owned = PreparedVire::build(&config, &map).unwrap();
         let mut foreign = map.clone();
         for &(k, i, j, value) in &writes {
             foreign.set_rssi(k, GridIndex::new(i, j), value);

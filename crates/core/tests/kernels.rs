@@ -10,10 +10,10 @@ use vire_core::elimination::{eliminate, ThresholdMode};
 use vire_core::kernels::{edist_sq_into, max_gap_into, select_k_smallest};
 use vire_core::virtual_grid::VirtualGrid;
 use vire_core::{
-    InterpolationKernel, Landmarc, LandmarcConfig, Localizer, PreparedLocalizer, ReferenceRssiMap,
-    TrackingReading, Vire, VireConfig,
+    InterpolationKernel, Landmarc, LandmarcConfig, Localizer, OwnedPreparedLocalizer,
+    PreparedLocalizer, ReferenceRssiMap, SyncOutcome, TrackingReading, Vire, VireConfig,
 };
-use vire_geom::{GridData, Point2, RegularGrid};
+use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
 const READERS: usize = 3;
 const MAX_SIDE: usize = 6;
@@ -258,25 +258,29 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
-    /// The three VIRE entry points — one-shot, prepared, owned-prepared —
-    /// must produce identical estimates for every interpolation kernel
-    /// (they share one vectorized core; this pins that the wiring stays
-    /// shared).
+    /// Every way into VIRE's prepared state must produce identical
+    /// estimates for every interpolation kernel: one-shot locate, the
+    /// trait-level prepare, and a state first built on a perturbed map and
+    /// then synced back to `map` (the patch path).
     #[test]
     fn vire_paths_agree_bitwise((side, noise, thetas) in workload()) {
         let map = map_with(side, &noise);
         let reading = TrackingReading::new(thetas);
+        // One moved cell per reader: few enough to stay on the patch path.
+        let mut perturbed = map.clone();
+        for k in 0..READERS {
+            let idx = GridIndex::new(k % side, (k + 1) % side);
+            perturbed.set_rssi(k, idx, map.rssi(k, idx) + 2.5);
+        }
         for kernel in all_kernels() {
-            let config = VireConfig { kernel, refine: 3, ..VireConfig::default() };
-            let vire = Vire::new(config.clone());
+            let vire = Vire::new(VireConfig { kernel, refine: 3, ..VireConfig::default() });
             let one_shot = Localizer::locate(&vire, &map, &reading);
             let prepared = Localizer::prepare(&vire, &map).locate(&reading);
-            let owned = vire
-                .prepare_owned(&map)
-                .expect("non-degenerate config")
-                .locate(&reading);
+            let mut synced = vire.prepare(&perturbed).expect("non-degenerate config");
+            prop_assert_eq!(synced.sync(&map, &[]), SyncOutcome::Patched(READERS));
+            let synced = synced.locate(&reading);
             prop_assert_eq!(&one_shot, &prepared, "prepared diverged, kernel {:?}", kernel);
-            prop_assert_eq!(&one_shot, &owned, "owned diverged, kernel {:?}", kernel);
+            prop_assert_eq!(&one_shot, &synced, "synced diverged, kernel {:?}", kernel);
         }
     }
 }

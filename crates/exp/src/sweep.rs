@@ -1,37 +1,26 @@
 //! Generic parallel parameter sweeps.
 
-/// Maps `f` over `params` with one crossbeam scoped thread per parameter,
-/// preserving input order in the output.
+use vire_core::WorkerPool;
+
+/// Maps `f` over `params` on the shared [`WorkerPool`], preserving input
+/// order in the output.
 ///
-/// Used for the Fig. 7 (virtual-tag density) and Fig. 8 (threshold) sweeps
-/// where each point is an independent batch of simulations.
+/// Each parameter writes its own pre-sized output slot, so the result is
+/// bit-identical to a sequential map whatever the lane count. Used for
+/// the Fig. 7 (virtual-tag density) and Fig. 8 (threshold) sweeps where
+/// each point is an independent batch of simulations.
 pub fn parallel_sweep<P, R, F>(params: &[P], f: F) -> Vec<R>
 where
     P: Sync,
     R: Send,
     F: Fn(&P) -> R + Sync,
 {
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = params.iter().map(|p| scope.spawn(|_| f(p))).collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
-    .expect("sweep thread panicked")
-}
-
-/// Chunked variant: caps the number of live threads at `max_threads` to
-/// avoid oversubscription on big sweeps.
-pub fn parallel_sweep_chunked<P, R, F>(params: &[P], max_threads: usize, f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    assert!(max_threads > 0, "need at least one thread");
-    let mut out = Vec::with_capacity(params.len());
-    for chunk in params.chunks(max_threads) {
-        out.extend(parallel_sweep(chunk, &f));
-    }
-    out
+    let mut slots: Vec<Option<R>> = params.iter().map(|_| None).collect();
+    WorkerPool::global().for_each_mut(&mut slots, |i, slot| *slot = Some(f(&params[i])));
+    slots
+        .into_iter()
+        .map(|r| r.expect("every sweep slot is written"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -44,14 +33,6 @@ mod tests {
         let params: Vec<u64> = (0..16).collect();
         let out = parallel_sweep(&params, |&p| p * p);
         assert_eq!(out, params.iter().map(|p| p * p).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn chunked_sweep_matches_plain() {
-        let params: Vec<u64> = (0..20).collect();
-        let plain = parallel_sweep(&params, |&p| p + 1);
-        let chunked = parallel_sweep_chunked(&params, 4, |&p| p + 1);
-        assert_eq!(plain, chunked);
     }
 
     #[test]
@@ -68,11 +49,5 @@ mod tests {
     fn empty_sweep_is_empty() {
         let out: Vec<u64> = parallel_sweep(&[] as &[u64], |&p| p);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
-        parallel_sweep_chunked(&[1], 0, |&p: &i32| p);
     }
 }

@@ -68,9 +68,10 @@ fn streamed_estimates_are_bit_identical_to_direct_path() {
     );
 }
 
-/// VIRE with the incremental owned-prepared path disabled:
-/// [`LocationService::drive`] then re-prepares against the borrowed map on
-/// every snapshot, exactly as before the incremental layer existed.
+/// VIRE with the incremental sync path disabled: with no
+/// `prepare_owned`, [`LocationService::drive`] takes its fallback arm and
+/// re-prepares a fresh state (a new copy of the map) on every drive,
+/// never patching one across drives.
 #[derive(Debug, Default)]
 struct NoIncrementalVire(Vire);
 
@@ -93,7 +94,8 @@ impl Localizer for NoIncrementalVire {
     ) -> Box<dyn vire_core::PreparedLocalizer + 'a> {
         Localizer::prepare(&self.0, refs)
     }
-    // prepare_owned: trait default (None) — the point of this wrapper.
+    // prepare_owned: trait default (None) — the point of this wrapper;
+    // `prepare` still hands out VIRE's own prepared state, built afresh.
 }
 
 /// Drives interleave with calibration updates (sub-beacon-interval polling

@@ -168,6 +168,14 @@ pub enum CodecError {
     TrailingBytes(usize),
     /// A JSON batch body was not valid UTF-8.
     BadUtf8,
+    /// A binary batch event carried a non-finite `time` or `rssi` (the
+    /// binary twin of [`vire_core::WireError::NotFinite`]).
+    NotFinite {
+        /// Which field was non-finite.
+        field: &'static str,
+        /// Index of the offending event within the batch.
+        index: usize,
+    },
     /// The stream ended (EOF) with a partial frame still buffered.
     TruncatedStream {
         /// Bytes of the partial frame that had arrived.
@@ -200,6 +208,9 @@ impl std::fmt::Display for CodecError {
             }
             CodecError::TrailingBytes(n) => write!(f, "body has {n} trailing bytes"),
             CodecError::BadUtf8 => write!(f, "JSON batch body is not valid UTF-8"),
+            CodecError::NotFinite { field, index } => {
+                write!(f, "batch event {index} has non-finite {field}")
+            }
             CodecError::TruncatedStream { buffered } => {
                 write!(f, "stream ended mid-frame ({buffered} bytes buffered)")
             }
@@ -460,7 +471,10 @@ pub fn decode_hello_ok(body: &[u8]) -> Result<HelloOk, CodecError> {
 }
 
 /// Decodes a binary `BATCH` body into `out` (appended). Returns the
-/// event count. Every `f64` is reconstructed from its exact bit image.
+/// event count. Every `f64` is reconstructed from its exact bit image,
+/// and a non-finite `time` or `rssi` fails the whole frame, as the JSON
+/// path does: downstream smoothing and the calibration map assume
+/// finite numbers.
 pub fn decode_batch_events(body: &[u8], out: &mut Vec<BeaconEvent>) -> Result<usize, CodecError> {
     let mut r = BodyReader::new(body);
     let count = r.u32()? as usize;
@@ -477,11 +491,16 @@ pub fn decode_batch_events(body: &[u8], out: &mut Vec<BeaconEvent>) -> Result<us
         });
     }
     out.reserve(count);
-    for _ in 0..count {
+    for index in 0..count {
         let time = r.f64()?;
         let tag = TagKey::unpack(r.u64()?);
         let reader = r.u32()?;
         let rssi = r.f64()?;
+        for (field, value) in [("time", time), ("rssi", rssi)] {
+            if !value.is_finite() {
+                return Err(CodecError::NotFinite { field, index });
+            }
+        }
         out.push(BeaconEvent {
             time,
             tag,

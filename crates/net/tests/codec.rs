@@ -1,8 +1,8 @@
 //! Frame-codec pins: arbitrary payloads survive
 //! encode → split-at-every-byte-boundary → decode bit-for-bit, partial
 //! reads reassemble across syscall-sized chunks, and malformed inputs
-//! (bad length prefixes, unknown kinds, short bodies, trailing bytes)
-//! are errors — never panics, never wrong data.
+//! (bad length prefixes, unknown kinds, short bodies, trailing bytes,
+//! non-finite event values) are errors — never panics, never wrong data.
 
 use proptest::prelude::*;
 use vire_core::{BeaconEvent, LocationQuery, QueryResponse, TagKey};
@@ -13,8 +13,20 @@ use vire_net::{
     FrameSink, HelloOk, NetStats, EVENT_LEN, HEADER_LEN, MAX_FRAME_LEN,
 };
 
-/// Events with fully arbitrary `f64` bit patterns (NaNs and infinities
-/// included): the codec must move bits, not values.
+/// An arbitrary *finite* `f64` bit pattern (subnormals and `-0.0`
+/// included): a non-finite pattern has its top exponent bit cleared.
+fn finite(bits: u64) -> f64 {
+    let v = f64::from_bits(bits);
+    if v.is_finite() {
+        v
+    } else {
+        f64::from_bits(bits & !(1 << 62))
+    }
+}
+
+/// Events with arbitrary finite `f64` bit patterns: the codec must move
+/// bits, not values. (Non-finite values are rejected; see
+/// `non_finite_event_values_are_rejected`.)
 fn arb_event() -> impl Strategy<Value = BeaconEvent> {
     (
         any::<u64>(),
@@ -24,10 +36,10 @@ fn arb_event() -> impl Strategy<Value = BeaconEvent> {
         any::<u64>(),
     )
         .prop_map(|(t, tag, generation, reader, rssi)| BeaconEvent {
-            time: f64::from_bits(t),
+            time: finite(t),
             tag: TagKey::new(tag, generation),
             reader,
-            rssi: f64::from_bits(rssi),
+            rssi: finite(rssi),
         })
 }
 
@@ -282,6 +294,34 @@ fn hostile_batch_count_is_rejected_not_reserved() {
         decode_batch_events(&inflated, &mut out),
         Err(CodecError::Truncated { .. })
     ));
+}
+
+#[test]
+fn non_finite_event_values_are_rejected() {
+    let good = BeaconEvent {
+        time: 1.0,
+        tag: TagKey::first(3),
+        reader: 1,
+        rssi: -70.0,
+    };
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for field in ["time", "rssi"] {
+            let mut rogue = good;
+            match field {
+                "time" => rogue.time = bad,
+                _ => rogue.rssi = bad,
+            }
+            // The bad event sits second, behind a clean one.
+            let mut sink = FrameSink::new();
+            sink.batch_events(&[good, rogue]);
+            let mut out = Vec::new();
+            assert_eq!(
+                decode_batch_events(&sink.bytes()[HEADER_LEN..], &mut out),
+                Err(CodecError::NotFinite { field, index: 1 }),
+                "{field} = {bad}"
+            );
+        }
+    }
 }
 
 #[test]

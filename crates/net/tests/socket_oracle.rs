@@ -222,6 +222,22 @@ fn malformed_frame_closes_one_connection_not_the_service() {
         "unroutable reader must close the connection instead of acking"
     );
 
+    // Rogue 4: a well-formed batch whose RSSI is NaN, aimed at the
+    // healthy gateway's own tracking tag and reader. Accepted, it would
+    // poison that tag's median filter and panic the zone drive; it must
+    // instead fail decode and close only this connection.
+    let mut rogue4 = GatewayClient::connect(addr, Encoding::Binary).expect("connect rogue4");
+    let poisoned = BeaconEvent {
+        time: half.last().expect("non-empty").time,
+        tag: TagKey::first(16),
+        reader: 0,
+        rssi: f64::NAN,
+    };
+    assert!(
+        rogue4.send_batch_ack(&[poisoned]).is_err(),
+        "a non-finite RSSI must close the connection instead of acking"
+    );
+
     // The healthy gateway is entirely unaffected: it streams the second
     // half and queries fine.
     let rest: Vec<BeaconEvent> = trace.readings[trace.readings.len() / 2..]
@@ -250,13 +266,15 @@ fn malformed_frame_closes_one_connection_not_the_service() {
 
     let stats = healthy.stats().expect("stats");
     assert_eq!(
-        stats.protocol_errors, 3,
+        stats.protocol_errors, 4,
         "each rogue counted exactly once: {stats}"
     );
     assert!(stats.balanced(), "rogues must not skew accounting: {stats}");
     assert_eq!(stats.accepted, trace.readings.len() as u64);
     healthy.bye().expect("clean close");
-    server.shutdown();
+    let final_stats = server.shutdown();
+    assert!(final_stats.balanced(), "post-shutdown: {final_stats}");
+    assert_eq!(final_stats.accepted, trace.readings.len() as u64);
 }
 
 #[test]

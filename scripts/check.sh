@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything CI runs, runnable offline from any directory.
 #
-#   scripts/check.sh          # build + tests + clippy + fmt
+#   scripts/check.sh          # build + tests + clippy + fmt + e2ebench tests
 #
 # Fails fast on the first broken step.
 set -euo pipefail
@@ -21,6 +21,13 @@ cargo test -q -p vire-bus
 
 echo "==> cargo test (vire-geom)"
 cargo test -p vire-geom -q
+
+# One prepared state per algorithm: the vector kernels match their scalar
+# oracles, every VIRE entry point (one-shot, prepare, sync from a
+# perturbed map) agrees bit-for-bit, and a patched state equals a fresh
+# build on every interpolation kernel.
+echo "==> cargo test (prepared-state oracles)"
+cargo test -q -p vire-core --test kernels --test incremental
 
 # The generational tag slab: handle allocation, slot reuse, and the
 # lifetime-safety invariants every layer leans on.
@@ -66,6 +73,12 @@ cargo test -q -p vire-net --test socket_oracle
 # truncation must decode cleanly or error cleanly — never panic.
 echo "==> cargo test (frame codec proptests)"
 cargo test -q -p vire-net --test codec
+
+# The end-to-end benchmark is its own workspace built against these
+# crates by path and implements the core localizer traits, so an API
+# change in vire-core must keep it building and its tests passing.
+echo "==> cargo test (e2ebench)"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
 
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
