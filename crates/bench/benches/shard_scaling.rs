@@ -2,23 +2,23 @@
 //!
 //! A campus of N paper testbeds can be served two ways: one monolithic
 //! [`LocationService`] over the union deployment (4·N readers, an N×-long
-//! reference lattice, every tag localized against the whole campus), or a
-//! [`ZoneFabric`] of N shards, each owning its zone's map and prepared
-//! localizer and localizing only the tags its readers cover. VIRE's
-//! per-tag cost grows with `readers × virtual nodes`, so the monolith
-//! pays ~O(N²) per tag where a shard pays O(1) — sharding is an
-//! *algorithmic* win on top of the fabric's parallel fan-out. This bench
-//! sweeps the zone count, pins fabric output bit-identical to standalone
-//! per-zone services, and in bench mode writes
-//! `target/shard_scaling.json`.
+//! reference lattice, every tag localized against the whole campus), or
+//! N zone shards driven together by [`drive_zones`] (the "fabric"), each
+//! owning its zone's map and prepared localizer and localizing only the
+//! tags its readers cover. VIRE's per-tag cost grows with
+//! `readers × virtual nodes`, so the monolith pays ~O(N²) per tag where a
+//! shard pays O(1) — sharding is an *algorithmic* win on top of the
+//! pool's parallel fan-out. This bench sweeps the zone count, pins fabric
+//! output bit-identical to standalone per-zone services, and in bench
+//! mode writes `target/shard_scaling.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 use vire_core::{
-    LocalizeError, LocationService, ReferenceRssiMap, ServiceConfig, SnapshotSource, TagKey,
-    TrackedEstimate, TrackingReading, Vire, VireConfig, ZoneFabric,
+    drive_zones, LocalizeError, LocationService, ReferenceRssiMap, ServiceConfig, SnapshotSource,
+    TagKey, TrackedEstimate, TrackingReading, Vire, VireConfig,
 };
 use vire_geom::{GridData, Point2, RegularGrid};
 
@@ -170,8 +170,8 @@ fn service() -> LocationService<Vire> {
     LocationService::new(Vire::new(VireConfig::default()), ServiceConfig::default())
 }
 
-fn fabric_over(zones: usize) -> ZoneFabric<Vire> {
-    ZoneFabric::new((0..zones).map(|_| service()).collect())
+fn fabric_over(zones: usize) -> Vec<LocationService<Vire>> {
+    (0..zones).map(|_| service()).collect()
 }
 
 fn bench_shard_scaling(c: &mut Criterion) {
@@ -185,7 +185,7 @@ fn bench_shard_scaling(c: &mut Criterion) {
                 for stage in stages.iter_mut() {
                     stage.arm();
                 }
-                black_box(fabric.drive(black_box(&mut stages)))
+                black_box(drive_zones(&mut fabric, black_box(&mut stages)))
             })
         });
 
@@ -291,7 +291,7 @@ fn assert_fabric_bit_identity(zones: usize) {
         for stage in fabric_stages.iter_mut() {
             stage.arm();
         }
-        let fabric_out = fabric.drive(&mut fabric_stages);
+        let fabric_out = drive_zones(&mut fabric, &mut fabric_stages);
         for (k, zone_out) in fabric_out.iter().enumerate() {
             solo_stages[k].arm();
             let solo_out = solo[k].drive(&mut solo_stages[k]);
@@ -327,7 +327,7 @@ fn emit_json_summary(_c: &mut Criterion) {
                 for stage in stages.iter_mut() {
                     stage.arm();
                 }
-                fabric.drive(&mut stages)
+                drive_zones(&mut fabric, &mut stages)
             });
             // At one zone both shapes are the same single service over the
             // same map; reuse the measurement instead of comparing noise.

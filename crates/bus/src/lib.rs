@@ -74,18 +74,16 @@ use std::sync::{Arc, Mutex, Weak};
 /// Source of unique bus identities; catches tokens used on the wrong bus.
 static NEXT_BUS_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Constructor failure for [`EventBus`] / [`ShardedBus`].
+/// Constructor failure for [`EventBus`].
 ///
 /// The panicking constructors ([`EventBus::with_capacity`],
-/// [`EventBus::resizable`], [`ShardedBus::new`]) are thin wrappers that
+/// [`EventBus::resizable`]) are thin wrappers that
 /// panic with this error's [`Display`](fmt::Display) message; callers that
 /// build buses from untrusted configuration use the `try_` variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusError {
     /// The requested ring capacity was zero.
     ZeroCapacity,
-    /// A sharded bus was requested with zero shards.
-    ZeroShards,
     /// A resizable bus was requested with `max_capacity` below its
     /// initial capacity.
     MaxBelowInitial {
@@ -100,7 +98,6 @@ impl fmt::Display for BusError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BusError::ZeroCapacity => write!(f, "bus capacity must be positive"),
-            BusError::ZeroShards => write!(f, "need at least one shard"),
             BusError::MaxBelowInitial { initial, max } => write!(
                 f,
                 "bus max_capacity ({max}) must be at least the initial capacity ({initial})"
@@ -552,108 +549,6 @@ impl<T> BusRead<'_, T> {
     }
 }
 
-/// A bus split into independent per-shard segments — the transport of the
-/// zone-sharded location fabric.
-///
-/// Each zone (shard) of a multi-zone deployment has its own event stream:
-/// readings from zone `k`'s readers never interleave with another zone's,
-/// so giving every shard its own [`EventBus`] segment keeps the
-/// single-writer discipline *per zone* while different zones' publishers
-/// and consumers proceed without touching shared state. A
-/// [`ShardReaderToken`] pins both the shard and the cursor, so cross-shard
-/// token misuse is caught exactly like cross-bus misuse on a flat bus.
-#[derive(Debug)]
-pub struct ShardedBus<T> {
-    segments: Vec<EventBus<T>>,
-}
-
-/// An independent read cursor into one shard of a [`ShardedBus`].
-#[derive(Debug, PartialEq, Eq)]
-pub struct ShardReaderToken {
-    shard: usize,
-    token: ReaderToken,
-}
-
-impl ShardReaderToken {
-    /// The shard this cursor reads.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-}
-
-impl<T> ShardedBus<T> {
-    /// Creates `shards` independent segments, each retaining at most
-    /// `capacity` events.
-    ///
-    /// # Panics
-    /// Panics when `shards` is zero or `capacity` is zero.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        Self::try_new(shards, capacity).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ShardedBus::new`].
-    pub fn try_new(shards: usize, capacity: usize) -> Result<Self, BusError> {
-        if shards == 0 {
-            return Err(BusError::ZeroShards);
-        }
-        let segments = (0..shards)
-            .map(|_| EventBus::try_with_capacity(capacity))
-            .collect::<Result<_, _>>()?;
-        Ok(ShardedBus { segments })
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// Shard `k`'s segment, shared (for reads and diagnostics).
-    pub fn shard(&self, k: usize) -> &EventBus<T> {
-        &self.segments[k]
-    }
-
-    /// Shard `k`'s segment, exclusive (for publishing). Distinct shards'
-    /// segments are disjoint borrows via [`ShardedBus::shards_mut`].
-    pub fn shard_mut(&mut self, k: usize) -> &mut EventBus<T> {
-        &mut self.segments[k]
-    }
-
-    /// All segments, exclusively — the fan-out shape: hand each worker
-    /// lane its own `&mut EventBus` so per-shard publishers overlap.
-    pub fn shards_mut(&mut self) -> &mut [EventBus<T>] {
-        &mut self.segments
-    }
-
-    /// Publishes one event onto shard `k`.
-    pub fn publish(&mut self, k: usize, event: T) {
-        self.segments[k].publish(event);
-    }
-
-    /// Registers a reader cursor on shard `k`, positioned at its head.
-    pub fn reader(&self, k: usize) -> ShardReaderToken {
-        ShardReaderToken {
-            shard: k,
-            token: self.segments[k].reader(),
-        }
-    }
-
-    /// Drains shard-local events since `token` last read — semantics of
-    /// [`EventBus::read`] on the token's shard.
-    pub fn read(&self, token: &mut ShardReaderToken) -> BusRead<'_, T> {
-        self.segments[token.shard].read(&mut token.token)
-    }
-
-    /// Survivor count awaiting `token`, without consuming.
-    pub fn pending(&self, token: &ShardReaderToken) -> usize {
-        self.segments[token.shard].pending(&token.token)
-    }
-
-    /// Total events ever published across all shards.
-    pub fn total_published(&self) -> u64 {
-        self.segments.iter().map(EventBus::total_published).sum()
-    }
-}
-
 impl<'a, T> Iterator for BusRead<'a, T> {
     type Item = &'a T;
 
@@ -788,16 +683,7 @@ mod tests {
             EventBus::<i32>::try_resizable(8, 4, BackPressure::DropOldest).unwrap_err(),
             BusError::MaxBelowInitial { initial: 8, max: 4 }
         );
-        assert_eq!(
-            ShardedBus::<i32>::try_new(0, 4).unwrap_err(),
-            BusError::ZeroShards
-        );
-        assert_eq!(
-            ShardedBus::<i32>::try_new(2, 0).unwrap_err(),
-            BusError::ZeroCapacity
-        );
         assert!(EventBus::<i32>::try_with_capacity(4).is_ok());
-        assert!(ShardedBus::<i32>::try_new(2, 4).is_ok());
     }
 
     #[test]
@@ -931,70 +817,5 @@ mod tests {
         let coalesced = read.coalesced();
         let delivered = read.count() as u64;
         assert_eq!(lagged + coalesced + delivered, 6);
-    }
-
-    #[test]
-    fn sharded_bus_segments_are_independent() {
-        let mut bus: ShardedBus<i32> = ShardedBus::new(3, 4);
-        assert_eq!(bus.shard_count(), 3);
-        let mut r0 = bus.reader(0);
-        let mut r2 = bus.reader(2);
-        bus.publish(0, 10);
-        bus.publish(2, 30);
-        bus.publish(0, 11);
-        assert_eq!(bus.read(&mut r0).copied().collect::<Vec<i32>>(), [10, 11]);
-        assert_eq!(bus.read(&mut r2).copied().collect::<Vec<i32>>(), [30]);
-        // Shard 1 never saw anything.
-        let mut r1 = bus.reader(1);
-        assert_eq!(bus.read(&mut r1).count(), 0);
-        assert_eq!(bus.total_published(), 3);
-    }
-
-    #[test]
-    fn sharded_bus_lag_is_per_shard() {
-        let mut bus: ShardedBus<i32> = ShardedBus::new(2, 2);
-        let mut slow = bus.reader(0);
-        for n in 0..5 {
-            bus.publish(0, n);
-        }
-        bus.publish(1, 99); // other shard's traffic never causes lag here
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 3);
-        assert_eq!(read.copied().collect::<Vec<i32>>(), [3, 4]);
-        assert_eq!(slow.shard(), 0);
-    }
-
-    #[test]
-    fn sharded_bus_shards_mut_splits_disjointly() {
-        let mut bus: ShardedBus<i32> = ShardedBus::new(2, 4);
-        let r0 = bus.reader(0);
-        let r1 = bus.reader(1);
-        if let [a, b] = bus.shards_mut() {
-            a.publish(1);
-            b.publish(2);
-        } else {
-            unreachable!("two shards were created");
-        }
-        assert_eq!(bus.pending(&r0), 1);
-        assert_eq!(bus.pending(&r1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bus")]
-    fn sharded_token_on_wrong_shard_panics() {
-        let bus: ShardedBus<i32> = ShardedBus::new(2, 2);
-        let t = bus.reader(0);
-        // Forge a token pointing at shard 1 with shard 0's cursor.
-        let mut wrong = ShardReaderToken {
-            shard: 1,
-            token: t.token,
-        };
-        let _ = bus.read(&mut wrong);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_panics() {
-        let _: ShardedBus<i32> = ShardedBus::new(0, 2);
     }
 }

@@ -1,5 +1,4 @@
-//! Zone-sharded location fabric: many independent VIRE zones driven by
-//! one persistent worker pool.
+//! Zone-sharded driving: many independent VIRE zones, one pool call.
 //!
 //! The paper deploys readers over one covered region and runs VIRE there;
 //! LANDMARC-style systems (Ni et al., PerCom 2003 — the baseline VIRE
@@ -9,285 +8,48 @@
 //! localizer. Nothing couples two zones: a tag is localized by the zone
 //! whose readers cover it, against that zone's references only.
 //!
-//! [`ZoneFabric`] is that layer. Each shard owns a complete
-//! [`LocationService`] (environment bindings, calibration map
-//! subscription, owned prepared localizer, Kalman tracks); the fabric
-//! drives all shards from per-zone [`SnapshotSource`] stages on the
-//! process-wide [`WorkerPool`]. Because a shard's drive is *exactly* the
-//! standalone service code path — same localizer, same sync, same fold —
-//! per-shard results are `f64::to_bits`-identical to running that zone's
-//! service on its own, at any worker count.
-//!
-//! ## Access declarations
-//!
-//! Stages declare what they touch per shard ([`StageAccess`]): the fabric
-//! schedules declared stages into *waves* ([`plan_waves`]) such that no
-//! two stages in a wave conflict (write/write or read/write on the same
-//! shard), then runs each wave's stages concurrently on the pool with a
-//! barrier between waves. The per-zone `drive`/`sync` calls each declare
-//! "write shard k, nothing else", so every zone's drive lands in one wave
-//! and they all overlap; a hypothetical cross-zone reporting stage that
-//! reads every shard would be planned into its own wave after them.
+//! A campus is therefore a slice of complete [`LocationService`]s, one per
+//! zone, and [`drive_zones`] drives them all from per-zone
+//! [`SnapshotSource`] stages on the process-wide [`WorkerPool`]. Because a
+//! zone's drive is *exactly* the standalone service code path — same
+//! localizer, same sync, same fold, on state no other lane touches —
+//! per-zone results are `f64::to_bits`-identical to driving each service
+//! on its own, at any worker count.
 
 use crate::localizer::{LocalizeError, Localizer};
 use crate::pipeline::SnapshotSource;
 use crate::pool::WorkerPool;
-use crate::service::{LocationService, SyncStats, TagKey, TrackedEstimate};
-
-/// How a stage touches one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardAccess {
-    /// The stage only reads the shard's state.
-    Read,
-    /// The stage mutates the shard (drive, sync, calibration ingest).
-    Write,
-}
-
-/// A stage's declared footprint: which shards it reads and writes.
-///
-/// Declarations are what make overlap *checkable* rather than hoped-for:
-/// [`plan_waves`] proves two stages independent from their declarations
-/// alone, without inspecting the stage bodies.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StageAccess {
-    reads: Vec<usize>,
-    writes: Vec<usize>,
-}
-
-impl StageAccess {
-    /// A stage touching nothing (always schedulable).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// A stage that only writes shard `k` — the shape of every per-zone
-    /// `drive`/`sync` call.
-    pub fn writes_one(k: usize) -> Self {
-        StageAccess {
-            reads: Vec::new(),
-            writes: vec![k],
-        }
-    }
-
-    /// Adds a read of shard `k`.
-    pub fn with_read(mut self, k: usize) -> Self {
-        self.reads.push(k);
-        self
-    }
-
-    /// Adds a write of shard `k`.
-    pub fn with_write(mut self, k: usize) -> Self {
-        self.writes.push(k);
-        self
-    }
-
-    /// Shards this stage reads (it also observes its writes).
-    pub fn reads(&self) -> &[usize] {
-        &self.reads
-    }
-
-    /// Shards this stage writes.
-    pub fn writes(&self) -> &[usize] {
-        &self.writes
-    }
-
-    /// This stage's access to shard `k`, if any (a write shadows a read
-    /// of the same shard).
-    pub fn access(&self, k: usize) -> Option<ShardAccess> {
-        if self.writes.contains(&k) {
-            Some(ShardAccess::Write)
-        } else if self.reads.contains(&k) {
-            Some(ShardAccess::Read)
-        } else {
-            None
-        }
-    }
-
-    /// Two stages conflict when either writes a shard the other touches.
-    pub fn conflicts_with(&self, other: &StageAccess) -> bool {
-        let hits = |writes: &[usize], touched: &StageAccess| {
-            writes
-                .iter()
-                .any(|k| touched.writes.contains(k) || touched.reads.contains(k))
-        };
-        hits(&self.writes, other) || hits(&other.writes, self)
-    }
-}
-
-/// Groups stages (by index into `decls`, program order preserved) into
-/// conflict-free waves: stages within a wave may run concurrently, waves
-/// run in order with a barrier between them.
-///
-/// The plan is greedy and order-preserving: each stage joins the current
-/// wave unless it conflicts with a stage already in it, in which case the
-/// wave is sealed and a new one starts. Sealing on conflict (rather than
-/// hoisting later stages past the conflicting one) keeps every stage's
-/// observable order identical to sequential execution.
-pub fn plan_waves(decls: &[StageAccess]) -> Vec<Vec<usize>> {
-    let mut waves: Vec<Vec<usize>> = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    for (i, decl) in decls.iter().enumerate() {
-        if current.iter().any(|&j| decls[j].conflicts_with(decl)) {
-            waves.push(std::mem::take(&mut current));
-        }
-        current.push(i);
-    }
-    if !current.is_empty() {
-        waves.push(current);
-    }
-    waves
-}
-
-/// Per-zone health counters, aggregated by [`ZoneFabric::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ZoneStats {
-    /// Zone (shard) index.
-    pub zone: usize,
-    /// Tags currently tracked by this shard.
-    pub tracked: usize,
-    /// The shard's prepared-state sync counters.
-    pub sync: SyncStats,
-}
+use crate::service::{LocationService, TagKey, TrackedEstimate};
 
 /// One zone's drive output: `(tag, estimate-or-error)` pairs, exactly as
 /// the standalone [`LocationService::drive`] returns them.
 pub type ZoneDriveResult = Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)>;
 
-/// N independent zones, each a complete [`LocationService`], driven
-/// together on the persistent [`WorkerPool`].
+/// Drives every zone one step from its own snapshot stage, all zones
+/// concurrently on the [`WorkerPool`]: `stages[k]` feeds `services[k]`.
 ///
-/// See the [module docs](self) for the sharding model. The fabric is
-/// deliberately thin: it owns the shards, plans stage waves from their
-/// access declarations, and fans conflict-free waves across the pool —
-/// all localization logic stays in the per-zone service.
-pub struct ZoneFabric<L: Localizer> {
-    shards: Vec<LocationService<L>>,
-}
-
-impl<L: Localizer + Send> ZoneFabric<L> {
-    /// Builds a fabric over `shards`, one fully-configured service per
-    /// zone. Zone `k` is `shards[k]` everywhere in this API.
-    pub fn new(shards: Vec<LocationService<L>>) -> Self {
-        ZoneFabric { shards }
-    }
-
-    /// Number of zones.
-    pub fn zone_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Zone `k`'s service, shared.
-    pub fn shard(&self, k: usize) -> &LocationService<L> {
-        &self.shards[k]
-    }
-
-    /// Zone `k`'s service, exclusive — for standalone-equivalent calls
-    /// (tests, calibration pokes) against a single zone.
-    pub fn shard_mut(&mut self, k: usize) -> &mut LocationService<L> {
-        &mut self.shards[k]
-    }
-
-    /// Drives every zone one step from its own snapshot stage, all zones
-    /// concurrently on the pool. `stages[k]` feeds shard `k`.
-    ///
-    /// Each zone's drive is declared as `StageAccess::writes_one(k)`;
-    /// [`plan_waves`] proves the declarations pairwise conflict-free (one
-    /// wave), which is what licenses the parallel fan-out. Results are
-    /// bit-identical to calling `self.shard_mut(k).drive(&mut stages[k])`
-    /// sequentially, because each lane runs exactly that code on disjoint
-    /// state.
-    ///
-    /// # Panics
-    /// Panics when `stages.len() != self.zone_count()`.
-    pub fn drive<S: SnapshotSource + Send>(&mut self, stages: &mut [S]) -> Vec<ZoneDriveResult> {
-        assert_eq!(
-            stages.len(),
-            self.shards.len(),
-            "one snapshot stage per zone"
-        );
-        let decls: Vec<StageAccess> = (0..self.shards.len())
-            .map(StageAccess::writes_one)
-            .collect();
-        let waves = plan_waves(&decls);
-        debug_assert!(
-            waves.len() <= 1,
-            "per-zone drives declare disjoint writes and must plan to one wave"
-        );
-        let mut lanes: Vec<(&mut LocationService<L>, &mut S, ZoneDriveResult)> = self
-            .shards
-            .iter_mut()
-            .zip(stages.iter_mut())
-            .map(|(shard, stage)| (shard, stage, Vec::new()))
-            .collect();
-        for wave in waves {
-            // Every index of `decls` lands in the single wave today; the
-            // loop keeps the wave-by-wave shape a mixed plan would need.
-            WorkerPool::global().for_each_mut(&mut lanes, |k, lane| {
-                debug_assert!(wave.contains(&k));
-                lane.2 = lane.0.drive(&mut *lane.1);
-            });
-        }
-        lanes.into_iter().map(|(_, _, out)| out).collect()
-    }
-
-    /// Per-zone health counters.
-    pub fn stats(&self) -> Vec<ZoneStats> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(zone, shard)| ZoneStats {
-                zone,
-                tracked: shard.tracked_tags().len(),
-                sync: shard.sync_stats(),
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn w(k: usize) -> StageAccess {
-        StageAccess::writes_one(k)
-    }
-
-    #[test]
-    fn disjoint_writers_share_a_wave() {
-        let decls = [w(0), w(1), w(2), w(3)];
-        assert_eq!(plan_waves(&decls), vec![vec![0, 1, 2, 3]]);
-    }
-
-    #[test]
-    fn write_write_conflict_splits_waves() {
-        let decls = [w(0), w(1), w(0)];
-        assert_eq!(plan_waves(&decls), vec![vec![0, 1], vec![2]]);
-    }
-
-    #[test]
-    fn read_write_conflict_splits_waves() {
-        // A cross-zone reader after per-zone writers must wait for all.
-        let all_reader = StageAccess::none().with_read(0).with_read(1);
-        let decls = [w(0), w(1), all_reader.clone(), w(0)];
-        // The reader conflicts with both writers; the trailing writer
-        // conflicts with the reader.
-        assert_eq!(plan_waves(&decls), vec![vec![0, 1], vec![2], vec![3]]);
-        assert!(all_reader.conflicts_with(&w(0)));
-        assert!(!all_reader.conflicts_with(&w(2)));
-    }
-
-    #[test]
-    fn readers_never_conflict() {
-        let a = StageAccess::none().with_read(0).with_read(1);
-        let b = StageAccess::none().with_read(1);
-        assert!(!a.conflicts_with(&b));
-        assert_eq!(plan_waves(&[a, b]), vec![vec![0, 1]]);
-    }
-
-    #[test]
-    fn empty_plan_is_empty() {
-        assert_eq!(plan_waves(&[]), Vec::<Vec<usize>>::new());
-        assert!(StageAccess::none().reads().is_empty());
-        assert!(StageAccess::none().writes().is_empty());
-    }
+/// Results are bit-identical to calling `services[k].drive(&mut
+/// stages[k])` for each `k` in turn, because each lane runs exactly that
+/// call on state no other lane touches.
+///
+/// # Panics
+/// Panics when `stages.len() != services.len()`.
+pub fn drive_zones<L, S>(
+    services: &mut [LocationService<L>],
+    stages: &mut [S],
+) -> Vec<ZoneDriveResult>
+where
+    L: Localizer + Send,
+    S: SnapshotSource + Send,
+{
+    assert_eq!(stages.len(), services.len(), "one snapshot stage per zone");
+    let mut lanes: Vec<(&mut LocationService<L>, &mut S, ZoneDriveResult)> = services
+        .iter_mut()
+        .zip(stages.iter_mut())
+        .map(|(service, stage)| (service, stage, Vec::new()))
+        .collect();
+    WorkerPool::global().for_each_mut(&mut lanes, |_, (service, stage, out)| {
+        *out = service.drive(&mut **stage);
+    });
+    lanes.into_iter().map(|(_, _, out)| out).collect()
 }

@@ -11,23 +11,27 @@
 //! with bit-identical localization output (proven by the oracle test in
 //! `vire-sim`).
 //!
-//! [`IngestFrontEnd`] implements that collapse at two levels:
+//! [`coalesce_newest`] is that collapse: newest reading per
+//! [`beacon_key`], in last-occurrence order. It is idempotent and it
+//! composes — `collapse(collapse(a) ++ b) == collapse(a ++ b)` — so a
+//! burst may be collapsed at any point on its way to the pipeline without
+//! changing a number. [`IngestFrontEnd`] applies it at two levels:
 //!
 //! * **In the ring** — events buffer in a resizable
 //!   [`EventBus`] whose back-pressure policy is
 //!   [`Coalesce`](vire_bus::BackPressure::Coalesce) on the
 //!   [`beacon_key`]: under overload the bus merges same-key runs instead
 //!   of dropping newest data, and every merged event is counted.
-//! * **At drain** — [`IngestFrontEnd::drain`] batch-coalesces whatever
-//!   survived the ring down to the newest reading per key, in
-//!   last-occurrence order, before the batch is handed to the pipeline.
+//! * **At drain** — [`IngestFrontEnd::drain`] runs [`coalesce_newest`]
+//!   over whatever survived the ring before the batch is handed to the
+//!   pipeline.
 //!
 //! The wire format is the `vire-sim` trace schema (versions 1 and 2):
 //! [`IngestFrontEnd::accept_json`] takes either a full trace object or a
 //! bare array of readings, so captured traces and live gateway payloads
 //! share one code path.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::fmt;
 use vire_bus::{BackPressure, BusError, EventBus, ReaderToken};
 
@@ -59,6 +63,23 @@ pub struct BeaconEvent {
 /// never merge (no hashing, no collisions).
 pub fn beacon_key(e: &BeaconEvent) -> u128 {
     ((e.tag.index as u128) << 64) | ((e.tag.generation as u128) << 32) | e.reader as u128
+}
+
+/// Collapses `events` in place to the newest event per [`beacon_key`],
+/// survivors in last-occurrence order, and returns how many events were
+/// merged away. See the [module docs](self) for why any number of
+/// collapses along the way leaves localization bit-identical.
+pub fn coalesce_newest(events: &mut Vec<BeaconEvent>) -> u64 {
+    let before = events.len();
+    // Walk newest → oldest: the first sighting of a key is its newest.
+    let mut seen: HashSet<u128> = HashSet::with_capacity(before);
+    let mut keep = vec![false; before];
+    for (i, e) in events.iter().enumerate().rev() {
+        keep[i] = seen.insert(beacon_key(e));
+    }
+    let mut keep = keep.into_iter();
+    events.retain(|_| keep.next().expect("one flag per event"));
+    (before - events.len()) as u64
 }
 
 /// Shape of the ingest ring.
@@ -235,21 +256,9 @@ impl IngestFrontEnd {
         let read = self.bus.read(&mut self.cursor);
         let lagged = read.lagged();
         let coalesced_in_ring = read.coalesced();
-        let drained: Vec<BeaconEvent> = read.copied().collect();
-        let delivered = drained.len();
-
-        // Newest reading per key, preserving last-occurrence order: an
-        // earlier duplicate is voided in place, so survivors need no sort.
-        let mut latest: HashMap<u128, usize> = HashMap::with_capacity(delivered);
-        let mut keep: Vec<Option<BeaconEvent>> = Vec::with_capacity(delivered);
-        for e in drained {
-            if let Some(prev) = latest.insert(beacon_key(&e), keep.len()) {
-                keep[prev] = None;
-            }
-            keep.push(Some(e));
-        }
-        let readings: Vec<BeaconEvent> = keep.into_iter().flatten().collect();
-        let coalesced_in_batch = (delivered - readings.len()) as u64;
+        let mut readings: Vec<BeaconEvent> = read.copied().collect();
+        let delivered = readings.len();
+        let coalesced_in_batch = coalesce_newest(&mut readings);
 
         self.stats.batches += 1;
         self.stats.delivered += delivered as u64;
@@ -440,6 +449,35 @@ mod tests {
                 ev(0.4, 1, 0, 0, -59.5),
             ],
             "newest per key, in last-occurrence order"
+        );
+    }
+
+    #[test]
+    fn coalesce_newest_is_idempotent_and_composes() {
+        let a = [
+            ev(0.0, 1, 0, 0, -60.0),
+            ev(0.1, 2, 0, 0, -70.0),
+            ev(0.2, 1, 0, 0, -61.0),
+        ];
+        let b = [ev(0.3, 2, 0, 0, -71.0), ev(0.4, 3, 0, 1, -80.0)];
+        let mut whole: Vec<BeaconEvent> = a.iter().chain(&b).copied().collect();
+        assert_eq!(coalesce_newest(&mut whole), 2);
+        let mut staged = a.to_vec();
+        assert_eq!(coalesce_newest(&mut staged), 1);
+        staged.extend(b);
+        assert_eq!(coalesce_newest(&mut staged), 1);
+        assert_eq!(
+            staged, whole,
+            "collapse(collapse(a) ++ b) == collapse(a ++ b)"
+        );
+        assert_eq!(coalesce_newest(&mut staged), 0, "idempotent");
+        assert_eq!(
+            whole,
+            vec![
+                ev(0.2, 1, 0, 0, -61.0),
+                ev(0.3, 2, 0, 0, -71.0),
+                ev(0.4, 3, 0, 1, -80.0)
+            ]
         );
     }
 

@@ -72,13 +72,13 @@ pub mod vire_alg;
 pub mod virtual_grid;
 pub mod weights;
 
-pub use fabric::{plan_waves, ShardAccess, StageAccess, ZoneFabric, ZoneStats};
+pub use fabric::{drive_zones, ZoneDriveResult};
 pub use incremental::{
     DirtyCell, OwnedPreparedLocalizer, PreparedLandmarc, PreparedVire, SyncOutcome,
 };
 pub use ingest::{
-    beacon_key, parse_wire, parse_wire_versioned, BeaconEvent, IngestBatch, IngestConfig,
-    IngestFrontEnd, IngestStats, WireError, WIRE_MIN_VERSION, WIRE_VERSION,
+    beacon_key, coalesce_newest, parse_wire, parse_wire_versioned, BeaconEvent, IngestBatch,
+    IngestConfig, IngestFrontEnd, IngestStats, WireError, WIRE_MIN_VERSION, WIRE_VERSION,
 };
 pub use kalman::KalmanTracker;
 pub use landmarc::{Landmarc, LandmarcConfig};

@@ -2,15 +2,14 @@
 //! §6 scaling question).
 //!
 //! N copies of the paper testbed — independent rooms laid out in a row —
-//! are driven as shards of one [`vire_core::ZoneFabric`]. Each zone hosts
-//! the paper's five non-boundary Fig. 2(a) tracking tags; the fabric polls
-//! every zone's middleware stage per drive round and localizes only what
-//! changed. The per-zone accuracy must match the single-zone paper
-//! operating point (zones share nothing), while the fabric gives one
-//! drive-call surface and per-shard sync statistics for the whole campus.
+//! each get their own [`LocationService`], all driven by one
+//! [`drive_zones`] call per round. Each zone hosts the paper's five
+//! non-boundary Fig. 2(a) tracking tags; every round polls each zone's
+//! middleware stage and localizes only what changed. The per-zone accuracy
+//! must match the single-zone paper operating point (zones share nothing).
 
 use serde::{Deserialize, Serialize};
-use vire_core::{LocationService, ServiceConfig, Vire, ZoneFabric};
+use vire_core::{drive_zones, LocationService, ServiceConfig, Vire};
 use vire_env::Deployment;
 use vire_geom::Point2;
 use vire_sim::{MultiZoneTestbed, TagId};
@@ -62,18 +61,19 @@ pub fn run(zone_count: usize, drives: usize, seed: u64) -> CampusResult {
             truth.push((id, campus.zone(k).tag_position(id)));
         }
     }
-    let mut fabric = ZoneFabric::new(
-        (0..zone_count)
-            .map(|_| LocationService::new(Vire::default(), ServiceConfig::default()))
-            .collect(),
-    );
+    let mut services: Vec<LocationService<Vire>> = (0..zone_count)
+        .map(|_| LocationService::new(Vire::default(), ServiceConfig::default()))
+        .collect();
     let step = campus.warmup_duration();
     // Last successful estimate per (zone, tag).
     let mut last: Vec<std::collections::HashMap<TagId, Point2>> =
         vec![std::collections::HashMap::new(); zone_count];
     for _ in 0..drives {
         campus.run_for(step);
-        for (k, zone_out) in fabric.drive(campus.zones_mut()).iter().enumerate() {
+        for (k, zone_out) in drive_zones(&mut services, campus.zones_mut())
+            .iter()
+            .enumerate()
+        {
             for (tag, result) in zone_out {
                 if let Ok(est) = result {
                     last[k].insert(*tag, est.position);
@@ -81,7 +81,6 @@ pub fn run(zone_count: usize, drives: usize, seed: u64) -> CampusResult {
             }
         }
     }
-    let stats = fabric.stats();
     let mut zones = Vec::with_capacity(zone_count);
     let mut all_errors = Vec::new();
     for k in 0..zone_count {
@@ -100,8 +99,8 @@ pub fn run(zone_count: usize, drives: usize, seed: u64) -> CampusResult {
             tags: truths[k].len(),
             located: errors.len(),
             mean_error: mean,
-            sync_patched: stats[k].sync.patched,
-            sync_rebuilt: stats[k].sync.rebuilt,
+            sync_patched: services[k].sync_stats().patched,
+            sync_rebuilt: services[k].sync_stats().rebuilt,
         });
     }
     let mean_error = if all_errors.is_empty() {
@@ -120,7 +119,7 @@ pub fn run(zone_count: usize, drives: usize, seed: u64) -> CampusResult {
 pub fn render(result: &CampusResult) -> String {
     use crate::report::{fmt3, Table};
     let mut t = Table::new(
-        "Multi-zone campus — per-zone accuracy under one ZoneFabric (VIRE, Env1)",
+        "Multi-zone campus — per-zone accuracy, all zones driven together (VIRE, Env1)",
         &[
             "zone",
             "tags",
@@ -186,6 +185,6 @@ mod tests {
     fn render_includes_every_zone() {
         let s = render(&run(2, 2, 5));
         assert!(s.contains("campus mean error"));
-        assert!(s.contains("ZoneFabric"));
+        assert!(s.contains("all zones driven together"));
     }
 }

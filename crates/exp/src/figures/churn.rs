@@ -19,7 +19,7 @@
 //! the trace wire format keeps the lifetimes apart on replay.
 
 use serde::{Deserialize, Serialize};
-use vire_core::{LocationService, ServiceConfig, Vire, ZoneFabric};
+use vire_core::{drive_zones, LocationService, ServiceConfig, Vire};
 use vire_geom::Point2;
 use vire_sim::{MultiZoneTestbed, TagId};
 
@@ -136,11 +136,9 @@ pub fn run(config: ChurnConfig) -> ChurnResult {
         config.seed,
         4.0,
     );
-    let mut fabric = ZoneFabric::new(
-        (0..config.zone_count)
-            .map(|_| LocationService::new(Vire::default(), ServiceConfig::default()))
-            .collect(),
-    );
+    let mut services: Vec<LocationService<Vire>> = (0..config.zone_count)
+        .map(|_| LocationService::new(Vire::default(), ServiceConfig::default()))
+        .collect();
     let mut rng = PosRng(config.seed.wrapping_mul(0x5851_F42D_4C95_7F2D));
     // Calibrate the reference lattice before churn starts.
     campus.run_for(campus.warmup_duration());
@@ -179,7 +177,10 @@ pub fn run(config: ChurnConfig) -> ChurnResult {
             peak_live[k] = peak_live[k].max(campus.zone(k).live_tag_count());
         }
         campus.run_for(config.step);
-        for (k, zone_out) in fabric.drive(campus.zones_mut()).iter().enumerate() {
+        for (k, zone_out) in drive_zones(&mut services, campus.zones_mut())
+            .iter()
+            .enumerate()
+        {
             for (tag, result) in zone_out {
                 if let Ok(est) = result {
                     locates += 1;

@@ -29,7 +29,7 @@
 //! and consumed bytes are compacted lazily — after warm-up, decode
 //! performs no allocation per frame. The encode side mirrors it:
 //! [`FrameSink`] accumulates a burst of frames in one buffer and flushes
-//! them with a single vectored write ([`FrameSink::flush_to`]).
+//! the whole buffer at once ([`FrameSink::flush_to`]).
 //!
 //! ## Robustness
 //!
@@ -41,7 +41,7 @@
 //! [`TagHandle::pack`]: vire_geom::TagHandle::pack
 
 use crate::NetStats;
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use vire_core::{BeaconEvent, LocationQuery, QueryResponse, TagKey};
 use vire_geom::{Point2, Vec2};
 
@@ -361,12 +361,14 @@ pub struct HelloOk {
 pub struct BatchAck {
     /// Events decoded and accepted from the batch frame.
     pub accepted: u32,
-    /// Events that survived the connection front end's coalescing and
-    /// were routed to shard rings.
+    /// Events left after collapsing the batch to the newest reading per
+    /// `(tag, reader)`; these were routed to the zone rings.
     pub survivors: u32,
-    /// Events merged away by the connection front end for this batch.
+    /// Events merged away by that collapse.
     pub coalesced: u64,
-    /// Events hard-dropped at the connection ring ceiling for this batch.
+    /// Events hard-dropped before reaching a zone ring. Always 0 from this
+    /// server: a connection holds no ring, and the frame-length ceiling
+    /// already bounds a batch.
     pub lagged: u64,
     /// Whether this batch's routed zones were driven before the ack
     /// (false only when another gateway held a zone's pipeline lock —
@@ -591,27 +593,19 @@ pub fn decode_stats_ok(body: &[u8]) -> Result<NetStats, CodecError> {
 /// Frame assembler + batched writer for one connection's outbound side.
 ///
 /// Frames accumulate back-to-back in one reusable buffer;
-/// [`FrameSink::flush_to`] hands the whole burst to the kernel as one
-/// vectored write (one [`IoSlice`] per frame), falling back to plain
-/// `write_all` for any partially-written tail. Length prefixes are
-/// back-patched when each frame ends, so bodies are serialized straight
-/// into place — no per-frame allocation in the steady state.
+/// [`FrameSink::flush_to`] hands the whole burst to the kernel in as few
+/// writes as it will take. Length prefixes are back-patched when each
+/// frame ends, so bodies are serialized straight into place — no
+/// per-frame allocation in the steady state.
 #[derive(Debug, Default)]
 pub struct FrameSink {
     buf: Vec<u8>,
-    /// `(start, end)` byte ranges of the queued frames within `buf`.
-    frames: Vec<(usize, usize)>,
 }
 
 impl FrameSink {
     /// An empty sink.
     pub fn new() -> Self {
         FrameSink::default()
-    }
-
-    /// Queued frame count.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
     }
 
     /// Queued bytes.
@@ -633,7 +627,6 @@ impl FrameSink {
     /// Drops everything queued without writing it.
     pub fn clear(&mut self) {
         self.buf.clear();
-        self.frames.clear();
     }
 
     fn begin(&mut self, kind: FrameKind) -> usize {
@@ -645,7 +638,6 @@ impl FrameSink {
     fn end(&mut self, start: usize) {
         let len = (self.buf.len() - start - HEADER_LEN) as u32;
         self.buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        self.frames.push((start, self.buf.len()));
     }
 
     fn put_u8(&mut self, v: u8) {
@@ -786,29 +778,24 @@ impl FrameSink {
         self.end(s);
     }
 
-    /// Writes every queued frame to `w` — one vectored write for the
-    /// whole burst (one [`IoSlice`] per frame), then `write_all` for any
-    /// remainder the kernel declined. Clears the sink on success and
-    /// returns the bytes written.
+    /// Writes every queued frame to `w`, looping over partial writes, and
+    /// returns the bytes this call wrote. On an error the written prefix
+    /// is dropped and the unwritten tail stays queued, so a caller whose
+    /// socket write timed out can call `flush_to` again to resume.
     pub fn flush_to(&mut self, w: &mut impl Write) -> io::Result<usize> {
-        if self.buf.is_empty() {
-            return Ok(0);
-        }
-        let total = self.buf.len();
-        let written = {
-            let slices: Vec<IoSlice<'_>> = self
-                .frames
-                .iter()
-                .map(|&(a, b)| IoSlice::new(&self.buf[a..b]))
-                .collect();
-            w.write_vectored(&slices)?
+        let mut written = 0;
+        let result = loop {
+            if written == self.buf.len() {
+                break Ok(written);
+            }
+            match w.write(&self.buf[written..]) {
+                Ok(0) => break Err(io::Error::from(ErrorKind::WriteZero)),
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
         };
-        // Frames are laid out back-to-back, so the unwritten remainder is
-        // exactly the buffer's tail.
-        if written < total {
-            w.write_all(&self.buf[written..])?;
-        }
-        self.clear();
-        Ok(total)
+        self.buf.drain(..written);
+        result
     }
 }

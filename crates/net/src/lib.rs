@@ -12,13 +12,13 @@
 //!   fallback so existing traces replay unchanged. Decode runs out of a
 //!   per-connection reusable buffer ([`FrameDecoder`]) so the steady
 //!   state allocates nothing, and replies accumulate in a [`FrameSink`]
-//!   that flushes whole bursts with one vectored write.
+//!   that flushes whole bursts at once.
 //! - [`server`] — [`NetServer`]: a listener plus thread-per-gateway
-//!   connections. Each connection frames into its **own**
-//!   [`vire_core::IngestFrontEnd`], so gateways never contend on a
-//!   shared lock; coalesced survivors are routed by campus-frame reader
-//!   id ([`ReaderRoute`]) into per-zone shard rings that feed one
-//!   [`vire_sim::IngestServer`] pipeline per zone.
+//!   connections. Each connection collapses its own batches to the
+//!   newest reading per `(tag, reader)` ([`vire_core::coalesce_newest`]),
+//!   so gateways never contend on a shared lock; survivors are routed by
+//!   campus-frame reader id ([`ReaderRoute`]) into one ingest ring per
+//!   zone, which feeds that zone's [`vire_sim::IngestServer`] pipeline.
 //! - [`client`] — [`GatewayClient`]: the load-generating counterpart
 //!   used by the oracle tests, the `net_throughput` bench, and any
 //!   external gateway.
@@ -28,12 +28,13 @@
 //!
 //! ## Loss accounting across the fabric
 //!
-//! The PR 9 identity — accepted == delivered + lagged + coalesced —
-//! extends across all three buffering levels (connection front end →
-//! shard ring → zone pipeline). [`NetStats`] aggregates the chain and
-//! [`NetStats::balanced`] checks the identity; it holds exactly whenever
-//! the shard rings are flushed (every `STATS` request and every
-//! shutdown flushes them).
+//! The ingest identity — accepted == delivered + lagged + coalesced —
+//! holds across the fabric from two sources: the connection counters
+//! (events accepted, events merged by the per-batch collapse) and each
+//! zone ring's [`vire_core::IngestStats`]. [`NetStats`] folds them into
+//! one ledger and [`NetStats::balanced`] checks the identity; it holds
+//! exactly whenever the zone rings are flushed (every `STATS` request and
+//! every shutdown flushes them).
 //!
 //! ## Failure domains
 //!
@@ -64,29 +65,31 @@ pub use shutdown::{install_sigint, reset_sigint, sigint_pending, trigger_sigint}
 use std::fmt;
 
 /// Aggregated serving-fabric accounting: the connection-level atomics
-/// plus every shard ring's and zone pipeline's [`vire_core::IngestStats`]
-/// folded into one ledger. Snapshot via [`server::NetServer::stats`] or
-/// over the wire via [`GatewayClient::stats`].
+/// plus every zone ring's [`vire_core::IngestStats`] folded into one
+/// ledger. Snapshot via [`server::NetServer::stats`] or over the wire via
+/// [`GatewayClient::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     /// Beacon events accepted from gateway frames (post-decode,
     /// pre-coalescing).
     pub accepted: u64,
-    /// Events that survived every coalescing level and reached a zone
-    /// pipeline's localization stage.
+    /// Events that survived coalescing and were handed from a zone ring
+    /// to its pipeline.
     pub delivered: u64,
-    /// Events merged away by newest-per-`(tag, reader)` coalescing at
-    /// any level (connection front end, shard ring, or zone pipeline).
+    /// Events merged away by newest-per-`(tag, reader)` coalescing,
+    /// either in a connection's per-batch collapse or in a zone ring.
     pub coalesced: u64,
-    /// Events hard-dropped at a ring ceiling at any level.
+    /// Events hard-dropped at a zone ring's ceiling.
     pub lagged: u64,
     /// Connections closed for protocol violations (malformed frame, bad
     /// length prefix, invalid wire version, unroutable reader, …).
     pub protocol_errors: u64,
     /// `accept(2)` failures other than the non-blocking listener's idle
-    /// `WouldBlock` tick. A steadily climbing count means the listener is
-    /// unhealthy (fd exhaustion, dead socket) — the server keeps serving
-    /// existing gateways but cannot admit new ones.
+    /// `WouldBlock` tick, plus accepted gateways dropped because their
+    /// connection thread could not be spawned. A steadily climbing count
+    /// means the server is unhealthy (fd or thread exhaustion, dead
+    /// socket) — it keeps serving existing gateways but cannot admit new
+    /// ones.
     pub accept_errors: u64,
     /// Gateway connections accepted over the server's lifetime.
     pub connections: u64,

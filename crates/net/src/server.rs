@@ -5,22 +5,26 @@
 //! One acceptor thread owns the listener; every gateway connection gets
 //! its own service thread (the `WorkerPool` idiom of persistent named
 //! threads — zone drives performed on a connection thread still fan
-//! localization out through [`vire_core::WorkerPool::global`]). Each
+//! localization out through [`vire_core::WorkerPool::global`]). The
+//! acceptor joins finished connection threads as new gateways arrive, so
+//! a gateway that reconnects in a loop cannot grow the handle list. Each
 //! connection owns its decode state end-to-end: a [`FrameDecoder`], a
-//! [`FrameSink`], and — crucially — its **own**
-//! [`vire_core::IngestFrontEnd`], so burst coalescing runs without any
-//! shared lock and gateways never contend on ingest.
+//! [`FrameSink`], and a scratch buffer in which each batch is validated
+//! and collapsed to the newest reading per `(tag, reader)`
+//! ([`coalesce_newest`]) without any shared lock. A connection holds no
+//! ring: nothing it buffers outlives the frame in flight.
 //!
 //! ## Shard routing
 //!
-//! Survivors of the connection-level coalesce are routed by
-//! campus-frame reader id ([`ReaderRoute`]: contiguous global id blocks,
-//! one per zone) into that zone's shard: a mutex-guarded ingest ring
-//! feeding an [`IngestServer`] pipeline behind a `RwLock`. The routing
-//! thread appends to the ring (short critical section), then *tries* to
-//! take the zone's drive lock — if another gateway is already driving
-//! the zone, the survivors are safely parked in the ring for that (or
-//! the next) driver to drain. Queries take the zone's read lock: they
+//! Survivors of the collapse are routed by campus-frame reader id
+//! ([`ReaderRoute`]: contiguous global id blocks, one per zone) into
+//! that zone's shard: a mutex-guarded ingest ring — the one ring on the
+//! TCP path — feeding an [`IngestServer`] pipeline behind a `RwLock`.
+//! The routing thread appends to the ring (short critical section), then
+//! *tries* to take the zone's drive lock — if another gateway is already
+//! driving the zone, the survivors are safely parked in the ring for
+//! that (or the next) driver, which hands the drained batch straight to
+//! [`IngestServer::drive_batch`]. Queries take the zone's read lock: they
 //! run concurrently with each other and only wait out an actual drive
 //! of the same zone.
 //!
@@ -29,7 +33,9 @@
 //! [`NetServer::shutdown`] flips the stop latch, joins the acceptor and
 //! every connection thread (each drains frames already buffered before
 //! exiting), then flushes every shard ring through its pipeline so the
-//! final [`NetStats`] is exactly balanced.
+//! final [`NetStats`] is exactly balanced. Reply writes time out every
+//! poll interval, so a gateway that stops reading its replies holds its
+//! connection thread only until the stop latch is set.
 
 use crate::codec::{
     decode_batch_events, decode_hello, decode_query, BatchAck, Encoding, FrameDecoder, FrameKind,
@@ -42,20 +48,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use vire_core::{ingest::parse_wire_versioned, BeaconEvent, IngestFrontEnd, Localizer};
+use vire_core::{
+    coalesce_newest, ingest::parse_wire_versioned, BeaconEvent, IngestFrontEnd, Localizer,
+};
 use vire_sim::trace::TraceError;
 use vire_sim::{IngestServer, ServeConfig, Trace};
 
 /// Serving-fabric configuration.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Ring shape shared by the connection front ends, shard rings, and
-    /// zone pipelines; location-service and smoothing tuning per zone.
+    /// Ring shape of the zone rings (and of each zone pipeline's own
+    /// front end, which the TCP path bypasses); location-service and
+    /// smoothing tuning per zone.
     pub serve: ServeConfig,
     /// Ceiling on one frame's body length (a bad length prefix above it
     /// is a protocol error, never an allocation).
     pub max_frame_len: usize,
-    /// How often blocked reads wake to check the stop latch.
+    /// How often blocked reads and reply writes wake to check the stop
+    /// latch.
     pub poll_interval: Duration,
 }
 
@@ -174,7 +184,6 @@ struct Shared<L: Localizer> {
     stop: AtomicBool,
     accepted: AtomicU64,
     conn_coalesced: AtomicU64,
-    conn_lagged: AtomicU64,
     protocol_errors: AtomicU64,
     accept_errors: AtomicU64,
     connections: AtomicU64,
@@ -208,16 +217,13 @@ impl<L: Localizer> Shared<L> {
             .unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Drains `zone`'s parking ring into a held pipeline guard and
-    /// drives it. The ring lock is taken *after* the pipeline lock and
-    /// released before the drive — append-side threads never queue
+    /// Drains `zone`'s parking ring and drives the batch through a held
+    /// pipeline guard. The ring lock is taken *after* the pipeline lock
+    /// and released before the drive — append-side threads never queue
     /// behind localization work.
     fn drive_zone(&self, zone: usize, pipe: &mut IngestServer<L>) {
         let parked = self.ring_lock(zone).drain();
-        if !parked.readings.is_empty() {
-            pipe.accept(parked.readings.iter().copied());
-        }
-        pipe.drive();
+        pipe.drive_batch(parked);
     }
 
     /// Flushes every shard so the accounting identity holds exactly.
@@ -228,12 +234,12 @@ impl<L: Localizer> Shared<L> {
         }
     }
 
-    /// Aggregates the three buffering levels into one ledger.
+    /// Folds the connection counters and every zone ring's accounting
+    /// into one ledger.
     fn stats(&self) -> NetStats {
         let mut s = NetStats {
             accepted: self.accepted.load(Ordering::Relaxed),
             coalesced: self.conn_coalesced.load(Ordering::Relaxed),
-            lagged: self.conn_lagged.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             accept_errors: self.accept_errors.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
@@ -245,12 +251,8 @@ impl<L: Localizer> Shared<L> {
             let ring = self.ring_lock(z).stats();
             s.coalesced += ring.coalesced_in_ring + ring.coalesced_in_batch;
             s.lagged += ring.lagged;
-            let pipe = self.pipeline_read(z).ingest_stats();
-            s.coalesced += pipe.coalesced_in_ring + pipe.coalesced_in_batch;
-            s.lagged += pipe.lagged;
-            // Final survivors: what actually reached the localization
-            // stage after the pipeline front's own coalescing.
-            s.delivered += pipe.delivered - pipe.coalesced_in_batch;
+            // Final survivors: what the ring handed to the pipeline.
+            s.delivered += ring.delivered - ring.coalesced_in_batch;
         }
         s
     }
@@ -320,7 +322,6 @@ impl<L: Localizer + Send + 'static> NetServer<L> {
             stop: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             conn_coalesced: AtomicU64::new(0),
-            conn_lagged: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             accept_errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -407,14 +408,25 @@ fn accept_loop<L: Localizer + Send + 'static>(
         match listener.accept() {
             Ok((stream, _peer)) => {
                 shared.connections.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(&shared);
                 let id = next_id;
                 next_id += 1;
                 let spawned = std::thread::Builder::new()
                     .name(format!("vire-net-conn-{id}"))
-                    .spawn(move || serve_conn(&shared, stream));
-                if let Ok(h) = spawned {
-                    conns.lock().unwrap_or_else(|e| e.into_inner()).push(h);
+                    .spawn({
+                        let shared = Arc::clone(&shared);
+                        move || serve_conn(&shared, stream)
+                    });
+                match spawned {
+                    Ok(h) => {
+                        let mut conns = conns.lock().unwrap_or_else(|e| e.into_inner());
+                        reap_finished(&mut conns);
+                        conns.push(h);
+                    }
+                    // The gateway was dropped with the unspawned closure;
+                    // count it like any other failure to admit one.
+                    Err(_) => {
+                        shared.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    }
                 }
             }
             // The listener is non-blocking, so WouldBlock is the normal
@@ -433,6 +445,17 @@ fn accept_loop<L: Localizer + Send + 'static>(
     }
 }
 
+/// Joins and drops every connection thread that has already exited.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let (done, live): (Vec<_>, Vec<_>) = std::mem::take(conns)
+        .into_iter()
+        .partition(JoinHandle::is_finished);
+    *conns = live;
+    for h in done {
+        let _ = h.join();
+    }
+}
+
 /// Why one connection's serve loop ended. `Protocol` is the only ending
 /// counted against the gateway.
 enum ConnEnd {
@@ -441,7 +464,8 @@ enum ConnEnd {
     Clean,
     /// The peer violated the protocol (codec, wire, or routing error).
     Protocol,
-    /// Transport-level I/O error mid-stream.
+    /// Transport-level I/O error mid-stream, or replies the gateway
+    /// stopped reading when the server shut down.
     Io,
 }
 
@@ -451,8 +475,8 @@ enum ConnEnd {
 /// steady state allocates nothing.
 struct ConnState {
     sink: FrameSink,
-    front: IngestFrontEnd,
-    /// Decoded-but-unrouted events for the frame in flight.
+    /// Decoded events of the frame in flight, collapsed in place before
+    /// they are routed.
     scratch: Vec<BeaconEvent>,
     /// Per-zone survivor runs for the frame in flight.
     runs: Vec<Vec<BeaconEvent>>,
@@ -467,10 +491,10 @@ struct ConnState {
 fn serve_conn<L: Localizer>(shared: &Shared<L>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
+    let _ = stream.set_write_timeout(Some(shared.config.poll_interval));
     let mut decoder = FrameDecoder::new(shared.config.max_frame_len);
     let mut st = ConnState {
         sink: FrameSink::new(),
-        front: IngestFrontEnd::new(shared.config.serve.ingest),
         scratch: Vec::new(),
         runs: (0..shared.zones.len()).map(|_| Vec::new()).collect(),
         encoding: None,
@@ -504,7 +528,7 @@ fn conn_loop<L: Localizer>(
             shared.frames.fetch_add(1, Ordering::Relaxed);
             match handle_frame(shared, st, frame.kind, frame.body) {
                 Ok(done) => {
-                    if st.sink.flush_to(stream).is_err() {
+                    if flush_replies(shared, &mut st.sink, stream).is_err() {
                         return ConnEnd::Io;
                     }
                     if done {
@@ -528,10 +552,32 @@ fn conn_loop<L: Localizer>(
                 };
             }
             Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
+            Err(e) if is_timeout(&e) => {
                 // Timeout tick: loop back around to check the stop latch.
             }
             Err(_) => return ConnEnd::Io,
+        }
+    }
+}
+
+/// Whether `e` is a socket timeout tick rather than a real failure.
+fn is_timeout(e: &io::Error) -> bool {
+    e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut
+}
+
+/// Writes the queued replies, riding out write-timeout ticks until the
+/// stop latch is set: a gateway that stops reading can stall its own
+/// connection, but never shutdown.
+fn flush_replies<L: Localizer>(
+    shared: &Shared<L>,
+    sink: &mut FrameSink,
+    stream: &mut TcpStream,
+) -> io::Result<()> {
+    loop {
+        match sink.flush_to(stream) {
+            Ok(_) => return Ok(()),
+            Err(e) if is_timeout(&e) && !shared.stop.load(Ordering::SeqCst) => {}
+            Err(e) => return Err(e),
         }
     }
 }
@@ -587,7 +633,7 @@ fn handle_frame<L: Localizer>(
     }
 }
 
-/// Decodes, validates, coalesces, routes, and drives one batch frame.
+/// Decodes, validates, collapses, routes, and drives one batch frame.
 fn handle_batch<L: Localizer>(
     shared: &Shared<L>,
     st: &mut ConnState,
@@ -618,28 +664,22 @@ fn handle_batch<L: Localizer>(
             return Err(());
         }
     }
-    let accepted = st.front.accept(st.scratch.drain(..));
-    let batch = st.front.drain();
+    let accepted = st.scratch.len();
+    let coalesced = coalesce_newest(&mut st.scratch);
+    let survivors = st.scratch.len();
     shared
         .accepted
         .fetch_add(accepted as u64, Ordering::Relaxed);
-    shared.conn_coalesced.fetch_add(
-        batch.coalesced_in_ring + batch.coalesced_in_batch,
-        Ordering::Relaxed,
-    );
     shared
-        .conn_lagged
-        .fetch_add(batch.lagged, Ordering::Relaxed);
+        .conn_coalesced
+        .fetch_add(coalesced, Ordering::Relaxed);
 
-    for e in &batch.readings {
+    for e in st.scratch.drain(..) {
         let (zone, local) = shared
             .route
             .resolve(e.reader)
             .expect("validated before accept");
-        st.runs[zone as usize].push(BeaconEvent {
-            reader: local,
-            ..*e
-        });
+        st.runs[zone as usize].push(BeaconEvent { reader: local, ..e });
     }
     let mut drove = true;
     for zone in 0..st.runs.len() {
@@ -661,10 +701,62 @@ fn handle_batch<L: Localizer>(
     }
     st.sink.batch_ok(BatchAck {
         accepted: accepted as u32,
-        survivors: batch.readings.len() as u32,
-        coalesced: batch.coalesced_in_ring + batch.coalesced_in_batch,
-        lagged: batch.lagged,
+        survivors: survivors as u32,
+        coalesced,
+        lagged: 0,
         drove,
     });
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GatewayClient;
+    use vire_core::Vire;
+    use vire_geom::Point2;
+    use vire_sim::TagId;
+
+    /// A 2×2 reference lattice with four corner readers and no readings:
+    /// enough geometry to stand one zone up.
+    fn bare_zone() -> Trace {
+        let readers = [
+            Point2::new(-1.0, -1.0),
+            Point2::new(2.0, -1.0),
+            Point2::new(2.0, 2.0),
+            Point2::new(-1.0, 2.0),
+        ];
+        let refs: Vec<(TagId, Point2)> = (0..4u32)
+            .map(|k| {
+                let p = Point2::new(f64::from(k % 2), f64::from(k / 2));
+                (TagId::first(k), p)
+            })
+            .collect();
+        Trace::new("bare zone", &readers, &refs, std::iter::empty())
+    }
+
+    #[test]
+    fn finished_connection_threads_are_reaped() {
+        let config = NetConfig {
+            poll_interval: Duration::from_millis(2),
+            ..NetConfig::default()
+        };
+        let server =
+            NetServer::from_traces("127.0.0.1:0", &[bare_zone()], |_| Vire::default(), config)
+                .expect("bind loopback");
+        for _ in 0..64 {
+            GatewayClient::connect(server.local_addr(), Encoding::Binary)
+                .expect("connect")
+                .bye()
+                .expect("clean close");
+        }
+        // The HELLO round trip proves the 65th thread was spawned.
+        let last = GatewayClient::connect(server.local_addr(), Encoding::Binary).expect("connect");
+        let held = server.conns.lock().expect("handle list").len();
+        assert!(held <= 8, "{held} handles held after 65 connections");
+        last.bye().expect("clean close");
+        let stats = server.shutdown();
+        assert_eq!(stats.connections, 65);
+        assert_eq!(stats.accept_errors, 0);
+    }
 }

@@ -411,6 +411,54 @@ fn eof_mid_frame_is_a_truncated_stream() {
     ));
 }
 
+/// A socket that takes at most `budget` more bytes, then times out.
+struct Stalling {
+    out: Vec<u8>,
+    budget: usize,
+}
+
+impl std::io::Write for Stalling {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.budget == 0 {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(self.budget).min(7);
+        self.budget -= n;
+        self.out.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn flush_resumes_after_a_timed_out_write_without_resending() {
+    let mut sink = FrameSink::new();
+    sink.hello(2, Encoding::Binary);
+    sink.stats();
+    sink.bye();
+    let wire = sink.bytes().to_vec();
+    let mut socket = Stalling {
+        out: Vec::new(),
+        budget: wire.len() / 2,
+    };
+    let err = sink.flush_to(&mut socket).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+    assert_eq!(sink.byte_count(), wire.len() - wire.len() / 2);
+    socket.budget = usize::MAX;
+    assert_eq!(
+        sink.flush_to(&mut socket).unwrap(),
+        wire.len() - wire.len() / 2
+    );
+    assert!(sink.is_empty());
+    assert_eq!(
+        socket.out, wire,
+        "every byte written exactly once, in order"
+    );
+}
+
 #[test]
 fn packed_event_is_exactly_event_len_bytes() {
     let mut sink = FrameSink::new();

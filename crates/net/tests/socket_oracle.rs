@@ -4,12 +4,18 @@
 //! interpolation kernels — the network layer may frame, buffer, and
 //! batch, but it must never change a number. Plus the failure-domain
 //! pins: a malformed frame closes exactly one gateway's connection with
-//! a counted `protocol_errors`, leaving the shared service serving.
+//! a counted `protocol_errors`, leaving the shared service serving, and a
+//! gateway that stops reading its replies cannot hold shutdown hostage.
 
-use std::io::{Read, Write};
+use std::collections::HashSet;
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 use vire_core::{
-    BeaconEvent, InterpolationKernel, LocationQuery, QueryResponse, TagKey, Vire, VireConfig,
+    beacon_key, BeaconEvent, IngestConfig, InterpolationKernel, LocationQuery, QueryResponse,
+    TagKey, Vire, VireConfig,
 };
 use vire_geom::Point2;
 use vire_net::{
@@ -82,10 +88,18 @@ fn probes() -> Vec<TagKey> {
     (0..17).map(TagKey::first).collect()
 }
 
+/// Readings per BATCH frame in the oracle streams.
+const CHUNK: usize = 340;
+
 /// Streams `trace` over a real socket (binary or JSON framing) and over
 /// the in-process `accept_json` path, comparing every query bit-for-bit
-/// after every chunk.
-fn assert_socket_matches_in_process(kernel: InterpolationKernel, encoding: Encoding) {
+/// after every chunk. Both arms run the same `serve` config; the
+/// in-process server is returned so callers can inspect its ring.
+fn assert_socket_matches_in_process(
+    kernel: InterpolationKernel,
+    encoding: Encoding,
+    serve: ServeConfig,
+) -> IngestServer<Vire> {
     let trace = capture();
     assert!(trace.readings.len() > 1000, "capture too small to stress");
 
@@ -93,16 +107,19 @@ fn assert_socket_matches_in_process(kernel: InterpolationKernel, encoding: Encod
         "127.0.0.1:0",
         std::slice::from_ref(&trace),
         |_| vire(kernel),
-        NetConfig::default(),
+        NetConfig {
+            serve: serve.clone(),
+            ..NetConfig::default()
+        },
     )
     .expect("bind loopback");
     let mut client = GatewayClient::connect(server.local_addr(), encoding).expect("connect");
     assert_eq!(client.hello().zones, 1);
 
-    let mut inproc = IngestServer::from_trace(&trace, vire(kernel), ServeConfig::default())
+    let mut inproc = IngestServer::from_trace(&trace, vire(kernel), serve)
         .expect("trace infers its own deployment");
 
-    for chunk in trace.readings.chunks(340) {
+    for chunk in trace.readings.chunks(CHUNK) {
         // Socket arm: one BATCH frame, acked after the zone was driven.
         let ack = match encoding {
             Encoding::Binary => {
@@ -150,12 +167,14 @@ fn assert_socket_matches_in_process(kernel: InterpolationKernel, encoding: Encod
     client.bye().expect("clean close");
     let final_stats = server.shutdown();
     assert!(final_stats.balanced(), "post-shutdown: {final_stats}");
+    assert_eq!(final_stats.lagged, 0);
+    inproc
 }
 
 #[test]
 fn binary_socket_is_bit_identical_to_in_process_replay_all_kernels() {
     for kernel in InterpolationKernel::ALL {
-        assert_socket_matches_in_process(kernel, Encoding::Binary);
+        assert_socket_matches_in_process(kernel, Encoding::Binary, ServeConfig::default());
     }
 }
 
@@ -163,7 +182,47 @@ fn binary_socket_is_bit_identical_to_in_process_replay_all_kernels() {
 fn json_fallback_socket_is_bit_identical_to_in_process_replay() {
     // The negotiated JSON fallback rides the identical server path after
     // parse; one kernel pins the encoding equivalence.
-    assert_socket_matches_in_process(InterpolationKernel::Linear, Encoding::Json);
+    assert_socket_matches_in_process(
+        InterpolationKernel::Linear,
+        Encoding::Json,
+        ServeConfig::default(),
+    );
+}
+
+#[test]
+fn ring_at_its_ceiling_is_bit_identical_to_in_process_replay_all_kernels() {
+    // A ceiling below one chunk's raw length but above its distinct-key
+    // count: the in-process ring must coalesce at the ceiling mid-chunk,
+    // while the socket arm collapses each batch before its zone ring.
+    // Collapsing is idempotent and composes, so the answers must agree.
+    const CEILING: usize = 128;
+    let trace = capture();
+    let first = &trace.readings[..CHUNK];
+    let keys: HashSet<u128> = first.iter().map(|r| beacon_key(&to_beacon(r))).collect();
+    assert!(
+        keys.len() < CEILING && CEILING < CHUNK,
+        "{} distinct keys per chunk must sit below the ceiling",
+        keys.len()
+    );
+    let serve = ServeConfig {
+        ingest: IngestConfig {
+            initial_capacity: 16,
+            max_capacity: CEILING,
+            coalesce: true,
+        },
+        ..ServeConfig::default()
+    };
+    for kernel in InterpolationKernel::ALL {
+        let inproc = assert_socket_matches_in_process(kernel, Encoding::Binary, serve.clone());
+        assert_eq!(inproc.capacity(), CEILING, "the ring grew to its ceiling");
+        assert!(inproc.grown() > 0);
+        let ring = inproc.ingest_stats();
+        assert!(
+            ring.coalesced_in_ring > 0,
+            "the ceiling coalesce must actually fire: {ring:?}"
+        );
+        assert_eq!(ring.lagged, 0);
+    }
 }
 
 #[test]
@@ -370,4 +429,81 @@ fn shutdown_drains_buffered_frames_and_balances() {
     assert_eq!(final_stats.accepted, events.len() as u64);
     assert_eq!(final_stats.lagged, 0);
     assert_eq!(final_stats.protocol_errors, 0);
+}
+
+#[test]
+fn gateway_that_stops_reading_cannot_pin_shutdown() {
+    let trace = capture();
+    let server = NetServer::from_traces(
+        "127.0.0.1:0",
+        std::slice::from_ref(&trace),
+        |_| vire(InterpolationKernel::Linear),
+        NetConfig::default(),
+    )
+    .expect("bind loopback");
+
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut sink = FrameSink::new();
+    sink.hello(vire_core::WIRE_VERSION, Encoding::Binary);
+    sink.flush_to(&mut stream).expect("send HELLO");
+
+    // Stream QUERY frames and never read a reply, until the server's
+    // replies back up through both socket buffers and it stops reading:
+    // several write timeouts in a row without a byte accepted.
+    let stop = Arc::new(AtomicBool::new(false));
+    let (stalled_tx, stalled) = mpsc::channel();
+    let writer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            stream
+                .set_write_timeout(Some(Duration::from_millis(50)))
+                .expect("write timeout");
+            let q = LocationQuery {
+                tag: TagKey::first(16),
+                at: 0.0,
+            };
+            let mut idle_ticks = 0;
+            while !stop.load(Ordering::SeqCst) {
+                if sink.is_empty() {
+                    for _ in 0..256 {
+                        sink.query(0, q);
+                    }
+                }
+                let queued = sink.byte_count();
+                match sink.flush_to(&mut stream) {
+                    Ok(_) => idle_ticks = 0,
+                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                        idle_ticks = if sink.byte_count() == queued {
+                            idle_ticks + 1
+                        } else {
+                            0
+                        };
+                        if idle_ticks == 4 {
+                            let _ = stalled_tx.send(());
+                        }
+                    }
+                    // The server closed the connection.
+                    Err(_) => break,
+                }
+            }
+        })
+    };
+    stalled
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the server's replies never backed up");
+
+    let (done, finished) = mpsc::channel();
+    let closer = std::thread::spawn(move || {
+        let _ = done.send(server.shutdown());
+    });
+    let final_stats = finished
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown must not wait on a gateway that stopped reading");
+    closer.join().expect("shutdown thread");
+    stop.store(true, Ordering::SeqCst);
+    writer.join().expect("writer thread");
+
+    assert!(final_stats.queries > 0, "{final_stats}");
+    assert!(final_stats.balanced(), "{final_stats}");
+    assert_eq!(final_stats.protocol_errors, 0, "{final_stats}");
 }

@@ -747,10 +747,10 @@ impl Testbed {
 }
 
 /// A [`Testbed`] is itself a snapshot source, delegating to its embedded
-/// (always-pumped) middleware stage. This is what lets a
-/// [`vire_core::ZoneFabric`] drive a whole slice of zone testbeds
-/// directly: `fabric.drive(campus.zones_mut())`. Note the inherent
-/// [`Testbed::reference_map`] (a from-scratch export with the dead-spot
+/// (always-pumped) middleware stage. This is what lets
+/// [`vire_core::drive_zones`] drive a whole slice of zone testbeds
+/// directly: `drive_zones(&mut services, campus.zones_mut())`. Note the
+/// inherent [`Testbed::reference_map`] (a from-scratch export with the dead-spot
 /// floor) remains distinct from the trait's incremental
 /// [`SnapshotSource::reference_map`], which is `None` until the stage has
 /// complete smoothed coverage.

@@ -23,11 +23,11 @@
 //!   [`vire_core::LocationService::drive`] localizes only what changed,
 //! * [`engine`] — [`Testbed`]: wires a deployment, an environment, and a
 //!   channel together and runs simulated time; it is itself a
-//!   [`vire_core::SnapshotSource`], so zone fabrics drive testbeds
-//!   directly,
+//!   [`vire_core::SnapshotSource`], so [`vire_core::drive_zones`] drives
+//!   testbeds directly,
 //! * [`multizone`] — [`MultiZoneTestbed`]: a campus of independent zone
 //!   testbeds with position-based tag routing, the simulation side of
-//!   [`vire_core::ZoneFabric`],
+//!   [`vire_core::drive_zones`],
 //! * [`trace`] — JSON reading traces: export simulated captures as
 //!   reproducible datasets, or replay real middleware logs into the
 //!   localization pipeline.
@@ -57,6 +57,4 @@ pub use serve::{DriveReport, IngestServer, ServeConfig};
 pub use smoothing::{SmoothingError, SmoothingKind};
 pub use tag::{TagId, TagRole};
 pub use trace::Trace;
-pub use vire_bus::{
-    BackPressure, BusError, BusRead, EventBus, ReaderToken, ShardReaderToken, ShardedBus,
-};
+pub use vire_bus::{BackPressure, BusError, BusRead, EventBus, ReaderToken};

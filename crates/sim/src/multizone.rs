@@ -2,7 +2,7 @@
 //!
 //! A zone is a room or floor with its own deployment, environment,
 //! channel, and event bus — zones share nothing, which is exactly the
-//! independence a [`vire_core::ZoneFabric`] exploits to drive them as
+//! independence [`vire_core::drive_zones`] exploits to drive them as
 //! parallel shards. The campus layer adds the one cross-zone concern:
 //! **routing**. Tags live in a campus coordinate frame; each zone covers
 //! the axis-aligned region of its sensing area, and a tracking tag is
@@ -10,7 +10,7 @@
 //! into that zone's local frame.
 //!
 //! ```
-//! use vire_core::{ServiceConfig, Vire, ZoneFabric};
+//! use vire_core::{drive_zones, LocationService, ServiceConfig, Vire};
 //! use vire_env::presets::env1;
 //! use vire_geom::Point2;
 //! use vire_sim::MultiZoneTestbed;
@@ -18,13 +18,11 @@
 //! let mut campus = MultiZoneTestbed::paper_campus(2, env1(), 7, 4.0);
 //! campus.add_tracking_tag(Point2::new(1.5, 1.5)).expect("zone 0");
 //! campus.add_tracking_tag(Point2::new(8.5, 1.5)).expect("zone 1");
-//! let mut fabric = ZoneFabric::new(
-//!     (0..2)
-//!         .map(|_| vire_core::LocationService::new(Vire::default(), ServiceConfig::default()))
-//!         .collect(),
-//! );
+//! let mut services: Vec<_> = (0..2)
+//!     .map(|_| LocationService::new(Vire::default(), ServiceConfig::default()))
+//!     .collect();
 //! campus.run_for(campus.warmup_duration() * 2.0);
-//! let per_zone = fabric.drive(campus.zones_mut());
+//! let per_zone = drive_zones(&mut services, campus.zones_mut());
 //! assert_eq!(per_zone.len(), 2);
 //! assert!(per_zone.iter().all(|z| !z.is_empty()));
 //! ```
@@ -174,9 +172,9 @@ impl MultiZoneTestbed {
         &mut self.zones[k]
     }
 
-    /// All zones as a mutable slice — the shape
-    /// [`vire_core::ZoneFabric::drive`] consumes, one snapshot source per
-    /// shard: `fabric.drive(campus.zones_mut())`.
+    /// All zones as a mutable slice — the shape [`vire_core::drive_zones`]
+    /// consumes, one snapshot source per zone:
+    /// `drive_zones(&mut services, campus.zones_mut())`.
     pub fn zones_mut(&mut self) -> &mut [Testbed] {
         &mut self.zones
     }

@@ -34,7 +34,7 @@ use crate::tag::TagId;
 use crate::trace::{Trace, TraceError};
 use vire_bus::{BackPressure, EventBus};
 use vire_core::{
-    BeaconEvent, IngestConfig, IngestFrontEnd, IngestStats, LocalizeError, Localizer,
+    BeaconEvent, IngestBatch, IngestConfig, IngestFrontEnd, IngestStats, LocalizeError, Localizer,
     LocationQuery, LocationService, QueryResponse, ServiceConfig, TagKey, TrackedEstimate,
     WireError,
 };
@@ -140,6 +140,14 @@ impl<L: Localizer> IngestServer<L> {
     /// exactly the tags whose smoothed readings changed.
     pub fn drive(&mut self) -> DriveReport {
         let batch = self.front.drain();
+        self.drive_batch(batch)
+    }
+
+    /// Drives one batch already drained from an [`IngestFrontEnd`] (a
+    /// transport's zone ring) through the pipeline, as [`IngestServer::drive`]
+    /// does with its own front end's batch. Events queued through
+    /// [`IngestServer::accept`] stay queued for the next `drive`.
+    pub fn drive_batch(&mut self, batch: IngestBatch) -> DriveReport {
         for &e in &batch.readings {
             self.bus.publish(Reading {
                 time: e.time,

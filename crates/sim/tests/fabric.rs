@@ -1,14 +1,14 @@
-//! The zone-fabric acceptance pin: a tag covered by zone `k` gets the
-//! **same estimate** from a [`vire_core::ZoneFabric`] driving the whole
+//! The `drive_zones` acceptance pin: a tag covered by zone `k` gets the
+//! **same estimate** from [`vire_core::drive_zones`] driving the whole
 //! campus as from zone `k`'s standalone [`vire_core::LocationService`] —
 //! `f64::to_bits`-identical, across all four interpolation kernels and
-//! repeated incremental drives. The fabric is pure orchestration; it must
-//! never change a number.
+//! repeated incremental drives. The pool fan-out is pure orchestration;
+//! it must never change a number.
 
 use proptest::prelude::*;
 use vire_core::{
-    InterpolationKernel, LocalizeError, LocationService, ServiceConfig, TagKey, TrackedEstimate,
-    Vire, VireConfig, ZoneFabric,
+    drive_zones, InterpolationKernel, LocalizeError, LocationService, ServiceConfig, TagKey,
+    TrackedEstimate, Vire, VireConfig,
 };
 use vire_geom::Point2;
 use vire_sim::MultiZoneTestbed;
@@ -78,30 +78,30 @@ fn bits(results: &DriveResult) -> Vec<(TagKey, Result<Vec<u64>, String>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Satellite pin: fabric drive ≡ per-zone standalone drive, bitwise,
-    /// for every kernel, across several incremental drive rounds.
+    /// `drive_zones` ≡ per-zone standalone drive, bitwise, for every
+    /// kernel, across several incremental drive rounds.
     #[test]
-    fn fabric_estimates_match_standalone_zone_services(
+    fn drive_zones_matches_standalone_zone_services(
         zones in 2usize..=3,
         seed in 0u64..500,
         rounds in 2usize..=4,
     ) {
         for kernel in kernels() {
-            // Two bit-identical campuses: one driven by the fabric, one by
-            // independent per-zone services.
-            let mut fabric_campus = campus_with_tags(zones, seed);
+            // Two bit-identical campuses: one driven by `drive_zones`, one
+            // zone at a time.
+            let mut pooled_campus = campus_with_tags(zones, seed);
             let mut solo_campus = campus_with_tags(zones, seed);
-            let mut fabric =
-                ZoneFabric::new((0..zones).map(|_| service(kernel)).collect());
+            let mut pooled: Vec<LocationService<Vire>> =
+                (0..zones).map(|_| service(kernel)).collect();
             let mut solo: Vec<LocationService<Vire>> =
                 (0..zones).map(|_| service(kernel)).collect();
-            let step = fabric_campus.warmup_duration();
+            let step = pooled_campus.warmup_duration();
             for _ in 0..rounds {
-                fabric_campus.run_for(step);
+                pooled_campus.run_for(step);
                 solo_campus.run_for(step);
-                let fabric_out = fabric.drive(fabric_campus.zones_mut());
-                prop_assert_eq!(fabric_out.len(), zones);
-                for (k, zone_out) in fabric_out.iter().enumerate() {
+                let pooled_out = drive_zones(&mut pooled, pooled_campus.zones_mut());
+                prop_assert_eq!(pooled_out.len(), zones);
+                for (k, zone_out) in pooled_out.iter().enumerate() {
                     let solo_out = solo[k].drive(solo_campus.zone_mut(k));
                     prop_assert_eq!(
                         bits(zone_out),
@@ -112,9 +112,8 @@ proptest! {
                     );
                 }
             }
-            // Both arms actually localized something by the end.
-            let stats = fabric.stats();
-            prop_assert!(stats.iter().all(|z| z.tracked > 0));
+            // Every zone actually localized something by the end.
+            prop_assert!(pooled.iter().all(|s| !s.tracked_tags().is_empty()));
         }
     }
 }

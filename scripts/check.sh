@@ -51,9 +51,10 @@ cargo test -q -p vire-sim --test channel_cache
 echo "==> cargo test (trial-cache bit-identity)"
 cargo test -q -p vire-exp --test trial_cache
 
-# The zone fabric is pure orchestration: a fabric-driven shard must be
-# bit-identical to that zone's standalone service, on every kernel.
-echo "==> cargo test (zone-fabric shard bit-identity)"
+# Driving zones together is pure orchestration: a zone driven by
+# `drive_zones` must be bit-identical to that zone's standalone service,
+# on every kernel.
+echo "==> cargo test (drive_zones bit-identity)"
 cargo test -q -p vire-sim --test fabric
 
 # Burst coalescing is pure loss policy: a coalesced serve drive must be
