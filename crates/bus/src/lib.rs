@@ -18,14 +18,12 @@
 //!   doubles its capacity (one `rotate_left` copy per doubling, so O(1)
 //!   amortized per publish) whenever the slowest *live* reader would
 //!   otherwise lose an event, up to `max_capacity`.
-//! * **Explicit loss, never silent** — past `max_capacity` an explicit
-//!   [`BackPressure`] policy kicks in: [`BackPressure::Coalesce`] merges
-//!   same-key runs down to the newest event (counted per reader via
-//!   [`BusRead::coalesced`]), [`BackPressure::DropOldest`] keeps the
-//!   legacy hard-drop path whose losses are reported exactly by
+//! * **Explicit loss, never silent** — past `max_capacity` the oldest
+//!   event is overwritten ([`BackPressure::DropOldest`], the one policy)
+//!   and every event a reader did not receive is reported exactly by
 //!   [`BusRead::lagged`], in the style of `shrev`'s ring-buffer
-//!   `EventChannel`. Every event a reader does not receive is accounted
-//!   in one of those two counters.
+//!   `EventChannel`. Keeping only the newest reading per key is the ingest
+//!   ring's job (`vire_core::IngestFrontEnd`), not the bus's.
 //!
 //! Sequence numbers are monotonically increasing `u64`s, so the channel
 //! never ambiguates wraparound (at one event per nanosecond a `u64` lasts
@@ -66,80 +64,20 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-use std::collections::HashSet;
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// Source of unique bus identities; catches tokens used on the wrong bus.
 static NEXT_BUS_ID: AtomicU64 = AtomicU64::new(0);
 
-/// Constructor failure for [`EventBus`].
-///
-/// The panicking constructors ([`EventBus::with_capacity`],
-/// [`EventBus::resizable`]) are thin wrappers that
-/// panic with this error's [`Display`](fmt::Display) message; callers that
-/// build buses from untrusted configuration use the `try_` variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BusError {
-    /// The requested ring capacity was zero.
-    ZeroCapacity,
-    /// A resizable bus was requested with `max_capacity` below its
-    /// initial capacity.
-    MaxBelowInitial {
-        /// Requested initial capacity.
-        initial: usize,
-        /// Requested maximum capacity (smaller than `initial`).
-        max: usize,
-    },
-}
-
-impl fmt::Display for BusError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BusError::ZeroCapacity => write!(f, "bus capacity must be positive"),
-            BusError::MaxBelowInitial { initial, max } => write!(
-                f,
-                "bus max_capacity ({max}) must be at least the initial capacity ({initial})"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BusError {}
-
 /// What a resizable bus does with the oldest unread event once the ring
-/// is full *and* already at `max_capacity`.
-///
-/// Neither policy is silent: hard drops surface as [`BusRead::lagged`],
-/// merges surface as [`BusRead::coalesced`].
-pub enum BackPressure<T> {
+/// is full *and* already at `max_capacity`. Loss is never silent: it
+/// surfaces as [`BusRead::lagged`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BackPressure {
     /// Overwrite the oldest retained event; the slowest reader's next
     /// [`EventBus::read`] reports it via [`BusRead::lagged`].
     DropOldest,
-    /// Merge retained events sharing a key down to the newest one (a
-    /// per-(tag, reader) beacon run collapses to its latest reading).
-    /// Events merged away ahead of a reader's cursor are reported via
-    /// [`BusRead::coalesced`]. Falls back to [`BackPressure::DropOldest`]
-    /// when every retained event has a distinct key.
-    Coalesce(fn(&T) -> u128),
-}
-
-impl<T> Clone for BackPressure<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<T> Copy for BackPressure<T> {}
-
-impl<T> fmt::Debug for BackPressure<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BackPressure::DropOldest => write!(f, "DropOldest"),
-            BackPressure::Coalesce(_) => write!(f, "Coalesce(<key fn>)"),
-        }
-    }
 }
 
 /// One reader's cursor state, shared between its [`ReaderToken`] and the
@@ -149,11 +87,6 @@ impl<T> fmt::Debug for BackPressure<T> {
 struct CursorSlot {
     /// Sequence number of the next event this reader will receive.
     next: AtomicU64,
-    /// Events merged away ahead of this cursor, not yet reported.
-    coalesced: AtomicU64,
-    /// Hard-dropped events owed to `lagged`, accumulated when a coalesce
-    /// renumbering had to move an already-lagging cursor forward.
-    lag_debt: AtomicU64,
 }
 
 /// A single-writer / multi-reader event channel over a ring buffer.
@@ -166,7 +99,7 @@ pub struct EventBus<T> {
     buf: Vec<T>,
     /// Current ring capacity (`initial ≤ cap ≤ max_cap`).
     cap: usize,
-    /// Hard ceiling for `cap`; growth past it defers to `policy`.
+    /// Hard ceiling for `cap`; past it the oldest event is overwritten.
     max_cap: usize,
     /// Physical index of the oldest retained event.
     first: usize,
@@ -174,17 +107,13 @@ pub struct EventBus<T> {
     /// number `s` lives at `buf[(first + (s - (head - len))) % cap]`.
     len: usize,
     /// Sequence number of the *next* event to be published (== total
-    /// events ever published; renumbering after a coalesce preserves it).
+    /// events ever published).
     head: u64,
-    /// Full-ring policy once `cap == max_cap`.
-    policy: BackPressure<T>,
     /// Live reader cursors. Locked only by `reader(&self)`; the publish
     /// side holds `&mut self` and uses lock-free `get_mut`.
     readers: Mutex<Vec<Weak<CursorSlot>>>,
     /// Number of capacity doublings performed.
     grown: u64,
-    /// Total events merged away by the coalesce policy.
-    coalesced: u64,
     id: u64,
 }
 
@@ -215,7 +144,6 @@ pub struct BusRead<'a, T> {
     next: u64,
     end: u64,
     lagged: u64,
-    coalesced: u64,
 }
 
 impl<T> EventBus<T> {
@@ -226,52 +154,34 @@ impl<T> EventBus<T> {
     /// # Panics
     /// Panics when `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::try_with_capacity(capacity).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`EventBus::with_capacity`].
-    pub fn try_with_capacity(capacity: usize) -> Result<Self, BusError> {
-        Self::try_resizable(capacity, capacity, BackPressure::DropOldest)
+        Self::resizable(capacity, capacity, BackPressure::DropOldest)
     }
 
     /// Creates a resizable bus: starts at `initial` capacity, doubles (up
     /// to `max_capacity`) whenever the slowest live reader would otherwise
-    /// lose an event, then applies `policy` once at the ceiling.
+    /// lose an event, then overwrites the oldest event once at the ceiling
+    /// (`policy` names that; it is the only one).
     ///
     /// # Panics
     /// Panics when `initial` is zero or `max_capacity < initial`.
-    pub fn resizable(initial: usize, max_capacity: usize, policy: BackPressure<T>) -> Self {
-        Self::try_resizable(initial, max_capacity, policy).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`EventBus::resizable`].
-    pub fn try_resizable(
-        initial: usize,
-        max_capacity: usize,
-        policy: BackPressure<T>,
-    ) -> Result<Self, BusError> {
-        if initial == 0 {
-            return Err(BusError::ZeroCapacity);
-        }
-        if max_capacity < initial {
-            return Err(BusError::MaxBelowInitial {
-                initial,
-                max: max_capacity,
-            });
-        }
-        Ok(EventBus {
+    pub fn resizable(initial: usize, max_capacity: usize, policy: BackPressure) -> Self {
+        let BackPressure::DropOldest = policy;
+        assert!(initial > 0, "bus capacity must be positive");
+        assert!(
+            max_capacity >= initial,
+            "bus max_capacity ({max_capacity}) must be at least the initial capacity ({initial})"
+        );
+        EventBus {
             buf: Vec::with_capacity(initial),
             cap: initial,
             max_cap: max_capacity,
             first: 0,
             len: 0,
             head: 0,
-            policy,
             readers: Mutex::new(Vec::new()),
             grown: 0,
-            coalesced: 0,
             id: NEXT_BUS_ID.fetch_add(1, Ordering::Relaxed),
-        })
+        }
     }
 
     /// Current ring capacity (grows up to [`EventBus::max_capacity`]).
@@ -305,12 +215,6 @@ impl<T> EventBus<T> {
         self.grown
     }
 
-    /// Total events merged away by the coalesce policy (bus-wide; the
-    /// per-reader share surfaces via [`BusRead::coalesced`]).
-    pub fn coalesced_total(&self) -> u64 {
-        self.coalesced
-    }
-
     /// Sequence number of the oldest event still retained.
     fn oldest(&self) -> u64 {
         self.head - self.len as u64
@@ -322,19 +226,27 @@ impl<T> EventBus<T> {
         (self.first + (seq - self.oldest()) as usize) % self.cap
     }
 
-    /// Live reader cursors, pruning dead registrations in passing.
-    /// Publish-side only (`&mut self` makes the lock uncontended).
-    fn live_cursors(&mut self) -> Vec<Arc<CursorSlot>> {
-        let reg = match self.readers.get_mut() {
-            Ok(reg) => reg,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reg.retain(|w| w.strong_count() > 0);
-        reg.iter().filter_map(Weak::upgrade).collect()
+    /// Position of the slowest live reader, pruning dead registrations in
+    /// passing. Publish-side only (`&mut self` makes the lock uncontended).
+    fn slowest_cursor(&mut self) -> Option<u64> {
+        let reg = self
+            .readers
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut slowest: Option<u64> = None;
+        reg.retain(|w| match w.upgrade() {
+            Some(slot) => {
+                let next = slot.next.load(Ordering::Relaxed);
+                slowest = Some(slowest.map_or(next, |s| s.min(next)));
+                true
+            }
+            None => false,
+        });
+        slowest
     }
 
     /// Publishes one event. When the ring is full it grows (resizable bus
-    /// with a live reader at risk) or applies the back-pressure policy.
+    /// with a live reader at risk) or overwrites the oldest event.
     pub fn publish(&mut self, event: T) {
         if self.len == self.cap {
             self.make_room();
@@ -356,33 +268,14 @@ impl<T> EventBus<T> {
         }
     }
 
-    /// Frees at least one slot in a full ring.
+    /// Frees at least one slot in a full ring: grows while the slowest
+    /// live reader would otherwise lose an event and the ceiling allows,
+    /// else recycles (or, at the ceiling, overwrites) the oldest event.
     fn make_room(&mut self) {
         let oldest = self.oldest();
-        let slowest = self
-            .live_cursors()
-            .iter()
-            .map(|s| s.next.load(Ordering::Relaxed))
-            .min();
-        match slowest {
-            // No live reader still needs the oldest event: recycle it.
-            None => self.drop_oldest(),
-            Some(c) if c > oldest => self.drop_oldest(),
-            // The slowest live reader would lose an event.
-            Some(_) => {
-                if self.cap < self.max_cap {
-                    self.grow();
-                } else {
-                    match self.policy {
-                        BackPressure::DropOldest => self.drop_oldest(),
-                        BackPressure::Coalesce(key) => {
-                            if !self.coalesce(key) {
-                                self.drop_oldest();
-                            }
-                        }
-                    }
-                }
-            }
+        match self.slowest_cursor() {
+            Some(c) if c <= oldest && self.cap < self.max_cap => self.grow(),
+            _ => self.drop_oldest(),
         }
     }
 
@@ -407,81 +300,13 @@ impl<T> EventBus<T> {
         self.grown += 1;
     }
 
-    /// Merges retained events sharing a coalesce key down to the newest
-    /// one, preserving the relative order of survivors and renumbering
-    /// them to `[head - survivors, head)`. Every live cursor is remapped
-    /// so it re-reads exactly the survivors it had not yet received;
-    /// events merged away ahead of a cursor are charged to its
-    /// [`BusRead::coalesced`] counter. Returns `false` (ring unchanged)
-    /// when every retained event has a distinct key.
-    fn coalesce(&mut self, key: fn(&T) -> u128) -> bool {
-        let len = self.len;
-        let base = self.oldest();
-        // Walk newest → oldest: the last event of each key survives.
-        let mut survive = vec![false; len];
-        let mut seen: HashSet<u128> = HashSet::with_capacity(len);
-        for i in (0..len).rev() {
-            let phys = (self.first + i) % self.cap;
-            survive[i] = seen.insert(key(&self.buf[phys]));
-        }
-        // suffix_dropped[i] = merged-away events at logical index ≥ i.
-        let mut suffix_dropped = vec![0u64; len + 1];
-        for i in (0..len).rev() {
-            suffix_dropped[i] = suffix_dropped[i + 1] + u64::from(!survive[i]);
-        }
-        let dropped = suffix_dropped[0];
-        if dropped == 0 {
-            return false;
-        }
-
-        // Remap every live cursor before renumbering: a cursor that had
-        // `k` survivors ahead of it ends up `k` behind the new head.
-        let head = self.head;
-        for slot in self.live_cursors() {
-            let c = slot.next.load(Ordering::Relaxed);
-            let start = if c < base {
-                // Events in [c, base) were hard-dropped earlier; bank the
-                // lag now, because the renumbering erases the gap.
-                slot.lag_debt.fetch_add(base - c, Ordering::Relaxed);
-                0
-            } else {
-                ((c - base) as usize).min(len)
-            };
-            let dropped_ahead = suffix_dropped[start];
-            slot.coalesced.fetch_add(dropped_ahead, Ordering::Relaxed);
-            let survivors_ahead = (len - start) as u64 - dropped_ahead;
-            slot.next.store(head - survivors_ahead, Ordering::Relaxed);
-        }
-
-        // Compact survivors toward `first`, preserving order.
-        let mut kept = 0;
-        for (i, &keep) in survive.iter().enumerate() {
-            if keep {
-                if i != kept {
-                    let a = (self.first + kept) % self.cap;
-                    let b = (self.first + i) % self.cap;
-                    self.buf.swap(a, b);
-                }
-                kept += 1;
-            }
-        }
-        self.len = kept;
-        self.coalesced += dropped;
-        true
-    }
-
     /// Registers a new reader cursor positioned at the current head: it
     /// will observe only events published after this call.
     pub fn reader(&self) -> ReaderToken {
         let slot = Arc::new(CursorSlot {
             next: AtomicU64::new(self.head),
-            coalesced: AtomicU64::new(0),
-            lag_debt: AtomicU64::new(0),
         });
-        let mut reg = match self.readers.lock() {
-            Ok(reg) => reg,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let mut reg = self.readers.lock().unwrap_or_else(PoisonError::into_inner);
         reg.push(Arc::downgrade(&slot));
         drop(reg);
         ReaderToken {
@@ -495,10 +320,7 @@ impl<T> EventBus<T> {
     ///
     /// When the reader fell behind a hard drop, the overwritten events are
     /// unrecoverable; [`BusRead::lagged`] reports exactly how many were
-    /// lost and iteration yields the survivors. Events merged away ahead
-    /// of the cursor by the coalesce policy are reported separately via
-    /// [`BusRead::coalesced`] (their newest-per-key representatives are
-    /// still delivered).
+    /// lost and iteration yields the survivors.
     ///
     /// # Panics
     /// Panics when `token` belongs to a different bus.
@@ -509,8 +331,7 @@ impl<T> EventBus<T> {
         );
         let oldest = self.oldest();
         let pos = token.slot.next.load(Ordering::Relaxed);
-        let lagged = oldest.saturating_sub(pos) + token.slot.lag_debt.swap(0, Ordering::Relaxed);
-        let coalesced = token.slot.coalesced.swap(0, Ordering::Relaxed);
+        let lagged = oldest.saturating_sub(pos);
         let next = pos.max(oldest);
         token.slot.next.store(self.head, Ordering::Relaxed);
         BusRead {
@@ -518,7 +339,6 @@ impl<T> EventBus<T> {
             next,
             end: self.head,
             lagged,
-            coalesced,
         }
     }
 
@@ -539,13 +359,6 @@ impl<T> BusRead<'_, T> {
     /// permanently lost to this reader (0 when the reader kept up).
     pub fn lagged(&self) -> u64 {
         self.lagged
-    }
-
-    /// Number of events merged away ahead of this reader's cursor by the
-    /// coalesce policy since its last read. Unlike lagged events these are
-    /// represented: the newest event of each merged run is delivered.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
     }
 }
 
@@ -674,19 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn try_constructors_report_bad_shapes() {
-        assert_eq!(
-            EventBus::<i32>::try_with_capacity(0).unwrap_err(),
-            BusError::ZeroCapacity
-        );
-        assert_eq!(
-            EventBus::<i32>::try_resizable(8, 4, BackPressure::DropOldest).unwrap_err(),
-            BusError::MaxBelowInitial { initial: 8, max: 4 }
-        );
-        assert!(EventBus::<i32>::try_with_capacity(4).is_ok());
-    }
-
-    #[test]
     #[should_panic(expected = "max_capacity")]
     fn resizable_max_below_initial_panics() {
         let _: EventBus<i32> = EventBus::resizable(8, 4, BackPressure::DropOldest);
@@ -738,84 +538,5 @@ mod tests {
         }
         assert_eq!(bus.capacity(), 4);
         assert_eq!(bus.grown(), 0);
-    }
-
-    /// Key = the even/odd class of the event, so runs collapse per class.
-    fn parity_key(e: &i32) -> u128 {
-        (*e % 2) as u128
-    }
-
-    #[test]
-    fn coalesce_keeps_newest_per_key() {
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(parity_key));
-        let mut slow = bus.reader();
-        bus.publish_all([0, 2, 4, 1, 3, 6]);
-        // Ring held [0,2,4,1] at capacity; publishing 3 coalesced evens
-        // down to 4 → [0? no: newest-per-parity of [0,2,4,1] = [4,1]].
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 0, "coalescing must not hard-drop");
-        let survivors: Vec<i32> = read.copied().collect();
-        // The newest event of each parity class is delivered, in order.
-        assert_eq!(*survivors.last().unwrap(), 6);
-        assert!(survivors.contains(&3));
-        assert!(bus.coalesced_total() > 0);
-    }
-
-    #[test]
-    fn coalesce_accounting_balances() {
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(parity_key));
-        let mut slow = bus.reader();
-        let published = 40u64;
-        let mut delivered = 0u64;
-        let mut lagged = 0u64;
-        let mut coalesced = 0u64;
-        for n in 0..published as i32 {
-            bus.publish(n);
-        }
-        let read = bus.read(&mut slow);
-        lagged += read.lagged();
-        coalesced += read.coalesced();
-        delivered += read.count() as u64;
-        assert_eq!(
-            lagged + delivered + coalesced,
-            published,
-            "every event must be accounted for"
-        );
-        assert_eq!(lagged, 0, "parity coalescing always frees slots");
-        assert_eq!(coalesced, bus.coalesced_total());
-    }
-
-    #[test]
-    fn coalesce_with_distinct_keys_falls_back_to_drop() {
-        fn identity_key(e: &i32) -> u128 {
-            *e as u128
-        }
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(identity_key));
-        let mut slow = bus.reader();
-        bus.publish_all(0..6);
-        let read = bus.read(&mut slow);
-        assert_eq!(read.lagged(), 2, "all-distinct keys: hard drop, counted");
-        assert_eq!(read.coalesced(), 0);
-        assert_eq!(read.copied().collect::<Vec<i32>>(), [2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn coalesce_preserves_position_of_fresh_reader() {
-        let mut bus = EventBus::resizable(2, 4, BackPressure::Coalesce(parity_key));
-        let mut slow = bus.reader();
-        bus.publish_all([0, 2, 4, 1]);
-        // A reader registered at the head sees only post-registration
-        // events, even across a coalesce renumbering.
-        let mut fresh = bus.reader();
-        bus.publish_all([6, 8]);
-        let read = bus.read(&mut fresh);
-        assert_eq!(read.lagged(), 0);
-        assert_eq!(read.copied().collect::<Vec<i32>>(), [6, 8]);
-        // The slow reader still gets newest-per-key with full accounting.
-        let read = bus.read(&mut slow);
-        let lagged = read.lagged();
-        let coalesced = read.coalesced();
-        let delivered = read.count() as u64;
-        assert_eq!(lagged + coalesced + delivered, 6);
     }
 }

@@ -15,25 +15,32 @@
 //! [`beacon_key`], in last-occurrence order. It is idempotent and it
 //! composes — `collapse(collapse(a) ++ b) == collapse(a ++ b)` — so a
 //! burst may be collapsed at any point on its way to the pipeline without
-//! changing a number. [`IngestFrontEnd`] applies it at two levels:
+//! changing a number. [`IngestFrontEnd`] is a ring that applies it as
+//! events arrive:
 //!
-//! * **In the ring** — events buffer in a resizable
-//!   [`EventBus`] whose back-pressure policy is
-//!   [`Coalesce`](vire_bus::BackPressure::Coalesce) on the
-//!   [`beacon_key`]: under overload the bus merges same-key runs instead
-//!   of dropping newest data, and every merged event is counted.
-//! * **At drain** — [`IngestFrontEnd::drain`] runs [`coalesce_newest`]
-//!   over whatever survived the ring before the batch is handed to the
-//!   pipeline.
+//! * **On accept** — the ring keeps an index from [`beacon_key`] to the
+//!   slot of that key's newest event, so a repeat key supersedes the older
+//!   slot at once (one hash insert per event).
+//! * **At the ceiling** — the ring doubles up to
+//!   [`IngestConfig::max_capacity`]. Full at the ceiling, it first gives
+//!   up the superseded events (counted in
+//!   [`IngestBatch::coalesced_in_ring`], O(1) because they are already
+//!   known), and only when every buffered key is distinct drops the
+//!   oldest event (counted in [`IngestBatch::lagged`]).
+//! * **At drain** — the live slots *are* the collapse, so
+//!   [`IngestFrontEnd::drain`] is one in-order walk; the superseded
+//!   events are the batch's [`IngestBatch::coalesced_in_batch`].
+//!
+//! With [`IngestConfig::coalesce`] off the ring keeps no index, drops the
+//! oldest event at the ceiling, and runs [`coalesce_newest`] at drain.
 //!
 //! The wire format is the `vire-sim` trace schema (versions 1 and 2):
 //! [`IngestFrontEnd::accept_json`] takes either a full trace object or a
 //! bare array of readings, so captured traces and live gateway payloads
 //! share one code path.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use vire_bus::{BackPressure, BusError, EventBus, ReaderToken};
 
 use crate::service::TagKey;
 
@@ -197,8 +204,26 @@ pub struct IngestBatch {
 /// Burst-batching, coalescing ingest stage (see the [module docs](self)).
 #[derive(Debug)]
 pub struct IngestFrontEnd {
-    bus: EventBus<BeaconEvent>,
-    cursor: ReaderToken,
+    /// Events accepted since the last drain, oldest first; superseded and
+    /// dropped events leave a `None` tombstone behind.
+    slots: Vec<Option<BeaconEvent>>,
+    /// No live event sits below this slot.
+    front: usize,
+    /// When coalescing: [`beacon_key`] → slot of that key's newest event.
+    /// Keys arrive from the wire, so the map keeps the default keyed
+    /// hasher: crafted collisions cannot degrade it.
+    newest: Option<HashMap<u128, usize>>,
+    /// Buffered events: the live slots plus the `superseded` ones.
+    len: usize,
+    /// Events superseded by a newer same-key event since the last drain
+    /// or ceiling collapse.
+    superseded: u64,
+    cap: usize,
+    max_cap: usize,
+    grown: u64,
+    /// Loss since the last drain.
+    lagged: u64,
+    coalesced_in_ring: u64,
     stats: IngestStats,
 }
 
@@ -206,27 +231,36 @@ impl IngestFrontEnd {
     /// Builds a front end with the given ring shape.
     ///
     /// # Panics
-    /// Panics when the config is invalid (see
-    /// [`IngestFrontEnd::try_new`]).
+    /// Panics when `initial_capacity` is zero or `max_capacity` is below
+    /// it.
     pub fn new(config: IngestConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`IngestFrontEnd::new`]: rejects a zero capacity or a
-    /// ceiling below the initial capacity.
-    pub fn try_new(config: IngestConfig) -> Result<Self, BusError> {
-        let policy = if config.coalesce {
-            BackPressure::Coalesce(beacon_key)
-        } else {
-            BackPressure::DropOldest
-        };
-        let bus = EventBus::try_resizable(config.initial_capacity, config.max_capacity, policy)?;
-        let cursor = bus.reader();
-        Ok(IngestFrontEnd {
-            bus,
-            cursor,
+        let IngestConfig {
+            initial_capacity,
+            max_capacity,
+            coalesce,
+        } = config;
+        assert!(
+            initial_capacity > 0,
+            "ingest ring capacity must be positive"
+        );
+        assert!(
+            max_capacity >= initial_capacity,
+            "ingest ring max_capacity ({max_capacity}) must be at least the initial capacity \
+             ({initial_capacity})"
+        );
+        IngestFrontEnd {
+            slots: Vec::with_capacity(initial_capacity),
+            front: 0,
+            newest: coalesce.then(HashMap::new),
+            len: 0,
+            superseded: 0,
+            cap: initial_capacity,
+            max_cap: max_capacity,
+            grown: 0,
+            lagged: 0,
+            coalesced_in_ring: 0,
             stats: IngestStats::default(),
-        })
+        }
     }
 
     /// Accepts a burst of already-decoded beacon events; returns how many
@@ -234,11 +268,74 @@ impl IngestFrontEnd {
     pub fn accept(&mut self, events: impl IntoIterator<Item = BeaconEvent>) -> usize {
         let mut n = 0;
         for e in events {
-            self.bus.publish(e);
+            self.push(e);
             n += 1;
         }
         self.stats.accepted += n as u64;
         n
+    }
+
+    /// Buffers one event, making room first when the ring is full.
+    fn push(&mut self, e: BeaconEvent) {
+        if self.len == self.cap {
+            self.make_room();
+        }
+        if self.slots.len() >= self.cap.saturating_mul(2) {
+            self.compact();
+        }
+        let slot = self.slots.len();
+        if let Some(newest) = &mut self.newest {
+            if let Some(older) = newest.insert(beacon_key(&e), slot) {
+                self.slots[older] = None;
+                self.superseded += 1;
+            }
+        }
+        self.slots.push(Some(e));
+        self.len += 1;
+    }
+
+    /// Frees room in a full ring: grow below the ceiling; at it, give up
+    /// the superseded events, or drop the oldest when there are none.
+    fn make_room(&mut self) {
+        if self.cap < self.max_cap {
+            self.cap = self.cap.saturating_mul(2).min(self.max_cap);
+            self.grown += 1;
+        } else if self.superseded > 0 {
+            self.len -= self.superseded as usize;
+            self.coalesced_in_ring += self.superseded;
+            self.superseded = 0;
+        } else {
+            let oldest = self.slots[self.front..]
+                .iter()
+                .position(Option::is_some)
+                .map(|i| self.front + i)
+                .expect("a full ring holds a live event");
+            let e = self.slots[oldest].take().expect("live slot");
+            if let Some(newest) = &mut self.newest {
+                newest.remove(&beacon_key(&e));
+            }
+            self.front = oldest + 1;
+            self.len -= 1;
+            self.lagged += 1;
+        }
+    }
+
+    /// Squeezes out tombstones, keeping the live events in order. Runs
+    /// once the slots reach twice the capacity, so at least half of them
+    /// are dead and the copy is O(1) amortized per event.
+    fn compact(&mut self) {
+        let mut kept = 0;
+        for i in self.front..self.slots.len() {
+            if let Some(e) = self.slots[i] {
+                if let Some(newest) = &mut self.newest {
+                    *newest.get_mut(&beacon_key(&e)).expect("indexed") = kept;
+                }
+                self.slots[kept] = Some(e);
+                kept += 1;
+            }
+        }
+        self.slots.truncate(kept);
+        self.front = 0;
     }
 
     /// Accepts a JSON payload in the `vire-sim` trace wire format: either
@@ -253,12 +350,22 @@ impl IngestFrontEnd {
     /// Drains everything buffered since the last drain, coalescing each
     /// `(tag lifetime, reader)` beacon run down to its newest reading.
     pub fn drain(&mut self) -> IngestBatch {
-        let read = self.bus.read(&mut self.cursor);
-        let lagged = read.lagged();
-        let coalesced_in_ring = read.coalesced();
-        let mut readings: Vec<BeaconEvent> = read.copied().collect();
-        let delivered = readings.len();
-        let coalesced_in_batch = coalesce_newest(&mut readings);
+        let delivered = self.len;
+        let mut readings = Vec::with_capacity(self.len - self.superseded as usize);
+        readings.extend(self.slots[self.front..].iter().flatten());
+        let coalesced_in_batch = match &mut self.newest {
+            Some(newest) => {
+                newest.clear();
+                self.superseded
+            }
+            None => coalesce_newest(&mut readings),
+        };
+        let lagged = std::mem::take(&mut self.lagged);
+        let coalesced_in_ring = std::mem::take(&mut self.coalesced_in_ring);
+        self.slots.clear();
+        self.front = 0;
+        self.len = 0;
+        self.superseded = 0;
 
         self.stats.batches += 1;
         self.stats.delivered += delivered as u64;
@@ -282,17 +389,17 @@ impl IngestFrontEnd {
 
     /// Current ring capacity (grows under load).
     pub fn capacity(&self) -> usize {
-        self.bus.capacity()
+        self.cap
     }
 
     /// Ring capacity ceiling.
     pub fn max_capacity(&self) -> usize {
-        self.bus.max_capacity()
+        self.max_cap
     }
 
     /// Ring capacity doublings so far.
     pub fn grown(&self) -> u64 {
-        self.bus.grown()
+        self.grown
     }
 }
 
@@ -514,6 +621,21 @@ mod tests {
     }
 
     #[test]
+    fn slots_stay_within_twice_the_ceiling() {
+        // Repeat keys leave tombstones and distinct keys past the ceiling
+        // leave dropped slots; compaction bounds both.
+        for keys in [2, 1_000] {
+            let mut front = tiny();
+            for n in 0..1_000 {
+                front.accept([ev(n as f64, n % keys, 0, 0, -60.0)]);
+                assert!(front.slots.len() <= 2 * front.max_capacity());
+                let indexed = front.newest.as_ref().map_or(0, HashMap::len);
+                assert!(indexed <= front.max_capacity());
+            }
+        }
+    }
+
+    #[test]
     fn accept_json_bare_array_and_trace_object() {
         let mut front = IngestFrontEnd::new(IngestConfig::default());
         let n = front
@@ -571,19 +693,23 @@ mod tests {
     }
 
     #[test]
-    fn try_new_rejects_bad_ring_shapes() {
-        assert!(IngestFrontEnd::try_new(IngestConfig {
+    #[should_panic(expected = "capacity must be positive")]
+    fn zero_capacity_ring_panics() {
+        IngestFrontEnd::new(IngestConfig {
             initial_capacity: 0,
             max_capacity: 4,
             coalesce: true,
-        })
-        .is_err());
-        assert!(IngestFrontEnd::try_new(IngestConfig {
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "max_capacity")]
+    fn ceiling_below_initial_capacity_panics() {
+        IngestFrontEnd::new(IngestConfig {
             initial_capacity: 8,
             max_capacity: 4,
             coalesce: true,
-        })
-        .is_err());
+        });
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Property-based tests for the localization algorithms.
+//! Property-based tests for the localization algorithms and the ingest
+//! ring.
 
 use proptest::prelude::*;
 use vire_core::elimination::{eliminate, ThresholdMode};
@@ -6,8 +7,9 @@ use vire_core::ext::extend_reference_map;
 use vire_core::virtual_grid::{InterpolationKernel, VirtualGrid};
 use vire_core::weights::{candidate_weights, W1Mode, WeightingMode};
 use vire_core::{
-    Landmarc, LandmarcConfig, Localizer, PreparedLocalizer, ReferenceRssiMap, TrackingReading,
-    Vire, VireConfig,
+    beacon_key, coalesce_newest, BeaconEvent, IngestBatch, IngestConfig, IngestFrontEnd,
+    IngestStats, Landmarc, LandmarcConfig, Localizer, PreparedLocalizer, ReferenceRssiMap, TagKey,
+    TrackingReading, Vire, VireConfig,
 };
 use vire_geom::hull::{convex_hull, hull_contains};
 use vire_geom::{GridData, Point2, RegularGrid};
@@ -278,4 +280,190 @@ proptest! {
             prop_assert_eq!(prepared.locate(reading), batched);
         }
     }
+}
+
+/// The ingest ring's policy, naively: `r` is the unread buffer, at most
+/// `cap` long. Full at `cap`, it grows below the ceiling; at the ceiling
+/// it collapses `r` to the newest event per key when coalescing and a key
+/// repeats, else drops the oldest event. A drain hands out
+/// `coalesce_newest(r)`.
+struct RingModel {
+    config: IngestConfig,
+    r: Vec<BeaconEvent>,
+    cap: usize,
+    grown: u64,
+    lagged: u64,
+    coalesced_in_ring: u64,
+    stats: IngestStats,
+}
+
+impl RingModel {
+    fn new(config: IngestConfig) -> Self {
+        RingModel {
+            config,
+            r: Vec::new(),
+            cap: config.initial_capacity,
+            grown: 0,
+            lagged: 0,
+            coalesced_in_ring: 0,
+            stats: IngestStats::default(),
+        }
+    }
+
+    fn accept(&mut self, e: BeaconEvent) {
+        if self.r.len() == self.cap {
+            if self.cap < self.config.max_capacity {
+                self.cap = (self.cap * 2).min(self.config.max_capacity);
+                self.grown += 1;
+            } else {
+                let mut collapsed = self.r.clone();
+                let merged = if self.config.coalesce {
+                    coalesce_newest(&mut collapsed)
+                } else {
+                    0
+                };
+                if merged > 0 {
+                    self.r = collapsed;
+                    self.coalesced_in_ring += merged;
+                } else {
+                    self.r.remove(0);
+                    self.lagged += 1;
+                }
+            }
+        }
+        self.r.push(e);
+        self.stats.accepted += 1;
+    }
+
+    fn drain(&mut self) -> IngestBatch {
+        let mut readings = std::mem::take(&mut self.r);
+        let delivered = readings.len();
+        let coalesced_in_batch = coalesce_newest(&mut readings);
+        let batch = IngestBatch {
+            readings,
+            delivered,
+            lagged: std::mem::take(&mut self.lagged),
+            coalesced_in_ring: std::mem::take(&mut self.coalesced_in_ring),
+            coalesced_in_batch,
+        };
+        self.stats.batches += 1;
+        self.stats.delivered += delivered as u64;
+        self.stats.lagged += batch.lagged;
+        self.stats.coalesced_in_ring += batch.coalesced_in_ring;
+        self.stats.coalesced_in_batch += batch.coalesced_in_batch;
+        batch
+    }
+}
+
+/// A batch with every `f64` as its bit pattern, so equality is exact:
+/// `[time, beacon key, rssi]` per reading, then the four counters.
+fn batch_bits(b: &IngestBatch) -> (Vec<[u128; 3]>, [u64; 4]) {
+    let readings = b
+        .readings
+        .iter()
+        .map(|e| {
+            let bits = |x: f64| u128::from(x.to_bits());
+            [bits(e.time), beacon_key(e), bits(e.rssi)]
+        })
+        .collect();
+    let counters = [
+        b.delivered as u64,
+        b.lagged,
+        b.coalesced_in_ring,
+        b.coalesced_in_batch,
+    ];
+    (readings, counters)
+}
+
+/// Event `n` of a stream whose keys repeat with period `keys` (0: every
+/// key distinct); the key is spread over tag slot, generation and reader.
+fn keyed_event(n: u64, keys: u64) -> BeaconEvent {
+    let key = if keys == 0 { n } else { n % keys };
+    BeaconEvent {
+        time: n as f64 * 0.25,
+        tag: TagKey::new((key / 4) as u32, (key % 2) as u32),
+        reader: (key % 4) as u32,
+        rssi: -50.0 - n as f64 / 8.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The ring matches the naive model of its policy on every output —
+    /// batches bit for bit, stats, capacity and growth — after every
+    /// accept and at every drain, for any burst/drain schedule, ring
+    /// shape, key density and either `coalesce` setting; and each drain
+    /// balances `accepted == delivered + lagged + coalesced_in_ring`.
+    #[test]
+    fn ingest_ring_matches_naive_policy_model(
+        initial in 1usize..6,
+        headroom in 0u32..3,
+        keys_idx in 0usize..4,
+        coalesce in any::<bool>(),
+        bursts in prop::collection::vec(0usize..24, 1..16),
+        drain_after in prop::collection::vec(any::<bool>(), 1..16),
+    ) {
+        let config = IngestConfig {
+            initial_capacity: initial,
+            max_capacity: initial << headroom,
+            coalesce,
+        };
+        let keys = [2, 3, 5, 0][keys_idx];
+        let mut front = IngestFrontEnd::new(config);
+        let mut model = RingModel::new(config);
+        let mut n = 0u64;
+        for (burst, drain) in bursts.iter().zip(drain_after.iter().cycle()) {
+            for _ in 0..*burst {
+                let e = keyed_event(n, keys);
+                n += 1;
+                prop_assert_eq!(front.accept([e]), 1);
+                model.accept(e);
+                prop_assert_eq!(front.stats(), model.stats);
+                prop_assert_eq!(front.capacity(), model.cap);
+                prop_assert_eq!(front.max_capacity(), config.max_capacity);
+                prop_assert_eq!(front.grown(), model.grown);
+            }
+            if *drain {
+                let got = front.drain();
+                prop_assert_eq!(batch_bits(&got), batch_bits(&model.drain()));
+                let s = front.stats();
+                prop_assert_eq!(s, model.stats);
+                prop_assert_eq!(s.accepted, s.delivered + s.lagged + s.coalesced_in_ring);
+            }
+        }
+        prop_assert_eq!(batch_bits(&front.drain()), batch_bits(&model.drain()));
+        let s = front.stats();
+        prop_assert_eq!(s, model.stats);
+        prop_assert_eq!(s.accepted, s.delivered + s.lagged + s.coalesced_in_ring);
+    }
+}
+
+/// Past the ceiling with every key distinct, each accept drops the oldest
+/// event in O(1): four ceilings' worth of distinct keys accept and drain
+/// in well under the timeout, and the batch is exactly the newest
+/// ceiling's worth, in order.
+#[test]
+fn distinct_keys_past_the_ceiling_do_not_stall() {
+    let ceiling = IngestConfig::default().max_capacity;
+    assert_eq!(ceiling, 65_536);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let events: Vec<BeaconEvent> = (0..4 * ceiling as u64).map(|n| keyed_event(n, 0)).collect();
+        let mut front = IngestFrontEnd::new(IngestConfig::default());
+        front.accept(events.iter().copied());
+        let _ = tx.send((front.drain(), events));
+    });
+    let received = rx.recv_timeout(std::time::Duration::from_secs(10));
+    // A stalled worker cannot be joined; fail on the timeout instead.
+    assert!(
+        !matches!(received, Err(std::sync::mpsc::RecvTimeoutError::Timeout)),
+        "accepting 4 x 65,536 distinct keys must not stall at the ceiling"
+    );
+    worker.join().expect("the ring worker must not panic");
+    let (batch, events) = received.expect("the worker sends its batch");
+    assert_eq!(batch.lagged, 3 * ceiling as u64);
+    assert_eq!(batch.delivered, ceiling);
+    assert_eq!(batch.coalesced_in_ring + batch.coalesced_in_batch, 0);
+    assert_eq!(batch.readings, events[3 * ceiling..]);
 }

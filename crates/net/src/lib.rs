@@ -19,6 +19,9 @@
 //!   so gateways never contend on a shared lock; survivors are routed by
 //!   campus-frame reader id ([`ReaderRoute`]) into one ingest ring per
 //!   zone, which feeds that zone's [`vire_sim::IngestServer`] pipeline.
+//!   The ring keeps the newest reading per key as events arrive, so even
+//!   a frame of more distinct keys than the ring's ceiling appends in
+//!   O(1) per event under the zone's ring lock.
 //! - [`client`] — [`GatewayClient`]: the load-generating counterpart
 //!   used by the oracle tests, the `net_throughput` bench, and any
 //!   external gateway.

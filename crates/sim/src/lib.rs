@@ -57,4 +57,4 @@ pub use serve::{DriveReport, IngestServer, ServeConfig};
 pub use smoothing::{SmoothingError, SmoothingKind};
 pub use tag::{TagId, TagRole};
 pub use trace::Trace;
-pub use vire_bus::{BackPressure, BusError, BusRead, EventBus, ReaderToken};
+pub use vire_bus::{BackPressure, BusRead, EventBus, ReaderToken};

@@ -3,8 +3,9 @@
 //!
 //! [`IngestServer`] is the deployment-facing assembly of the streaming
 //! stack. Beacon bursts enter through a [`vire_core::IngestFrontEnd`]
-//! (raw events or trace-schema JSON), ride a resizable coalescing ring,
-//! and are drained in batches into the classic pipeline — reading bus →
+//! (raw events or trace-schema JSON), a ring that keeps the newest
+//! reading per `(tag, reader)` as they arrive, and are drained in batches
+//! into the classic pipeline — reading bus →
 //! [`MiddlewareStage`] → [`vire_core::LocationService::drive`]. Between
 //! drives, [`IngestServer::query`] answers position questions from the
 //! per-tag Kalman state in O(1) without touching (or blocking) ingestion.
@@ -16,11 +17,12 @@
 //! ## Loss accounting
 //!
 //! Overload never loses readings silently. The front end's ring grows
-//! (amortized doubling) while any consumer is keeping up; past its
-//! ceiling, the configured [`vire_bus::BackPressure`] policy coalesces
-//! per-`(tag, reader)` runs down to the newest reading, and every
-//! superseded or dropped event lands in the [`DriveReport`] counters:
-//! `delivered + lagged + coalesced` always equals the events accepted.
+//! (amortized doubling) up to its ceiling; there it gives up the
+//! readings a newer same-`(tag, reader)` reading already superseded, and
+//! drops the oldest only when every buffered key is distinct (or when
+//! [`IngestConfig::coalesce`] is off). Every superseded or dropped event
+//! lands in the [`DriveReport`] counters: `delivered + lagged +
+//! coalesced` always equals the events accepted.
 //! Coalescing is also *harmless* by construction: the smoothing window
 //! and the Kalman fold only ever see the newest reading per key, so a
 //! coalesced drive is bit-identical to replaying only the surviving
@@ -56,7 +58,8 @@ pub struct DriveReport {
     /// Readings delivered into the pipeline this drive.
     pub delivered: usize,
     /// Readings hard-dropped by the front end since the last drive
-    /// (ceiling reached under the `DropOldest` policy).
+    /// (ceiling reached with every buffered key distinct, or with
+    /// coalescing off).
     pub lagged: u64,
     /// Readings superseded by a newer same-`(tag, reader)` reading —
     /// ring-policy and batch-dedup coalescing combined.

@@ -59,9 +59,17 @@ cargo test -q -p vire-sim --test fabric
 
 # Burst coalescing is pure loss policy: a coalesced serve drive must be
 # bit-identical to replaying only the surviving readings, on every
-# kernel, and no reading may ever be lost silently.
+# kernel, and no reading may ever be lost silently. The ring contract:
+# full at capacity, the ring doubles up to its ceiling; at the ceiling it
+# gives up superseded same-key events, else drops the oldest; a drain is
+# the newest event per key in last-occurrence order, and
+# accepted == delivered + lagged + coalesced_in_ring. The ring must match
+# a naive model of that policy on every output, and must not stall when
+# every key past the ceiling is distinct.
 echo "==> cargo test (ingest coalescing oracle)"
 cargo test -q -p vire-sim --test ingest
+cargo test -q -p vire-core --test properties -- \
+  ingest_ring_matches_naive_policy_model distinct_keys_past_the_ceiling_do_not_stall
 
 # The wire must never change a number: a trace streamed over a real TCP
 # socket (binary and JSON framing) produces estimates bit-identical to
