@@ -105,10 +105,10 @@ pub(crate) struct ElimBuffers {
     order: Vec<usize>,
 }
 
-/// Minimum of `|s − theta|` over an ascending-sorted plane. The minimum is
-/// achieved at a sorted neighbour of `theta`, so two candidates suffice;
-/// the gap itself is computed with the same `(s − θ).abs()` expression as
-/// a full scan, making the result bit-identical to a sequential fold.
+/// Minimum of `|s − theta|` over an ascending-sorted plane. Rounding is
+/// monotone, so the minimum is achieved at a sorted neighbour of `theta`
+/// and two candidates suffice; the gap itself is the same `(s − θ).abs()`
+/// as [`min_gap_scan`], so the two return the same bits.
 fn min_gap_sorted(sorted: &[f64], theta: f64) -> f64 {
     let i = sorted.partition_point(|&s| s < theta);
     let mut m = f64::INFINITY;
@@ -121,16 +121,24 @@ fn min_gap_sorted(sorted: &[f64], theta: f64) -> f64 {
     m
 }
 
-/// Minimum element of `vals`, reduced with lane-parallel accumulators.
-/// `min` over a fixed set is exact and order-independent (the inputs are
-/// finite), so this returns the same value as a sequential fold while
-/// letting the loop vectorize instead of serializing on the FP-min
+/// Minimum of `|s − theta|` over an unsorted plane: a full pass instead
+/// of a binary search, but no sorted planes. Bit-identical to
+/// [`min_gap_sorted`] over the same values (see [`lane_min`]).
+fn min_gap_scan(plane: &[f64], theta: f64) -> f64 {
+    lane_min(plane, |s| (s - theta).abs())
+}
+
+/// Minimum of `f(v)` over `vals`, reduced with lane-parallel
+/// accumulators. `min` over a fixed set of non-NaN values is exact and
+/// order-independent, so this returns the same value as a sequential fold
+/// while letting the loop vectorize instead of serializing on the FP-min
 /// latency chain.
-fn min_value(vals: &[f64]) -> f64 {
-    let mut acc = [f64::INFINITY; 8];
-    let mut chunks = vals.chunks_exact(8);
+fn lane_min(vals: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+    let mut acc = [f64::INFINITY; kernels::LANES];
+    let mut chunks = vals.chunks_exact(kernels::LANES);
     for c in &mut chunks {
         for (a, &v) in acc.iter_mut().zip(c) {
+            let v = f(v);
             if v < *a {
                 *a = v;
             }
@@ -139,7 +147,7 @@ fn min_value(vals: &[f64]) -> f64 {
     let m = chunks
         .remainder()
         .iter()
-        .fold(f64::INFINITY, |m, &v| m.min(v));
+        .fold(f64::INFINITY, |m, &v| m.min(f(v)));
     acc.iter().fold(m, |m, &a| m.min(a))
 }
 
@@ -172,9 +180,13 @@ fn write_below_mask(vals: &[f64], bound: f64, words: &mut [u64]) {
 
 /// Allocation-free elimination over pre-flattened RSSI planes
 /// (`planes[k * nodes + flat]`, the layout [`crate::PreparedVire`] caches).
-/// On success the final mask and per-reader thresholds are left in `buf`
-/// and `true` is returned; `false` means a **fixed** threshold eliminated
-/// every region (adaptive mode always keeps at least one).
+/// `sorted` is the per-reader sorted copy from [`sort_planes`] when the
+/// caller has one: adaptive mode then binary-searches each reader's
+/// smallest gap instead of scanning for it (same bits either way; fixed
+/// mode never looks). On success the final mask and per-reader
+/// thresholds are left in `buf` and `true` is returned; `false` means a
+/// **fixed** threshold eliminated every region (adaptive mode always
+/// keeps at least one).
 ///
 /// Bit-for-bit equivalent to the historical map-building implementation,
 /// but probes cost O(1) instead of a grid pass each:
@@ -195,7 +207,7 @@ fn write_below_mask(vals: &[f64], bound: f64, words: &mut [u64]) {
 /// resulting thresholds, mask, and downstream weights are bit-identical.
 pub(crate) fn eliminate_into(
     planes: &[f64],
-    sorted: &[f64],
+    sorted: Option<&[f64]>,
     nodes: usize,
     reading: &TrackingReading,
     mode: ThresholdMode,
@@ -203,12 +215,7 @@ pub(crate) fn eliminate_into(
 ) -> bool {
     let k_readers = reading.reader_count();
     debug_assert_eq!(planes.len(), k_readers * nodes);
-    // `sorted` is only consulted in adaptive mode; fixed-threshold callers
-    // may pass an empty slice.
-    debug_assert!(
-        matches!(mode, ThresholdMode::Fixed(_)) || sorted.len() == planes.len(),
-        "adaptive elimination needs the sorted planes"
-    );
+    debug_assert!(sorted.is_none_or(|s| s.len() == planes.len()));
 
     match mode {
         ThresholdMode::Fixed(t) => {
@@ -280,10 +287,11 @@ pub(crate) fn eliminate_into(
             // every reader (though not yet a non-empty intersection).
             best.clear();
             for k in 0..k_readers {
-                best.push(min_gap_sorted(
-                    &sorted[k * nodes..(k + 1) * nodes],
-                    reading.at(k),
-                ));
+                let range = k * nodes..(k + 1) * nodes;
+                best.push(match sorted {
+                    Some(sorted) => min_gap_sorted(&sorted[range], reading.at(k)),
+                    None => min_gap_scan(&planes[range], reading.at(k)),
+                });
             }
             let start = best.iter().copied().fold(0.0f64, f64::max).max(min) + step;
 
@@ -296,7 +304,7 @@ pub(crate) fn eliminate_into(
             // The floor exists to stop the *shrinking* phases from
             // whittling an ample consistent region down to a noisy
             // single-cell snap. Empty intersection ⟺ no max-gap below t.
-            let tightest = min_value(maxgap);
+            let tightest = lane_min(maxgap, |v| v);
             let mut t = start;
             while tightest >= t {
                 t += step;
@@ -425,30 +433,34 @@ pub(crate) fn flatten_planes(grid: &VirtualGrid) -> Vec<f64> {
     planes
 }
 
-/// Per-reader ascending-sorted copy of the flattened planes — the
-/// reading-independent search structure [`eliminate_into`] uses for its
-/// phase-1 starting point. [`crate::PreparedVire`] builds this once per
-/// calibration map.
+/// Per-reader ascending-sorted copy of the flattened planes — the search
+/// structure that lets [`eliminate_into`] find each reader's smallest gap
+/// by binary search. [`crate::PreparedVire`] builds it once enough locates
+/// have run against one map to pay for the sort.
+///
+/// Each value is sorted as its [`f64::total_cmp`] integer key (the bits
+/// with the magnitude flipped for negatives), which orders exactly as
+/// `total_cmp` does and maps back to the same bits, but sorts about twice
+/// as fast as the float comparator.
 pub(crate) fn sort_planes(planes: &[f64], k_readers: usize, nodes: usize) -> Vec<f64> {
     debug_assert_eq!(planes.len(), k_readers * nodes);
-    let mut sorted = planes.to_vec();
+    // The transform is its own inverse: it never changes the sign bit.
+    let flip = |bits: i64| bits ^ (((bits >> 63) as u64) >> 1) as i64;
+    let mut keys: Vec<i64> = planes.iter().map(|v| flip(v.to_bits() as i64)).collect();
     for k in 0..k_readers {
-        // Total order (not partial_cmp) so the sorted bytes are a pure
-        // function of the value multiset: the incremental plane repair
-        // (`sorted_vec`) can then reproduce a from-scratch sort
-        // bit-for-bit. Values are finite, so the numeric order is the
-        // same; only bit-equal-but-distinct pairs (±0.0) get a fixed
-        // relative position.
-        sorted[k * nodes..(k + 1) * nodes].sort_unstable_by(f64::total_cmp);
+        keys[k * nodes..(k + 1) * nodes].sort_unstable();
     }
-    sorted
+    keys.into_iter()
+        .map(|key| f64::from_bits(flip(key) as u64))
+        .collect()
 }
 
 /// Runs elimination. Returns `None` when a **fixed** threshold eliminates
 /// every region (adaptive mode always keeps at least one).
 ///
 /// One-shot convenience over the internal `eliminate_into`; hot paths go through
-/// [`crate::PreparedVire`], which reuses the buffers across readings.
+/// [`crate::PreparedVire`], which reuses the buffers across readings. A
+/// single reading never pays for sorted planes: it scans.
 pub fn eliminate(
     grid: &VirtualGrid,
     reading: &TrackingReading,
@@ -456,15 +468,8 @@ pub fn eliminate(
 ) -> Option<EliminationResult> {
     debug_assert_eq!(grid.reader_count(), reading.reader_count());
     let planes = flatten_planes(grid);
-    // The fixed arm never consults the sorted planes — skip the sort.
-    let sorted = match mode {
-        ThresholdMode::Fixed(_) => Vec::new(),
-        ThresholdMode::Adaptive { .. } => {
-            sort_planes(&planes, grid.reader_count(), grid.tag_count())
-        }
-    };
     let mut buf = ElimBuffers::default();
-    if !eliminate_into(&planes, &sorted, grid.tag_count(), reading, mode, &mut buf) {
+    if !eliminate_into(&planes, None, grid.tag_count(), reading, mode, &mut buf) {
         return None;
     }
     Some(EliminationResult {
@@ -478,6 +483,7 @@ mod tests {
     use super::*;
     use crate::types::ReferenceRssiMap;
     use crate::virtual_grid::InterpolationKernel;
+    use proptest::prelude::*;
     use vire_geom::{GridData as GD, Point2, RegularGrid};
 
     fn setup() -> (VirtualGrid, TrackingReading, Point2) {
@@ -592,6 +598,73 @@ mod tests {
         for &t in &r.thresholds {
             assert!(t <= max_t);
             assert!(t >= 0.05);
+        }
+    }
+
+    /// Plane values: RSSI-like decibels plus values around and at ±0.0,
+    /// so ties, signed zeros and exact matches all occur.
+    fn plane_value() -> impl Strategy<Value = f64> {
+        (0u8..5, -95.0..-40.0f64, -1.0..1.0f64).prop_map(|(kind, db, small)| match kind {
+            0 => db,
+            1 => small,
+            2 => 0.0,
+            3 => -0.0,
+            _ => -70.25,
+        })
+    }
+
+    /// A `theta` placed relative to `plane`: below it, above it, equal to
+    /// one of its values, between two neighbouring values, or ±0.0.
+    fn theta_for(plane: &[f64], pick: usize, kind: u8) -> f64 {
+        let mut sorted = plane.to_vec();
+        sorted.sort_unstable_by(f64::total_cmp);
+        let i = pick % sorted.len();
+        let next = sorted[(i + 1).min(sorted.len() - 1)];
+        match kind {
+            0 => sorted[0] - 1.5,
+            1 => sorted[sorted.len() - 1] + 2.25,
+            2 => plane[i],
+            3 => sorted[i] + (next - sorted[i]) / 2.0,
+            4 => 0.0,
+            _ => -0.0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The scan and the binary search agree to the bit, for plane
+        /// lengths on and off the lane width.
+        #[test]
+        fn min_gap_scan_equals_min_gap_sorted(
+            plane in prop::collection::vec(plane_value(), 1..=40),
+            pick in any::<usize>(),
+            kind in 0u8..6,
+        ) {
+            let theta = theta_for(&plane, pick, kind);
+            let sorted = sort_planes(&plane, 1, plane.len());
+            prop_assert_eq!(
+                min_gap_scan(&plane, theta).to_bits(),
+                min_gap_sorted(&sorted, theta).to_bits(),
+                "theta {} over {:?}", theta, plane
+            );
+        }
+
+        /// Sorting integer total-order keys gives the same bytes as
+        /// sorting the floats with `total_cmp`, reader by reader.
+        #[test]
+        fn sort_planes_matches_total_cmp_sort(
+            values in prop::collection::vec(plane_value(), 1..=40),
+            k_readers in 1usize..4,
+        ) {
+            let nodes = values.len().div_ceil(k_readers);
+            let planes: Vec<f64> = values.iter().copied().cycle().take(k_readers * nodes).collect();
+            let mut expected = planes.clone();
+            for plane in expected.chunks_mut(nodes) {
+                plane.sort_unstable_by(f64::total_cmp);
+            }
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&sort_planes(&planes, k_readers, nodes)), bits(&expected));
         }
     }
 }

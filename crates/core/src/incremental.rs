@@ -3,17 +3,20 @@
 //!
 //! Each state owns a mirror of its map, so one instance can outlive any
 //! single snapshot — [`crate::service::LocationService::drive`] keeps one
-//! hot across drives instead of re-interpolating the virtual grid and
-//! re-sorting the elimination planes whenever a calibration cell moves:
+//! hot across drives instead of re-interpolating the whole virtual grid
+//! whenever a calibration cell moves:
 //!
 //! * [`PreparedVire`] — owns the map mirror, the virtual grid with its
-//!   flattened and sorted reader-major planes, and a [`GridPatcher`]. On
+//!   flattened reader-major planes, and a [`GridPatcher`]. On
 //!   [`sync`](OwnedPreparedLocalizer::sync) it re-interpolates only the
-//!   kernel-support region of each changed cell, patches the flattened
-//!   planes in place, and repairs the sorted planes by a chunked merge —
-//!   producing state **bit-identical** to a from-scratch
-//!   [`PreparedVire::build`] (pinned by property tests in
-//!   `tests/incremental.rs`).
+//!   kernel-support region of each changed cell and patches the flattened
+//!   planes in place — producing state **bit-identical** to a
+//!   from-scratch [`PreparedVire::build`] (pinned by property tests in
+//!   `tests/incremental.rs`). The per-reader sorted planes elimination
+//!   can binary-search are never repaired: every map change drops them,
+//!   and locates scan the new planes until enough of them have run to pay
+//!   for a sort ([`SORT_AFTER`](crate::prepared::SORT_AFTER)). A map that
+//!   changes every drive therefore costs its interpolation, not a sort.
 //! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
 //!   baseline, where a dirty cell is an O(1) write into the reader-major
 //!   signal planes.
@@ -31,21 +34,21 @@
 //! full bit-diff of the coarse map against the owned mirror — still only
 //! `readers × nodes` comparisons — recovers the dirty set for maps of
 //! unknown provenance. When more than about a sixth of the coarse cells
-//! moved, the patch touches most fine rows and columns anyway and the
-//! sorted-plane merge dominates, so sync rebuilds instead (the two paths
-//! are bit-identical, so the cutover is invisible).
+//! moved, the patch touches most fine rows and columns anyway, so sync
+//! rebuilds instead (the two paths are bit-identical, so the cutover is
+//! invisible).
 
+use crate::elimination::EliminationResult;
 use crate::landmarc::{Landmarc, LandmarcConfig};
 use crate::localizer::{Estimate, LocalizeError};
 use crate::prepared::{
     landmarc_locate_core, landmarc_planes, with_landmarc_scratch, with_vire_scratch,
     PreparedLocalizer, VireScratch, VireState,
 };
-use crate::sorted_vec;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::{Vire, VireConfig};
 use crate::virtual_grid::{GridPatcher, VirtualGrid};
-use vire_geom::{GridIndex, Point2};
+use vire_geom::{BitGrid, GridIndex, Point2};
 
 /// One changed calibration entry: `(reader, coarse lattice node)`.
 pub type DirtyCell = (usize, GridIndex);
@@ -130,15 +133,27 @@ fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
     a.grid() == b.grid() && a.readers() == b.readers()
 }
 
+/// Whether patching `dirty` coarse cells of `refs` would cost more than
+/// rebuilding in place: true from a sixth of the coarse table on. Spread
+/// dirty cells re-interpolate whole fine rows *and* columns, so the
+/// patch's saving collapses quickly. Measured on the default map (bench
+/// `incremental_prepare`, 3 readers × 16 cells, refine 10, 2-core
+/// x86-64): an in-place rebuild costs about 25 µs, patching 6 cells about
+/// 8–13 µs, 8 cells about the same as a rebuild, and 16 or more
+/// 26–44 µs.
+fn past_rebuild_cutover(dirty: usize, refs: &ReferenceRssiMap) -> bool {
+    6 * dirty >= refs.reader_count() * refs.grid().node_count()
+}
+
 /// VIRE bound to one calibration map, surviving across snapshots.
 ///
 /// Owns a mirror of the calibration map, the interpolated virtual grid,
 /// its per-reader RSSI planes flattened reader-major
 /// (`planes[k * nodes + flat]`) so elimination and weighting scan
-/// contiguous memory, the sorted planes, and the [`GridPatcher`]
-/// retaining the horizontal-pass intermediates.
-/// [`sync`](OwnedPreparedLocalizer::sync) patches all of them in place
-/// for small dirty sets.
+/// contiguous memory, the lazily built sorted planes, and the
+/// [`GridPatcher`] retaining the horizontal-pass intermediates.
+/// [`sync`](OwnedPreparedLocalizer::sync) patches the grid and planes in
+/// place for small dirty sets and drops the sorted planes.
 pub struct PreparedVire {
     state: VireState,
     patcher: GridPatcher,
@@ -147,10 +162,6 @@ pub struct PreparedVire {
     refs: ReferenceRssiMap,
     source_id: u64,
     synced_epoch: u64,
-    /// Per-reader plane-repair batches (old/new values) + merge scratch.
-    removed: Vec<Vec<f64>>,
-    inserted: Vec<Vec<f64>>,
-    survivors: Vec<f64>,
     dirty_scratch: Vec<DirtyCell>,
 }
 
@@ -161,16 +172,12 @@ impl PreparedVire {
     pub fn build(config: &VireConfig, refs: &ReferenceRssiMap) -> Result<Self, LocalizeError> {
         let mirror = refs.clone();
         let (state, patcher) = VireState::build_with_patcher(config, &mirror)?;
-        let k = mirror.reader_count();
         Ok(PreparedVire {
             state,
             patcher,
             refs: mirror,
             source_id: refs.id(),
             synced_epoch: refs.epoch(),
-            removed: vec![Vec::new(); k],
-            inserted: vec![Vec::new(); k],
-            survivors: Vec::new(),
             dirty_scratch: Vec::new(),
         })
     }
@@ -180,10 +187,11 @@ impl PreparedVire {
         &self.state.planes
     }
 
-    /// The per-reader sorted planes (empty under a fixed threshold) — for
-    /// bit-identity tests.
+    /// The per-reader sorted planes (empty under a fixed threshold),
+    /// built now if no locate has built them for the current map yet —
+    /// for bit-identity tests.
     pub fn sorted_planes(&self) -> &[f64] {
-        &self.state.sorted
+        self.state.sorted_planes()
     }
 
     /// The cached virtual grid.
@@ -208,9 +216,26 @@ impl PreparedVire {
         self.locate_core(reading, scratch).map(|(est, _)| est)
     }
 
+    /// Localizes one reading and also returns the elimination diagnostics
+    /// (the final mask and per-reader thresholds; `None` when the
+    /// LANDMARC fallback produced the estimate).
+    pub fn locate_with_diagnostics(
+        &self,
+        reading: &TrackingReading,
+    ) -> Result<(Estimate, Option<EliminationResult>), LocalizeError> {
+        with_vire_scratch(|scratch| {
+            let (estimate, eliminated) = self.locate_core(reading, scratch)?;
+            let diag = eliminated.then(|| EliminationResult {
+                mask: BitGrid::from_words(*self.grid().grid(), scratch.elim.mask.clone()),
+                thresholds: scratch.elim.thresholds.clone(),
+            });
+            Ok((estimate, diag))
+        })
+    }
+
     /// The query core with its diagnostics flag (see
     /// [`VireState::locate_core`]).
-    pub(crate) fn locate_core(
+    fn locate_core(
         &self,
         reading: &TrackingReading,
         scratch: &mut VireScratch,
@@ -223,51 +248,17 @@ impl PreparedVire {
     /// patch path, regardless of batch size (`sync` adds the rebuild
     /// heuristic on top).
     ///
-    /// After the call, `planes`, `sorted_planes`, and the virtual grid are
-    /// bit-identical to a from-scratch prepare against the mirror.
+    /// After the call, `planes` and the virtual grid are bit-identical to
+    /// a from-scratch prepare against the mirror, and the sorted planes
+    /// are dropped.
     fn apply_dirty(&mut self, dirty: &[DirtyCell]) {
-        let k_readers = self.refs.reader_count();
         let nodes = self.state.grid.tag_count();
-        for batch in self.removed.iter_mut().chain(self.inserted.iter_mut()) {
-            batch.clear();
-        }
-        let VireState {
-            grid,
-            planes,
-            sorted,
-            ..
-        } = &mut self.state;
-        let removed = &mut self.removed;
-        let inserted = &mut self.inserted;
+        let VireState { grid, planes, .. } = &mut self.state;
         self.patcher
-            .patch(grid, &self.refs, dirty, |k, flat, old, new| {
+            .patch(grid, &self.refs, dirty, |k, flat, _old, new| {
                 planes[k * nodes + flat] = new;
-                removed[k].push(old);
-                inserted[k].push(new);
             });
-        if sorted.is_empty() {
-            return; // Fixed threshold: no sorted planes to repair.
-        }
-        for k in 0..k_readers {
-            if removed[k].is_empty() {
-                continue;
-            }
-            let segment = &mut sorted[k * nodes..(k + 1) * nodes];
-            if removed[k].len() <= 8 {
-                // Few moves: per-entry rotate is cheaper than a merge.
-                for (&old, &new) in removed[k].iter().zip(&inserted[k]) {
-                    let hit = sorted_vec::replace(segment, old, new);
-                    debug_assert!(hit, "stale sorted plane");
-                }
-            } else {
-                sorted_vec::merge_replace(
-                    segment,
-                    &mut removed[k],
-                    &mut inserted[k],
-                    &mut self.survivors,
-                );
-            }
-        }
+        self.state.invalidate_sorted();
     }
 
     fn rebuild(&mut self, refs: &ReferenceRssiMap) {
@@ -281,14 +272,13 @@ impl PreparedVire {
             self.state.rebuild_in_place(&self.refs, &mut self.patcher);
             return;
         }
+        // A new lattice or reader set: a fresh state, whose sorted planes
+        // are unbuilt.
         self.refs = refs.clone();
         let (state, patcher) = VireState::build_with_patcher(&self.state.config, &self.refs)
             .expect("refine was validated when this instance was built");
         self.state = state;
         self.patcher = patcher;
-        let k = self.refs.reader_count();
-        self.removed = vec![Vec::new(); k];
-        self.inserted = vec![Vec::new(); k];
     }
 }
 
@@ -324,8 +314,7 @@ impl OwnedPreparedLocalizer for PreparedVire {
         // rebuild-vs-patch is a perf choice only (both bit-identical).
         if refs.id() == self.source_id
             && refs.changes_since(self.synced_epoch).is_some()
-            && 6 * (refs.epoch() - self.synced_epoch) as usize
-                >= refs.reader_count() * refs.grid().node_count()
+            && past_rebuild_cutover((refs.epoch() - self.synced_epoch) as usize, refs)
         {
             self.rebuild(refs);
             self.source_id = refs.id();
@@ -343,13 +332,7 @@ impl OwnedPreparedLocalizer for PreparedVire {
         );
         let outcome = if dirty.is_empty() {
             SyncOutcome::Reused
-        } else if 6 * dirty.len() >= refs.reader_count() * refs.grid().node_count() {
-            // Break-even: spread dirty cells touch whole fine rows *and*
-            // columns, so the interpolation saving collapses quickly while
-            // the sorted-plane merge still pays per changed fine value —
-            // measured on the default map (bench `incremental_prepare`),
-            // patching loses to rebuild beyond roughly a sixth of the
-            // coarse table.
+        } else if past_rebuild_cutover(dirty.len(), refs) {
             self.rebuild(refs);
             SyncOutcome::Rebuilt
         } else {

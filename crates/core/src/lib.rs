@@ -64,7 +64,6 @@ pub mod proximity;
 pub mod quality;
 pub mod scattered;
 pub mod service;
-pub mod sorted_vec;
 pub mod tracking;
 pub mod trilateration;
 pub mod types;

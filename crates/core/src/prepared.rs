@@ -2,8 +2,9 @@
 //! map once, then answer many queries cheaply.
 //!
 //! VIRE's map-dependent work — interpolating the virtual grid (§4.2),
-//! flattening and sorting its per-reader RSSI planes — does not depend on
-//! the reading. This module holds the query side of that split:
+//! flattening its per-reader RSSI planes, and (once enough locates run
+//! against one map) sorting them — does not depend on the reading. This
+//! module holds the query side of that split:
 //!
 //! * the [`PreparedLocalizer`] trait every prepared form implements, with
 //!   an order-preserving [`PreparedLocalizer::locate_batch`] that fans a
@@ -23,6 +24,8 @@
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use crate::elimination::{eliminate_into, flatten_planes, sort_planes, ElimBuffers, ThresholdMode};
 use crate::kernels;
@@ -162,19 +165,32 @@ pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
     VIRE_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
+/// The adaptive locate against one map that sorts its planes. Earlier
+/// locates find each reader's smallest gap by scanning its plane; this one
+/// and later ones binary-search the sorted copy (the same bits either
+/// way). On the paper map (refine 10, four readers, 4 × 961 values) one
+/// sort costs about 60 µs and one four-plane scan about 1.3 µs on a
+/// 2-core x86-64 host, so a sort is worth about this many scans: buying
+/// it once the scans have cost as much keeps a map's total within about
+/// 2× of the better fixed policy, whether the map serves a handful of
+/// locates or thousands (ski rental).
+pub const SORT_AFTER: usize = 48;
+
 /// The map-bound core of [`crate::PreparedVire`]: the interpolated
 /// [`VirtualGrid`], the per-reader RSSI planes flattened reader-major
-/// (`planes[k * nodes + flat]`), the per-reader sorted planes, and the
+/// (`planes[k * nodes + flat]`), the lazily sorted planes, and the
 /// resolved threshold mode.
 pub(crate) struct VireState {
     pub(crate) config: VireConfig,
     pub(crate) grid: VirtualGrid,
     pub(crate) planes: Vec<f64>,
-    /// Per-reader ascending-sorted copy of `planes` — elimination's
-    /// reading-independent search structure (nearest-gap lookups).
-    /// Ordered by [`f64::total_cmp`], so the bytes are a pure function of
-    /// each plane's value multiset (the incremental repair relies on it).
-    pub(crate) sorted: Vec<f64>,
+    /// Per-reader ascending-sorted copy of `planes` (empty under a fixed
+    /// threshold), built by the [`SORT_AFTER`]-th locate against the
+    /// current map or by [`VireState::sorted_planes`]. Every map change
+    /// drops it, so it is never stale.
+    sorted: OnceLock<Vec<f64>>,
+    /// Adaptive locates that scanned since the last map change.
+    scans: AtomicUsize,
     /// Threshold mode with the auto candidate floor already resolved to
     /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
     pub(crate) threshold: ThresholdMode,
@@ -183,13 +199,6 @@ pub(crate) struct VireState {
 impl VireState {
     fn from_grid(config: &VireConfig, grid: VirtualGrid) -> Self {
         let planes = flatten_planes(&grid);
-        // The fixed-threshold arm never consults the sorted planes.
-        let sorted = match config.threshold {
-            ThresholdMode::Fixed(_) => Vec::new(),
-            ThresholdMode::Adaptive { .. } => {
-                sort_planes(&planes, grid.reader_count(), grid.tag_count())
-            }
-        };
         // Resolve the auto candidate floor: one physical cell's worth of
         // virtual regions (n²) keeps elimination from degenerating into a
         // single-cell snap (see ThresholdMode::Adaptive::min_candidates).
@@ -211,9 +220,49 @@ impl VireState {
             config: config.clone(),
             grid,
             planes,
-            sorted,
+            sorted: OnceLock::new(),
+            scans: AtomicUsize::new(0),
             threshold,
         }
+    }
+
+    /// The per-reader sorted planes, built on first use (empty under a
+    /// fixed threshold, which never consults them).
+    pub(crate) fn sorted_planes(&self) -> &[f64] {
+        self.sorted.get_or_init(|| match self.threshold {
+            ThresholdMode::Fixed(_) => Vec::new(),
+            ThresholdMode::Adaptive { .. } => sort_planes(
+                &self.planes,
+                self.grid.reader_count(),
+                self.grid.tag_count(),
+            ),
+        })
+    }
+
+    /// The sorted planes for one locate, or `None` to scan instead: the
+    /// first [`SORT_AFTER`] − 1 adaptive locates against a map scan, and
+    /// the next one sorts. Racing locates agree bit-for-bit whichever way
+    /// each goes, and `OnceLock` sorts at most once.
+    fn sorted_for_locate(&self) -> Option<&[f64]> {
+        if let ThresholdMode::Fixed(_) = self.threshold {
+            return None;
+        }
+        if let Some(sorted) = self.sorted.get() {
+            return Some(sorted);
+        }
+        // `Relaxed`: the count publishes nothing; the planes themselves
+        // are published by the `OnceLock`.
+        if self.scans.fetch_add(1, Ordering::Relaxed) + 1 < SORT_AFTER {
+            return None;
+        }
+        Some(self.sorted_planes())
+    }
+
+    /// Drops the sorted planes after a map change, so the next locates
+    /// scan the new planes until sorting them pays again.
+    pub(crate) fn invalidate_sorted(&mut self) {
+        self.sorted.take();
+        *self.scans.get_mut() = 0;
     }
 
     /// Builds the state along with the [`GridPatcher`] the incremental
@@ -233,15 +282,12 @@ impl VireState {
     }
 
     /// Rebuilds the state from `refs` **in place**, reusing the virtual
-    /// grid's field buffers, the flattened planes, and the sorted planes
-    /// — bit-identical to a fresh [`Self::build_with_patcher`], without
-    /// its allocations. `patcher` must be the one built alongside this
-    /// state, and `refs` must span the same lattice and reader set the
-    /// state was built for (the patcher asserts both).
-    ///
-    /// The config-derived parts (`config`, resolved `threshold`, whether
-    /// the sorted planes exist at all) are untouched: they depend only on
-    /// the configuration, never on the map contents.
+    /// grid's field buffers and the flattened planes — bit-identical to a
+    /// fresh [`Self::build_with_patcher`], without its allocations, and
+    /// with the sorted planes dropped as on any map change. `patcher` must
+    /// be the one built alongside this state, and `refs` must span the
+    /// same lattice and reader set the state was built for (the patcher
+    /// asserts both).
     pub(crate) fn rebuild_in_place(&mut self, refs: &ReferenceRssiMap, patcher: &mut GridPatcher) {
         patcher.rebuild(&mut self.grid, refs);
         let nodes = self.grid.tag_count();
@@ -249,13 +295,7 @@ impl VireState {
         for k in 0..self.grid.reader_count() {
             self.planes[k * nodes..(k + 1) * nodes].copy_from_slice(self.grid.field(k).as_slice());
         }
-        if !self.sorted.is_empty() {
-            // Same total-order sort `sort_planes` runs on a fresh build.
-            self.sorted.copy_from_slice(&self.planes);
-            for k in 0..self.grid.reader_count() {
-                self.sorted[k * nodes..(k + 1) * nodes].sort_unstable_by(f64::total_cmp);
-            }
-        }
+        self.invalidate_sorted();
     }
 
     /// Query core shared by every VIRE entry point (prepared, batch, and
@@ -276,7 +316,7 @@ impl VireState {
 
         if !eliminate_into(
             &self.planes,
-            &self.sorted,
+            self.sorted_for_locate(),
             nodes,
             reading,
             self.threshold,

@@ -25,7 +25,6 @@ use crate::prepared::with_vire_scratch;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::virtual_grid::InterpolationKernel;
 use crate::weights::{W1Mode, WeightingMode};
-use vire_geom::BitGrid;
 
 pub use crate::elimination::ThresholdMode;
 pub use crate::weights::WeightingMode as VireWeighting;
@@ -147,15 +146,7 @@ impl Vire {
         reading: &TrackingReading,
     ) -> Result<(Estimate, Option<EliminationResult>), LocalizeError> {
         check_readers(refs, reading)?;
-        let prepared = self.prepare(refs)?;
-        with_vire_scratch(|scratch| {
-            let (estimate, eliminated) = prepared.locate_core(reading, scratch)?;
-            let diag = eliminated.then(|| EliminationResult {
-                mask: BitGrid::from_words(*prepared.grid().grid(), scratch.elim.mask.clone()),
-                thresholds: scratch.elim.thresholds.clone(),
-            });
-            Ok((estimate, diag))
-        })
+        self.prepare(refs)?.locate_with_diagnostics(reading)
     }
 }
 

@@ -2,11 +2,13 @@
 //! arbitrary sequence of calibration-cell writes, a patched
 //! [`PreparedVire`] must be **bit-identical** — flattened planes, sorted
 //! planes, and every estimate — to a fresh [`PreparedVire::build`]
-//! against the final map, for every interpolation kernel.
+//! against the final map, for every interpolation kernel. Sorted planes
+//! built before a map change must never be searched after it.
 
 use proptest::prelude::*;
 use vire_core::elimination::ThresholdMode;
 use vire_core::incremental::SyncOutcome;
+use vire_core::prepared::SORT_AFTER;
 use vire_core::{
     InterpolationKernel, OwnedPreparedLocalizer, PreparedLocalizer, PreparedVire, ReferenceRssiMap,
     TrackingReading, VireConfig,
@@ -147,5 +149,195 @@ proptest! {
         }
         owned.sync(&foreign, &[]);
         assert_matches_fresh(&owned, &config, &foreign)?;
+    }
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A reading whose per-reader RSSI is `value(k)`.
+fn reading_from(readers: usize, value: impl Fn(usize) -> f64) -> TrackingReading {
+    TrackingReading::new((0..readers).map(value).collect())
+}
+
+/// Makes `owned` build its sorted planes for the current map: by asking
+/// for them, or by running more than [`SORT_AFTER`] locates.
+fn build_sorted_planes(owned: &PreparedVire, by_locating: bool) {
+    if by_locating {
+        let probe = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
+        for _ in 0..=SORT_AFTER {
+            owned
+                .locate(&probe)
+                .expect("adaptive elimination keeps a region");
+        }
+    } else {
+        assert!(!owned.sorted_planes().is_empty());
+    }
+}
+
+/// Readings that a stale sorted plane would answer differently: every
+/// reader's θ equal to its new fine value at the node that moved most
+/// (true smallest gaps all zero), the same with the old values, each
+/// reader's new maximum, and a mid-range probe. After a reshape, where
+/// old and new nodes do not correspond, the middle node stands in.
+fn telling_readings(before: &[f64], after: &PreparedVire) -> Vec<TrackingReading> {
+    let planes = after.planes();
+    let nodes = after.grid().tag_count();
+    let readers = planes.len() / nodes;
+    let mut readings = vec![TrackingReading::new(vec![-70.0, -74.5, -77.25])];
+    if before.len() == planes.len() {
+        let moved = (0..planes.len())
+            .max_by(|&a, &b| {
+                (planes[a] - before[a])
+                    .abs()
+                    .total_cmp(&(planes[b] - before[b]).abs())
+            })
+            .expect("planes are non-empty");
+        let node = moved % nodes;
+        readings.push(reading_from(readers, |k| planes[k * nodes + node]));
+        readings.push(reading_from(readers, |k| before[k * nodes + node]));
+    } else {
+        readings.push(reading_from(readers, |k| planes[k * nodes + nodes / 2]));
+    }
+    readings.push(reading_from(readers, |k| {
+        planes[k * nodes..(k + 1) * nodes]
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+    }));
+    readings
+}
+
+/// Every reading localizes on the synced `owned` state exactly as on a
+/// fresh build — estimate, per-reader thresholds and mask to the bit —
+/// and the sorted planes `owned` builds afterwards are the fresh ones.
+fn assert_diagnostics_match_fresh(
+    owned: &PreparedVire,
+    config: &VireConfig,
+    map: &ReferenceRssiMap,
+    readings: &[TrackingReading],
+    stage: &str,
+) {
+    let fresh = PreparedVire::build(config, map).expect("config is non-degenerate");
+    for reading in readings {
+        let (est, diag) = owned
+            .locate_with_diagnostics(reading)
+            .expect("synced locate");
+        let (want, want_diag) = fresh
+            .locate_with_diagnostics(reading)
+            .expect("fresh locate");
+        let (diag, want_diag) = (diag.expect("eliminated"), want_diag.expect("eliminated"));
+        let what = format!("{stage}, {:?}, reading {:?}", config.kernel, reading.rssi());
+        assert_eq!(
+            [est.position.x.to_bits(), est.position.y.to_bits()],
+            [want.position.x.to_bits(), want.position.y.to_bits()],
+            "estimate diverged: {what}"
+        );
+        assert_eq!(est.contributors, want.contributors, "{what}");
+        assert_eq!(
+            est.threshold.map(f64::to_bits),
+            want.threshold.map(f64::to_bits),
+            "{what}"
+        );
+        assert_eq!(
+            bits(&diag.thresholds),
+            bits(&want_diag.thresholds),
+            "thresholds diverged: {what}"
+        );
+        assert_eq!(
+            diag.mask.words(),
+            want_diag.mask.words(),
+            "mask diverged: {what}"
+        );
+    }
+    assert_eq!(
+        bits(owned.sorted_planes()),
+        bits(fresh.sorted_planes()),
+        "sorted planes diverged: {stage}, {:?}",
+        config.kernel
+    );
+}
+
+/// The stale-plane oracle: sorted planes built for one map are dropped on
+/// every kind of map change — one dirty cell (patch), every cell
+/// (in-place rebuild), a new lattice (reshape) — so a locate after `sync`
+/// never binary-searches the old values, on every kernel.
+#[test]
+fn sorted_planes_built_before_a_map_change_are_never_searched_after_it() {
+    for (n, kernel) in kernels().into_iter().enumerate() {
+        let config = VireConfig {
+            kernel,
+            ..VireConfig::default()
+        };
+        let mut map = base_map();
+        let mut owned = PreparedVire::build(&config, &map).expect("default refine prepares");
+
+        // One dirty cell, lifted well above its neighbours: the patch path.
+        build_sorted_planes(&owned, n % 2 == 0);
+        let before = owned.planes().to_vec();
+        let cell = GridIndex::new(1, 2);
+        map.set_rssi(0, cell, map.rssi(0, cell) + 12.0);
+        assert_eq!(owned.sync(&map, &[]), SyncOutcome::Patched(1));
+        let readings = telling_readings(&before, &owned);
+        assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "patch");
+
+        // Every cell: past the cutover, so `rebuild_in_place`.
+        build_sorted_planes(&owned, n % 2 == 1);
+        let before = owned.planes().to_vec();
+        for k in 0..map.reader_count() {
+            for idx in map.grid().indices().collect::<Vec<_>>() {
+                map.set_rssi(k, idx, map.rssi(k, idx) + 7.5);
+            }
+        }
+        assert_eq!(owned.sync(&map, &[]), SyncOutcome::Rebuilt);
+        let readings = telling_readings(&before, &owned);
+        assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "rebuild in place");
+
+        // A different lattice: the reshape rebuild.
+        build_sorted_planes(&owned, n % 2 == 0);
+        let before = owned.planes().to_vec();
+        let grid = RegularGrid::square(Point2::ORIGIN, 0.75, SIDE + 1);
+        let fields = readers()
+            .iter()
+            .map(|r| GridData::from_fn(grid, |_, p| -58.0 - 26.0 * p.distance(*r).max(0.1).log10()))
+            .collect();
+        let reshaped = ReferenceRssiMap::new(grid, readers(), fields);
+        assert_eq!(owned.sync(&reshaped, &[]), SyncOutcome::Rebuilt);
+        let readings = telling_readings(&before, &owned);
+        assert_diagnostics_match_fresh(&owned, &config, &reshaped, &readings, "reshape");
+    }
+}
+
+/// A fresh state's batch races to build its sorted planes on the worker
+/// pool; whichever lane sorts, and whether each lane scanned or searched,
+/// the batch matches sequential locates to the bit.
+#[test]
+fn batch_that_builds_the_sorted_planes_matches_sequential_locates() {
+    let map = base_map();
+    let readings: Vec<TrackingReading> = (0..3 * SORT_AFTER)
+        .map(|n| {
+            let t = n as f64 * 0.37;
+            TrackingReading::new(vec![-66.0 - t % 9.0, -70.0 - t % 7.0, -73.0 - t % 5.0])
+        })
+        .collect();
+    for kernel in kernels() {
+        let config = VireConfig {
+            kernel,
+            ..VireConfig::default()
+        };
+        let batched = PreparedVire::build(&config, &map)
+            .unwrap()
+            .locate_batch(&readings);
+        let sequential = PreparedVire::build(&config, &map).unwrap();
+        for (reading, got) in readings.iter().zip(batched) {
+            let (got, want) = (got.unwrap(), sequential.locate(reading).unwrap());
+            assert_eq!(
+                [got.position.x.to_bits(), got.position.y.to_bits()],
+                [want.position.x.to_bits(), want.position.y.to_bits()],
+                "{kernel:?}"
+            );
+            assert_eq!(got, want, "{kernel:?}");
+        }
     }
 }

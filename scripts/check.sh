@@ -25,9 +25,18 @@ cargo test -p vire-geom -q
 # One prepared state per algorithm: the vector kernels match their scalar
 # oracles, every VIRE entry point (one-shot, prepare, sync from a
 # perturbed map) agrees bit-for-bit, and a patched state equals a fresh
-# build on every interpolation kernel.
+# build on every interpolation kernel. The lazily built sorted planes
+# are dropped on every map change (patch, in-place rebuild, reshape), so
+# no locate searches stale values; and scanning a plane for the smallest
+# gap gives the same bits as binary-searching its sorted copy, so which
+# one a locate takes never shows.
 echo "==> cargo test (prepared-state oracles)"
 cargo test -q -p vire-core --test kernels --test incremental
+cargo test -q -p vire-core --test incremental -- \
+  sorted_planes_built_before_a_map_change_are_never_searched_after_it \
+  batch_that_builds_the_sorted_planes_matches_sequential_locates
+cargo test -q -p vire-core --lib -- \
+  min_gap_scan_equals_min_gap_sorted sort_planes_matches_total_cmp_sort
 
 # The generational tag slab: handle allocation, slot reuse, and the
 # lifetime-safety invariants every layer leans on.
