@@ -26,17 +26,16 @@
 //! [`Localizer::locate`](crate::Localizer::locate) of both algorithms is
 //! prepare-then-locate on the same state.
 //!
-//! Sync resolves what changed in this order: an `(id, epoch)` match means
-//! *nothing* (reuse as-is); the map's change journal yields the exact
-//! dirty cells; a caller-supplied hint (the
+//! The map keeps no change record; its writer names the cells it changed
+//! (the
 //! [`SnapshotSource::take_dirty_cells`](crate::pipeline::SnapshotSource::take_dirty_cells)
-//! seam) narrows the scan when the journal has been truncated; otherwise a
-//! full bit-diff of the coarse map against the owned mirror — still only
-//! `readers × nodes` comparisons — recovers the dirty set for maps of
-//! unknown provenance. When more than about a sixth of the coarse cells
-//! moved, the patch touches most fine rows and columns anyway, so sync
-//! rebuilds instead (the two paths are bit-identical, so the cutover is
-//! invisible).
+//! hint). A new lattice shape rebuilds; a non-empty hint for the map `id`
+//! the state last synced to is deduplicated and filtered by a `to_bits`
+//! compare against the mirror; anything else, an empty hint included,
+//! bit-diffs the coarse map (`readers × nodes` compares). Past about a
+//! sixth of the coarse cells sync rebuilds instead of patching (both are
+//! bit-identical). Debug builds check after every sync that the mirror
+//! equals the map bit for bit, so a hint that misses a cell fails loudly.
 
 use crate::elimination::EliminationResult;
 use crate::landmarc::{Landmarc, LandmarcConfig};
@@ -74,50 +73,44 @@ pub enum SyncOutcome {
 pub trait OwnedPreparedLocalizer: PreparedLocalizer + Send {
     /// Brings the prepared state up to date with `refs`.
     ///
-    /// `hint` is an optional superset of the cells changed since the last
-    /// sync (pass `&[]` when unknown); sources that track their own dirty
-    /// sets (see
-    /// [`SnapshotSource::take_dirty_cells`](crate::pipeline::SnapshotSource::take_dirty_cells))
-    /// thread it here so truncated-journal syncs stay O(hint) instead of
-    /// O(map).
+    /// `hint` names the cells the map's writer changed since the last
+    /// sync (see
+    /// [`SnapshotSource::take_dirty_cells`](crate::pipeline::SnapshotSource::take_dirty_cells)).
+    /// A non-empty hint must name **every** changed cell; it may repeat
+    /// cells or name ones that changed back. It is trusted only when
+    /// `refs` is the map instance (same [`ReferenceRssiMap::id`]) this
+    /// state last synced to. `&[]` is always safe: the state then
+    /// bit-diffs the whole coarse map.
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome;
 }
 
-/// Figures out which coarse cells differ between `mirror` (the owned copy
-/// synced at `synced_epoch` of map `source_id`) and `refs`, writing the
-/// deduplicated set into `out`. Every entry is a real bit-difference.
+/// Sorts `cells` and drops repeats, so a dirty set never holds more than
+/// `readers × nodes` entries.
+pub(crate) fn dedup_cells(cells: &mut Vec<DirtyCell>) {
+    cells.sort_unstable_by_key(|&(k, idx)| (k, idx.j, idx.i));
+    cells.dedup();
+}
+
+/// Writes the deduplicated coarse cells where `mirror` and `refs` differ
+/// into `out`: the `hint` cells that really changed, or, with no trusted
+/// hint, every differing cell of the coarse table (`readers × nodes`
+/// compares). A hint is trusted when it is non-empty and `refs` is the map
+/// instance the state last synced to.
 fn discover_dirty(
     mirror: &ReferenceRssiMap,
     refs: &ReferenceRssiMap,
-    source_id: u64,
-    synced_epoch: u64,
-    hint: &[DirtyCell],
+    hint: Option<&[DirtyCell]>,
     out: &mut Vec<DirtyCell>,
 ) {
     out.clear();
     let differs =
         |k: usize, idx: GridIndex| mirror.rssi(k, idx).to_bits() != refs.rssi(k, idx).to_bits();
-    if refs.id() == source_id {
-        if let Some(changes) = refs.changes_since(synced_epoch) {
-            // Journal entries can cancel out (A→B→A) or repeat; keep only
-            // real net differences, once each.
-            out.extend(changes);
-            out.sort_unstable_by_key(|&(k, idx)| (k, idx.j, idx.i));
-            out.dedup();
-            out.retain(|&(k, idx)| differs(k, idx));
-            return;
-        }
-        if !hint.is_empty() {
-            // Journal truncated but the source vouches for the hint.
-            out.extend(hint.iter().copied());
-            out.sort_unstable_by_key(|&(k, idx)| (k, idx.j, idx.i));
-            out.dedup();
-            out.retain(|&(k, idx)| differs(k, idx));
-            return;
-        }
+    if let Some(hint) = hint {
+        out.extend_from_slice(hint);
+        dedup_cells(out);
+        out.retain(|&(k, idx)| differs(k, idx));
+        return;
     }
-    // Unknown provenance (fresh map identity, or a stale journal with no
-    // hint): bit-diff the whole coarse table — readers × nodes loads.
     for k in 0..refs.reader_count() {
         for idx in refs.grid().indices() {
             if differs(k, idx) {
@@ -157,11 +150,11 @@ fn past_rebuild_cutover(dirty: usize, refs: &ReferenceRssiMap) -> bool {
 pub struct PreparedVire {
     state: VireState,
     patcher: GridPatcher,
-    /// Owned mirror of the source map, bit-identical to it as of
-    /// (`source_id`, `synced_epoch`).
+    /// Owned mirror of the source map, bit-identical to it as of the last
+    /// sync.
     refs: ReferenceRssiMap,
+    /// [`ReferenceRssiMap::id`] of the map last synced to.
     source_id: u64,
-    synced_epoch: u64,
     dirty_scratch: Vec<DirtyCell>,
 }
 
@@ -177,7 +170,6 @@ impl PreparedVire {
             patcher,
             refs: mirror,
             source_id: refs.id(),
-            synced_epoch: refs.epoch(),
             dirty_scratch: Vec::new(),
         })
     }
@@ -294,57 +286,39 @@ impl PreparedLocalizer for PreparedVire {
 
 impl OwnedPreparedLocalizer for PreparedVire {
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
-        if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
-            return SyncOutcome::Reused;
-        }
-        if !same_shape(&self.refs, refs) {
-            self.rebuild(refs);
-            self.source_id = refs.id();
-            self.synced_epoch = refs.epoch();
-            return SyncOutcome::Rebuilt;
-        }
-        // Early cutover: every journal entry is one epoch step, so when
-        // the map identity matches and the journal still reaches back to
-        // the synced epoch, `epoch - synced_epoch` counts the pending
-        // changes without materializing them. If even that raw count (an
-        // upper bound on the deduplicated dirty set) crosses the rebuild
-        // break-even, skip `discover_dirty` entirely — the journal
-        // replay, sort, dedup, and mirror compare it performs are pure
-        // overhead on a sync that was going to rebuild anyway, and
-        // rebuild-vs-patch is a perf choice only (both bit-identical).
-        if refs.id() == self.source_id
-            && refs.changes_since(self.synced_epoch).is_some()
-            && past_rebuild_cutover((refs.epoch() - self.synced_epoch) as usize, refs)
-        {
-            self.rebuild(refs);
-            self.source_id = refs.id();
-            self.synced_epoch = refs.epoch();
-            return SyncOutcome::Rebuilt;
-        }
+        let hint = (refs.id() == self.source_id && !hint.is_empty()).then_some(hint);
+        self.source_id = refs.id();
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        discover_dirty(
-            &self.refs,
-            refs,
-            self.source_id,
-            self.synced_epoch,
-            hint,
-            &mut dirty,
-        );
-        let outcome = if dirty.is_empty() {
-            SyncOutcome::Reused
-        } else if past_rebuild_cutover(dirty.len(), refs) {
+        // A new lattice rebuilds. So does a trusted hint already past the
+        // break-even: its length bounds the deduplicated dirty set from
+        // above, so the sort, dedup and mirror compare of
+        // `discover_dirty` would be pure overhead on a sync that rebuilds
+        // anyway (rebuild and patch are bit-identical).
+        let outcome = if !same_shape(&self.refs, refs)
+            || hint.is_some_and(|h| past_rebuild_cutover(h.len(), refs))
+        {
             self.rebuild(refs);
             SyncOutcome::Rebuilt
         } else {
-            for &(k, idx) in &dirty {
-                self.refs.set_rssi(k, idx, refs.rssi(k, idx));
+            discover_dirty(&self.refs, refs, hint, &mut dirty);
+            if dirty.is_empty() {
+                SyncOutcome::Reused
+            } else if past_rebuild_cutover(dirty.len(), refs) {
+                self.rebuild(refs);
+                SyncOutcome::Rebuilt
+            } else {
+                for &(k, idx) in &dirty {
+                    self.refs.set_rssi(k, idx, refs.rssi(k, idx));
+                }
+                self.apply_dirty(&dirty);
+                SyncOutcome::Patched(dirty.len())
             }
-            self.apply_dirty(&dirty);
-            SyncOutcome::Patched(dirty.len())
         };
-        self.source_id = refs.id();
-        self.synced_epoch = refs.epoch();
         self.dirty_scratch = dirty;
+        debug_assert!(
+            self.refs.same_bits(refs),
+            "VIRE mirror diverged from the map after sync: the hint missed a changed cell"
+        );
         outcome
     }
 }
@@ -368,8 +342,8 @@ pub struct PreparedLandmarc {
     refs: ReferenceRssiMap,
     planes: Vec<f64>,
     positions: Vec<Point2>,
+    /// [`ReferenceRssiMap::id`] of the map last synced to.
     source_id: u64,
-    synced_epoch: u64,
     dirty_scratch: Vec<DirtyCell>,
 }
 
@@ -384,7 +358,6 @@ impl PreparedLandmarc {
             planes,
             positions,
             source_id: refs.id(),
-            synced_epoch: refs.epoch(),
             dirty_scratch: Vec::new(),
         }
     }
@@ -416,35 +389,28 @@ impl PreparedLocalizer for PreparedLandmarc {
 
 impl OwnedPreparedLocalizer for PreparedLandmarc {
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
-        if refs.id() == self.source_id && refs.epoch() == self.synced_epoch {
-            return SyncOutcome::Reused;
-        }
         if !same_shape(&self.refs, refs) {
             *self = PreparedLandmarc::build(self.config, refs);
             return SyncOutcome::Rebuilt;
         }
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        discover_dirty(
-            &self.refs,
-            refs,
-            self.source_id,
-            self.synced_epoch,
-            hint,
-            &mut dirty,
-        );
-        let nodes = self.refs.grid().node_count();
-        let outcome = if dirty.is_empty() {
-            SyncOutcome::Reused
-        } else {
-            for &(k, idx) in &dirty {
-                let value = refs.rssi(k, idx);
-                self.refs.set_rssi(k, idx, value);
-                self.planes[k * nodes + self.refs.grid().flat(idx)] = value;
-            }
-            SyncOutcome::Patched(dirty.len())
-        };
+        let hint = (refs.id() == self.source_id && !hint.is_empty()).then_some(hint);
         self.source_id = refs.id();
-        self.synced_epoch = refs.epoch();
+        let mut dirty = std::mem::take(&mut self.dirty_scratch);
+        discover_dirty(&self.refs, refs, hint, &mut dirty);
+        let nodes = self.refs.grid().node_count();
+        for &(k, idx) in &dirty {
+            let value = refs.rssi(k, idx);
+            self.refs.set_rssi(k, idx, value);
+            self.planes[k * nodes + self.refs.grid().flat(idx)] = value;
+        }
+        debug_assert!(
+            self.refs.same_bits(refs),
+            "LANDMARC mirror diverged from the map after sync: the hint missed a changed cell"
+        );
+        let outcome = match dirty.len() {
+            0 => SyncOutcome::Reused,
+            n => SyncOutcome::Patched(n),
+        };
         self.dirty_scratch = dirty;
         outcome
     }
@@ -472,15 +438,11 @@ mod tests {
         ]
     }
 
-    fn rssi_at(p: Point2, r: Point2) -> f64 {
-        -60.0 - 22.0 * (p.distance(r).max(0.1)).log10()
-    }
-
     fn map() -> ReferenceRssiMap {
         let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 4);
         let fields = readers()
             .iter()
-            .map(|r| GridData::from_fn(grid, |_, p| rssi_at(p, *r)))
+            .map(|r| GridData::from_fn(grid, |_, p| -60.0 - 22.0 * p.distance(*r).max(0.1).log10()))
             .collect();
         ReferenceRssiMap::new(grid, readers(), fields)
     }
@@ -493,29 +455,25 @@ mod tests {
     }
 
     #[test]
-    fn sync_reuses_on_identical_epoch() {
-        let refs = map();
-        let mut owned = Vire::default().prepare(&refs).unwrap();
-        assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Reused);
-    }
-
-    #[test]
-    fn sync_patches_via_the_journal_and_matches_fresh() {
+    fn sync_patches_the_named_cell_and_matches_fresh() {
         let mut refs = map();
         let mut owned = Vire::default().prepare(&refs).unwrap();
+        assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Reused);
         let cell = GridIndex::new(1, 2);
         refs.set_rssi(0, cell, refs.rssi(0, cell) - 4.0);
-        assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Patched(1));
+        assert_eq!(owned.sync(&refs, &[(0, cell)]), SyncOutcome::Patched(1));
         assert_matches_fresh(&owned, &refs);
-        // Second sync: nothing new.
+        // Second sync: the hint names nothing that still differs, and the
+        // full diff finds nothing either.
+        assert_eq!(owned.sync(&refs, &[(0, cell)]), SyncOutcome::Reused);
         assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Reused);
     }
 
     #[test]
-    fn sync_patches_a_fresh_identity_via_full_diff() {
+    fn sync_follows_fresh_identities_and_reshapes() {
         let mut refs = map();
         let mut owned = Vire::default().prepare(&refs).unwrap();
-        // A clone has a new id and empty journal; change two cells.
+        // A clone has a new id; change two cells.
         let mut other = refs.clone();
         other.set_rssi(1, GridIndex::new(3, 3), -88.25);
         other.set_rssi(2, GridIndex::new(0, 0), -86.5);
@@ -529,86 +487,32 @@ mod tests {
         let out = owned.sync(&refs, &[]);
         assert!(matches!(out, SyncOutcome::Patched(_)), "{out:?}");
         assert_matches_fresh(&owned, &refs);
-    }
-
-    #[test]
-    fn sync_rebuilds_on_bulk_change_and_matches_fresh() {
-        let mut refs = map();
-        let mut owned = Vire::default().prepare(&refs).unwrap();
-        for k in 0..refs.reader_count() {
-            for idx in refs.grid().indices().collect::<Vec<_>>() {
-                let v = refs.rssi(k, idx);
-                refs.set_rssi(k, idx, v - 1.5);
-            }
-        }
-        assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Rebuilt);
-        assert_matches_fresh(&owned, &refs);
-    }
-
-    #[test]
-    fn sync_rebuilds_on_lattice_change() {
-        let refs = map();
-        let mut owned = Vire::default().prepare(&refs).unwrap();
+        // A new reader set rebuilds.
         let smaller = refs.without_reader(2).unwrap();
         assert_eq!(owned.sync(&smaller, &[]), SyncOutcome::Rebuilt);
         assert_matches_fresh(&owned, &smaller);
     }
 
     #[test]
-    fn synced_locate_matches_fresh_prepare() {
+    fn hint_path_and_diff_path_agree() {
         let mut refs = map();
-        let mut owned = Vire::default().prepare(&refs).unwrap();
-        refs.set_rssi(1, GridIndex::new(2, 1), -84.75);
-        owned.sync(&refs, &[]);
-        let fresh = Vire::default().prepare(&refs).unwrap();
-        let reading = TrackingReading::new(
-            readers()
-                .iter()
-                .map(|r| rssi_at(Point2::new(1.3, 2.2), *r))
-                .collect(),
-        );
-        assert_eq!(
-            owned.locate(&reading).unwrap(),
-            fresh.locate(&reading).unwrap()
-        );
-    }
-
-    #[test]
-    fn landmarc_owned_patches_signal_table() {
-        let mut refs = map();
-        let mut owned = Landmarc::default().prepare(&refs);
-        let cell = GridIndex::new(1, 1);
-        refs.set_rssi(2, cell, -91.0);
-        assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Patched(1));
-        let fresh = Landmarc::default().prepare(&refs);
-        let reading = TrackingReading::new(
-            readers()
-                .iter()
-                .map(|r| rssi_at(Point2::new(2.2, 0.8), *r))
-                .collect(),
-        );
-        assert_eq!(
-            owned.locate(&reading).unwrap(),
-            fresh.locate(&reading).unwrap()
-        );
-        // The patched signal planes match the fresh instance exactly.
-        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(owned.planes()), bits(fresh.planes()));
-    }
-
-    #[test]
-    fn hint_path_is_used_when_the_journal_is_gone() {
-        let mut refs = map();
-        let mut owned = Vire::default().prepare(&refs).unwrap();
-        // Overflow the journal (capacity 2 × 3 × 16 = 96) with churn on
-        // one cell, netting out to a small real change set.
-        let cell = GridIndex::new(2, 3);
+        let mut hinted = Vire::default().prepare(&refs).unwrap();
+        let mut diffed = Vire::default().prepare(&refs).unwrap();
+        // Churn on one cell, netting out to a small real change set, plus
+        // a cell that changes and reverts.
+        let (a, b) = (GridIndex::new(2, 3), GridIndex::new(0, 1));
         for step in 0..120 {
-            refs.set_rssi(0, cell, -75.0 - (step % 7) as f64 * 0.25);
+            refs.set_rssi(0, a, -75.0 - (step % 7) as f64 * 0.25);
         }
-        assert!(refs.changes_since(0).is_none());
-        let hint = vec![(0usize, cell)];
-        assert_eq!(owned.sync(&refs, &hint), SyncOutcome::Patched(1));
-        assert_matches_fresh(&owned, &refs);
+        let old = refs.rssi(2, b);
+        refs.set_rssi(2, b, old - 3.0);
+        refs.set_rssi(2, b, old);
+        let hint = [(0, a), (2, b), (0, a)];
+        assert_eq!(hinted.sync(&refs, &hint), SyncOutcome::Patched(1));
+        assert_eq!(diffed.sync(&refs, &[]), SyncOutcome::Patched(1));
+        assert_eq!(hinted.sync(&refs, &[]), SyncOutcome::Reused);
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(hinted.planes()), bits(diffed.planes()));
+        assert_matches_fresh(&hinted, &refs);
     }
 }

@@ -100,7 +100,7 @@ pub struct IngestConfig {
     /// per [`beacon_key`] so every tag keeps its newest reading; `false`
     /// hard-drops the oldest events instead — the naive policy, kept as
     /// the reference arm of the overload accuracy comparison
-    /// (`vire-bench/benches/service_latency.rs`).
+    /// (`crates/bench/benches/service_latency.rs`).
     pub coalesce: bool,
 }
 
@@ -264,10 +264,16 @@ impl IngestFrontEnd {
     }
 
     /// Accepts a burst of already-decoded beacon events; returns how many
-    /// were enqueued.
+    /// were enqueued. An event whose time or RSSI is not finite (NaN,
+    /// ±inf) is skipped, as the wire parsers reject it: it is neither
+    /// enqueued nor counted in [`IngestStats::accepted`], so the ledger
+    /// stays balanced.
     pub fn accept(&mut self, events: impl IntoIterator<Item = BeaconEvent>) -> usize {
         let mut n = 0;
         for e in events {
+            if !(e.time.is_finite() && e.rssi.is_finite()) {
+                continue;
+            }
             self.push(e);
             n += 1;
         }

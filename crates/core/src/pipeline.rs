@@ -54,14 +54,17 @@ pub trait SnapshotSource {
     /// Drains the calibration cells whose smoothed RSSI changed since the
     /// previous drain, as `(reader, cell)` pairs.
     ///
-    /// A service keeping an incrementally-patched prepared localizer
-    /// feeds this to
+    /// This is the only record of calibration changes: the map keeps
+    /// none. A service keeping an incrementally patched prepared localizer
+    /// feeds it to
     /// [`OwnedPreparedLocalizer::sync`](crate::incremental::OwnedPreparedLocalizer::sync)
-    /// as a dirty *hint*, which rescues the exact-patch path when the
-    /// map's own change journal has been truncated. Sources that do not
-    /// track cell-level changes keep the default (empty) — consumers then
-    /// fall back to journal or full-diff discovery, so the hint is purely
-    /// an optimization and never affects results.
+    /// as its dirty hint, which patches exactly the named cells. A source
+    /// that overrides this must therefore name **every** cell of the map
+    /// [`reference_map`](SnapshotSource::reference_map) returns that it
+    /// changed since its last drain (repeats and cells that changed back
+    /// are fine). A source that does not track its cells keeps the
+    /// default, which is always safe: an empty hint makes the consumer
+    /// bit-diff the whole coarse map instead.
     fn take_dirty_cells(&mut self) -> Vec<DirtyCell> {
         Vec::new()
     }

@@ -6,7 +6,7 @@
 //! "location sensing system" the paper's introduction motivates, assembled
 //! from the pieces.
 
-use crate::incremental::{DirtyCell, OwnedPreparedLocalizer, SyncOutcome};
+use crate::incremental::{dedup_cells, DirtyCell, OwnedPreparedLocalizer, SyncOutcome};
 use crate::kalman::KalmanTracker;
 use crate::localizer::{Estimate, LocalizeError, Localizer};
 use crate::pipeline::SnapshotSource;
@@ -160,7 +160,9 @@ pub struct LocationService<L: Localizer> {
     /// one slot per tag (a re-dirtied tag updates its reading in place).
     pending: Vec<(TagKey, TrackingReading)>,
     /// Dirty calibration cells drained from the stage but not yet fed to
-    /// [`OwnedPreparedLocalizer::sync`].
+    /// [`OwnedPreparedLocalizer::sync`]. Deduplicated whenever two drains
+    /// merge, so however long the tracking tags stay quiet it holds at
+    /// most `readers × nodes` entries plus one drain.
     pending_dirty: Vec<DirtyCell>,
     /// Tombstones of evicted/churned lifetimes, for `Stale` query answers.
     retired: HashMap<u32, RetiredTrack>,
@@ -354,7 +356,12 @@ impl<L: Localizer> LocationService<L> {
         // Drain the stage exactly once per call, before the map borrow
         // below pins `stage`.
         let drained = stage.changed_readings();
+        // Keep every hinted cell until a sync consumes it, each once.
+        let merge = !self.pending_dirty.is_empty();
         self.pending_dirty.extend(stage.take_dirty_cells());
+        if merge {
+            dedup_cells(&mut self.pending_dirty);
+        }
         self.stash_pending(drained);
         if self.pending.is_empty() {
             return Vec::new();
@@ -719,6 +726,8 @@ mod tests {
         time: f64,
         map: ReferenceRssiMap,
         dirty: Vec<(TagKey, TrackingReading)>,
+        /// Calibration cells written since the last drain.
+        cells: Vec<DirtyCell>,
         complete: bool,
     }
 
@@ -732,6 +741,9 @@ mod tests {
         fn changed_readings(&mut self) -> Vec<(TagKey, TrackingReading)> {
             std::mem::take(&mut self.dirty)
         }
+        fn take_dirty_cells(&mut self) -> Vec<DirtyCell> {
+            std::mem::take(&mut self.cells)
+        }
     }
 
     #[test]
@@ -743,6 +755,7 @@ mod tests {
                 (key(1), reading_at(Point2::new(0.6, 0.6))),
                 (key(2), reading_at(Point2::new(2.4, 2.4))),
             ],
+            cells: Vec::new(),
             complete: true,
         };
         let mut driven = LocationService::new(Vire::default(), ServiceConfig::default());
@@ -783,6 +796,7 @@ mod tests {
             time: 0.0,
             map: map(),
             dirty: vec![(key(1), reading_at(Point2::new(1.0, 1.0)))],
+            cells: Vec::new(),
             complete: false,
         };
         let mut svc = LocationService::new(Vire::default(), ServiceConfig::default());
@@ -807,6 +821,7 @@ mod tests {
             time: 0.0,
             map: map(),
             dirty: vec![(key(1), reading_at(Point2::new(0.6, 0.6)))],
+            cells: Vec::new(),
             complete: true,
         };
         let mut svc = LocationService::new(Vire::default(), ServiceConfig::default());
@@ -834,6 +849,43 @@ mod tests {
         stage.dirty = vec![(key(2), reading_at(Point2::new(2.0, 2.0)))];
         svc.drive(&mut stage);
         assert_eq!(svc.sync_stats().reused, 2);
+    }
+
+    #[test]
+    fn pending_dirty_stays_bounded_while_tracking_tags_are_quiet() {
+        let mut stage = MockStage {
+            time: 0.0,
+            map: map(),
+            dirty: vec![(key(1), reading_at(Point2::new(0.6, 0.6)))],
+            cells: Vec::new(),
+            complete: true,
+        };
+        let mut svc = LocationService::new(Vire::default(), ServiceConfig::default());
+        svc.drive(&mut stage);
+        let (readers, nodes) = (stage.map.reader_count(), stage.map.grid().node_count());
+        // The reference tags keep re-calibrating the map for 10,000
+        // drives while no tracking reading changes: every drive returns
+        // early, and the hint must not grow past the table.
+        for n in 0..10_000 {
+            let (k, idx) = (n % readers, stage.map.grid().unflat(n / readers % nodes));
+            if stage.map.set_rssi(k, idx, -70.0 - (n % 11) as f64 * 0.5) {
+                stage.cells.push((k, idx));
+            }
+            stage.time = n as f64 * 0.01;
+            assert!(svc.drive(&mut stage).is_empty());
+            assert!(svc.pending_dirty.len() <= readers * nodes, "drive {n}");
+        }
+        // The next tracking change syncs through the merged hint and
+        // matches a service localizing against the final map from scratch.
+        let reading = reading_at(Point2::new(2.4, 1.9));
+        stage.time = 100.0;
+        stage.dirty = vec![(key(2), reading.clone())];
+        let out = svc.drive(&mut stage);
+        let expect = LocationService::new(Vire::default(), ServiceConfig::default())
+            .observe(100.0, key(2), &stage.map, &reading)
+            .unwrap();
+        assert_eq!(out[0].1.as_ref().unwrap(), &expect);
+        assert!(svc.pending_dirty.is_empty(), "the sync consumed the hint");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! The data model shared by every localizer.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
@@ -19,48 +18,34 @@ fn fresh_map_id() -> u64 {
 /// (trilateration) and for diagnostics; LANDMARC and VIRE themselves only
 /// compare signal values.
 ///
-/// # Identity, epoch, and change journal
+/// # Identity
 ///
-/// Each map carries a process-unique [`id`](ReferenceRssiMap::id) (fresh
-/// on construction and on clone) and an [`epoch`](ReferenceRssiMap::epoch)
-/// counter bumped by every [`set_rssi`](ReferenceRssiMap::set_rssi) call
-/// that actually changes the stored bits. A bounded journal remembers
-/// which `(reader, node)` entries each epoch step touched, so a consumer
-/// holding prepared state derived from `(id, epoch)` can ask
-/// [`changes_since`](ReferenceRssiMap::changes_since) for the exact cells
-/// to re-interpolate instead of rebuilding from scratch. The journal keeps
-/// the most recent `2 × readers × nodes` changes; when a consumer has
-/// fallen further behind, `changes_since` returns `None` and the consumer
-/// must rebuild.
+/// Each map carries a process-unique [`id`](ReferenceRssiMap::id), fresh
+/// on construction and on clone and stable across
+/// [`set_rssi`](ReferenceRssiMap::set_rssi). The map keeps no record of
+/// which cells changed: the writer names them (the
+/// [`SnapshotSource::take_dirty_cells`](crate::pipeline::SnapshotSource::take_dirty_cells)
+/// hint), and a prepared state trusts those names only for the map whose
+/// `id` it last synced to (see [`crate::incremental`]). A clone is a new
+/// identity, so a hint about the original never describes it.
 #[derive(Debug)]
 pub struct ReferenceRssiMap {
     grid: RegularGrid,
     readers: Vec<Point2>,
     per_reader: Vec<GridData<f64>>,
     id: u64,
-    epoch: u64,
-    /// `(reader, flat node)` per bit-changing `set_rssi`, oldest first.
-    /// Entry `m` from the front moved the epoch from `journal_base + m` to
-    /// `journal_base + m + 1`; `journal_base + journal.len() == epoch`.
-    journal: VecDeque<(u32, u32)>,
-    journal_base: u64,
-    journal_capacity: usize,
 }
 
 impl Clone for ReferenceRssiMap {
-    /// Clones the RSSI data under a **fresh identity**: the copy starts at
-    /// epoch 0 with an empty journal, so prepared state derived from the
-    /// original never mistakes the clone for the map it was built from.
+    /// Clones the RSSI data under a **fresh identity**, so prepared state
+    /// derived from the original never mistakes the clone for the map it
+    /// was built from.
     fn clone(&self) -> Self {
         ReferenceRssiMap {
             grid: self.grid,
             readers: self.readers.clone(),
             per_reader: self.per_reader.clone(),
             id: fresh_map_id(),
-            epoch: 0,
-            journal: VecDeque::new(),
-            journal_base: 0,
-            journal_capacity: self.journal_capacity,
         }
     }
 }
@@ -86,16 +71,11 @@ impl ReferenceRssiMap {
                 "reference RSSI must be finite"
             );
         }
-        let journal_capacity = 2 * readers.len() * grid.node_count();
         ReferenceRssiMap {
             grid,
             readers,
             per_reader,
             id: fresh_map_id(),
-            epoch: 0,
-            journal: VecDeque::new(),
-            journal_base: 0,
-            journal_capacity,
         }
     }
 
@@ -105,36 +85,6 @@ impl ReferenceRssiMap {
     /// [`set_rssi`]: ReferenceRssiMap::set_rssi
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// The number of bit-changing [`set_rssi`] calls applied so far.
-    /// `(id, epoch)` pins the exact RSSI contents: two observations of the
-    /// same map with equal id and epoch hold bit-identical data.
-    ///
-    /// [`set_rssi`]: ReferenceRssiMap::set_rssi
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The `(reader, node)` entries changed since epoch `since`, oldest
-    /// first, or `None` when the journal no longer reaches back that far
-    /// (the caller must rebuild). `since` equal to the current epoch
-    /// yields an empty iterator. Entries may repeat when the same cell
-    /// changed more than once.
-    pub fn changes_since(
-        &self,
-        since: u64,
-    ) -> Option<impl Iterator<Item = (usize, GridIndex)> + '_> {
-        if since > self.epoch || since < self.journal_base {
-            return None;
-        }
-        let skip = (since - self.journal_base) as usize;
-        Some(
-            self.journal
-                .iter()
-                .skip(skip)
-                .map(|&(k, flat)| (k as usize, self.grid.unflat(flat as usize))),
-        )
     }
 
     /// The reference lattice.
@@ -175,9 +125,8 @@ impl ReferenceRssiMap {
     /// uses to refresh only the calibration cells whose smoothed value
     /// actually changed, instead of re-exporting the whole table.
     ///
-    /// Returns `true` when the stored bits changed; only then does the
-    /// [`epoch`](ReferenceRssiMap::epoch) advance and the change land in
-    /// the journal. Writing the bit-identical value is a no-op.
+    /// Returns `true` when the stored bits changed. Writing the
+    /// bit-identical value is a no-op.
     ///
     /// # Panics
     /// Panics when `k` or `idx` is out of range or `value` is non-finite
@@ -188,25 +137,14 @@ impl ReferenceRssiMap {
             return false;
         }
         self.per_reader[k].set(idx, value);
-        self.epoch += 1;
-        if self.journal.len() == self.journal_capacity {
-            self.journal.pop_front();
-            self.journal_base += 1;
-        }
-        self.journal
-            .push_back((k as u32, self.grid.flat(idx) as u32));
         true
     }
 
-    /// Overwrites every RSSI value with `other`'s, in place — the bulk
-    /// counterpart of [`set_rssi`](ReferenceRssiMap::set_rssi), used when
-    /// a consumer's mirror has fallen so far behind that per-cell patching
-    /// loses to wholesale adoption (the rebuild cutover in
-    /// [`crate::incremental`]).
-    ///
-    /// Keeps this map's identity but resets the epoch and clears the
-    /// journal: the history no longer describes how the contents came to
-    /// be, so consumers tracking `(id, epoch)` pairs must re-pin.
+    /// Overwrites every RSSI value with `other`'s, in place, keeping this
+    /// map's identity — the bulk counterpart of
+    /// [`set_rssi`](ReferenceRssiMap::set_rssi), used when a consumer's
+    /// mirror has fallen so far behind that per-cell patching loses to
+    /// wholesale adoption (the rebuild cutover in [`crate::incremental`]).
     ///
     /// # Panics
     /// Panics when the lattices or reader sets differ.
@@ -216,9 +154,19 @@ impl ReferenceRssiMap {
         for (dst, src) in self.per_reader.iter_mut().zip(&other.per_reader) {
             dst.as_mut_slice().copy_from_slice(src.as_slice());
         }
-        self.epoch = 0;
-        self.journal.clear();
-        self.journal_base = 0;
+    }
+
+    /// Whether `other` spans the same lattice and readers and holds the
+    /// same RSSI bits in every cell (identity aside).
+    pub fn same_bits(&self, other: &ReferenceRssiMap) -> bool {
+        self.grid == other.grid
+            && self.readers == other.readers
+            && self.per_reader.iter().zip(&other.per_reader).all(|(a, b)| {
+                a.as_slice()
+                    .iter()
+                    .zip(b.as_slice())
+                    .all(|(x, y)| x.to_bits() == y.to_bits())
+            })
     }
 
     /// The signal-space vector (one RSSI per reader) of the reference tag
@@ -355,66 +303,27 @@ mod tests {
     }
 
     #[test]
-    fn epoch_advances_only_on_bit_changes() {
+    fn set_rssi_reports_only_bit_changes() {
         let mut m = tiny_map();
-        assert_eq!(m.epoch(), 0);
         let idx = GridIndex::new(0, 1);
         let same = m.rssi(0, idx);
         assert!(!m.set_rssi(0, idx, same), "identical bits are a no-op");
-        assert_eq!(m.epoch(), 0);
         assert!(m.set_rssi(0, idx, same - 1.0));
         assert!(m.set_rssi(1, GridIndex::new(1, 0), -55.25));
-        assert_eq!(m.epoch(), 2);
     }
 
     #[test]
-    fn changes_since_replays_the_journal() {
-        let mut m = tiny_map();
-        let a = GridIndex::new(0, 1);
-        let b = GridIndex::new(1, 0);
-        m.set_rssi(0, a, -91.0);
-        m.set_rssi(1, b, -92.0);
-        m.set_rssi(0, a, -93.0);
-        let all: Vec<_> = m.changes_since(0).unwrap().collect();
-        assert_eq!(all, vec![(0, a), (1, b), (0, a)]);
-        let tail: Vec<_> = m.changes_since(2).unwrap().collect();
-        assert_eq!(tail, vec![(0, a)]);
-        assert_eq!(m.changes_since(3).unwrap().count(), 0);
-        assert!(m.changes_since(4).is_none(), "future epoch is unknowable");
-    }
-
-    #[test]
-    fn journal_truncation_forces_rebuild_answer() {
-        let mut m = tiny_map();
-        // Capacity is 2 × readers × nodes = 16 for the tiny map; overflow it.
-        let idx = GridIndex::new(0, 0);
-        for step in 0..20 {
-            m.set_rssi(0, idx, -71.0 - step as f64 * 0.5);
-        }
-        assert_eq!(m.epoch(), 20);
-        assert!(m.changes_since(0).is_none(), "history truncated");
-        assert!(m.changes_since(3).is_none());
-        assert_eq!(m.changes_since(4).unwrap().count(), 16);
-    }
-
-    #[test]
-    fn copy_values_from_adopts_bits_and_resets_history() {
+    fn copy_values_from_adopts_bits_and_keeps_identity() {
         let mut mirror = tiny_map();
         let mut source = mirror.clone();
         source.set_rssi(0, GridIndex::new(1, 0), -97.125);
         source.set_rssi(1, GridIndex::new(0, 1), -55.5);
-        // Give the mirror some history first; the copy must wipe it.
         mirror.set_rssi(0, GridIndex::new(0, 0), -64.0);
+        assert!(!mirror.same_bits(&source));
         let id_before = mirror.id();
         mirror.copy_values_from(&source);
         assert_eq!(mirror.id(), id_before, "identity survives");
-        assert_eq!(mirror.epoch(), 0, "epoch resets");
-        assert_eq!(mirror.changes_since(0).unwrap().count(), 0);
-        for k in 0..source.reader_count() {
-            for idx in source.grid().indices().collect::<Vec<_>>() {
-                assert_eq!(mirror.rssi(k, idx).to_bits(), source.rssi(k, idx).to_bits());
-            }
-        }
+        assert!(mirror.same_bits(&source));
     }
 
     #[test]
@@ -431,10 +340,8 @@ mod tests {
         m.set_rssi(0, GridIndex::new(0, 0), -99.0);
         let c = m.clone();
         assert_ne!(m.id(), c.id());
-        assert_eq!(c.epoch(), 0);
-        assert_eq!(c.changes_since(0).unwrap().count(), 0);
         // Data still matches bit-for-bit.
-        assert_eq!(c.rssi(0, GridIndex::new(0, 0)), -99.0);
+        assert!(c.same_bits(&m));
         // without_reader is a new identity too.
         assert_ne!(m.without_reader(0).unwrap().id(), m.id());
     }

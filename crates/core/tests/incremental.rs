@@ -2,16 +2,20 @@
 //! arbitrary sequence of calibration-cell writes, a patched
 //! [`PreparedVire`] must be **bit-identical** — flattened planes, sorted
 //! planes, and every estimate — to a fresh [`PreparedVire::build`]
-//! against the final map, for every interpolation kernel. Sorted planes
-//! built before a map change must never be searched after it.
+//! against the final map, for every interpolation kernel, whether `sync`
+//! is told the written cells (the writer's hint, repeats and reverts
+//! included) or bit-diffs the map. A hint is trusted only for the map it
+//! describes, and one that misses a cell trips the debug mirror check.
+//! Sorted planes built before a map change must never be searched after
+//! it.
 
 use proptest::prelude::*;
 use vire_core::elimination::ThresholdMode;
 use vire_core::incremental::SyncOutcome;
 use vire_core::prepared::SORT_AFTER;
 use vire_core::{
-    InterpolationKernel, OwnedPreparedLocalizer, PreparedLocalizer, PreparedVire, ReferenceRssiMap,
-    TrackingReading, VireConfig,
+    DirtyCell, InterpolationKernel, Landmarc, OwnedPreparedLocalizer, PreparedLocalizer,
+    PreparedVire, ReferenceRssiMap, TrackingReading, VireConfig,
 };
 use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
@@ -73,48 +77,82 @@ fn assert_matches_fresh(
     Ok(())
 }
 
+/// The coarse cells where `a` and `b` differ.
+fn changed_cells(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> usize {
+    (0..a.reader_count())
+        .map(|k| {
+            a.grid()
+                .indices()
+                .filter(|&idx| a.rssi(k, idx).to_bits() != b.rssi(k, idx).to_bits())
+                .count()
+        })
+        .sum()
+}
+
+/// Whether `sync` rebuilds rather than patches `cells` dirty cells of
+/// the 3-reader, 16-node map: from a sixth of its 48 cells on.
+fn past_cutover(cells: usize) -> bool {
+    6 * cells >= 48
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole invariant: patching after random dirty sequences is
     /// bit-identical to rebuilding, for local and global kernels alike.
+    /// Rounds alternate between passing the written cells as the hint —
+    /// repeats included, and the first `reverts` cells written back to
+    /// their synced value (A→B→A), so the hint names cells that did not
+    /// change — and passing an empty hint (a full diff). Either way sync
+    /// patches exactly the cells that really changed, unless the hint's
+    /// length or the real dirty count crosses the rebuild cutover.
     #[test]
     fn patched_state_is_bit_identical_to_rebuild(
         writes in writes(),
         rounds in 1usize..4,
+        reverts in 0usize..4,
     ) {
-        for kernel in kernels() {
+        for (n, kernel) in kernels().into_iter().enumerate() {
             let config = VireConfig { kernel, ..VireConfig::default() };
             let mut map = base_map();
             let mut owned = PreparedVire::build(&config, &map)
                 .expect("default refine prepares");
-            // Split the write sequence into `rounds` sync batches so the
-            // journal replay crosses several epochs.
+            let mut landmarc = Landmarc::default().prepare(&map);
             let chunk = writes.len().div_ceil(rounds);
-            for batch in writes.chunks(chunk) {
-                let mut cells: Vec<(usize, usize, usize)> =
-                    batch.iter().map(|&(k, i, j, _)| (k, i, j)).collect();
-                cells.sort_unstable();
-                cells.dedup();
-                let epoch_before = map.epoch();
+            for (round, batch) in writes.chunks(chunk).enumerate() {
+                let synced = map.clone();
+                let mut hint: Vec<DirtyCell> = Vec::new();
                 for &(k, i, j, value) in batch {
                     map.set_rssi(k, GridIndex::new(i, j), value);
+                    hint.push((k, GridIndex::new(i, j)));
                 }
-                // Journal length since the last sync (bit-changing writes,
-                // duplicates included) — the early-cutover trigger that
-                // skips `discover_dirty` when a rebuild is certain.
-                let pending = (map.epoch() - epoch_before) as usize;
-                let outcome = owned.sync(&map, &[]);
-                // Below both cutovers (6·dirty < 48 coarse cells on the
-                // deduplicated set, and 6·journal-length < 48 on the raw
-                // pending count) sync must stay on the patch path; at or
-                // above either, rebuilding is also bit-identical, so only
-                // the outcome flag differs.
-                if 6 * cells.len() < 48 && 6 * pending < 48 {
-                    prop_assert!(outcome != SyncOutcome::Rebuilt);
+                for &(k, i, j, _) in batch.iter().take(reverts) {
+                    let idx = GridIndex::new(i, j);
+                    map.set_rssi(k, idx, synced.rssi(k, idx));
                 }
+                let hinted = (n + round) % 2 == 0;
+                let hint: &[DirtyCell] = if hinted { &hint } else { &[] };
+                let real = changed_cells(&synced, &map);
+                let expect = if past_cutover(real) || (hinted && past_cutover(hint.len())) {
+                    SyncOutcome::Rebuilt
+                } else if real == 0 {
+                    SyncOutcome::Reused
+                } else {
+                    SyncOutcome::Patched(real)
+                };
+                prop_assert_eq!(owned.sync(&map, hint), expect, "round {} hinted {}", round, hinted);
+                prop_assert!(owned.refs().same_bits(&map));
+                assert_matches_fresh(&owned, &config, &map)?;
+                let landmarc_expect = match real {
+                    0 => SyncOutcome::Reused,
+                    real => SyncOutcome::Patched(real),
+                };
+                prop_assert_eq!(landmarc.sync(&map, hint), landmarc_expect);
+                let fresh = Landmarc::default().prepare(&map);
+                prop_assert_eq!(bits(landmarc.planes()), bits(fresh.planes()));
+                let probe = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
+                prop_assert_eq!(landmarc.locate(&probe), fresh.locate(&probe));
             }
-            assert_matches_fresh(&owned, &config, &map)?;
         }
     }
 
@@ -136,20 +174,50 @@ proptest! {
         assert_matches_fresh(&owned, &config, &map)?;
     }
 
-    /// A cloned map (fresh identity, no usable journal) still syncs to the
-    /// bit-identical state through the full-diff path.
+    /// A cloned map is a new identity, so a hint naming cells of its
+    /// parent — the map the state last synced to — is ignored, and the
+    /// clone syncs to the bit-identical state through the full diff.
     #[test]
-    fn foreign_map_identity_syncs_via_full_diff(writes in writes()) {
+    fn foreign_map_identity_syncs_via_full_diff(
+        writes in writes(),
+        parent_cells in prop::collection::vec((0..3usize, 0..SIDE, 0..SIDE), 1..4),
+    ) {
         let config = VireConfig::default();
         let map = base_map();
         let mut owned = PreparedVire::build(&config, &map).unwrap();
+        let mut landmarc = Landmarc::default().prepare(&map);
         let mut foreign = map.clone();
         for &(k, i, j, value) in &writes {
             foreign.set_rssi(k, GridIndex::new(i, j), value);
         }
-        owned.sync(&foreign, &[]);
+        let hint: Vec<DirtyCell> = parent_cells
+            .iter()
+            .map(|&(k, i, j)| (k, GridIndex::new(i, j)))
+            .collect();
+        owned.sync(&foreign, &hint);
+        prop_assert!(owned.refs().same_bits(&foreign));
         assert_matches_fresh(&owned, &config, &foreign)?;
+        landmarc.sync(&foreign, &hint);
+        prop_assert_eq!(
+            bits(landmarc.planes()),
+            bits(Landmarc::default().prepare(&foreign).planes())
+        );
     }
+}
+
+/// A hint must name every changed cell: one that misses a cell leaves the
+/// mirror behind the map, and debug builds catch that after the sync
+/// instead of localizing against drifted state.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "the hint missed a changed cell")]
+fn a_hint_that_misses_a_changed_cell_trips_the_mirror_check() {
+    let mut map = base_map();
+    let mut owned = PreparedVire::build(&VireConfig::default(), &map).unwrap();
+    let (a, b) = (GridIndex::new(0, 1), GridIndex::new(2, 2));
+    map.set_rssi(0, a, -80.25);
+    map.set_rssi(1, b, -81.5);
+    owned.sync(&map, &[(0, a)]);
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {

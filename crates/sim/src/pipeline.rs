@@ -8,8 +8,9 @@
 //! `(tag, reader)` cells changed, so downstream exports touch only dirty
 //! state:
 //!
-//! * [`MiddlewareStage::reference_map`] refreshes the cached calibration
-//!   map in place, rewriting only the cells whose smoothed value moved,
+//! * [`MiddlewareStage::reference_map`] exports the calibration map once,
+//!   and each pump rewrites in place only the cells whose smoothed value
+//!   moved,
 //! * [`MiddlewareStage::changed_readings`] drains only the tracking tags
 //!   whose reading vector changed since the last drain,
 //! * [`MiddlewareStage::take_dirty_cells`] drains the calibration cells
@@ -22,7 +23,6 @@
 //! localizing nothing when the deployment is quiet.
 
 use crate::middleware::{Middleware, Reading};
-use crate::reader::ReaderId;
 use crate::tag::TagId;
 use std::collections::{HashMap, HashSet};
 use vire_bus::{EventBus, ReaderToken};
@@ -57,12 +57,14 @@ pub struct MiddlewareStage {
     reference_tags: HashMap<GridIndex, TagId>,
     /// Reference tag -> its lattice node (for dirty classification).
     reference_cells: HashMap<TagId, GridIndex>,
-    /// Last exported calibration map, updated in place.
+    /// Last exported calibration map, updated in place as reference
+    /// readings are pumped. Until its first full export there is nothing
+    /// to update: that export reads every smoothed value itself.
     cached_map: Option<ReferenceRssiMap>,
-    /// Changed reference cells not yet applied to `cached_map`.
-    dirty_ref_cells: Vec<(GridIndex, ReaderId)>,
     /// Cells whose `cached_map` value bit-changed, not yet drained by
     /// [`MiddlewareStage::take_dirty_cells`]; `service_dirty_set` dedups.
+    /// This is the only record of how `cached_map` changed, so every
+    /// bit-changing write lands here.
     service_dirty: Vec<DirtyCell>,
     service_dirty_set: HashSet<DirtyCell>,
     /// Tracking tags with changed readings, in first-dirtied order.
@@ -94,7 +96,6 @@ impl MiddlewareStage {
             reference_tags: HashMap::new(),
             reference_cells: HashMap::new(),
             cached_map: None,
-            dirty_ref_cells: Vec::new(),
             service_dirty: Vec::new(),
             service_dirty_set: HashSet::new(),
             dirty_tracking: Vec::new(),
@@ -132,7 +133,8 @@ impl MiddlewareStage {
     }
 
     /// Drains every new event from the bus through the smoothing filters,
-    /// recording which cells changed. Returns what was consumed.
+    /// writing changed reference cells into the cached map and recording
+    /// which cells changed. Returns what was consumed.
     pub fn pump(&mut self, bus: &EventBus<Reading>) -> PumpStats {
         let read = bus.read(&mut self.token);
         let mut stats = PumpStats {
@@ -150,7 +152,17 @@ impl MiddlewareStage {
             }
             stats.changed += 1;
             if let Some(&cell) = self.reference_cells.get(&reading.tag) {
-                self.dirty_ref_cells.push((cell, reading.reader));
+                let Some(map) = self.cached_map.as_mut() else {
+                    continue;
+                };
+                let value = self
+                    .middleware
+                    .rssi(reading.tag, reading.reader)
+                    .expect("the reading was just ingested");
+                let k = reading.reader.0 as usize;
+                if map.set_rssi(k, cell, value) && self.service_dirty_set.insert((k, cell)) {
+                    self.service_dirty.push((k, cell));
+                }
             } else if self.dirty_tracking_set.insert(reading.tag) {
                 self.dirty_tracking.push(reading.tag);
             }
@@ -181,58 +193,33 @@ impl MiddlewareStage {
 
     /// The reference calibration map, refreshed incrementally.
     ///
-    /// The first successful call performs a full export; afterwards only
-    /// the `(cell, reader)` entries whose smoothed value changed are
-    /// rewritten in the cached map. `None` while some (reference tag,
+    /// The first successful call performs a full export; afterwards
+    /// [`MiddlewareStage::pump`] rewrites only the `(cell, reader)` entries
+    /// whose smoothed value changed. `None` while some (reference tag,
     /// reader) pair has no smoothed value yet.
     pub fn reference_map(&mut self) -> Option<&ReferenceRssiMap> {
         if self.cached_map.is_none() {
+            // The full export reflects every change so far, and a consumer
+            // binding to this brand-new map has no prior state a dirty
+            // hint could patch.
             self.cached_map =
                 self.middleware
                     .reference_map(self.grid, &self.reference_tags, &self.readers);
-            if self.cached_map.is_some() {
-                // The full export already reflects every pending change,
-                // and a consumer binding to this brand-new map has no
-                // prior state a dirty hint could patch.
-                self.dirty_ref_cells.clear();
-            }
-        } else {
-            self.flush_ref_cells();
         }
         self.cached_map.as_ref()
-    }
-
-    /// Applies pending reference-cell changes to the cached map, recording
-    /// the cells whose value actually bit-changed for
-    /// [`MiddlewareStage::take_dirty_cells`].
-    fn flush_ref_cells(&mut self) {
-        let Some(map) = self.cached_map.as_mut() else {
-            return;
-        };
-        for (cell, reader) in self.dirty_ref_cells.drain(..) {
-            let tag = self.reference_tags[&cell];
-            let value = self
-                .middleware
-                .rssi(tag, reader)
-                .expect("a dirty cell was ingested at least once");
-            let k = reader.0 as usize;
-            if map.set_rssi(k, cell, value) && self.service_dirty_set.insert((k, cell)) {
-                self.service_dirty.push((k, cell));
-            }
-        }
     }
 
     /// Drains the calibration cells whose cached-map value bit-changed
     /// since the last drain, as `(reader, cell)` pairs — the
     /// [`SnapshotSource::take_dirty_cells`] seam.
     ///
-    /// Pending reference changes are flushed into the cached map first, so
-    /// the returned set is **complete** up to this call: a consumer that
+    /// The set is **complete** up to the last pump: a consumer that
     /// patches its prepared state by exactly these cells ends up
     /// bit-identical to rebuilding against
-    /// [`MiddlewareStage::reference_map`].
+    /// [`MiddlewareStage::reference_map`]. The cached map keeps no change
+    /// record of its own, so this drain is the hint's only source, and one
+    /// consumer should drain it.
     pub fn take_dirty_cells(&mut self) -> Vec<DirtyCell> {
-        self.flush_ref_cells();
         self.service_dirty_set.clear();
         std::mem::take(&mut self.service_dirty)
     }
@@ -283,6 +270,7 @@ impl SnapshotSource for MiddlewareStage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::ReaderId;
     use crate::smoothing::SmoothingKind;
 
     fn reading(time: f64, tag: u32, reader: u32, rssi: f64) -> Reading {
@@ -411,8 +399,8 @@ mod tests {
             "a fresh full export has no deltas to report"
         );
         // Two updates to one cell plus one to another, drained without an
-        // intervening reference_map() call: the drain flushes them itself
-        // and coalesces the repeat.
+        // intervening reference_map() call: the pump wrote them into the
+        // map, and the drain coalesces the repeat.
         bus.publish(reading(1.0, 0, 0, -90.0));
         bus.publish(reading(2.0, 0, 0, -91.0));
         bus.publish(reading(2.0, 1, 0, -75.0));
@@ -421,13 +409,46 @@ mod tests {
         assert_eq!(dirty.len(), 2);
         assert!(dirty.contains(&(0, GridIndex::new(0, 0))));
         assert!(dirty.contains(&(0, GridIndex::new(1, 0))));
-        // The flush already applied the changes to the cached map.
+        // The pump already applied the changes to the cached map.
         let map = stage.reference_map().expect("still complete");
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -91.0);
         assert!(stage.take_dirty_cells().is_empty(), "drained");
         // Re-publishing the identical value dirties nothing.
         bus.publish(reading(3.0, 0, 0, -91.0));
         stage.pump(&bus);
+        assert!(stage.take_dirty_cells().is_empty());
+    }
+
+    #[test]
+    fn stage_state_stays_bounded_while_the_map_is_incomplete() {
+        let (mut stage, mut bus) = stage_and_bus();
+        // Reference tag 3 is never heard (a dead spot): the map stays
+        // incomplete while tags 0-2 keep re-calibrating. The Debug
+        // rendering shows every buffer the stage holds, so its length
+        // must not grow with the number of drives.
+        let mut first_size = None;
+        for drive in 0..2_000u32 {
+            for n in 0..3u32 {
+                let rssi = -70.0 - n as f64 - (drive % 9) as f64 * 0.5;
+                bus.publish(reading(drive as f64, n, 0, rssi));
+            }
+            stage.pump(&bus);
+            assert!(stage.reference_map().is_none());
+            assert!(stage.take_dirty_cells().is_empty());
+            let size = format!("{stage:?}").len();
+            let first = *first_size.get_or_insert(size);
+            assert!(
+                size <= first + 64,
+                "drive {drive}: state grew from {first} to {size} B"
+            );
+        }
+        // Tag 3 is heard at last: the first export holds every newest
+        // value, with nothing left over for a hint.
+        bus.publish(reading(2_000.0, 3, 0, -77.0));
+        stage.pump(&bus);
+        let map = stage.reference_map().expect("complete");
+        assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -70.5);
+        assert_eq!(map.rssi(0, GridIndex::new(1, 1)), -77.0);
         assert!(stage.take_dirty_cells().is_empty());
     }
 

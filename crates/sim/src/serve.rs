@@ -126,7 +126,8 @@ impl<L: Localizer> IngestServer<L> {
     }
 
     /// Queues a burst of raw beacon events. Returns how many were
-    /// accepted (reference and tracking beacons alike).
+    /// accepted (reference and tracking beacons alike); events with a
+    /// non-finite time or RSSI are skipped (see [`IngestFrontEnd::accept`]).
     pub fn accept(&mut self, events: impl IntoIterator<Item = BeaconEvent>) -> usize {
         self.front.accept(events)
     }

@@ -171,6 +171,81 @@ fn coalesced_ingest_is_bit_identical_to_replaying_survivors() {
     }
 }
 
+/// Non-finite beacons handed straight to the in-process front end (the
+/// wire parsers already reject them) are skipped: the drive must not
+/// panic — a NaN on a tracking tag reaches the smoothing filters, an
+/// infinity on a reference tag reaches the calibration map — the ledger
+/// must balance, and the results must match driving the batch without
+/// them, to the bit, on every kernel.
+#[test]
+fn non_finite_events_are_skipped_not_ingested() {
+    let trace = capture();
+    let tracking = TagKey::new(16, 0); // 16 reference slots, then the tag
+    let reference = TagKey::new(3, 0);
+    for kernel in InterpolationKernel::ALL {
+        let server = || {
+            IngestServer::from_trace(&trace, vire(kernel), ServeConfig::default())
+                .expect("paper testbed trace infers its own deployment")
+        };
+        let (mut clean, mut poisoned) = (server(), server());
+        for chunk in trace.readings.chunks(500) {
+            let events: Vec<BeaconEvent> = chunk.iter().map(to_beacon).collect();
+            let mut mixed = Vec::new();
+            for (n, &e) in events.iter().enumerate() {
+                mixed.push(e);
+                if n % 40 == 0 {
+                    mixed.extend([
+                        BeaconEvent {
+                            tag: tracking,
+                            rssi: f64::NAN,
+                            ..e
+                        },
+                        BeaconEvent {
+                            tag: reference,
+                            rssi: f64::INFINITY,
+                            ..e
+                        },
+                        BeaconEvent {
+                            rssi: f64::NEG_INFINITY,
+                            ..e
+                        },
+                        BeaconEvent {
+                            time: f64::NAN,
+                            ..e
+                        },
+                        BeaconEvent {
+                            time: f64::INFINITY,
+                            tag: reference,
+                            ..e
+                        },
+                    ]);
+                }
+            }
+            assert_eq!(clean.accept(events.iter().copied()), events.len());
+            assert_eq!(
+                poisoned.accept(mixed),
+                events.len(),
+                "non-finite events must not count as accepted"
+            );
+            let (want, got) = (clean.drive(), poisoned.drive());
+            assert_eq!(got.delivered, want.delivered);
+            assert_eq!(got.coalesced, want.coalesced);
+            assert_eq!(
+                bits(&got.results),
+                bits(&want.results),
+                "kernel {kernel:?}: skipping non-finite events changed a number"
+            );
+        }
+        let stats = poisoned.ingest_stats();
+        assert_eq!(stats, clean.ingest_stats());
+        assert_eq!(
+            stats.accepted,
+            stats.delivered + stats.lagged + stats.coalesced_in_ring,
+            "ingest accounting must balance"
+        );
+    }
+}
+
 #[test]
 fn server_answers_queries_between_drives() {
     let trace = capture();

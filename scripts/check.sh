@@ -30,13 +30,21 @@ cargo test -p vire-geom -q
 # no locate searches stale values; and scanning a plane for the smallest
 # gap gives the same bits as binary-searching its sorted copy, so which
 # one a locate takes never shows.
+# The hint contract: a sync patches exactly the cells the writer named
+# (repeats and reverts filtered out by to_bits), or diffs them all; an
+# empty hint is always safe, a hint is trusted only for the map id it
+# describes, and a hint that misses a cell trips the debug mirror check.
 echo "==> cargo test (prepared-state oracles)"
 cargo test -q -p vire-core --test kernels --test incremental
 cargo test -q -p vire-core --test incremental -- \
   sorted_planes_built_before_a_map_change_are_never_searched_after_it \
-  batch_that_builds_the_sorted_planes_matches_sequential_locates
+  batch_that_builds_the_sorted_planes_matches_sequential_locates \
+  patched_state_is_bit_identical_to_rebuild \
+  foreign_map_identity_syncs_via_full_diff \
+  a_hint_that_misses_a_changed_cell_trips_the_mirror_check
 cargo test -q -p vire-core --lib -- \
-  min_gap_scan_equals_min_gap_sorted sort_planes_matches_total_cmp_sort
+  min_gap_scan_equals_min_gap_sorted sort_planes_matches_total_cmp_sort \
+  hint_path_and_diff_path_agree sync_patches_the_named_cell_and_matches_fresh
 
 # The generational tag slab: handle allocation, slot reuse, and the
 # lifetime-safety invariants every layer leans on.
@@ -74,9 +82,15 @@ cargo test -q -p vire-sim --test fabric
 # the newest event per key in last-occurrence order, and
 # accepted == delivered + lagged + coalesced_in_ring. The ring must match
 # a naive model of that policy on every output, and must not stall when
-# every key past the ceiling is distinct.
+# every key past the ceiling is distinct. A non-finite time or RSSI is
+# skipped, uncounted, and changes no number; and no buffer between the
+# ring and the sync grows while the map is incomplete or the tracking
+# tags are quiet.
 echo "==> cargo test (ingest coalescing oracle)"
 cargo test -q -p vire-sim --test ingest
+cargo test -q -p vire-sim --test ingest -- non_finite_events_are_skipped_not_ingested
+cargo test -q -p vire-sim --lib -- stage_state_stays_bounded_while_the_map_is_incomplete
+cargo test -q -p vire-core --lib -- pending_dirty_stays_bounded_while_tracking_tags_are_quiet
 cargo test -q -p vire-core --test properties -- \
   ingest_ring_matches_naive_policy_model distinct_keys_past_the_ceiling_do_not_stall
 
