@@ -36,7 +36,7 @@ pub trait SnapshotSource {
     /// Drains the tracking tags whose smoothed RSSI changed since the
     /// previous drain, with their current reading vectors, in
     /// first-dirtied order. Tags without full reader coverage yet are
-    /// retained for a later drain rather than returned or dropped.
+    /// left out; each is reported once complete.
     fn changed_readings(&mut self) -> Vec<(TagKey, TrackingReading)>;
 
     /// Drains the tracking tags removed upstream since the previous

@@ -67,17 +67,20 @@ impl Middleware {
 
     /// Ingests one reading.
     ///
-    /// Returns `true` when the smoothed value of the `(tag, reader)`
-    /// stream changed (bit-exact comparison) — the dirty signal the
-    /// incremental pipeline stage uses to re-export only touched cells.
-    pub fn ingest(&mut self, reading: Reading) -> bool {
+    /// Returns the new smoothed value of the `(tag, reader)` stream when
+    /// it changed (bit-exact comparison; a stream's first reading always
+    /// does), else `None` — the dirty signal the incremental pipeline
+    /// stage uses to re-export only touched cells.
+    pub fn ingest(&mut self, reading: Reading) -> Option<f64> {
         let filter = self
             .filters
             .entry((reading.tag, reading.reader))
             .or_insert_with(|| self.smoothing.build());
-        let before = filter.value().map(f64::to_bits);
-        filter.update(reading.rssi);
-        let changed = filter.value().map(f64::to_bits) != before;
+        let changed = if filter.update(reading.rssi) {
+            filter.value()
+        } else {
+            None
+        };
         if self.log_capacity > 0 {
             if self.log.len() == self.log_capacity {
                 self.log.pop_front();
@@ -223,19 +226,17 @@ mod tests {
     #[test]
     fn ingest_reports_smoothed_value_changes() {
         let mut mw = Middleware::new(SmoothingKind::MovingAverage(2), false);
-        assert!(mw.ingest(reading(1, 0, -70.0)), "first value is a change");
-        assert!(!mw.ingest(reading(1, 0, -70.0)), "mean unchanged");
-        assert!(mw.ingest(reading(1, 0, -90.0)), "mean moves to -80");
+        // The first value is a change; an unchanged mean is not.
+        assert_eq!(mw.ingest(reading(1, 0, -70.0)), Some(-70.0));
+        assert_eq!(mw.ingest(reading(1, 0, -70.0)), None);
+        assert_eq!(mw.ingest(reading(1, 0, -90.0)), Some(-80.0));
         // Another stream is independent.
-        assert!(mw.ingest(reading(1, 1, -55.0)));
+        assert_eq!(mw.ingest(reading(1, 1, -55.0)), Some(-55.0));
         // A median window absorbing a spike reports no change.
         let mut med = Middleware::new(SmoothingKind::Median(3), false);
         med.ingest(reading(2, 0, -70.0));
         med.ingest(reading(2, 0, -70.0));
-        assert!(
-            !med.ingest(reading(2, 0, -95.0)),
-            "median rejects the spike"
-        );
+        assert_eq!(med.ingest(reading(2, 0, -95.0)), None);
     }
 
     #[test]

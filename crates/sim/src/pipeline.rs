@@ -12,7 +12,8 @@
 //!   and each pump rewrites in place only the cells whose smoothed value
 //!   moved,
 //! * [`MiddlewareStage::changed_readings`] drains only the tracking tags
-//!   whose reading vector changed since the last drain,
+//!   whose reading vector changed since the last drain and that every
+//!   reader has heard,
 //! * [`MiddlewareStage::take_dirty_cells`] drains the calibration cells
 //!   whose cached-map value bit-changed, feeding the service's
 //!   incremental prepared-state patching
@@ -147,18 +148,14 @@ impl MiddlewareStage {
             if reading.time > self.clock {
                 self.clock = reading.time;
             }
-            if !self.middleware.ingest(reading) {
+            let Some(value) = self.middleware.ingest(reading) else {
                 continue;
-            }
+            };
             stats.changed += 1;
             if let Some(&cell) = self.reference_cells.get(&reading.tag) {
                 let Some(map) = self.cached_map.as_mut() else {
                     continue;
                 };
-                let value = self
-                    .middleware
-                    .rssi(reading.tag, reading.reader)
-                    .expect("the reading was just ingested");
                 let k = reading.reader.0 as usize;
                 if map.set_rssi(k, cell, value) && self.service_dirty_set.insert((k, cell)) {
                     self.service_dirty.push((k, cell));
@@ -186,7 +183,9 @@ impl MiddlewareStage {
         self.lagged_total
     }
 
-    /// Number of tracking tags currently marked dirty.
+    /// Number of tracking tags marked dirty since the last
+    /// [`MiddlewareStage::changed_readings`] drain (0 right after one: a
+    /// drain keeps nothing).
     pub fn pending_tracking(&self) -> usize {
         self.dirty_tracking.len()
     }
@@ -225,23 +224,18 @@ impl MiddlewareStage {
     }
 
     /// Drains the tracking tags whose smoothed reading changed since the
-    /// last drain, in first-dirtied order. Tags not yet heard by every
-    /// reader stay pending instead of being returned or dropped.
+    /// last drain, in first-dirtied order, examining each dirty tag once
+    /// and keeping none. A tag some reader has not heard yet is left out:
+    /// that reader's first reading always changes its stream, which
+    /// dirties the tag again, so it is reported once complete.
     pub fn changed_readings(&mut self) -> Vec<(TagId, TrackingReading)> {
         let reader_count = self.readers.len();
-        let mut out = Vec::with_capacity(self.dirty_tracking.len());
-        let mut pending = Vec::new();
-        for tag in std::mem::take(&mut self.dirty_tracking) {
-            match self.middleware.tracking_reading(tag, reader_count) {
-                Some(reading) => {
-                    self.dirty_tracking_set.remove(&tag);
-                    out.push((tag, reading));
-                }
-                None => pending.push(tag),
-            }
-        }
-        self.dirty_tracking = pending;
-        out
+        let middleware = &self.middleware;
+        self.dirty_tracking_set.clear();
+        self.dirty_tracking
+            .drain(..)
+            .filter_map(|tag| Some((tag, middleware.tracking_reading(tag, reader_count)?)))
+            .collect()
     }
 }
 
@@ -359,31 +353,6 @@ mod tests {
         let changed = stage.changed_readings();
         assert_eq!(changed.len(), 1);
         assert_eq!(changed[0].0, TagId::first(11));
-    }
-
-    #[test]
-    fn partially_heard_tracking_tags_stay_pending() {
-        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
-        let bus_readers = vec![Point2::new(-1.0, -1.0), Point2::new(2.0, 2.0)];
-        let mut bus = EventBus::with_capacity(16);
-        let mut stage = MiddlewareStage::new(
-            Middleware::new(SmoothingKind::Raw, false),
-            grid,
-            bus_readers,
-            bus.reader(),
-        );
-        // Tag 5 heard by reader 0 only: no complete reading vector yet.
-        bus.publish(reading(0.0, 5, 0, -70.0));
-        stage.pump(&bus);
-        assert!(stage.changed_readings().is_empty());
-        assert_eq!(stage.pending_tracking(), 1);
-        // Reader 1 decodes it -> the reading completes and drains.
-        bus.publish(reading(1.0, 5, 1, -72.0));
-        stage.pump(&bus);
-        let changed = stage.changed_readings();
-        assert_eq!(changed.len(), 1);
-        assert_eq!(changed[0].1.rssi(), &[-70.0, -72.0]);
-        assert_eq!(stage.pending_tracking(), 0);
     }
 
     #[test]

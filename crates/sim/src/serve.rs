@@ -36,9 +36,9 @@ use crate::tag::TagId;
 use crate::trace::{Trace, TraceError};
 use vire_bus::{BackPressure, EventBus};
 use vire_core::{
-    BeaconEvent, IngestBatch, IngestConfig, IngestFrontEnd, IngestStats, LocalizeError, Localizer,
-    LocationQuery, LocationService, QueryResponse, ServiceConfig, TagKey, TrackedEstimate,
-    WireError,
+    parse_wire, BeaconEvent, IngestBatch, IngestConfig, IngestFrontEnd, IngestStats, LocalizeError,
+    Localizer, LocationQuery, LocationService, QueryResponse, ServiceConfig, TagKey,
+    TrackedEstimate, WireError,
 };
 
 /// Configuration for [`IngestServer`].
@@ -77,6 +77,9 @@ pub struct IngestServer<L: Localizer> {
     bus: EventBus<Reading>,
     stage: MiddlewareStage,
     service: LocationService<L>,
+    /// Readers the deployment has; events from any other reader id are
+    /// skipped on accept.
+    reader_count: u32,
     /// Internal-bus events lost between drain and pump. Structurally zero
     /// (one drained batch always fits the bus ceiling); surfaced so the
     /// oracle tests can assert it rather than trust it.
@@ -107,10 +110,12 @@ impl<L: Localizer> IngestServer<L> {
             config.ingest.max_capacity,
             BackPressure::DropOldest,
         );
+        let readers = trace.reader_positions();
+        let reader_count = readers.len() as u32;
         let mut stage = MiddlewareStage::new(
             Middleware::new(config.smoothing, false),
             grid,
-            trace.reader_positions(),
+            readers,
             bus.reader(),
         );
         for (slot, idx) in nodes {
@@ -121,22 +126,26 @@ impl<L: Localizer> IngestServer<L> {
             bus,
             stage,
             service: LocationService::new(localizer, config.service),
+            reader_count,
             internal_lag: 0,
         })
     }
 
     /// Queues a burst of raw beacon events. Returns how many were
-    /// accepted (reference and tracking beacons alike); events with a
-    /// non-finite time or RSSI are skipped (see [`IngestFrontEnd::accept`]).
+    /// accepted (reference and tracking beacons alike). Events from a
+    /// reader id the deployment lacks, or with a non-finite time or RSSI
+    /// (see [`IngestFrontEnd::accept`]), are skipped and not counted.
     pub fn accept(&mut self, events: impl IntoIterator<Item = BeaconEvent>) -> usize {
-        self.front.accept(events)
+        let reader_count = self.reader_count;
+        self.front
+            .accept(events.into_iter().filter(|e| e.reader < reader_count))
     }
 
     /// Queues a burst from trace-schema JSON (wire v1 or v2): either a
     /// bare array of readings or a `{"version": …, "readings": […]}`
-    /// envelope.
+    /// envelope. Skips events as [`IngestServer::accept`] does.
     pub fn accept_json(&mut self, json: &str) -> Result<usize, WireError> {
-        self.front.accept_json(json)
+        Ok(self.accept(parse_wire(json)?))
     }
 
     /// Drains everything queued since the last drive through the
@@ -151,6 +160,10 @@ impl<L: Localizer> IngestServer<L> {
     /// transport's zone ring) through the pipeline, as [`IngestServer::drive`]
     /// does with its own front end's batch. Events queued through
     /// [`IngestServer::accept`] stay queued for the next `drive`.
+    ///
+    /// Every event in `batch` must come from a reader the deployment has
+    /// (a transport's zone ring guarantees this by routing only known
+    /// readers to the zone).
     pub fn drive_batch(&mut self, batch: IngestBatch) -> DriveReport {
         for &e in &batch.readings {
             self.bus.publish(Reading {

@@ -4,7 +4,9 @@
 //! human-movement spike (paper §4.1: "such a factor should be avoided or
 //! filtered out when designing the location sensing system"). The
 //! middleware smooths each (tag, reader) stream with one of these filters
-//! before the localization algorithms see it.
+//! before the localization algorithms see it. A [`Filter`] computes its
+//! smoothed value once per reading, in [`Filter::update`], and keeps it:
+//! [`Filter::value`] only reads the stored value.
 
 use std::collections::VecDeque;
 
@@ -78,33 +80,21 @@ impl SmoothingKind {
     /// Instantiates the filter state, rejecting invalid parameters (zero
     /// window, alpha outside `(0, 1]`) instead of panicking.
     pub fn try_build(self) -> Result<Filter, SmoothingError> {
-        match self {
-            SmoothingKind::Raw => Ok(Filter::Raw { last: None }),
-            SmoothingKind::MovingAverage(n) => {
-                if n == 0 {
-                    return Err(SmoothingError::ZeroWindow);
-                }
-                Ok(Filter::MovingAverage {
-                    window: VecDeque::with_capacity(n),
-                    cap: n,
-                })
+        let window = match self {
+            SmoothingKind::MovingAverage(0) | SmoothingKind::Median(0) => {
+                return Err(SmoothingError::ZeroWindow)
             }
-            SmoothingKind::Ewma(alpha) => {
-                if !(alpha > 0.0 && alpha <= 1.0) {
-                    return Err(SmoothingError::InvalidAlpha(alpha));
-                }
-                Ok(Filter::Ewma { alpha, state: None })
+            SmoothingKind::Ewma(alpha) if !(alpha > 0.0 && alpha <= 1.0) => {
+                return Err(SmoothingError::InvalidAlpha(alpha))
             }
-            SmoothingKind::Median(n) => {
-                if n == 0 {
-                    return Err(SmoothingError::ZeroWindow);
-                }
-                Ok(Filter::Median {
-                    window: VecDeque::with_capacity(n),
-                    cap: n,
-                })
-            }
-        }
+            SmoothingKind::MovingAverage(n) | SmoothingKind::Median(n) => n,
+            SmoothingKind::Raw | SmoothingKind::Ewma(_) => 0,
+        };
+        Ok(Filter {
+            kind: self,
+            window: VecDeque::with_capacity(window),
+            value: None,
+        })
     }
 
     /// Instantiates the filter state.
@@ -117,93 +107,66 @@ impl SmoothingKind {
     }
 }
 
-/// Filter state for one (tag, reader) stream.
+/// Filter state for one (tag, reader) stream: its [`SmoothingKind`], the
+/// sliding window (moving average and median only) and the smoothed
+/// value, computed once per reading.
 #[derive(Debug, Clone)]
-pub enum Filter {
-    /// See [`SmoothingKind::Raw`].
-    Raw {
-        /// Last reading.
-        last: Option<f64>,
-    },
-    /// See [`SmoothingKind::MovingAverage`].
-    MovingAverage {
-        /// Sliding window.
-        window: VecDeque<f64>,
-        /// Window capacity.
-        cap: usize,
-    },
-    /// See [`SmoothingKind::Ewma`].
-    Ewma {
-        /// Newest-reading weight.
-        alpha: f64,
-        /// Current smoothed value.
-        state: Option<f64>,
-    },
-    /// See [`SmoothingKind::Median`].
-    Median {
-        /// Sliding window.
-        window: VecDeque<f64>,
-        /// Window capacity.
-        cap: usize,
-    },
+pub struct Filter {
+    kind: SmoothingKind,
+    window: VecDeque<f64>,
+    value: Option<f64>,
 }
 
 impl Filter {
-    /// Feeds one raw reading.
-    pub fn update(&mut self, x: f64) {
-        match self {
-            Filter::Raw { last } => *last = Some(x),
-            Filter::MovingAverage { window, cap } | Filter::Median { window, cap } => {
-                if window.len() == *cap {
-                    window.pop_front();
-                }
-                window.push_back(x);
+    /// Feeds one raw reading and recomputes the smoothed value. Returns
+    /// whether the value's bits changed (the first reading always does).
+    pub fn update(&mut self, x: f64) -> bool {
+        if let SmoothingKind::MovingAverage(n) | SmoothingKind::Median(n) = self.kind {
+            if self.window.len() == n {
+                self.window.pop_front();
             }
-            Filter::Ewma { alpha, state } => {
-                *state = Some(match *state {
-                    None => x,
-                    Some(s) => *alpha * x + (1.0 - *alpha) * s,
-                });
-            }
+            self.window.push_back(x);
         }
+        let value = match self.kind {
+            SmoothingKind::Raw => x,
+            SmoothingKind::Ewma(alpha) => self.value.map_or(x, |s| alpha * x + (1.0 - alpha) * s),
+            SmoothingKind::MovingAverage(_) => {
+                self.window.iter().sum::<f64>() / self.window.len() as f64
+            }
+            SmoothingKind::Median(_) => median(&self.window),
+        };
+        let changed = self.value.map(f64::to_bits) != Some(value.to_bits());
+        self.value = Some(value);
+        changed
     }
 
     /// Current smoothed value, or `None` before the first reading.
     pub fn value(&self) -> Option<f64> {
-        match self {
-            Filter::Raw { last } => *last,
-            Filter::Ewma { state, .. } => *state,
-            Filter::MovingAverage { window, .. } => {
-                if window.is_empty() {
-                    None
-                } else {
-                    Some(window.iter().sum::<f64>() / window.len() as f64)
-                }
-            }
-            Filter::Median { window, .. } => {
-                if window.is_empty() {
-                    return None;
-                }
-                let mut sorted: Vec<f64> = window.iter().copied().collect();
-                sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                let mid = sorted.len() / 2;
-                Some(if sorted.len() % 2 == 1 {
-                    sorted[mid]
-                } else {
-                    (sorted[mid - 1] + sorted[mid]) / 2.0
-                })
-            }
-        }
+        self.value
     }
 
     /// Number of readings consumed so far that still influence the value
     /// (window length; 1 for Raw/EWMA once primed).
     pub fn fill(&self) -> usize {
-        match self {
-            Filter::Raw { last } => usize::from(last.is_some()),
-            Filter::Ewma { state, .. } => usize::from(state.is_some()),
-            Filter::MovingAverage { window, .. } | Filter::Median { window, .. } => window.len(),
+        match self.kind {
+            SmoothingKind::MovingAverage(_) | SmoothingKind::Median(_) => self.window.len(),
+            SmoothingKind::Raw | SmoothingKind::Ewma(_) => usize::from(self.value.is_some()),
         }
+    }
+}
+
+/// Median of a non-empty window. The stable sort keeps arrival order
+/// among equal readings, and adding `0.0` maps −0.0 to +0.0, so the order
+/// agrees with `partial_cmp` on every finite value (±0.0 ties included)
+/// while staying total: a NaN sorts instead of panicking.
+fn median(window: &VecDeque<f64>) -> f64 {
+    let mut sorted: Vec<f64> = window.iter().copied().collect();
+    sorted.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
     }
 }
 

@@ -171,17 +171,19 @@ fn coalesced_ingest_is_bit_identical_to_replaying_survivors() {
     }
 }
 
-/// Non-finite beacons handed straight to the in-process front end (the
-/// wire parsers already reject them) are skipped: the drive must not
+/// Beacons handed straight to the in-process server from a reader id the
+/// deployment lacks, or with a non-finite time or RSSI (the wire parsers
+/// already reject those), are skipped and not counted: the drive must not
 /// panic — a NaN on a tracking tag reaches the smoothing filters, an
-/// infinity on a reference tag reaches the calibration map — the ledger
-/// must balance, and the results must match driving the batch without
-/// them, to the bit, on every kernel.
+/// infinity or an unknown reader on a reference tag reaches the
+/// calibration map — the ledger must balance, and the results must match
+/// driving the batch without them, to the bit, on every kernel.
 #[test]
-fn non_finite_events_are_skipped_not_ingested() {
+fn unknown_reader_and_non_finite_events_are_skipped_not_ingested() {
     let trace = capture();
     let tracking = TagKey::new(16, 0); // 16 reference slots, then the tag
     let reference = TagKey::new(3, 0);
+    let reader_count = trace.reader_positions().len() as u32;
     for kernel in InterpolationKernel::ALL {
         let server = || {
             IngestServer::from_trace(&trace, vire(kernel), ServeConfig::default())
@@ -219,13 +221,18 @@ fn non_finite_events_are_skipped_not_ingested() {
                             ..e
                         },
                     ]);
+                    for reader in [reader_count, u32::MAX] {
+                        for tag in [reference, tracking] {
+                            mixed.push(BeaconEvent { tag, reader, ..e });
+                        }
+                    }
                 }
             }
             assert_eq!(clean.accept(events.iter().copied()), events.len());
             assert_eq!(
                 poisoned.accept(mixed),
                 events.len(),
-                "non-finite events must not count as accepted"
+                "unknown-reader and non-finite events must not count as accepted"
             );
             let (want, got) = (clean.drive(), poisoned.drive());
             assert_eq!(got.delivered, want.delivered);
@@ -233,7 +240,7 @@ fn non_finite_events_are_skipped_not_ingested() {
             assert_eq!(
                 bits(&got.results),
                 bits(&want.results),
-                "kernel {kernel:?}: skipping non-finite events changed a number"
+                "kernel {kernel:?}: skipping unknown-reader or non-finite events changed a number"
             );
         }
         let stats = poisoned.ingest_stats();
@@ -243,6 +250,11 @@ fn non_finite_events_are_skipped_not_ingested() {
             stats.delivered + stats.lagged + stats.coalesced_in_ring,
             "ingest accounting must balance"
         );
+        // The JSON path skips unknown readers too.
+        let json =
+            format!(r#"[{{"time": 1.0, "tag": 3, "reader": {reader_count}, "rssi": -70.0}}]"#);
+        assert_eq!(poisoned.accept_json(&json).unwrap(), 0);
+        assert_eq!(poisoned.drive().delivered, 0);
     }
 }
 

@@ -82,17 +82,30 @@ cargo test -q -p vire-sim --test fabric
 # the newest event per key in last-occurrence order, and
 # accepted == delivered + lagged + coalesced_in_ring. The ring must match
 # a naive model of that policy on every output, and must not stall when
-# every key past the ceiling is distinct. A non-finite time or RSSI is
-# skipped, uncounted, and changes no number; and no buffer between the
-# ring and the sync grows while the map is incomplete or the tracking
-# tags are quiet.
+# every key past the ceiling is distinct. An event from an unknown reader,
+# or one with a non-finite time or RSSI, is skipped, not counted, and
+# changes no number; and no buffer between the ring and the sync grows
+# while the map is incomplete or the tracking tags are quiet.
 echo "==> cargo test (ingest coalescing oracle)"
 cargo test -q -p vire-sim --test ingest
-cargo test -q -p vire-sim --test ingest -- non_finite_events_are_skipped_not_ingested
+cargo test -q -p vire-sim --test ingest -- unknown_reader_and_non_finite_events_are_skipped_not_ingested
 cargo test -q -p vire-sim --lib -- stage_state_stays_bounded_while_the_map_is_incomplete
 cargo test -q -p vire-core --lib -- pending_dirty_stays_bounded_while_tracking_tags_are_quiet
 cargo test -q -p vire-core --test properties -- \
   ingest_ring_matches_naive_policy_model distinct_keys_past_the_ceiling_do_not_stall
+
+# Middleware smoothing: a filter's value and change flag equal a
+# from-scratch recompute over its reading history, to the bit (the
+# median's order matches partial_cmp, ±0.0 ties in arrival order, and is
+# total, so a non-finite reading cannot panic it). A drain reports each
+# dirty, fully heard tag once and keeps nothing.
+echo "==> cargo test (middleware smoothing oracle)"
+cargo test -q -p vire-sim --test properties -- \
+  filter_value_and_change_flag_match_a_recompute \
+  windowed_filters_take_non_finite_readings_without_panicking
+cargo test -q -p vire-sim --test drain -- \
+  partially_heard_tags_are_left_out_and_reported_once_complete \
+  tags_heard_by_one_reader_do_not_accumulate
 
 # The wire must never change a number: a trace streamed over a real TCP
 # socket (binary and JSON framing) produces estimates bit-identical to
