@@ -11,11 +11,13 @@
 //! * **per-query** — [`vire_sim::IngestServer::query`] between drives,
 //!   which must stay O(1) and oblivious to the offered rate.
 //!
-//! A second workload pits the two back-pressure policies against each
-//! other on an overloaded tag-major burst schedule: `coalesce_vs_drop`
-//! (gated ≥ 1.0 by `scripts/check.sh`) is the mean localization error of
-//! the `DropOldest` arm over the `Coalesce` arm. Coalescing keeps every
-//! tag's newest reading; dropping loses whole tags per burst, so the
+//! A second workload pits two back-pressure policies against each other
+//! on an overloaded tag-major burst schedule: `coalesce_vs_drop` (gated
+//! ≥ 1.0 by `scripts/check.sh`) is the mean localization error of the
+//! drop arm over the coalescing arm. The coalescing arm is the ring at its
+//! ceiling, which keeps every tag's newest reading; the drop arm models a
+//! ring that drops the oldest events instead by offering it only each
+//! burst's newest ceiling's worth, which loses whole tags per burst. The
 //! ratio measures accuracy bought purely by loss *policy* at equal
 //! memory.
 //!
@@ -155,11 +157,17 @@ fn run_rate(trace: &Trace, events_per_sec: usize, snapshots: usize) -> RateSumma
     }
 }
 
+/// Ring ceiling of the overload comparison, events.
+const OVERLOAD_CEILING: usize = 128;
+
 /// Mean localization error of one back-pressure arm over an overloaded
 /// tag-major burst schedule (chunks far larger than the ring ceiling,
-/// readings sorted tag-first so oldest-drop starves whole tags). A tag
-/// the service cannot answer scores as a blind guess at the room center —
-/// the estimate a consumer would fall back to.
+/// readings sorted tag-first so oldest-drop starves whole tags). The drop
+/// arm (`coalesce` false) accepts only the newest [`OVERLOAD_CEILING`]
+/// events of each burst: exactly what a ring dropping the oldest event at
+/// that ceiling delivers. A tag the service cannot answer scores as a
+/// blind guess at the room center — the estimate a consumer would fall
+/// back to.
 fn overload_error(trace: &Trace, coalesce: bool) -> f64 {
     let mut server = IngestServer::from_trace(
         trace,
@@ -167,8 +175,7 @@ fn overload_error(trace: &Trace, coalesce: bool) -> f64 {
         ServeConfig {
             ingest: IngestConfig {
                 initial_capacity: 16,
-                max_capacity: 128,
-                coalesce,
+                max_capacity: OVERLOAD_CEILING,
             },
             service: ServiceConfig::default(),
             // Raw smoothing: the policy comparison measures loss, not
@@ -199,7 +206,12 @@ fn overload_error(trace: &Trace, coalesce: bool) -> f64 {
         let mut burst = chunk.to_vec();
         burst.sort_by_key(|r| r.tag); // stable: time order kept per tag
         let now = chunk.last().unwrap().time;
-        server.accept(burst.iter().map(|r| BeaconEvent {
+        let offered = if coalesce {
+            &burst[..]
+        } else {
+            &burst[burst.len().saturating_sub(OVERLOAD_CEILING)..]
+        };
+        server.accept(offered.iter().map(|r| BeaconEvent {
             time: r.time,
             tag: TagKey::new(r.tag, r.generation),
             reader: r.reader,

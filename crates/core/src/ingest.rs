@@ -31,9 +31,6 @@
 //!   [`IngestFrontEnd::drain`] is one in-order walk; the superseded
 //!   events are the batch's [`IngestBatch::coalesced_in_batch`].
 //!
-//! With [`IngestConfig::coalesce`] off the ring keeps no index, drops the
-//! oldest event at the ceiling, and runs [`coalesce_newest`] at drain.
-//!
 //! The wire format is the `vire-sim` trace schema (versions 1 and 2):
 //! [`IngestFrontEnd::accept_json`] takes either a full trace object or a
 //! bare array of readings, so captured traces and live gateway payloads
@@ -96,12 +93,6 @@ pub struct IngestConfig {
     pub initial_capacity: usize,
     /// Capacity ceiling; past it beacon runs coalesce per [`beacon_key`].
     pub max_capacity: usize,
-    /// Back-pressure policy past the ceiling: `true` (default) coalesces
-    /// per [`beacon_key`] so every tag keeps its newest reading; `false`
-    /// hard-drops the oldest events instead — the naive policy, kept as
-    /// the reference arm of the overload accuracy comparison
-    /// (`crates/bench/benches/service_latency.rs`).
-    pub coalesce: bool,
 }
 
 impl Default for IngestConfig {
@@ -109,7 +100,6 @@ impl Default for IngestConfig {
         IngestConfig {
             initial_capacity: 64,
             max_capacity: 65_536,
-            coalesce: true,
         }
     }
 }
@@ -209,10 +199,10 @@ pub struct IngestFrontEnd {
     slots: Vec<Option<BeaconEvent>>,
     /// No live event sits below this slot.
     front: usize,
-    /// When coalescing: [`beacon_key`] → slot of that key's newest event.
-    /// Keys arrive from the wire, so the map keeps the default keyed
-    /// hasher: crafted collisions cannot degrade it.
-    newest: Option<HashMap<u128, usize>>,
+    /// [`beacon_key`] → slot of that key's newest event. Keys arrive from
+    /// the wire, so the map keeps the default keyed hasher: crafted
+    /// collisions cannot degrade it.
+    newest: HashMap<u128, usize>,
     /// Buffered events: the live slots plus the `superseded` ones.
     len: usize,
     /// Events superseded by a newer same-key event since the last drain
@@ -237,7 +227,6 @@ impl IngestFrontEnd {
         let IngestConfig {
             initial_capacity,
             max_capacity,
-            coalesce,
         } = config;
         assert!(
             initial_capacity > 0,
@@ -251,7 +240,7 @@ impl IngestFrontEnd {
         IngestFrontEnd {
             slots: Vec::with_capacity(initial_capacity),
             front: 0,
-            newest: coalesce.then(HashMap::new),
+            newest: HashMap::new(),
             len: 0,
             superseded: 0,
             cap: initial_capacity,
@@ -290,11 +279,9 @@ impl IngestFrontEnd {
             self.compact();
         }
         let slot = self.slots.len();
-        if let Some(newest) = &mut self.newest {
-            if let Some(older) = newest.insert(beacon_key(&e), slot) {
-                self.slots[older] = None;
-                self.superseded += 1;
-            }
+        if let Some(older) = self.newest.insert(beacon_key(&e), slot) {
+            self.slots[older] = None;
+            self.superseded += 1;
         }
         self.slots.push(Some(e));
         self.len += 1;
@@ -317,9 +304,7 @@ impl IngestFrontEnd {
                 .map(|i| self.front + i)
                 .expect("a full ring holds a live event");
             let e = self.slots[oldest].take().expect("live slot");
-            if let Some(newest) = &mut self.newest {
-                newest.remove(&beacon_key(&e));
-            }
+            self.newest.remove(&beacon_key(&e));
             self.front = oldest + 1;
             self.len -= 1;
             self.lagged += 1;
@@ -333,9 +318,7 @@ impl IngestFrontEnd {
         let mut kept = 0;
         for i in self.front..self.slots.len() {
             if let Some(e) = self.slots[i] {
-                if let Some(newest) = &mut self.newest {
-                    *newest.get_mut(&beacon_key(&e)).expect("indexed") = kept;
-                }
+                *self.newest.get_mut(&beacon_key(&e)).expect("indexed") = kept;
                 self.slots[kept] = Some(e);
                 kept += 1;
             }
@@ -359,13 +342,8 @@ impl IngestFrontEnd {
         let delivered = self.len;
         let mut readings = Vec::with_capacity(self.len - self.superseded as usize);
         readings.extend(self.slots[self.front..].iter().flatten());
-        let coalesced_in_batch = match &mut self.newest {
-            Some(newest) => {
-                newest.clear();
-                self.superseded
-            }
-            None => coalesce_newest(&mut readings),
-        };
+        self.newest.clear();
+        let coalesced_in_batch = self.superseded;
         let lagged = std::mem::take(&mut self.lagged);
         let coalesced_in_ring = std::mem::take(&mut self.coalesced_in_ring);
         self.slots.clear();
@@ -536,7 +514,6 @@ mod tests {
         IngestFrontEnd::new(IngestConfig {
             initial_capacity: 2,
             max_capacity: 4,
-            coalesce: true,
         })
     }
 
@@ -635,8 +612,7 @@ mod tests {
             for n in 0..1_000 {
                 front.accept([ev(n as f64, n % keys, 0, 0, -60.0)]);
                 assert!(front.slots.len() <= 2 * front.max_capacity());
-                let indexed = front.newest.as_ref().map_or(0, HashMap::len);
-                assert!(indexed <= front.max_capacity());
+                assert!(front.newest.len() <= front.max_capacity());
             }
         }
     }
@@ -704,7 +680,6 @@ mod tests {
         IngestFrontEnd::new(IngestConfig {
             initial_capacity: 0,
             max_capacity: 4,
-            coalesce: true,
         });
     }
 
@@ -714,7 +689,6 @@ mod tests {
         IngestFrontEnd::new(IngestConfig {
             initial_capacity: 8,
             max_capacity: 4,
-            coalesce: true,
         });
     }
 

@@ -23,6 +23,13 @@ use crate::types::{ReferenceRssiMap, TrackingReading};
 /// [`SnapshotSource::reference_map`] refreshes only the calibration cells
 /// that changed. Both are cheap when nothing happened — the property that
 /// lets a service poll a mostly-idle deployment at high frequency.
+///
+/// The source is the only buffer between ingest and locate.
+/// [`LocationService::drive`](crate::LocationService::drive) reads the map
+/// before draining anything and drains nothing while it is `None`, and it
+/// takes the dirty cells only on a drive whose drained readings it
+/// localizes. So a source keeps its dirty state until it is drained, and
+/// once its map is `Some` it must stay `Some` for the rest of that drive.
 pub trait SnapshotSource {
     /// Timestamp of the newest ingested event, seconds. Estimates
     /// produced from the current state carry this time.
@@ -41,9 +48,9 @@ pub trait SnapshotSource {
 
     /// Drains the tracking tags removed upstream since the previous
     /// drain. [`LocationService::drive`](crate::LocationService::drive)
-    /// evicts each one's Kalman track and pending reading **immediately**
-    /// — before the same drive's changed readings are processed — instead
-    /// of letting them linger until the stale-track sweep. The key's
+    /// evicts each one's Kalman track **immediately** — before the same
+    /// drive's changed readings are processed — instead of letting it
+    /// linger until the stale-track sweep. The key's
     /// generation scopes the eviction: a newer lifetime already occupying
     /// the slot is never disturbed by a late removal event. Sources
     /// without removal tracking keep the default (empty).

@@ -6,11 +6,12 @@
 //! "location sensing system" the paper's introduction motivates, assembled
 //! from the pieces.
 
-use crate::incremental::{dedup_cells, DirtyCell, OwnedPreparedLocalizer, SyncOutcome};
+use crate::incremental::{OwnedPreparedLocalizer, SyncOutcome};
 use crate::kalman::KalmanTracker;
 use crate::localizer::{Estimate, LocalizeError, Localizer};
 use crate::pipeline::SnapshotSource;
 use crate::types::{ReferenceRssiMap, TrackingReading};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use vire_geom::{Point2, TagHandle, Vec2};
@@ -83,7 +84,7 @@ pub enum QueryResponse {
 /// Last known state of a retired track, kept so queries about an evicted
 /// or churned-away lifetime can answer `Stale { age }` instead of
 /// pretending the tag never existed. Bounded: one entry per slot, pruned
-/// by the amortized sweep once `retired_horizon` sweeps-worth stale.
+/// by the amortized sweep once [`RETIRED_HORIZON`] sweeps-worth stale.
 #[derive(Debug, Clone, Copy)]
 struct RetiredTrack {
     /// Lifetime the retired state belongs to.
@@ -103,13 +104,12 @@ pub struct ServiceConfig {
     pub measurement_noise: f64,
     /// Tracks with no update for this many seconds are dropped.
     pub stale_after: f64,
-    /// Retired-track tombstones outlive live tracks by this factor of
-    /// `stale_after` before the sweep forgets them entirely (a
-    /// [`QueryResponse::Stale`] answer becomes `Unknown` past it). A
-    /// runtime knob so serving benches can sweep the tombstone horizon
-    /// without recompiling; the default pins the historical behavior.
-    pub retired_horizon: f64,
 }
+
+/// Retired-track tombstones outlive live tracks by this factor of
+/// [`ServiceConfig::stale_after`] before the sweep forgets them entirely
+/// (a [`QueryResponse::Stale`] answer becomes `Unknown` past it).
+const RETIRED_HORIZON: f64 = 4.0;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -117,7 +117,6 @@ impl Default for ServiceConfig {
             process_noise: 0.02,
             measurement_noise: 0.09,
             stale_after: 60.0,
-            retired_horizon: 4.0,
         }
     }
 }
@@ -155,15 +154,6 @@ pub struct LocationService<L: Localizer> {
     /// prepared form (then each drive prepares against that drive's map
     /// through [`Localizer::prepare`]).
     prepared: Option<Box<dyn OwnedPreparedLocalizer>>,
-    /// Changed readings drained from the stage but not yet localized
-    /// (the calibration map was still incomplete). First-dirtied order;
-    /// one slot per tag (a re-dirtied tag updates its reading in place).
-    pending: Vec<(TagKey, TrackingReading)>,
-    /// Dirty calibration cells drained from the stage but not yet fed to
-    /// [`OwnedPreparedLocalizer::sync`]. Deduplicated whenever two drains
-    /// merge, so however long the tracking tags stay quiet it holds at
-    /// most `readers × nodes` entries plus one drain.
-    pending_dirty: Vec<DirtyCell>,
     /// Tombstones of evicted/churned lifetimes, for `Stale` query answers.
     retired: HashMap<u32, RetiredTrack>,
     sync_stats: SyncStats,
@@ -177,7 +167,6 @@ impl<L: Localizer + fmt::Debug> fmt::Debug for LocationService<L> {
             .field("tracks", &self.tracks)
             .field("last_sweep", &self.last_sweep)
             .field("prepared", &self.prepared.as_ref().map(|p| p.name()))
-            .field("pending", &self.pending)
             .field("sync_stats", &self.sync_stats)
             .finish()
     }
@@ -200,8 +189,6 @@ impl<L: Localizer> LocationService<L> {
             tracks: HashMap::new(),
             last_sweep: f64::NEG_INFINITY,
             prepared: None,
-            pending: Vec::new(),
-            pending_dirty: Vec::new(),
             retired: HashMap::new(),
             sync_stats: SyncStats::default(),
         }
@@ -338,10 +325,13 @@ impl<L: Localizer> LocationService<L> {
     ///
     /// Returns one `(tag, result)` per changed tag, in first-dirtied
     /// order; empty when nothing changed or the stage's calibration map is
-    /// still incomplete. Drained readings are stashed inside the service
-    /// while the map is incomplete and localized on the first drive after
-    /// it completes (a tag re-dirtied meanwhile just refreshes its stashed
-    /// reading).
+    /// still incomplete. The stage is the only buffer before locate: the
+    /// service reads the map before draining anything, so while it is
+    /// incomplete the changed readings and dirty cells stay in the stage,
+    /// and a drive that drains no readings leaves the dirty cells there
+    /// too. A drain keeps one reading per slot, at the slot's first
+    /// position: a later reading of the same or a newer lifetime replaces
+    /// it, and an older lifetime's straggler is dropped.
     pub fn drive(
         &mut self,
         stage: &mut dyn SnapshotSource,
@@ -353,24 +343,17 @@ impl<L: Localizer> LocationService<L> {
         for removed in stage.removed_tags() {
             self.evict(removed);
         }
-        // Drain the stage exactly once per call, before the map borrow
-        // below pins `stage`.
-        let drained = stage.changed_readings();
-        // Keep every hinted cell until a sync consumes it, each once.
-        let merge = !self.pending_dirty.is_empty();
-        self.pending_dirty.extend(stage.take_dirty_cells());
-        if merge {
-            dedup_cells(&mut self.pending_dirty);
-        }
-        self.stash_pending(drained);
-        if self.pending.is_empty() {
+        if stage.reference_map().is_none() {
             return Vec::new();
         }
-        let Some(refs) = stage.reference_map() else {
+        let snapshots = newest_per_slot(stage.changed_readings());
+        if snapshots.is_empty() {
             return Vec::new();
-        };
-        let snapshots = std::mem::take(&mut self.pending);
-        let hint = std::mem::take(&mut self.pending_dirty);
+        }
+        let hint = stage.take_dirty_cells();
+        let refs = stage
+            .reference_map()
+            .expect("a source's map stays complete within one drive");
 
         if self.prepared.is_none() {
             self.prepared = self.localizer.prepare_owned(refs);
@@ -401,29 +384,12 @@ impl<L: Localizer> LocationService<L> {
             .collect()
     }
 
-    /// Folds freshly drained readings into the pending stash: first-dirtied
-    /// order, one slot per tag slot index, newest reading wins. Across
-    /// lifetimes of one slot the **newest generation** wins: a reading
-    /// from a newer lifetime replaces a stashed older one outright, and a
-    /// straggler from an older lifetime is dropped rather than clobbering
-    /// the current occupant's reading.
-    fn stash_pending(&mut self, drained: Vec<(TagKey, TrackingReading)>) {
-        for (tag, reading) in drained {
-            match self.pending.iter_mut().find(|(t, _)| t.index == tag.index) {
-                Some(slot) if slot.0.generation == tag.generation => slot.1 = reading,
-                Some(slot) if slot.0.generation < tag.generation => *slot = (tag, reading),
-                Some(_) => {} // stale lifetime: drop the straggler
-                None => self.pending.push((tag, reading)),
-            }
-        }
-    }
-
-    /// Evicts everything the service holds for `tag`'s lifetime — its
-    /// Kalman track and any stashed pending reading — in response to an
-    /// upstream removal event ([`SnapshotSource::removed_tags`]). State
-    /// belonging to a **newer** lifetime of the same slot survives: a
-    /// late-arriving removal of a dead generation must not disturb the
-    /// slot's current occupant.
+    /// Evicts `tag`'s lifetime, or an older one of its slot, leaving a
+    /// tombstone for [`LocationService::query`]; a **newer** lifetime of
+    /// the slot is left untouched, so a late-arriving removal of a dead
+    /// generation never disturbs the slot's current occupant.
+    /// [`LocationService::drive`] calls it for each upstream removal
+    /// ([`SnapshotSource::removed_tags`]).
     pub fn evict(&mut self, tag: TagKey) {
         if let Some(track) = self.tracks.get(&tag.index) {
             if track.generation <= tag.generation {
@@ -431,8 +397,6 @@ impl<L: Localizer> LocationService<L> {
                 self.tracks.remove(&tag.index);
             }
         }
-        self.pending
-            .retain(|(t, _)| t.index != tag.index || t.generation > tag.generation);
     }
 
     /// How [`LocationService::drive`] maintained its cached prepared
@@ -511,17 +475,6 @@ impl<L: Localizer> LocationService<L> {
         self.track_of(tag).and_then(|t| t.filter.predict(dt))
     }
 
-    /// Drops a tag's track (this lifetime or an older one; a newer
-    /// lifetime of the slot is left untouched).
-    pub fn forget(&mut self, tag: TagKey) {
-        if let Some(track) = self.tracks.get(&tag.index) {
-            if track.generation <= tag.generation {
-                Self::retire_into(&mut self.retired, tag.index, track);
-                self.tracks.remove(&tag.index);
-            }
-        }
-    }
-
     /// Currently tracked tag keys (unordered), each carrying the
     /// generation its track belongs to.
     pub fn tracked_tags(&self) -> Vec<TagKey> {
@@ -554,16 +507,40 @@ impl<L: Localizer> LocationService<L> {
             keep
         });
         // Tombstones are bounded too: queries about a lifetime retired
-        // more than `retired_horizon` sweeps ago answer `Unknown`.
-        let retired_horizon = self.config.retired_horizon;
-        retired.retain(|_, r| now - r.last_update <= horizon * retired_horizon);
+        // more than `RETIRED_HORIZON` sweeps ago answer `Unknown`.
+        retired.retain(|_, r| now - r.last_update <= horizon * RETIRED_HORIZON);
         self.last_sweep = now;
     }
+}
+
+/// One reading per slot index, in first-drained order, in one pass: a
+/// later reading of the same or a newer lifetime (generation) replaces the
+/// slot's reading in place, and a straggler from an older lifetime is
+/// dropped rather than clobbering the current occupant's reading.
+fn newest_per_slot(drained: Vec<(TagKey, TrackingReading)>) -> Vec<(TagKey, TrackingReading)> {
+    let mut at: HashMap<u32, usize> = HashMap::with_capacity(drained.len());
+    let mut kept: Vec<(TagKey, TrackingReading)> = Vec::with_capacity(drained.len());
+    for (tag, reading) in drained {
+        match at.entry(tag.index) {
+            Entry::Vacant(slot) => {
+                slot.insert(kept.len());
+                kept.push((tag, reading));
+            }
+            Entry::Occupied(slot) => {
+                let held = &mut kept[*slot.get()];
+                if held.0.generation <= tag.generation {
+                    *held = (tag, reading);
+                }
+            }
+        }
+    }
+    kept
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::DirtyCell;
     use crate::vire_alg::Vire;
     use vire_geom::{GridData, RegularGrid};
 
@@ -791,28 +768,76 @@ mod tests {
     }
 
     #[test]
-    fn drive_stashes_readings_until_the_map_completes() {
+    fn drive_drains_nothing_until_the_map_completes() {
         let mut stage = MockStage {
             time: 0.0,
             map: map(),
             dirty: vec![(key(1), reading_at(Point2::new(1.0, 1.0)))],
-            cells: Vec::new(),
+            cells: vec![(0, map().grid().unflat(5))],
             complete: false,
         };
         let mut svc = LocationService::new(Vire::default(), ServiceConfig::default());
         assert!(svc.drive(&mut stage).is_empty());
-        assert!(stage.dirty.is_empty(), "readings move into the service");
-        // The tag re-dirties while the map is still incomplete: the stash
-        // keeps one slot and the newest reading.
+        assert_eq!(stage.dirty.len(), 1, "the stage keeps the reading");
+        assert_eq!(stage.cells.len(), 1, "the stage keeps the hint");
+        // The tag re-dirties while the map is still incomplete: the stage
+        // holds its newest reading.
         stage.dirty = vec![(key(1), reading_at(Point2::new(1.5, 1.5)))];
         assert!(svc.drive(&mut stage).is_empty());
         stage.complete = true;
         let out = svc.drive(&mut stage);
-        assert_eq!(out.len(), 1, "stashed tag localizes once the map is up");
+        assert_eq!(out.len(), 1, "the tag localizes once the map is up");
+        assert!(stage.dirty.is_empty() && stage.cells.is_empty());
         let expect = LocationService::new(Vire::default(), ServiceConfig::default())
             .observe(0.0, key(1), &map(), &reading_at(Point2::new(1.5, 1.5)))
             .unwrap();
         assert_eq!(out[0].1.as_ref().unwrap(), &expect, "newest reading wins");
+    }
+
+    #[test]
+    fn drive_keeps_the_newest_lifetime_per_slot_in_first_drained_order() {
+        let (old, new) = (TagKey::new(5, 0), TagKey::new(5, 1));
+        let (at_old, at_new, at_two) = (
+            reading_at(Point2::new(0.6, 0.6)),
+            reading_at(Point2::new(2.4, 2.4)),
+            reading_at(Point2::new(1.5, 0.9)),
+        );
+        let fresh = |tag: TagKey, reading: &TrackingReading| {
+            LocationService::new(Vire::default(), ServiceConfig::default())
+                .observe(0.0, tag, &map(), reading)
+                .unwrap()
+        };
+        let drive = |dirty: Vec<(TagKey, TrackingReading)>| {
+            let mut stage = MockStage {
+                time: 0.0,
+                map: map(),
+                dirty,
+                cells: Vec::new(),
+                complete: true,
+            };
+            LocationService::new(Vire::default(), ServiceConfig::default()).drive(&mut stage)
+        };
+        let expect = vec![
+            (new, Ok(fresh(new, &at_new))),
+            (key(2), Ok(fresh(key(2), &at_two))),
+        ];
+        // The newer lifetime replaces the older one in place, and an
+        // older lifetime's straggler is dropped.
+        let newer_last = vec![
+            (old, at_old.clone()),
+            (key(2), at_two.clone()),
+            (new, at_new.clone()),
+        ];
+        assert_eq!(drive(newer_last), expect);
+        let older_last = vec![
+            (new, at_new.clone()),
+            (key(2), at_two),
+            (old, at_old.clone()),
+        ];
+        assert_eq!(drive(older_last), expect);
+        // A repeated key keeps its newest reading.
+        let repeated = vec![(key(3), at_old), (key(3), at_new.clone())];
+        assert_eq!(drive(repeated), vec![(key(3), Ok(fresh(key(3), &at_new)))]);
     }
 
     #[test]
@@ -852,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_dirty_stays_bounded_while_tracking_tags_are_quiet() {
+    fn quiet_drives_leave_the_dirty_cells_in_the_stage() {
         let mut stage = MockStage {
             time: 0.0,
             map: map(),
@@ -865,17 +890,22 @@ mod tests {
         let (readers, nodes) = (stage.map.reader_count(), stage.map.grid().node_count());
         // The reference tags keep re-calibrating the map for 10,000
         // drives while no tracking reading changes: every drive returns
-        // early, and the hint must not grow past the table.
+        // early without taking the hint, which stays in the stage (deduped
+        // there, as a real stage does).
         for n in 0..10_000 {
             let (k, idx) = (n % readers, stage.map.grid().unflat(n / readers % nodes));
-            if stage.map.set_rssi(k, idx, -70.0 - (n % 11) as f64 * 0.5) {
+            if stage.map.set_rssi(k, idx, -70.0 - (n % 11) as f64 * 0.5)
+                && !stage.cells.contains(&(k, idx))
+            {
                 stage.cells.push((k, idx));
             }
+            let held = stage.cells.len();
             stage.time = n as f64 * 0.01;
             assert!(svc.drive(&mut stage).is_empty());
-            assert!(svc.pending_dirty.len() <= readers * nodes, "drive {n}");
+            assert_eq!(stage.cells.len(), held, "drive {n} took the hint");
         }
-        // The next tracking change syncs through the merged hint and
+        assert_eq!(stage.cells.len(), readers * nodes);
+        // The next tracking change syncs through the stage's hint and
         // matches a service localizing against the final map from scratch.
         let reading = reading_at(Point2::new(2.4, 1.9));
         stage.time = 100.0;
@@ -885,17 +915,17 @@ mod tests {
             .observe(100.0, key(2), &stage.map, &reading)
             .unwrap();
         assert_eq!(out[0].1.as_ref().unwrap(), &expect);
-        assert!(svc.pending_dirty.is_empty(), "the sync consumed the hint");
+        assert!(stage.cells.is_empty(), "the sync took the hint");
     }
 
     #[test]
-    fn forget_and_predict() {
+    fn evict_and_predict() {
         let refs = map();
         let mut svc = LocationService::new(Vire::default(), ServiceConfig::default());
         svc.observe(0.0, key(1), &refs, &reading_at(Point2::new(1.0, 2.0)))
             .unwrap();
         assert!(svc.predict(key(1), 2.0).is_some());
-        svc.forget(key(1));
+        svc.evict(key(1));
         assert_eq!(svc.predict(key(1), 2.0), None);
         assert!(svc.tracked_tags().is_empty());
     }
@@ -1014,7 +1044,7 @@ mod tests {
         let mut svc = LocationService::new(Vire::default(), cfg);
         svc.observe(0.0, key(1), &refs, &reading_at(Point2::new(1.0, 1.0)))
             .unwrap();
-        svc.forget(key(1));
+        svc.evict(key(1));
         assert!(matches!(
             svc.query(LocationQuery {
                 tag: key(1),
@@ -1022,51 +1052,25 @@ mod tests {
             }),
             QueryResponse::Stale { .. }
         ));
-        // Keep the service alive far past the retired horizon (4×
-        // stale_after): the tombstone is pruned.
+        // A sweep at 25 s keeps it: 25 s is within the retired horizon
+        // (4 × stale_after = 40 s).
+        svc.observe(25.0, key(2), &refs, &reading_at(Point2::new(2.0, 2.0)))
+            .unwrap();
+        assert!(matches!(
+            svc.query(LocationQuery {
+                tag: key(1),
+                at: 25.0
+            }),
+            QueryResponse::Stale { .. }
+        ));
+        // Keep the service alive far past the retired horizon: the
+        // tombstone is pruned.
         svc.observe(100.0, key(2), &refs, &reading_at(Point2::new(2.0, 2.0)))
             .unwrap();
         assert_eq!(
             svc.query(LocationQuery {
                 tag: key(1),
                 at: 100.0
-            }),
-            QueryResponse::Unknown
-        );
-    }
-
-    #[test]
-    fn retired_horizon_knob_shrinks_tombstone_lifetime() {
-        // Same timeline as `tombstones_age_out_of_the_sweep`, but with
-        // the horizon knob cut below the elapsed age: the tombstone that
-        // the default (4× stale_after) keeps is pruned at 1×.
-        let refs = map();
-        let cfg = ServiceConfig {
-            stale_after: 10.0,
-            retired_horizon: 1.0,
-            ..ServiceConfig::default()
-        };
-        let mut svc = LocationService::new(Vire::default(), cfg);
-        svc.observe(0.0, key(1), &refs, &reading_at(Point2::new(1.0, 1.0)))
-            .unwrap();
-        svc.forget(key(1));
-        // At 20 s the tombstone is 20 s old ≤ 1 × 10 s? No — but the
-        // sweep has not run yet, so the answer is still Stale.
-        assert!(matches!(
-            svc.query(LocationQuery {
-                tag: key(1),
-                at: 20.0
-            }),
-            QueryResponse::Stale { .. }
-        ));
-        // Trigger a sweep at 25 s: age 25 s > 1 × stale_after prunes it,
-        // where the default horizon (40 s) would have kept it.
-        svc.observe(25.0, key(2), &refs, &reading_at(Point2::new(2.0, 2.0)))
-            .unwrap();
-        assert_eq!(
-            svc.query(LocationQuery {
-                tag: key(1),
-                at: 25.0
             }),
             QueryResponse::Unknown
         );

@@ -284,8 +284,8 @@ proptest! {
 
 /// The ingest ring's policy, naively: `r` is the unread buffer, at most
 /// `cap` long. Full at `cap`, it grows below the ceiling; at the ceiling
-/// it collapses `r` to the newest event per key when coalescing and a key
-/// repeats, else drops the oldest event. A drain hands out
+/// it collapses `r` to the newest event per key when a key repeats, else
+/// drops the oldest event. A drain hands out
 /// `coalesce_newest(r)`.
 struct RingModel {
     config: IngestConfig,
@@ -317,11 +317,7 @@ impl RingModel {
                 self.grown += 1;
             } else {
                 let mut collapsed = self.r.clone();
-                let merged = if self.config.coalesce {
-                    coalesce_newest(&mut collapsed)
-                } else {
-                    0
-                };
+                let merged = coalesce_newest(&mut collapsed);
                 if merged > 0 {
                     self.r = collapsed;
                     self.coalesced_in_ring += merged;
@@ -393,21 +389,20 @@ proptest! {
     /// The ring matches the naive model of its policy on every output —
     /// batches bit for bit, stats, capacity and growth — after every
     /// accept and at every drain, for any burst/drain schedule, ring
-    /// shape, key density and either `coalesce` setting; and each drain
-    /// balances `accepted == delivered + lagged + coalesced_in_ring`.
+    /// shape and key density (`keys = 0`, all keys distinct, covers the
+    /// drop of the oldest at the ceiling); and each drain balances
+    /// `accepted == delivered + lagged + coalesced_in_ring`.
     #[test]
     fn ingest_ring_matches_naive_policy_model(
         initial in 1usize..6,
         headroom in 0u32..3,
         keys_idx in 0usize..4,
-        coalesce in any::<bool>(),
         bursts in prop::collection::vec(0usize..24, 1..16),
         drain_after in prop::collection::vec(any::<bool>(), 1..16),
     ) {
         let config = IngestConfig {
             initial_capacity: initial,
             max_capacity: initial << headroom,
-            coalesce,
         };
         let keys = [2, 3, 5, 0][keys_idx];
         let mut front = IngestFrontEnd::new(config);

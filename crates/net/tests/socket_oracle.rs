@@ -208,7 +208,6 @@ fn ring_at_its_ceiling_is_bit_identical_to_in_process_replay_all_kernels() {
         ingest: IngestConfig {
             initial_capacity: 16,
             max_capacity: CEILING,
-            coalesce: true,
         },
         ..ServeConfig::default()
     };

@@ -19,10 +19,9 @@
 //! Overload never loses readings silently. The front end's ring grows
 //! (amortized doubling) up to its ceiling; there it gives up the
 //! readings a newer same-`(tag, reader)` reading already superseded, and
-//! drops the oldest only when every buffered key is distinct (or when
-//! [`IngestConfig::coalesce`] is off). Every superseded or dropped event
-//! lands in the [`DriveReport`] counters: `delivered + lagged +
-//! coalesced` always equals the events accepted.
+//! drops the oldest only when every buffered key is distinct. Every
+//! superseded or dropped event lands in the [`DriveReport`] counters:
+//! `delivered + lagged + coalesced` always equals the events accepted.
 //! Coalescing is also *harmless* by construction: the smoothing window
 //! and the Kalman fold only ever see the newest reading per key, so a
 //! coalesced drive is bit-identical to replaying only the surviving
@@ -58,8 +57,7 @@ pub struct DriveReport {
     /// Readings delivered into the pipeline this drive.
     pub delivered: usize,
     /// Readings hard-dropped by the front end since the last drive
-    /// (ceiling reached with every buffered key distinct, or with
-    /// coalescing off).
+    /// (ceiling reached with every buffered key distinct).
     pub lagged: u64,
     /// Readings superseded by a newer same-`(tag, reader)` reading —
     /// ring-policy and batch-dedup coalescing combined.

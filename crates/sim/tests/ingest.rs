@@ -102,7 +102,6 @@ fn coalesced_ingest_is_bit_identical_to_replaying_survivors() {
                 ingest: vire_core::IngestConfig {
                     initial_capacity: 8,
                     max_capacity: 128,
-                    coalesce: true,
                 },
                 ..ServeConfig::default()
             },
@@ -328,4 +327,89 @@ fn wire_versions_track_trace_versions() {
         vire_core::ingest::WIRE_MIN_VERSION,
         vire_sim::trace::TRACE_MIN_VERSION
     );
+}
+
+/// While the calibration map is incomplete the service drains nothing, so
+/// it holds nothing either: a gateway streaming ever-new tags cannot grow
+/// it. Reference slot 3 is never sent until the end; meanwhile 2,000
+/// drives each bring 10 new tags that every reader heard. The service's
+/// whole state (its `Debug` text) stays the size it had after the first
+/// drive. Once slot 3 arrives, every tag is localized, exactly once.
+#[test]
+fn an_incomplete_map_buffers_nothing_in_the_service() {
+    const DRIVES: u32 = 2_000;
+    const NEW_PER_DRIVE: u32 = 10;
+    let trace = capture();
+    let (missing, tracking) = (3, 16); // 16 reference slots, then the tag
+    let mut server = IngestServer::from_trace(
+        &trace,
+        vire(InterpolationKernel::Linear),
+        ServeConfig::default(),
+    )
+    .expect("paper testbed trace infers its own deployment");
+    let (held_back, sent): (Vec<TraceReading>, Vec<TraceReading>) =
+        trace.readings.iter().partition(|r| r.tag == missing);
+    server.accept(sent.iter().map(to_beacon));
+    assert!(server.drive().results.is_empty(), "the map is incomplete");
+
+    // Every new tag copies the tracking tag's last reading per reader, so
+    // it localizes inside the room once the map is up.
+    let readers = trace.reader_positions().len() as u32;
+    let last_rssi: Vec<f64> = (0..readers)
+        .map(|k| {
+            let last = trace
+                .readings
+                .iter()
+                .rev()
+                .find(|r| r.tag == tracking && r.reader == k);
+            last.expect("every reader heard the tracking tag").rssi
+        })
+        .collect();
+    let mut clock = trace.readings.last().unwrap().time;
+    let first_new = 100;
+    let mut size_after_first = None;
+    for d in 0..DRIVES {
+        clock += 0.1;
+        let tags = (0..NEW_PER_DRIVE).map(|j| TagKey::first(first_new + d * NEW_PER_DRIVE + j));
+        let events: Vec<BeaconEvent> = tags
+            .flat_map(|tag| {
+                last_rssi
+                    .iter()
+                    .enumerate()
+                    .map(move |(k, &rssi)| BeaconEvent {
+                        time: clock,
+                        tag,
+                        reader: k as u32,
+                        rssi,
+                    })
+            })
+            .collect();
+        server.accept(events);
+        assert!(
+            server.drive().results.is_empty(),
+            "drive {d}: map incomplete"
+        );
+        let size = format!("{:?}", server.service()).len();
+        let first = *size_after_first.get_or_insert(size);
+        assert!(
+            size <= first + 64,
+            "drive {d}: the service grew from {first} B to {size} B"
+        );
+    }
+
+    server.accept(held_back.iter().map(|r| BeaconEvent {
+        time: clock + 0.1,
+        ..to_beacon(r)
+    }));
+    let mut localized: HashMap<TagKey, usize> = HashMap::new();
+    for (tag, result) in server.drive().results {
+        assert!(result.is_ok(), "tag {tag}: {result:?}");
+        *localized.entry(tag).or_default() += 1;
+    }
+    for n in first_new..first_new + DRIVES * NEW_PER_DRIVE {
+        assert_eq!(localized.get(&TagKey::first(n)), Some(&1), "tag {n}");
+    }
+    assert_eq!(localized.get(&TagKey::first(tracking)), Some(&1));
+    assert!(localized.values().all(|&n| n == 1));
+    assert!(server.drive().results.is_empty(), "nothing is left over");
 }

@@ -85,12 +85,20 @@ cargo test -q -p vire-sim --test fabric
 # every key past the ceiling is distinct. An event from an unknown reader,
 # or one with a non-finite time or RSSI, is skipped, not counted, and
 # changes no number; and no buffer between the ring and the sync grows
-# while the map is incomplete or the tracking tags are quiet.
+# while the map is incomplete or the tracking tags are quiet. The service
+# drains nothing until it can localize: the stage's deduped dirty sets
+# are the only buffer before locate, and a drain keeps the newest
+# lifetime's reading per slot.
 echo "==> cargo test (ingest coalescing oracle)"
 cargo test -q -p vire-sim --test ingest
-cargo test -q -p vire-sim --test ingest -- unknown_reader_and_non_finite_events_are_skipped_not_ingested
+cargo test -q -p vire-sim --test ingest -- \
+  unknown_reader_and_non_finite_events_are_skipped_not_ingested \
+  an_incomplete_map_buffers_nothing_in_the_service
 cargo test -q -p vire-sim --lib -- stage_state_stays_bounded_while_the_map_is_incomplete
-cargo test -q -p vire-core --lib -- pending_dirty_stays_bounded_while_tracking_tags_are_quiet
+cargo test -q -p vire-core --lib -- \
+  quiet_drives_leave_the_dirty_cells_in_the_stage \
+  drive_drains_nothing_until_the_map_completes \
+  drive_keeps_the_newest_lifetime_per_slot_in_first_drained_order
 cargo test -q -p vire-core --test properties -- \
   ingest_ring_matches_naive_policy_model distinct_keys_past_the_ceiling_do_not_stall
 
