@@ -101,12 +101,7 @@ fn trial_config(cached: bool, seed: u64) -> TestbedConfig {
 }
 
 fn trial_bits(trial: &TrialData) -> Vec<u64> {
-    let mut bits: Vec<u64> = trial
-        .map
-        .fields()
-        .iter()
-        .flat_map(|f| f.as_slice().iter().map(|v| v.to_bits()))
-        .collect();
+    let mut bits: Vec<u64> = trial.map.planes().iter().map(|v| v.to_bits()).collect();
     for tag in &trial.tags {
         bits.extend(tag.reading.rssi().iter().map(|v| v.to_bits()));
     }

@@ -86,12 +86,7 @@ fn time_ns_reps<O>(reps: u32, mut f: impl FnMut() -> O) -> f64 {
 }
 
 fn trial_bits(trial: &TrialData) -> Vec<u64> {
-    let mut bits: Vec<u64> = trial
-        .map
-        .fields()
-        .iter()
-        .flat_map(|f| f.as_slice().iter().map(|v| v.to_bits()))
-        .collect();
+    let mut bits: Vec<u64> = trial.map.planes().iter().map(|v| v.to_bits()).collect();
     for tag in &trial.tags {
         bits.extend(tag.reading.rssi().iter().map(|v| v.to_bits()));
     }

@@ -103,6 +103,9 @@ pub(crate) struct ElimBuffers {
     pub(crate) thresholds: Vec<f64>,
     /// Phase-3 reader ordering.
     order: Vec<usize>,
+    /// Phase-3 sort keys: each reader's proximity-map area at the common
+    /// threshold, computed once per locate that runs phase 3.
+    areas: Vec<usize>,
 }
 
 /// Minimum of `|s − theta|` over an ascending-sorted plane. Rounding is
@@ -178,8 +181,8 @@ fn write_below_mask(vals: &[f64], bound: f64, words: &mut [u64]) {
     }
 }
 
-/// Allocation-free elimination over pre-flattened RSSI planes
-/// (`planes[k * nodes + flat]`, the layout [`crate::PreparedVire`] caches).
+/// Allocation-free elimination over reader-major RSSI planes
+/// (`planes[k * nodes + flat]`, the layout [`VirtualGrid::planes`] stores).
 /// `sorted` is the per-reader sorted copy from [`sort_planes`] when the
 /// caller has one: adaptive mode then binary-searches each reader's
 /// smallest gap instead of scanning for it (same bits either way; fixed
@@ -276,6 +279,7 @@ pub(crate) fn eliminate_into(
                 mask,
                 thresholds,
                 order,
+                areas,
             } = buf;
             let maxgap = maxgap.as_slice();
             // Clamp so a floor larger than the lattice cannot make the
@@ -340,15 +344,6 @@ pub(crate) fn eliminate_into(
             // threshold vector are a subset of the current list, and the
             // list is re-pruned after each accepted probe.
             if per_reader {
-                order.clear();
-                order.extend(0..k_readers);
-                order.sort_by_key(|&k| {
-                    std::cmp::Reverse(count_gap_below(
-                        &planes[k * nodes..(k + 1) * nodes],
-                        reading.at(k),
-                        t,
-                    ))
-                });
                 // Materialize the survivors at the common threshold with
                 // their per-reader gaps (entry-major for contiguous probes).
                 list.clear();
@@ -368,8 +363,19 @@ pub(crate) fn eliminate_into(
                 // below the probe: a rank test against the floor-th
                 // smallest k-gap, exactly like phase 2. (When the list is
                 // already below the floor, every probe fails and each
-                // reader's threshold stays — skip directly.)
+                // reader's threshold stays — skip directly, without
+                // ordering the readers.)
                 if list.len() >= floor {
+                    // Each area is one pass over a plane, so compute the
+                    // keys once; the stable sort keeps ties in reader
+                    // order.
+                    areas.clear();
+                    areas.extend((0..k_readers).map(|k| {
+                        count_gap_below(&planes[k * nodes..(k + 1) * nodes], reading.at(k), t)
+                    }));
+                    order.clear();
+                    order.extend(0..k_readers);
+                    order.sort_by_key(|&k| std::cmp::Reverse(areas[k]));
                     for &k in order.iter() {
                         quantile.clear();
                         quantile.extend(list_gaps.iter().skip(k).step_by(k_readers));
@@ -422,18 +428,7 @@ pub(crate) fn eliminate_into(
     }
 }
 
-/// Flattens a grid's per-reader RSSI fields into the reader-major plane
-/// layout consumed by [`eliminate_into`] and the weighting core.
-pub(crate) fn flatten_planes(grid: &VirtualGrid) -> Vec<f64> {
-    let nodes = grid.tag_count();
-    let mut planes = Vec::with_capacity(grid.reader_count() * nodes);
-    for k in 0..grid.reader_count() {
-        planes.extend_from_slice(grid.field(k).as_slice());
-    }
-    planes
-}
-
-/// Per-reader ascending-sorted copy of the flattened planes — the search
+/// Per-reader ascending-sorted copy of the reader-major planes — the search
 /// structure that lets [`eliminate_into`] find each reader's smallest gap
 /// by binary search. [`crate::PreparedVire`] builds it once enough locates
 /// have run against one map to pay for the sort.
@@ -467,9 +462,15 @@ pub fn eliminate(
     mode: ThresholdMode,
 ) -> Option<EliminationResult> {
     debug_assert_eq!(grid.reader_count(), reading.reader_count());
-    let planes = flatten_planes(grid);
     let mut buf = ElimBuffers::default();
-    if !eliminate_into(&planes, None, grid.tag_count(), reading, mode, &mut buf) {
+    if !eliminate_into(
+        grid.planes(),
+        None,
+        grid.tag_count(),
+        reading,
+        mode,
+        &mut buf,
+    ) {
         return None;
     }
     Some(EliminationResult {

@@ -16,7 +16,7 @@
 use crate::localizer::{Estimate, LocalizeError, Localizer};
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::{Vire, VireConfig};
-use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
+use vire_geom::{GridData, Point2, RegularGrid};
 
 /// Extends a reference map by `margin` lattice cells on every side,
 /// filling the new nodes by separable linear extrapolation of each
@@ -46,17 +46,14 @@ pub fn extend_reference_map(refs: &ReferenceRssiMap, margin: usize) -> Reference
     );
 
     let fields = refs
-        .fields()
-        .iter()
+        .planes()
+        .chunks_exact(g.node_count())
         .map(|field| {
             // Pass 1: extend every original row horizontally.
-            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(g.ny());
-            for j in 0..g.ny() {
-                let vals: Vec<f64> = (0..g.nx())
-                    .map(|i| *field.get(GridIndex::new(i, j)))
-                    .collect();
-                rows.push(extend_line(&vals, margin));
-            }
+            let rows: Vec<Vec<f64>> = field
+                .chunks_exact(g.nx())
+                .map(|row| extend_line(row, margin))
+                .collect();
             // Pass 2: extend each (already widened) column vertically.
             GridData::from_fn(ext_grid, |idx, _| {
                 let col: Vec<f64> = rows.iter().map(|r| r[idx.i]).collect();
@@ -130,7 +127,7 @@ impl Localizer for BoundaryCompensatedVire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vire_geom::GridData as GD;
+    use vire_geom::{GridData as GD, GridIndex};
 
     fn readers() -> Vec<Point2> {
         vec![

@@ -65,12 +65,10 @@ impl TwoPassVire {
             i_hi - i_lo + 1,
             j_hi - j_lo + 1,
         );
-        let fields = refs
-            .fields()
-            .iter()
-            .map(|f| {
+        let fields = (0..refs.reader_count())
+            .map(|k| {
                 GridData::from_fn(sub, |idx, _| {
-                    *f.get(GridIndex::new(idx.i + i_lo, idx.j + j_lo))
+                    refs.rssi(k, GridIndex::new(idx.i + i_lo, idx.j + j_lo))
                 })
             })
             .collect();

@@ -6,11 +6,12 @@
 //! hot across drives instead of re-interpolating the whole virtual grid
 //! whenever a calibration cell moves:
 //!
-//! * [`PreparedVire`] — owns the map mirror, the virtual grid with its
-//!   flattened reader-major planes, and a [`GridPatcher`]. On
+//! * [`PreparedVire`] — owns the map mirror, the virtual grid (whose
+//!   reader-major planes are the only copy elimination and weighting
+//!   read), and a [`GridPatcher`]. On
 //!   [`sync`](OwnedPreparedLocalizer::sync) it re-interpolates only the
-//!   kernel-support region of each changed cell and patches the flattened
-//!   planes in place — producing state **bit-identical** to a
+//!   kernel-support region of each changed cell straight into the grid's
+//!   planes — producing state **bit-identical** to a
 //!   from-scratch [`PreparedVire::build`] (pinned by property tests in
 //!   `tests/incremental.rs`). The per-reader sorted planes elimination
 //!   can binary-search are never repaired: every map change drops them,
@@ -18,8 +19,8 @@
 //!   for a sort ([`SORT_AFTER`](crate::prepared::SORT_AFTER)). A map that
 //!   changes every drive therefore costs its interpolation, not a sort.
 //! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
-//!   baseline, where a dirty cell is an O(1) write into the reader-major
-//!   signal planes.
+//!   baseline, which reads the mirror's own reader-major planes, so a
+//!   dirty cell is one O(1) write into the mirror.
 //!
 //! These are the only prepared forms: [`Vire::prepare`] and
 //! [`Landmarc::prepare`] build them, and the one-shot
@@ -41,8 +42,8 @@ use crate::elimination::EliminationResult;
 use crate::landmarc::{Landmarc, LandmarcConfig};
 use crate::localizer::{Estimate, LocalizeError};
 use crate::prepared::{
-    landmarc_locate_core, landmarc_planes, with_landmarc_scratch, with_vire_scratch,
-    PreparedLocalizer, VireScratch, VireState,
+    landmarc_locate_core, with_landmarc_scratch, with_vire_scratch, PreparedLocalizer, VireScratch,
+    VireState,
 };
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::{Vire, VireConfig};
@@ -141,12 +142,12 @@ fn past_rebuild_cutover(dirty: usize, refs: &ReferenceRssiMap) -> bool {
 /// VIRE bound to one calibration map, surviving across snapshots.
 ///
 /// Owns a mirror of the calibration map, the interpolated virtual grid,
-/// its per-reader RSSI planes flattened reader-major
-/// (`planes[k * nodes + flat]`) so elimination and weighting scan
-/// contiguous memory, the lazily built sorted planes, and the
-/// [`GridPatcher`] retaining the horizontal-pass intermediates.
-/// [`sync`](OwnedPreparedLocalizer::sync) patches the grid and planes in
-/// place for small dirty sets and drops the sorted planes.
+/// whose reader-major RSSI planes (`planes[k * nodes + flat]`) elimination
+/// and weighting scan as contiguous memory, the lazily built sorted
+/// planes, and the [`GridPatcher`] retaining the horizontal-pass
+/// intermediates. [`sync`](OwnedPreparedLocalizer::sync) patches the
+/// grid's planes in place for small dirty sets and drops the sorted
+/// planes.
 pub struct PreparedVire {
     state: VireState,
     patcher: GridPatcher,
@@ -174,9 +175,10 @@ impl PreparedVire {
         })
     }
 
-    /// The flattened reader-major RSSI planes — for bit-identity tests.
+    /// The virtual grid's reader-major RSSI planes — for bit-identity
+    /// tests.
     pub fn planes(&self) -> &[f64] {
-        &self.state.planes
+        self.state.grid.planes()
     }
 
     /// The per-reader sorted planes (empty under a fixed threshold),
@@ -240,16 +242,11 @@ impl PreparedVire {
     /// patch path, regardless of batch size (`sync` adds the rebuild
     /// heuristic on top).
     ///
-    /// After the call, `planes` and the virtual grid are bit-identical to
-    /// a from-scratch prepare against the mirror, and the sorted planes
-    /// are dropped.
+    /// After the call, the virtual grid is bit-identical to a
+    /// from-scratch prepare against the mirror, and the sorted planes are
+    /// dropped.
     fn apply_dirty(&mut self, dirty: &[DirtyCell]) {
-        let nodes = self.state.grid.tag_count();
-        let VireState { grid, planes, .. } = &mut self.state;
-        self.patcher
-            .patch(grid, &self.refs, dirty, |k, flat, _old, new| {
-                planes[k * nodes + flat] = new;
-            });
+        self.patcher.patch(&mut self.state.grid, &self.refs, dirty);
         self.state.invalidate_sorted();
     }
 
@@ -258,7 +255,7 @@ impl PreparedVire {
             // The cutover path out of `sync`: too many cells moved for
             // patching, but the lattice is unchanged. Adopt the new values
             // into the existing mirror and re-interpolate into the
-            // existing grid/plane buffers — a steady-state rebuild costs
+            // existing grid planes — a steady-state rebuild costs
             // no allocation beyond interpolation scratch.
             self.refs.copy_values_from(refs);
             self.state.rebuild_in_place(&self.refs, &mut self.patcher);
@@ -325,22 +322,21 @@ impl OwnedPreparedLocalizer for PreparedVire {
 
 impl Vire {
     /// Binds this VIRE configuration to one calibration map, building the
-    /// virtual grid and flattened RSSI planes once (see [`PreparedVire`]).
+    /// virtual grid's RSSI planes once (see [`PreparedVire`]).
     /// Errors when the configuration is degenerate (`refine == 0`).
     pub fn prepare(&self, refs: &ReferenceRssiMap) -> Result<PreparedVire, LocalizeError> {
         PreparedVire::build(self.config(), refs)
     }
 }
 
-/// LANDMARC bound to one calibration map, surviving across snapshots:
-/// reader-major RSSI planes (`planes[k * nodes + flat]`, the layout VIRE
-/// uses) plus node positions, so each query runs the lane-chunked
-/// squared-E-distance kernel over contiguous memory. A dirty calibration
-/// cell is one write into the planes.
+/// LANDMARC bound to one calibration map, surviving across snapshots: a
+/// mirror of the map, whose reader-major RSSI planes
+/// (`planes[k * nodes + flat]`, the layout VIRE uses) each query's
+/// lane-chunked squared-E-distance kernel scans in place, plus the node
+/// positions. A dirty calibration cell is one write into the mirror.
 pub struct PreparedLandmarc {
     config: LandmarcConfig,
     refs: ReferenceRssiMap,
-    planes: Vec<f64>,
     positions: Vec<Point2>,
     /// [`ReferenceRssiMap::id`] of the map last synced to.
     source_id: u64,
@@ -350,21 +346,19 @@ pub struct PreparedLandmarc {
 impl PreparedLandmarc {
     /// Builds the prepared state bound to `refs` (cloned).
     pub fn build(config: LandmarcConfig, refs: &ReferenceRssiMap) -> Self {
-        let mirror = refs.clone();
-        let (planes, positions) = landmarc_planes(&mirror);
+        let grid = refs.grid();
         PreparedLandmarc {
             config,
-            refs: mirror,
-            planes,
-            positions,
+            refs: refs.clone(),
+            positions: grid.indices().map(|idx| grid.position(idx)).collect(),
             source_id: refs.id(),
             dirty_scratch: Vec::new(),
         }
     }
 
-    /// The reader-major signal planes — for bit-identity tests.
+    /// The mirror's reader-major signal planes — for bit-identity tests.
     pub fn planes(&self) -> &[f64] {
-        &self.planes
+        self.refs.planes()
     }
 }
 
@@ -373,7 +367,7 @@ impl PreparedLocalizer for PreparedLandmarc {
         crate::localizer::check_readers(&self.refs, reading)?;
         with_landmarc_scratch(|scratch| {
             landmarc_locate_core(
-                &self.planes,
+                self.refs.planes(),
                 &self.positions,
                 self.config.k,
                 reading,
@@ -397,11 +391,8 @@ impl OwnedPreparedLocalizer for PreparedLandmarc {
         self.source_id = refs.id();
         let mut dirty = std::mem::take(&mut self.dirty_scratch);
         discover_dirty(&self.refs, refs, hint, &mut dirty);
-        let nodes = self.refs.grid().node_count();
         for &(k, idx) in &dirty {
-            let value = refs.rssi(k, idx);
-            self.refs.set_rssi(k, idx, value);
-            self.planes[k * nodes + self.refs.grid().flat(idx)] = value;
+            self.refs.set_rssi(k, idx, refs.rssi(k, idx));
         }
         debug_assert!(
             self.refs.same_bits(refs),
@@ -417,9 +408,8 @@ impl OwnedPreparedLocalizer for PreparedLandmarc {
 }
 
 impl Landmarc {
-    /// Binds this LANDMARC configuration to one calibration map, caching
-    /// reader-major signal planes and node positions (see
-    /// [`PreparedLandmarc`]).
+    /// Binds this LANDMARC configuration to one calibration map, mirroring
+    /// it and caching its node positions (see [`PreparedLandmarc`]).
     pub fn prepare(&self, refs: &ReferenceRssiMap) -> PreparedLandmarc {
         PreparedLandmarc::build(LandmarcConfig { k: self.k() }, refs)
     }

@@ -116,8 +116,9 @@ pub(crate) fn inverse_square_weights_into(distances: &[f64], out: &mut Vec<f64>)
 }
 
 impl Localizer for Landmarc {
-    /// One-shot localization: prepares the reader-major signal planes for
-    /// `refs`, answers the single query, and discards them. Loops over
+    /// One-shot localization: prepares `refs` (a mirror of the map and
+    /// its node positions), answers the single query, and discards them.
+    /// Loops over
     /// many readings against one map should use [`Landmarc::prepare`] —
     /// the results are bit-identical (this method routes through the same
     /// prepared state).

@@ -93,7 +93,7 @@ pub trait Localizer: Sync {
 
     /// Binds this localizer to one calibration map, returning a prepared
     /// query object that amortizes per-map work (virtual-grid
-    /// interpolation, plane flattening) across many readings.
+    /// interpolation) across many readings.
     ///
     /// The default returns the owned state from
     /// [`Localizer::prepare_owned`] when there is one (VIRE, LANDMARC).

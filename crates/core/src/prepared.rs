@@ -1,9 +1,9 @@
 //! Prepared (two-phase) localization: bind a localizer to one calibration
 //! map once, then answer many queries cheaply.
 //!
-//! VIRE's map-dependent work — interpolating the virtual grid (§4.2),
-//! flattening its per-reader RSSI planes, and (once enough locates run
-//! against one map) sorting them — does not depend on the reading. This
+//! VIRE's map-dependent work — interpolating the virtual grid (§4.2) into
+//! its reader-major RSSI planes and (once enough locates run against one
+//! map) sorting them — does not depend on the reading. This
 //! module holds the query side of that split:
 //!
 //! * the [`PreparedLocalizer`] trait every prepared form implements, with
@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::elimination::{eliminate_into, flatten_planes, sort_planes, ElimBuffers, ThresholdMode};
+use crate::elimination::{eliminate_into, sort_planes, ElimBuffers, ThresholdMode};
 use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
@@ -177,17 +177,16 @@ pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
 pub const SORT_AFTER: usize = 48;
 
 /// The map-bound core of [`crate::PreparedVire`]: the interpolated
-/// [`VirtualGrid`], the per-reader RSSI planes flattened reader-major
-/// (`planes[k * nodes + flat]`), the lazily sorted planes, and the
-/// resolved threshold mode.
+/// [`VirtualGrid`], whose reader-major planes (`planes[k * nodes + flat]`)
+/// elimination and weighting read in place, the lazily sorted planes, and
+/// the resolved threshold mode.
 pub(crate) struct VireState {
     pub(crate) config: VireConfig,
     pub(crate) grid: VirtualGrid,
-    pub(crate) planes: Vec<f64>,
-    /// Per-reader ascending-sorted copy of `planes` (empty under a fixed
-    /// threshold), built by the [`SORT_AFTER`]-th locate against the
-    /// current map or by [`VireState::sorted_planes`]. Every map change
-    /// drops it, so it is never stale.
+    /// Per-reader ascending-sorted copy of the grid's planes (empty under
+    /// a fixed threshold), built by the [`SORT_AFTER`]-th locate against
+    /// the current map or by [`VireState::sorted_planes`]. Every map
+    /// change drops it, so it is never stale.
     sorted: OnceLock<Vec<f64>>,
     /// Adaptive locates that scanned since the last map change.
     scans: AtomicUsize,
@@ -198,7 +197,6 @@ pub(crate) struct VireState {
 
 impl VireState {
     fn from_grid(config: &VireConfig, grid: VirtualGrid) -> Self {
-        let planes = flatten_planes(&grid);
         // Resolve the auto candidate floor: one physical cell's worth of
         // virtual regions (n²) keeps elimination from degenerating into a
         // single-cell snap (see ThresholdMode::Adaptive::min_candidates).
@@ -219,7 +217,6 @@ impl VireState {
         VireState {
             config: config.clone(),
             grid,
-            planes,
             sorted: OnceLock::new(),
             scans: AtomicUsize::new(0),
             threshold,
@@ -232,7 +229,7 @@ impl VireState {
         self.sorted.get_or_init(|| match self.threshold {
             ThresholdMode::Fixed(_) => Vec::new(),
             ThresholdMode::Adaptive { .. } => sort_planes(
-                &self.planes,
+                self.grid.planes(),
                 self.grid.reader_count(),
                 self.grid.tag_count(),
             ),
@@ -282,19 +279,14 @@ impl VireState {
     }
 
     /// Rebuilds the state from `refs` **in place**, reusing the virtual
-    /// grid's field buffers and the flattened planes — bit-identical to a
-    /// fresh [`Self::build_with_patcher`], without its allocations, and
+    /// grid's planes — bit-identical to a fresh
+    /// [`Self::build_with_patcher`], without its allocations, and
     /// with the sorted planes dropped as on any map change. `patcher` must
     /// be the one built alongside this state, and `refs` must span the
     /// same lattice and reader set the state was built for (the patcher
     /// asserts both).
     pub(crate) fn rebuild_in_place(&mut self, refs: &ReferenceRssiMap, patcher: &mut GridPatcher) {
         patcher.rebuild(&mut self.grid, refs);
-        let nodes = self.grid.tag_count();
-        debug_assert_eq!(self.planes.len(), self.grid.reader_count() * nodes);
-        for k in 0..self.grid.reader_count() {
-            self.planes[k * nodes..(k + 1) * nodes].copy_from_slice(self.grid.field(k).as_slice());
-        }
         self.invalidate_sorted();
     }
 
@@ -315,7 +307,7 @@ impl VireState {
         let nodes = self.grid.tag_count();
 
         if !eliminate_into(
-            &self.planes,
+            self.grid.planes(),
             self.sorted_for_locate(),
             nodes,
             reading,
@@ -332,7 +324,7 @@ impl VireState {
         }
 
         if !candidate_weights_into(
-            &self.planes,
+            self.grid.planes(),
             nodes,
             self.grid.grid().nx(),
             reading,
@@ -434,19 +426,6 @@ pub(crate) fn landmarc_locate_core(
     Point2::weighted_centroid(&scratch.positions, &scratch.weights)
         .map(|position| Estimate::new(position, k_select))
         .ok_or(LocalizeError::DegenerateWeights)
-}
-
-/// Flattens a calibration map's per-reader fields into the reader-major
-/// plane layout (`planes[k * nodes + flat]`) with matching row-major node
-/// positions.
-pub(crate) fn landmarc_planes(refs: &ReferenceRssiMap) -> (Vec<f64>, Vec<Point2>) {
-    let grid = refs.grid();
-    let mut planes = Vec::with_capacity(refs.reader_count() * grid.node_count());
-    for k in 0..refs.reader_count() {
-        planes.extend_from_slice(refs.field(k).as_slice());
-    }
-    let positions = grid.indices().map(|idx| grid.position(idx)).collect();
-    (planes, positions)
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ impl ProximityMap {
             threshold >= 0.0 && threshold.is_finite(),
             "threshold must be non-negative and finite"
         );
-        let field = grid.field(k).as_slice();
+        let field = grid.field(k);
         let mut words = vec![0u64; bitgrid::words_for(field.len())];
         for (word, chunk) in words.iter_mut().zip(field.chunks(bitgrid::WORD_BITS)) {
             let mut bits = 0u64;
@@ -144,7 +144,7 @@ mod tests {
         let g = vg();
         for &(theta, t) in &[(-74.0, 1.5), (-60.0, 0.3), (-80.0, 6.0)] {
             let m = ProximityMap::build(&g, 0, theta, t);
-            let scalar = g.field(0).map(|&s| (s - theta).abs() < t);
+            let scalar: Vec<bool> = g.field(0).iter().map(|&s| (s - theta).abs() < t).collect();
             assert_eq!(m.mask().to_grid_data().as_slice(), scalar.as_slice());
         }
     }

@@ -12,8 +12,12 @@ fn fresh_map_id() -> u64 {
 
 /// Smoothed RSSI of every real reference tag as heard by every reader.
 ///
-/// `per_reader[k]` is a scalar field on the reference lattice: the RSSI of
-/// the reference tag at each lattice node, measured by reader `k`. Reader
+/// Reader `k`'s [`field`](ReferenceRssiMap::field) is a scalar field on
+/// the reference lattice: the RSSI of the reference tag at each lattice
+/// node, measured by reader `k`, in row-major node order. The fields are
+/// stored as one reader-major buffer ([`planes`](ReferenceRssiMap::planes),
+/// `planes[k * nodes + flat]`), the layout LANDMARC's kernel and the
+/// virtual-grid sweep read directly. Reader
 /// positions are carried along for baselines that need geometry
 /// (trilateration) and for diagnostics; LANDMARC and VIRE themselves only
 /// compare signal values.
@@ -32,7 +36,8 @@ fn fresh_map_id() -> u64 {
 pub struct ReferenceRssiMap {
     grid: RegularGrid,
     readers: Vec<Point2>,
-    per_reader: Vec<GridData<f64>>,
+    /// Reader-major RSSI planes: `planes[k * nodes + flat]`.
+    planes: Vec<f64>,
     id: u64,
 }
 
@@ -44,14 +49,14 @@ impl Clone for ReferenceRssiMap {
         ReferenceRssiMap {
             grid: self.grid,
             readers: self.readers.clone(),
-            per_reader: self.per_reader.clone(),
+            planes: self.planes.clone(),
             id: fresh_map_id(),
         }
     }
 }
 
 impl ReferenceRssiMap {
-    /// Assembles a map.
+    /// Assembles a map from one RSSI field per reader.
     ///
     /// # Panics
     /// Panics when the field count differs from the reader count, a field's
@@ -64,17 +69,19 @@ impl ReferenceRssiMap {
             per_reader.len(),
             "one RSSI field per reader required"
         );
+        let mut planes = Vec::with_capacity(per_reader.len() * grid.node_count());
         for field in &per_reader {
             assert_eq!(field.grid(), &grid, "field grid mismatch");
-            assert!(
-                field.as_slice().iter().all(|v| v.is_finite()),
-                "reference RSSI must be finite"
-            );
+            planes.extend_from_slice(field.as_slice());
         }
+        assert!(
+            planes.iter().all(|v| v.is_finite()),
+            "reference RSSI must be finite"
+        );
         ReferenceRssiMap {
             grid,
             readers,
-            per_reader,
+            planes,
             id: fresh_map_id(),
         }
     }
@@ -102,22 +109,28 @@ impl ReferenceRssiMap {
         self.readers.len()
     }
 
-    /// RSSI field of reader `k`.
+    /// RSSI plane of reader `k`, in row-major node order.
     ///
     /// # Panics
     /// Panics when `k` is out of range.
-    pub fn field(&self, k: usize) -> &GridData<f64> {
-        &self.per_reader[k]
+    pub fn field(&self, k: usize) -> &[f64] {
+        let nodes = self.grid.node_count();
+        &self.planes[k * nodes..(k + 1) * nodes]
     }
 
-    /// All per-reader fields.
-    pub fn fields(&self) -> &[GridData<f64>] {
-        &self.per_reader
+    /// Every reader's plane, reader-major: `planes[k * nodes + flat]`.
+    pub fn planes(&self) -> &[f64] {
+        &self.planes
+    }
+
+    /// Offset of node `idx` of reader `k` in [`planes`](Self::planes).
+    fn offset(&self, k: usize, idx: GridIndex) -> usize {
+        k * self.grid.node_count() + self.grid.flat(idx)
     }
 
     /// RSSI of the reference tag at node `idx` seen by reader `k`.
     pub fn rssi(&self, k: usize, idx: GridIndex) -> f64 {
-        *self.per_reader[k].get(idx)
+        self.planes[self.offset(k, idx)]
     }
 
     /// Overwrites the RSSI of the reference tag at node `idx` seen by
@@ -133,10 +146,12 @@ impl ReferenceRssiMap {
     /// (the constructor's invariant).
     pub fn set_rssi(&mut self, k: usize, idx: GridIndex, value: f64) -> bool {
         assert!(value.is_finite(), "reference RSSI must be finite");
-        if self.per_reader[k].get(idx).to_bits() == value.to_bits() {
+        let at = self.offset(k, idx);
+        let slot = &mut self.planes[at];
+        if slot.to_bits() == value.to_bits() {
             return false;
         }
-        self.per_reader[k].set(idx, value);
+        *slot = value;
         true
     }
 
@@ -151,9 +166,7 @@ impl ReferenceRssiMap {
     pub fn copy_values_from(&mut self, other: &ReferenceRssiMap) {
         assert_eq!(self.grid, other.grid, "lattice mismatch");
         assert_eq!(self.readers, other.readers, "reader set mismatch");
-        for (dst, src) in self.per_reader.iter_mut().zip(&other.per_reader) {
-            dst.as_mut_slice().copy_from_slice(src.as_slice());
-        }
+        self.planes.copy_from_slice(&other.planes);
     }
 
     /// Whether `other` spans the same lattice and readers and holds the
@@ -161,12 +174,11 @@ impl ReferenceRssiMap {
     pub fn same_bits(&self, other: &ReferenceRssiMap) -> bool {
         self.grid == other.grid
             && self.readers == other.readers
-            && self.per_reader.iter().zip(&other.per_reader).all(|(a, b)| {
-                a.as_slice()
-                    .iter()
-                    .zip(b.as_slice())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-            })
+            && self
+                .planes
+                .iter()
+                .zip(&other.planes)
+                .all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
     /// The signal-space vector (one RSSI per reader) of the reference tag
@@ -188,9 +200,15 @@ impl ReferenceRssiMap {
         }
         let mut readers = self.readers.clone();
         readers.remove(k);
-        let mut per_reader = self.per_reader.clone();
-        per_reader.remove(k);
-        Some(ReferenceRssiMap::new(self.grid, readers, per_reader))
+        let mut planes = self.planes.clone();
+        let nodes = self.grid.node_count();
+        planes.drain(k * nodes..(k + 1) * nodes);
+        Some(ReferenceRssiMap {
+            grid: self.grid,
+            readers,
+            planes,
+            id: fresh_map_id(),
+        })
     }
 }
 

@@ -4,7 +4,7 @@
 //! (see [`crate::prepared`] and [`crate::PreparedVire`]):
 //!
 //! 1. *prepare, once per calibration map:* build the virtual reference
-//!    grid (interpolation, §4.2) and flatten its per-reader RSSI planes,
+//!    grid (interpolation, §4.2) into its reader-major RSSI planes,
 //! 2. *query, per tracking reading:* run proximity-based elimination
 //!    (§4.3) over the cached planes,
 //! 3. weight the surviving virtual tags by `w1·w2`,

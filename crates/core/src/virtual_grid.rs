@@ -70,11 +70,13 @@ impl InterpolationKernel {
     }
 }
 
-/// The virtual reference grid: per-reader RSSI fields on the fine lattice.
+/// The virtual reference grid: per-reader RSSI fields on the fine lattice,
+/// stored as one reader-major buffer (`planes[k * nodes + flat]`) — the
+/// layout elimination, weighting and the proximity maps read directly.
 #[derive(Debug, Clone)]
 pub struct VirtualGrid {
     fine: RegularGrid,
-    per_reader: Vec<GridData<f64>>,
+    planes: Vec<f64>,
     refine: usize,
 }
 
@@ -108,18 +110,16 @@ impl VirtualGrid {
         let fine = coarse.refined(n);
         let (coarse_xs, fine_xs, coarse_ys, fine_ys) = axis_positions(&coarse, &fine);
         let mut intermediates = Vec::with_capacity(refs.reader_count());
-        let mut per_reader = Vec::with_capacity(refs.reader_count());
-        for field in refs.fields() {
+        let mut planes = vec![0.0f64; refs.reader_count() * fine.node_count()];
+        for (k, plane) in planes.chunks_exact_mut(fine.node_count()).enumerate() {
             let mut inter = vec![0.0f64; coarse.ny() * fine.nx()];
-            horizontal_pass(field, &coarse_xs, &fine_xs, n, kernel, &mut inter);
-            let mut out = GridData::filled(fine, 0.0f64);
-            vertical_pass(&inter, &coarse_ys, &fine_ys, n, kernel, &mut out);
+            horizontal_pass(refs.field(k), &coarse_xs, &fine_xs, n, kernel, &mut inter);
+            vertical_pass(&inter, &coarse_ys, &fine_ys, n, kernel, plane);
             intermediates.push(inter);
-            per_reader.push(out);
         }
         let grid = VirtualGrid {
             fine,
-            per_reader,
+            planes,
             refine: n,
         };
         let patcher = GridPatcher {
@@ -132,7 +132,6 @@ impl VirtualGrid {
             coarse_ys,
             fine_ys,
             intermediates,
-            row_vals: Vec::new(),
             row_out: Vec::new(),
             col_vals: Vec::new(),
             col_out: Vec::new(),
@@ -155,12 +154,14 @@ impl VirtualGrid {
     /// `grid`.
     pub fn from_fields(grid: RegularGrid, per_reader: Vec<GridData<f64>>) -> Self {
         assert!(!per_reader.is_empty(), "need at least one reader field");
+        let mut planes = Vec::with_capacity(per_reader.len() * grid.node_count());
         for f in &per_reader {
             assert_eq!(f.grid(), &grid, "field grid mismatch");
+            planes.extend_from_slice(f.as_slice());
         }
         VirtualGrid {
             fine: grid,
-            per_reader,
+            planes,
             refine: 1,
         }
     }
@@ -177,7 +178,7 @@ impl VirtualGrid {
 
     /// Number of readers covered.
     pub fn reader_count(&self) -> usize {
-        self.per_reader.len()
+        self.planes.len() / self.fine.node_count()
     }
 
     /// Total number of virtual+real reference tags — the paper's `N²`.
@@ -185,26 +186,24 @@ impl VirtualGrid {
         self.fine.node_count()
     }
 
-    /// RSSI field of reader `k` on the fine lattice.
-    pub fn field(&self, k: usize) -> &GridData<f64> {
-        &self.per_reader[k]
+    /// RSSI plane of reader `k` on the fine lattice, in row-major node
+    /// order.
+    ///
+    /// # Panics
+    /// Panics when `k` is out of range.
+    pub fn field(&self, k: usize) -> &[f64] {
+        let nodes = self.fine.node_count();
+        &self.planes[k * nodes..(k + 1) * nodes]
     }
 
-    /// Mutable RSSI field of reader `k` — the [`GridPatcher`] write path.
-    pub(crate) fn field_mut(&mut self, k: usize) -> &mut GridData<f64> {
-        &mut self.per_reader[k]
-    }
-
-    /// All per-reader fields mutably — the [`GridPatcher::rebuild`]
-    /// fan-out path, which re-interpolates each reader's plane on its own
-    /// worker-pool lane and therefore needs disjoint `&mut` access.
-    pub(crate) fn fields_mut(&mut self) -> &mut [GridData<f64>] {
-        &mut self.per_reader
+    /// Every reader's plane, reader-major: `planes[k * nodes + flat]`.
+    pub fn planes(&self) -> &[f64] {
+        &self.planes
     }
 
     /// RSSI of virtual tag `idx` at reader `k`.
     pub fn rssi(&self, k: usize, idx: GridIndex) -> f64 {
-        *self.per_reader[k].get(idx)
+        self.field(k)[self.fine.flat(idx)]
     }
 
     /// Signal vector (one RSSI per reader) of virtual tag `idx`.
@@ -236,35 +235,32 @@ fn axis_positions(
     (coarse_xs, fine_xs, coarse_ys, fine_ys)
 }
 
-/// Pass 1 of the separable sweep: per coarse row `j`, interpolate along x
-/// into `intermediate[j * fnx ..][.. fnx]` (a flat `cny × fnx` buffer).
+/// Pass 1 of the separable sweep: per coarse row `j` of the row-major
+/// `field`, interpolate along x into `intermediate[j * fnx ..][.. fnx]` (a
+/// flat `cny × fnx` buffer).
 fn horizontal_pass(
-    field: &GridData<f64>,
+    field: &[f64],
     coarse_xs: &[f64],
     fine_xs: &[f64],
     n: usize,
     kernel: InterpolationKernel,
     intermediate: &mut [f64],
 ) {
-    let cnx = coarse_xs.len();
-    let mut row_vals = vec![0.0f64; cnx];
-    for (j, row_out) in intermediate.chunks_exact_mut(fine_xs.len()).enumerate() {
-        for (i, v) in row_vals.iter_mut().enumerate() {
-            *v = *field.get(GridIndex::new(i, j));
-        }
-        interpolate_line(coarse_xs, &row_vals, fine_xs, n, kernel, row_out);
+    let rows = field.chunks_exact(coarse_xs.len());
+    for (row, row_out) in rows.zip(intermediate.chunks_exact_mut(fine_xs.len())) {
+        interpolate_line(coarse_xs, row, fine_xs, n, kernel, row_out);
     }
 }
 
 /// Pass 2: per fine column `fi`, interpolate the intermediate's column
-/// along y into the output field.
+/// along y into the row-major output plane.
 fn vertical_pass(
     intermediate: &[f64],
     coarse_ys: &[f64],
     fine_ys: &[f64],
     n: usize,
     kernel: InterpolationKernel,
-    out: &mut GridData<f64>,
+    out: &mut [f64],
 ) {
     let cny = coarse_ys.len();
     let fny = fine_ys.len();
@@ -277,7 +273,7 @@ fn vertical_pass(
         }
         interpolate_line(coarse_ys, &col_vals, fine_ys, n, kernel, &mut col_out);
         for (fj, &v) in col_out.iter().enumerate() {
-            out.set(GridIndex::new(fi, fj), v);
+            out[fj * fnx + fi] = v;
         }
     }
 }
@@ -305,10 +301,10 @@ fn push_merged(ranges: &mut Vec<(usize, usize)>, lo: usize, hi: usize) {
 /// 1. **Horizontal** — every dirty coarse row is re-interpolated in full
 ///    (O(fnx) per row) and bit-diffed against the retained intermediate;
 ///    the diff yields the fine *columns* whose vertical inputs moved.
-/// 2. **Vertical** — only those columns are re-interpolated, and the
-///    write-back diff is restricted to the union of the dirty rows'
-///    y-axis support windows ([`local_knot_support`]; whole column under
-///    global kernels).
+/// 2. **Vertical** — only those columns are re-interpolated, and only the
+///    union of the dirty rows' y-axis support windows
+///    ([`local_knot_support`]; whole column under global kernels) is
+///    written back into the grid's plane.
 ///
 /// Because both passes re-run the exact `interpolate_line` a fresh
 /// [`VirtualGrid::build`] would run on the same inputs, and every sample
@@ -326,7 +322,6 @@ pub struct GridPatcher {
     fine_ys: Vec<f64>,
     /// Horizontal-pass output per reader, flattened `[j * fnx + fi]`.
     intermediates: Vec<Vec<f64>>,
-    row_vals: Vec<f64>,
     row_out: Vec<f64>,
     col_vals: Vec<f64>,
     col_out: Vec<f64>,
@@ -365,36 +360,34 @@ impl GridPatcher {
         );
         assert_eq!(grid.reader_count(), self.intermediates.len());
         // One reader's plane per worker-pool lane: each lane owns reader
-        // k's intermediate and output field exclusively, reads only
+        // k's intermediate and output plane exclusively, reads only
         // shared positions/kernel state, and the passes themselves are
         // the sequential code verbatim — so the rebuild stays bit-
         // identical at any worker count (and runs inline on one core).
-        let mut lanes: Vec<(&mut Vec<f64>, &mut GridData<f64>)> = self
+        let mut lanes: Vec<(&mut Vec<f64>, &mut [f64])> = self
             .intermediates
             .iter_mut()
-            .zip(grid.fields_mut().iter_mut())
+            .zip(grid.planes.chunks_exact_mut(self.fine.node_count()))
             .collect();
         let (coarse_xs, fine_xs) = (&self.coarse_xs, &self.fine_xs);
         let (coarse_ys, fine_ys) = (&self.coarse_ys, &self.fine_ys);
         let (n, kernel) = (self.n, self.kernel);
         crate::pool::WorkerPool::global().for_each_mut(&mut lanes, |k, lane| {
-            let (inter, field) = (&mut *lane.0, &mut *lane.1);
+            let (inter, plane) = (&mut *lane.0, &mut *lane.1);
             horizontal_pass(refs.field(k), coarse_xs, fine_xs, n, kernel, inter);
-            vertical_pass(inter, coarse_ys, fine_ys, n, kernel, field);
+            vertical_pass(inter, coarse_ys, fine_ys, n, kernel, plane);
         });
     }
 
     /// Re-interpolates `grid` in place after the calibration cells named
-    /// in `dirty` changed in `refs`, reporting every fine-lattice value
-    /// that moved as `on_change(reader, flat_fine_node, old, new)`.
+    /// in `dirty` changed in `refs`.
     ///
     /// `dirty` entries are `(reader, coarse node)` pairs; duplicates are
     /// fine, and `refs` must already hold the **new** values for all of
     /// them. Entries sharing a coarse row are coalesced — the whole row is
     /// replayed once — so only the row coordinate of each entry matters.
     ///
-    /// The patched grid (and the reported change set, applied to any
-    /// mirror of the fields) is bit-identical to rebuilding from `refs`.
+    /// The patched grid is bit-identical to rebuilding from `refs`.
     ///
     /// # Panics
     /// Panics when `refs` or `grid` does not match the lattice/readers
@@ -404,7 +397,6 @@ impl GridPatcher {
         grid: &mut VirtualGrid,
         refs: &ReferenceRssiMap,
         dirty: &[(usize, GridIndex)],
-        mut on_change: impl FnMut(usize, usize, f64, f64),
     ) {
         assert_eq!(refs.grid(), &self.coarse, "reference lattice mismatch");
         assert_eq!(grid.grid(), &self.fine, "virtual lattice mismatch");
@@ -416,6 +408,7 @@ impl GridPatcher {
         assert_eq!(grid.reader_count(), self.intermediates.len());
         let (cnx, cny) = (self.coarse.nx(), self.coarse.ny());
         let fnx = self.fine.nx();
+        let nodes = self.fine.node_count();
 
         for k in 0..self.intermediates.len() {
             self.dirty_rows.clear();
@@ -435,15 +428,13 @@ impl GridPatcher {
             // intermediate to find the columns whose inputs moved.
             self.changed_cols.clear();
             let inter = &mut self.intermediates[k];
+            let field = refs.field(k);
             for &j in &self.dirty_rows {
                 assert!(j < cny, "dirty row out of range");
-                self.row_vals.clear();
-                self.row_vals
-                    .extend((0..cnx).map(|i| refs.rssi(k, GridIndex::new(i, j))));
                 self.row_out.resize(fnx, 0.0);
                 interpolate_line(
                     &self.coarse_xs,
-                    &self.row_vals,
+                    &field[j * cnx..(j + 1) * cnx],
                     &self.fine_xs,
                     self.n,
                     self.kernel,
@@ -476,9 +467,10 @@ impl GridPatcher {
                 self.row_windows.push((*w.start(), *w.end()));
             }
 
-            // Pass 2: replay each changed column, write bit-diffs through.
+            // Pass 2: replay each changed column and write its reachable
+            // rows straight into the plane.
             let inter = &self.intermediates[k];
-            let field = grid.field_mut(k);
+            let plane = &mut grid.planes[k * nodes..(k + 1) * nodes];
             for &fi in &self.changed_cols {
                 self.col_vals.clear();
                 self.col_vals.extend((0..cny).map(|j| inter[j * fnx + fi]));
@@ -493,13 +485,7 @@ impl GridPatcher {
                 );
                 for &(lo, hi) in &self.row_windows {
                     for fj in lo..=hi {
-                        let idx = GridIndex::new(fi, fj);
-                        let old = *field.get(idx);
-                        let new = self.col_out[fj];
-                        if old.to_bits() != new.to_bits() {
-                            field.set(idx, new);
-                            on_change(k, self.fine.flat(idx), old, new);
-                        }
+                        plane[fj * fnx + fi] = self.col_out[fj];
                     }
                 }
             }
@@ -522,6 +508,11 @@ fn interpolate_line(
 ) {
     debug_assert_eq!(targets.len(), out.len());
     match kernel {
+        InterpolationKernel::Linear | InterpolationKernel::PaperLinear if knots.len() == 1 => {
+            // Degenerate line (single knot): constant, as for the
+            // global kernels below.
+            out.fill(values[0]);
+        }
         InterpolationKernel::Linear | InterpolationKernel::PaperLinear => {
             let paper = kernel == InterpolationKernel::PaperLinear;
             for (t_idx, slot) in out.iter_mut().enumerate() {
@@ -696,13 +687,11 @@ mod tests {
     }
 
     fn grids_bit_identical(a: &VirtualGrid, b: &VirtualGrid) -> bool {
-        (0..a.reader_count()).all(|k| {
-            a.field(k)
-                .as_slice()
+        a.planes().len() == b.planes().len()
+            && a.planes()
                 .iter()
-                .zip(b.field(k).as_slice())
+                .zip(b.planes())
                 .all(|(x, y)| x.to_bits() == y.to_bits())
-        })
     }
 
     #[test]
@@ -719,7 +708,7 @@ mod tests {
                 let old = refs.rssi(k, idx);
                 refs.set_rssi(k, idx, old - 3.75);
             }
-            patcher.patch(&mut grid, &refs, &dirty, |_, _, _, _| {});
+            patcher.patch(&mut grid, &refs, &dirty);
             let fresh = VirtualGrid::build(&refs, 4, kernel);
             assert!(grids_bit_identical(&grid, &fresh), "{kernel:?}");
             // Roll the map back for the next kernel.
@@ -749,7 +738,7 @@ mod tests {
             // starts from consistent state and still matches fresh.
             let cell = GridIndex::new(1, 1);
             refs.set_rssi(0, cell, refs.rssi(0, cell) + 1.5);
-            patcher.patch(&mut grid, &refs, &[(0, cell)], |_, _, _, _| {});
+            patcher.patch(&mut grid, &refs, &[(0, cell)]);
             let fresh2 = VirtualGrid::build(&refs, 4, kernel);
             assert!(grids_bit_identical(&grid, &fresh2), "{kernel:?} post-patch");
             // Roll back for the next kernel.
@@ -765,38 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_reports_the_exact_change_set() {
-        let mut refs = map_with(|p| -70.0 - 1.5 * p.x + 0.6 * p.y);
-        let (mut grid, mut patcher) =
-            VirtualGrid::build_with_patcher(&refs, 3, InterpolationKernel::Linear);
-        let before = grid.clone();
-        let cell = GridIndex::new(2, 1);
-        refs.set_rssi(0, cell, refs.rssi(0, cell) + 2.5);
-        let mut changes = Vec::new();
-        patcher.patch(&mut grid, &refs, &[(0, cell)], |k, flat, old, new| {
-            changes.push((k, flat, old, new))
-        });
-        assert!(!changes.is_empty());
-        // Replaying the change set onto the old grid reproduces the new one,
-        // and every reported `old` matches what was there.
-        let mut replay = before.clone();
-        for &(k, flat, old, new) in &changes {
-            let idx = replay.grid().unflat(flat);
-            assert_eq!(replay.rssi(k, idx).to_bits(), old.to_bits());
-            replay.field_mut(k).set(idx, new);
-        }
-        assert!(grids_bit_identical(&replay, &grid));
-        // Reader 1 was untouched.
-        assert!(changes.iter().all(|&(k, ..)| k == 0));
-        // A no-op patch (map unchanged) reports nothing.
-        let mut noop = Vec::new();
-        patcher.patch(&mut grid, &refs, &[(0, cell)], |k, flat, old, new| {
-            noop.push((k, flat, old, new))
-        });
-        assert!(noop.is_empty());
-    }
-
-    #[test]
     #[should_panic(expected = "reference lattice mismatch")]
     fn patch_rejects_foreign_map() {
         let refs = map_with(|p| -70.0 - p.x);
@@ -809,11 +766,6 @@ mod tests {
             .map(|_| GridData::filled(other_grid, -70.0))
             .collect();
         let other = ReferenceRssiMap::new(other_grid, readers, fields);
-        patcher.patch(
-            &mut grid,
-            &other,
-            &[(0, GridIndex::new(0, 0))],
-            |_, _, _, _| {},
-        );
+        patcher.patch(&mut grid, &other, &[(0, GridIndex::new(0, 0))]);
     }
 }

@@ -154,12 +154,12 @@ fn label_components(mask: &[u64], nx: usize, nodes: usize, buf: &mut WeightBuffe
     }
 }
 
-/// Allocation-free weighting over pre-flattened RSSI planes
-/// (`planes[k * nodes + flat]`) and a packed candidate mask in the
-/// [`bitgrid`] word layout. On success the candidate flat indices and
-/// their normalized weights are left in `buf` and `true` is returned;
-/// `false` corresponds to the `None` cases of [`candidate_weights`]
-/// (empty mask or degenerate weights).
+/// Allocation-free weighting over reader-major RSSI planes
+/// (`planes[k * nodes + flat]`, [`VirtualGrid::planes`]) and a packed
+/// candidate mask in the [`bitgrid`] word layout. On success the candidate
+/// flat indices and their normalized weights are left in `buf` and `true`
+/// is returned; `false` corresponds to the `None` cases of
+/// [`candidate_weights`] (empty mask or degenerate weights).
 ///
 /// Bit-for-bit equivalent to the historical implementation: candidate
 /// iteration walks `trailing_zeros` word by word, which enumerates the
@@ -277,11 +277,10 @@ pub fn candidate_weights(
     mode: WeightingMode,
     w1_mode: W1Mode,
 ) -> Option<(Vec<GridIndex>, Vec<f64>)> {
-    let planes = crate::elimination::flatten_planes(grid);
     let nx = grid.grid().nx();
     let mut buf = WeightBuffers::default();
     if !candidate_weights_into(
-        &planes,
+        grid.planes(),
         grid.tag_count(),
         nx,
         reading,

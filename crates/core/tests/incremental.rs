@@ -14,8 +14,8 @@ use vire_core::elimination::ThresholdMode;
 use vire_core::incremental::SyncOutcome;
 use vire_core::prepared::SORT_AFTER;
 use vire_core::{
-    DirtyCell, InterpolationKernel, Landmarc, OwnedPreparedLocalizer, PreparedLocalizer,
-    PreparedVire, ReferenceRssiMap, TrackingReading, VireConfig,
+    DirtyCell, InterpolationKernel, Landmarc, Localizer, OwnedPreparedLocalizer, PreparedLocalizer,
+    PreparedVire, ReferenceRssiMap, TrackingReading, Vire, VireConfig,
 };
 use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
@@ -406,6 +406,48 @@ fn batch_that_builds_the_sorted_planes_matches_sequential_locates() {
                 "{kernel:?}"
             );
             assert_eq!(got, want, "{kernel:?}");
+        }
+    }
+}
+
+/// A lattice with one node along an axis is a valid map
+/// (`RegularGrid::new` allows it): every kernel localizes on the 4×1,
+/// 1×4 and 1×1 lattices, and a one-cell sync (the patch path, where the
+/// map is large enough to stay below the rebuild cutover) equals a fresh
+/// build.
+#[test]
+fn one_node_axis_lattices_localize_and_patch_on_every_kernel() {
+    let reading = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
+    for (nx, ny) in [(4, 1), (1, 4), (1, 1)] {
+        let grid = RegularGrid::new(Point2::ORIGIN, 1.0, 1.0, nx, ny);
+        let rs = readers();
+        let fields = rs
+            .iter()
+            .map(|r| GridData::from_fn(grid, |_, p| -62.0 - 24.0 * p.distance(*r).max(0.1).log10()))
+            .collect();
+        let map = ReferenceRssiMap::new(grid, rs, fields);
+        let mut moved = map.clone();
+        let cell = GridIndex::new(nx - 1, ny - 1);
+        moved.set_rssi(1, cell, map.rssi(1, cell) - 3.5);
+        for kernel in kernels() {
+            let config = VireConfig {
+                kernel,
+                ..VireConfig::default()
+            };
+            let located = Localizer::locate(&Vire::new(config.clone()), &map, &reading);
+            assert!(located.is_ok(), "{kernel:?} on {nx}×{ny}: {located:?}");
+            let mut owned = PreparedVire::build(&config, &map).unwrap();
+            let outcome = owned.sync(&moved, &[]);
+            if nx * ny > 1 {
+                assert_eq!(outcome, SyncOutcome::Patched(1), "{kernel:?} on {nx}×{ny}");
+            }
+            let fresh = PreparedVire::build(&config, &moved).unwrap();
+            assert_eq!(
+                bits(owned.planes()),
+                bits(fresh.planes()),
+                "{kernel:?} on {nx}×{ny}"
+            );
+            assert_eq!(owned.locate(&reading), fresh.locate(&reading));
         }
     }
 }

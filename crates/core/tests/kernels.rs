@@ -3,7 +3,8 @@
 //! packed fixed-threshold elimination mask, and the full LANDMARC / VIRE
 //! paths must all be **bit-identical** to naive node-at-a-time scalar
 //! oracles, for every interpolation kernel and for node counts that leave
-//! ragged vector tails.
+//! ragged vector tails. Adaptive elimination must match a map-building
+//! reference of the §4.3 procedure through all three phases.
 
 use proptest::prelude::*;
 use vire_core::elimination::{eliminate, ThresholdMode};
@@ -71,19 +72,127 @@ fn all_kernels() -> [InterpolationKernel; 4] {
     ]
 }
 
-/// Reader-major flattening of a virtual grid's planes, independent of the
-/// library's own `flatten_planes` (re-derived here so the tests do not
+/// Reader-major copy of a virtual grid's planes, assembled field by field
+/// rather than taken from `VirtualGrid::planes` (so the tests do not
 /// trust the code under test).
 fn flatten(grid: &VirtualGrid) -> Vec<f64> {
     let mut planes = Vec::new();
     for k in 0..grid.reader_count() {
-        planes.extend_from_slice(grid.field(k).as_slice());
+        planes.extend_from_slice(grid.field(k));
     }
     planes
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|v| v.to_bits()).collect()
+}
+
+/// The §4.3 adaptive elimination built the obvious way, as the
+/// map-building reference for `eliminate`: every probe recounts the joint
+/// survivors `∀k: |s_k − θ_k| < t_k` over the whole lattice.
+///
+/// 1. Start every reader at the largest of the per-reader smallest gaps
+///    (at least `min`), plus one step, and grow the common threshold until
+///    the intersection is non-empty.
+/// 2. Shrink the common threshold while at least `floor` regions survive.
+/// 3. With `per_reader`, visit the readers largest proximity-map area
+///    first (area at the common threshold, ties in reader order) and
+///    shrink each one's threshold while at least `floor` regions survive.
+///
+/// Returns the per-reader thresholds and the surviving mask.
+fn reference_adaptive(
+    planes: &[&[f64]],
+    thetas: &[f64],
+    step: f64,
+    min: f64,
+    per_reader: bool,
+    floor: usize,
+) -> (Vec<f64>, Vec<bool>) {
+    let nodes = planes[0].len();
+    let gap = |k: usize, i: usize| (planes[k][i] - thetas[k]).abs();
+    let survives = |i: usize, ts: &[f64]| (0..planes.len()).all(|k| gap(k, i) < ts[k]);
+    let count = |ts: &[f64]| (0..nodes).filter(|&i| survives(i, ts)).count();
+    let k_readers = planes.len();
+    let start = (0..k_readers)
+        .map(|k| (0..nodes).map(|i| gap(k, i)).fold(f64::INFINITY, f64::min))
+        .fold(0.0f64, f64::max)
+        .max(min)
+        + step;
+    let mut t = start;
+    while count(&vec![t; k_readers]) == 0 {
+        t += step;
+    }
+    while t - step >= min && count(&vec![t - step; k_readers]) >= floor {
+        t -= step;
+    }
+    let mut ts = vec![t; k_readers];
+    if per_reader {
+        let area = |k: usize| (0..nodes).filter(|&i| gap(k, i) < t).count();
+        let mut order: Vec<usize> = (0..k_readers).collect();
+        order.sort_by_key(|&k| std::cmp::Reverse(area(k)));
+        for k in order {
+            loop {
+                let mut probe = ts.clone();
+                probe[k] = ts[k] - step;
+                if probe[k] < min || count(&probe) < floor {
+                    break;
+                }
+                ts = probe;
+            }
+        }
+    }
+    let mask = (0..nodes).map(|i| survives(i, &ts)).collect();
+    (ts, mask)
+}
+
+/// A calibration map for the elimination oracle: each reader's smooth
+/// log-distance falloff plus noise, rounded to half a dB so the planes
+/// tie, with the odd cell set to `0.0` or `-0.0`.
+fn tie_map() -> impl Strategy<Value = ReferenceRssiMap> {
+    (2usize..=4)
+        .prop_flat_map(|side| {
+            let cell = (0u8..24, -3.0..3.0f64);
+            (
+                Just(side),
+                prop::collection::vec(cell, READERS * side * side),
+            )
+        })
+        .prop_map(|(side, cells)| {
+            let grid = RegularGrid::square(Point2::ORIGIN, 1.0, side);
+            let rs = readers();
+            let fields = rs
+                .iter()
+                .zip(cells.chunks_exact(side * side))
+                .map(|(r, cells)| {
+                    let mut flat = 0;
+                    GridData::from_fn(grid, |_, p| {
+                        let (kind, noise) = cells[flat];
+                        flat += 1;
+                        match kind {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => {
+                                let db = -62.0 - 24.0 * p.distance(*r).max(0.1).log10() + noise;
+                                (db * 2.0).round() / 2.0
+                            }
+                        }
+                    })
+                })
+                .collect();
+            ReferenceRssiMap::new(grid, rs, fields)
+        })
+}
+
+/// A reading's offset from a plane value: none, `-0.0`, up to 1.5 dB, or
+/// up to 6 dB (readers that disagree, so phase 1 overshoots and phase 3
+/// starts from more survivors than the floor).
+fn theta_offset() -> impl Strategy<Value = f64> {
+    (0u8..4, -1.5..1.5f64).prop_map(|(kind, d)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => d,
+        _ => 4.0 * d,
+    })
 }
 
 proptest! {
@@ -127,7 +236,7 @@ proptest! {
         let nodes = side * side;
         let mut planes = Vec::new();
         for k in 0..READERS {
-            planes.extend_from_slice(map.field(k).as_slice());
+            planes.extend_from_slice(map.field(k));
         }
         let mut out = Vec::new();
         edist_sq_into(&planes, nodes, &thetas, &mut out);
@@ -281,6 +390,49 @@ proptest! {
             let synced = synced.locate(&reading);
             prop_assert_eq!(&one_shot, &prepared, "prepared diverged, kernel {:?}", kernel);
             prop_assert_eq!(&one_shot, &synced, "synced diverged, kernel {:?}", kernel);
+        }
+    }
+}
+
+proptest! {
+    // Phase 3 decides a case only when its survivors reach the floor and
+    // the reader order matters, so this oracle runs more cases.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Adaptive elimination — phases 1–3, `per_reader` on and off, every
+    /// candidate floor from 1 to the node count — matches the
+    /// map-building reference to the bit: thresholds and mask, on every
+    /// interpolation kernel, over planes with ties and ±0.0 and readings
+    /// taken on or near one region's plane values.
+    #[test]
+    fn adaptive_eliminate_matches_map_building_reference(
+        map in tie_map(),
+        refine in 1usize..=3,
+        pick in any::<usize>(),
+        offsets in prop::collection::vec(theta_offset(), READERS),
+        (step, min) in (0usize..4, 0usize..3),
+        per_reader in any::<bool>(),
+        floor_pick in any::<usize>(),
+        small_floor in 0u8..4,
+    ) {
+        let (step, min) = ([0.25, 1.0, 2.0, 4.0][step], [0.0, 0.05, 0.5][min]);
+        for kernel in all_kernels() {
+            let vg = VirtualGrid::build(&map, refine, kernel);
+            let nodes = vg.tag_count();
+            // The tag sits on (or just off, reader by reader) one region.
+            let thetas: Vec<f64> = (0..READERS)
+                .map(|k| vg.field(k)[pick % nodes] + offsets[k])
+                .collect();
+            // Mostly a small floor, which the survivors can exceed.
+            let floor = 1 + floor_pick % if small_floor > 0 { nodes.min(4) } else { nodes };
+            let mode = ThresholdMode::Adaptive { step, min, per_reader, min_candidates: floor };
+            let planes: Vec<&[f64]> = (0..READERS).map(|k| vg.field(k)).collect();
+            let (ts, mask) = reference_adaptive(&planes, &thetas, step, min, per_reader, floor);
+            let r = eliminate(&vg, &TrackingReading::new(thetas), mode)
+                .expect("adaptive elimination keeps a region");
+            prop_assert_eq!(bits(&r.thresholds), bits(&ts), "kernel {:?}, floor {}", kernel, floor);
+            let unpacked = r.mask.to_grid_data();
+            prop_assert_eq!(unpacked.as_slice(), mask.as_slice(), "kernel {:?}", kernel);
         }
     }
 }

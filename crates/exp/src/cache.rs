@@ -432,9 +432,9 @@ impl WireTrial {
             readers: trial.map.readers().iter().map(|r| (r.x, r.y)).collect(),
             per_reader: trial
                 .map
-                .fields()
-                .iter()
-                .map(|f| f.as_slice().to_vec())
+                .planes()
+                .chunks_exact(grid.node_count())
+                .map(<[f64]>::to_vec)
                 .collect(),
             tags: trial
                 .tags
@@ -612,11 +612,9 @@ mod tests {
         let wire: WireTrial = serde_json::from_str(&body).unwrap();
         let back = wire.into_trial().expect("valid wire trial");
         assert_eq!(trial.map.grid(), back.map.grid());
-        for (a, b) in trial.map.fields().iter().zip(back.map.fields()) {
-            let a_bits: Vec<u64> = a.as_slice().iter().map(|v| v.to_bits()).collect();
-            let b_bits: Vec<u64> = b.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a_bits, b_bits);
-        }
+        let a_bits: Vec<u64> = trial.map.planes().iter().map(|v| v.to_bits()).collect();
+        let b_bits: Vec<u64> = back.map.planes().iter().map(|v| v.to_bits()).collect();
+        assert_eq!(a_bits, b_bits);
         for (a, b) in trial.tags.iter().zip(&back.tags) {
             assert_eq!(a.truth, b.truth);
             let a_bits: Vec<u64> = a.reading.rssi().iter().map(|v| v.to_bits()).collect();

@@ -27,9 +27,7 @@ use vire_sim::{SmoothingKind, TestbedConfig};
 /// truth and RSSI), so equality means bit-identity, not approximation.
 fn trial_bits(trial: &TrialData) -> Vec<u64> {
     let mut bits = Vec::new();
-    for field in trial.map.fields() {
-        bits.extend(field.as_slice().iter().map(|v| v.to_bits()));
-    }
+    bits.extend(trial.map.planes().iter().map(|v| v.to_bits()));
     for tag in &trial.tags {
         bits.push(tag.truth.x.to_bits());
         bits.push(tag.truth.y.to_bits());

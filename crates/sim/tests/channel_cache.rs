@@ -50,9 +50,9 @@ fn run_scenario(
     let map_bits: Vec<u64> = tb
         .reference_map()
         .expect("warmed up")
-        .fields()
+        .planes()
         .iter()
-        .flat_map(|f| f.as_slice().iter().map(|v| v.to_bits()))
+        .map(|v| v.to_bits())
         .collect();
     (readings, map_bits)
 }

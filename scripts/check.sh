@@ -25,7 +25,14 @@ cargo test -p vire-geom -q
 # One prepared state per algorithm: the vector kernels match their scalar
 # oracles, every VIRE entry point (one-shot, prepare, sync from a
 # perturbed map) agrees bit-for-bit, and a patched state equals a fresh
-# build on every interpolation kernel. The lazily built sorted planes
+# build on every interpolation kernel. The calibration map and the
+# virtual grid each hold the only copy of their reader-major planes:
+# LANDMARC reads the map's, elimination and weighting read the grid's,
+# and a patch writes straight into them. Adaptive elimination matches a
+# map-building reference of the paper's procedure through all three
+# phases (threshold bits and mask, largest-area reader first), and a
+# lattice with one node along an axis localizes and patches on every
+# kernel. The lazily built sorted planes
 # are dropped on every map change (patch, in-place rebuild, reshape), so
 # no locate searches stale values; and scanning a plane for the smallest
 # gap gives the same bits as binary-searching its sorted copy, so which
@@ -36,12 +43,14 @@ cargo test -p vire-geom -q
 # describes, and a hint that misses a cell trips the debug mirror check.
 echo "==> cargo test (prepared-state oracles)"
 cargo test -q -p vire-core --test kernels --test incremental
+cargo test -q -p vire-core --test kernels -- adaptive_eliminate_matches_map_building_reference
 cargo test -q -p vire-core --test incremental -- \
   sorted_planes_built_before_a_map_change_are_never_searched_after_it \
   batch_that_builds_the_sorted_planes_matches_sequential_locates \
   patched_state_is_bit_identical_to_rebuild \
   foreign_map_identity_syncs_via_full_diff \
-  a_hint_that_misses_a_changed_cell_trips_the_mirror_check
+  a_hint_that_misses_a_changed_cell_trips_the_mirror_check \
+  one_node_axis_lattices_localize_and_patch_on_every_kernel
 cargo test -q -p vire-core --lib -- \
   min_gap_scan_equals_min_gap_sorted sort_planes_matches_total_cmp_sort \
   hint_path_and_diff_path_agree sync_patches_the_named_cell_and_matches_fresh

@@ -12,7 +12,7 @@ fn trials_replay_bit_for_bit() {
     let a = collect_trial(&env3(), &positions, 77);
     let b = collect_trial(&env3(), &positions, 77);
     for k in 0..a.map.reader_count() {
-        assert_eq!(a.map.field(k).as_slice(), b.map.field(k).as_slice());
+        assert_eq!(a.map.field(k), b.map.field(k));
     }
     for (ta, tb) in a.tags.iter().zip(&b.tags) {
         assert_eq!(ta.reading, tb.reading);
