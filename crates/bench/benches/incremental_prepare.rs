@@ -3,9 +3,10 @@
 //! A calibration update dirties a handful of coarse cells;
 //! `PreparedVire`'s `sync` re-interpolates only the kernel-support
 //! region of each and patches the flattened planes in place, where the
-//! pre-incremental path rebuilt the whole prepared state. Neither path
-//! sorts: the sorted elimination planes are built later, and only once
-//! enough locates run against the new map to pay for them. This bench
+//! pre-incremental path rebuilt the whole prepared state. Both paths
+//! stop at the planes: nothing else is derived from them between locates
+//! (each locate's max-gap pass also yields every reader's smallest gap).
+//! This bench
 //! sweeps the dirty-cell count (1, 4, 16, all) on the default 3-reader
 //! 4×4 map at refine 10 and, in bench mode, writes a machine-readable
 //! summary to `target/incremental_prepare.json`.

@@ -20,8 +20,16 @@ use vire_core::{Landmarc, PreparedLocalizer, ReferenceRssiMap, TrackingReading};
 use vire_geom::{bitgrid, Point2};
 
 /// Node-at-a-time scalar max-gap: the loop shape the lane-chunked kernel
-/// replaced (readers inner, stride-`nodes` plane access per node).
-fn scalar_max_gap(planes: &[f64], nodes: usize, thetas: &[f64], out: &mut Vec<f64>) {
+/// replaced (readers inner, stride-`nodes` plane access per node), plus
+/// each reader's smallest gap folded over its plane, so both sides do the
+/// kernel's work.
+fn scalar_max_gap(
+    planes: &[f64],
+    nodes: usize,
+    thetas: &[f64],
+    out: &mut Vec<f64>,
+    mins: &mut Vec<f64>,
+) {
     out.clear();
     out.resize(nodes, 0.0);
     for (i, m) in out.iter_mut().enumerate() {
@@ -32,6 +40,12 @@ fn scalar_max_gap(planes: &[f64], nodes: usize, thetas: &[f64], out: &mut Vec<f6
             }
         }
     }
+    mins.clear();
+    mins.extend(thetas.iter().enumerate().map(|(k, &theta)| {
+        planes[k * nodes..(k + 1) * nodes]
+            .iter()
+            .fold(f64::INFINITY, |m, &s| m.min((s - theta).abs()))
+    }));
 }
 
 /// Node-at-a-time scalar E-distance with the historical eager per-node
@@ -152,12 +166,28 @@ fn virtual_planes() -> (Vec<f64>, usize, Vec<f64>) {
 fn bench_kernels(c: &mut Criterion) {
     let (planes, nodes, thetas) = virtual_planes();
     let mut group = c.benchmark_group("kernels");
-    let mut out = Vec::new();
+    let (mut out, mut mins) = (Vec::new(), Vec::new());
     group.bench_function("maxgap_vector", |b| {
-        b.iter(|| max_gap_into(black_box(&planes), nodes, black_box(&thetas), &mut out))
+        b.iter(|| {
+            max_gap_into(
+                black_box(&planes),
+                nodes,
+                black_box(&thetas),
+                &mut out,
+                &mut mins,
+            )
+        })
     });
     group.bench_function("maxgap_scalar", |b| {
-        b.iter(|| scalar_max_gap(black_box(&planes), nodes, black_box(&thetas), &mut out))
+        b.iter(|| {
+            scalar_max_gap(
+                black_box(&planes),
+                nodes,
+                black_box(&thetas),
+                &mut out,
+                &mut mins,
+            )
+        })
     });
     group.bench_function("edist_sq_vector", |b| {
         b.iter(|| edist_sq_into(black_box(&planes), nodes, black_box(&thetas), &mut out))
@@ -231,20 +261,41 @@ fn emit_json_summary(_c: &mut Criterion) {
     let mut rows = Vec::new();
 
     // VIRE's single-tag locate hot loop: the max-gap plane over the full
-    // virtual grid, recomputed on every reading.
-    let mut vector = Vec::new();
-    let mut scalar = Vec::new();
-    max_gap_into(&planes, nodes, &thetas, &mut vector);
-    scalar_max_gap(&planes, nodes, &thetas, &mut scalar);
+    // virtual grid and each reader's smallest gap, recomputed on every
+    // reading.
+    let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let (mut vector, mut vector_mins) = (Vec::new(), Vec::new());
+    let (mut scalar, mut scalar_mins) = (Vec::new(), Vec::new());
+    max_gap_into(&planes, nodes, &thetas, &mut vector, &mut vector_mins);
+    scalar_max_gap(&planes, nodes, &thetas, &mut scalar, &mut scalar_mins);
     assert_eq!(
-        vector.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        scalar.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+        bits(&vector),
+        bits(&scalar),
         "max-gap kernel must be bit-identical to the scalar fold"
     );
-    let scalar_ns =
-        time_ns(|| scalar_max_gap(black_box(&planes), nodes, black_box(&thetas), &mut scalar));
-    let vector_ns =
-        time_ns(|| max_gap_into(black_box(&planes), nodes, black_box(&thetas), &mut vector));
+    assert_eq!(
+        bits(&vector_mins),
+        bits(&scalar_mins),
+        "per-reader minima must be bit-identical to the scalar fold"
+    );
+    let scalar_ns = time_ns(|| {
+        scalar_max_gap(
+            black_box(&planes),
+            nodes,
+            black_box(&thetas),
+            &mut scalar,
+            &mut scalar_mins,
+        )
+    });
+    let vector_ns = time_ns(|| {
+        max_gap_into(
+            black_box(&planes),
+            nodes,
+            black_box(&thetas),
+            &mut vector,
+            &mut vector_mins,
+        )
+    });
     rows.push(SummaryRow {
         series: "locate_hot_loop_maxgap".into(),
         nodes,

@@ -89,7 +89,8 @@ pub(crate) struct ElimBuffers {
     maxgap: Vec<f64>,
     /// `select_nth` scratch (a copy of `maxgap`, permuted).
     quantile: Vec<f64>,
-    /// Per-reader best (smallest) gaps, for the phase-1 starting point.
+    /// Per-reader smallest gaps, `min_node |s_k(node) − θ_k|`, taken by
+    /// the max-gap pass, for the phase-1 starting point.
     best: Vec<f64>,
     /// Surviving flat node indices, ascending, during phase 3.
     list: Vec<u32>,
@@ -108,40 +109,15 @@ pub(crate) struct ElimBuffers {
     areas: Vec<usize>,
 }
 
-/// Minimum of `|s − theta|` over an ascending-sorted plane. Rounding is
-/// monotone, so the minimum is achieved at a sorted neighbour of `theta`
-/// and two candidates suffice; the gap itself is the same `(s − θ).abs()`
-/// as [`min_gap_scan`], so the two return the same bits.
-fn min_gap_sorted(sorted: &[f64], theta: f64) -> f64 {
-    let i = sorted.partition_point(|&s| s < theta);
-    let mut m = f64::INFINITY;
-    if i < sorted.len() {
-        m = m.min((sorted[i] - theta).abs());
-    }
-    if i > 0 {
-        m = m.min((sorted[i - 1] - theta).abs());
-    }
-    m
-}
-
-/// Minimum of `|s − theta|` over an unsorted plane: a full pass instead
-/// of a binary search, but no sorted planes. Bit-identical to
-/// [`min_gap_sorted`] over the same values (see [`lane_min`]).
-fn min_gap_scan(plane: &[f64], theta: f64) -> f64 {
-    lane_min(plane, |s| (s - theta).abs())
-}
-
-/// Minimum of `f(v)` over `vals`, reduced with lane-parallel
-/// accumulators. `min` over a fixed set of non-NaN values is exact and
-/// order-independent, so this returns the same value as a sequential fold
-/// while letting the loop vectorize instead of serializing on the FP-min
-/// latency chain.
-fn lane_min(vals: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+/// Minimum of `vals`, reduced with lane-parallel accumulators. `min`
+/// over a fixed set of non-NaN values is exact and order-independent, so
+/// this returns the same value as a sequential fold while letting the
+/// loop vectorize instead of serializing on the FP-min latency chain.
+fn lane_min(vals: &[f64]) -> f64 {
     let mut acc = [f64::INFINITY; kernels::LANES];
     let mut chunks = vals.chunks_exact(kernels::LANES);
     for c in &mut chunks {
         for (a, &v) in acc.iter_mut().zip(c) {
-            let v = f(v);
             if v < *a {
                 *a = v;
             }
@@ -150,7 +126,7 @@ fn lane_min(vals: &[f64], f: impl Fn(f64) -> f64) -> f64 {
     let m = chunks
         .remainder()
         .iter()
-        .fold(f64::INFINITY, |m, &v| m.min(f(v)));
+        .fold(f64::INFINITY, |m, &v| m.min(v));
     acc.iter().fold(m, |m, &a| m.min(a))
 }
 
@@ -183,20 +159,17 @@ fn write_below_mask(vals: &[f64], bound: f64, words: &mut [u64]) {
 
 /// Allocation-free elimination over reader-major RSSI planes
 /// (`planes[k * nodes + flat]`, the layout [`VirtualGrid::planes`] stores).
-/// `sorted` is the per-reader sorted copy from [`sort_planes`] when the
-/// caller has one: adaptive mode then binary-searches each reader's
-/// smallest gap instead of scanning for it (same bits either way; fixed
-/// mode never looks). On success the final mask and per-reader
-/// thresholds are left in `buf` and `true` is returned; `false` means a
-/// **fixed** threshold eliminated every region (adaptive mode always
-/// keeps at least one).
+/// On success the final mask and per-reader thresholds are left in `buf`
+/// and `true` is returned; `false` means a **fixed** threshold eliminated
+/// every region (adaptive mode always keeps at least one).
 ///
 /// Bit-for-bit equivalent to the historical map-building implementation,
 /// but probes cost O(1) instead of a grid pass each:
 ///
 /// * the joint survival test `∀k: |s_k − θ_k| < t` at a *uniform* `t`
 ///   equals `max_k |s_k − θ_k| < t`, so one fused pass precomputes the
-///   per-node max-gap plane;
+///   per-node max-gap plane, and with it each reader's smallest gap (the
+///   phase-1 start);
 /// * phase 1's "intersection still empty" probe is then
 ///   `min(maxgap) ≥ t`, a scalar comparison;
 /// * phase 2's "count ≥ floor" probe is `Q < t` where `Q` is the
@@ -210,7 +183,6 @@ fn write_below_mask(vals: &[f64], bound: f64, words: &mut [u64]) {
 /// resulting thresholds, mask, and downstream weights are bit-identical.
 pub(crate) fn eliminate_into(
     planes: &[f64],
-    sorted: Option<&[f64]>,
     nodes: usize,
     reading: &TrackingReading,
     mode: ThresholdMode,
@@ -218,7 +190,6 @@ pub(crate) fn eliminate_into(
 ) -> bool {
     let k_readers = reading.reader_count();
     debug_assert_eq!(planes.len(), k_readers * nodes);
-    debug_assert!(sorted.is_none_or(|s| s.len() == planes.len()));
 
     match mode {
         ThresholdMode::Fixed(t) => {
@@ -266,10 +237,18 @@ pub(crate) fn eliminate_into(
             min_candidates,
         } => {
             assert!(step > 0.0 && min >= 0.0, "invalid adaptive parameters");
-            // Max-gap plane via the lane-chunked kernel: gaps are ≥ 0, so
-            // starting at 0 is exact for K ≥ 1, and the per-node compare
-            // order matches a scalar node-at-a-time fold bit-for-bit.
-            kernels::max_gap_into(planes, nodes, reading.rssi(), &mut buf.maxgap);
+            // Max-gap plane and per-reader smallest gaps in one pass of
+            // the lane-chunked kernel: gaps are ≥ 0, so starting at 0 is
+            // exact for K ≥ 1, the per-node compare order matches a scalar
+            // node-at-a-time fold bit-for-bit, and a minimum does not
+            // depend on the order it is taken in.
+            kernels::max_gap_into(
+                planes,
+                nodes,
+                reading.rssi(),
+                &mut buf.maxgap,
+                &mut buf.best,
+            );
             let ElimBuffers {
                 maxgap,
                 quantile,
@@ -289,14 +268,6 @@ pub(crate) fn eliminate_into(
             // still highlights its best-matching region. The common start
             // is the largest of those, guaranteeing a non-empty map for
             // every reader (though not yet a non-empty intersection).
-            best.clear();
-            for k in 0..k_readers {
-                let range = k * nodes..(k + 1) * nodes;
-                best.push(match sorted {
-                    Some(sorted) => min_gap_sorted(&sorted[range], reading.at(k)),
-                    None => min_gap_scan(&planes[range], reading.at(k)),
-                });
-            }
             let start = best.iter().copied().fold(0.0f64, f64::max).max(min) + step;
 
             // Phase 1: grow the common threshold until the intersection is
@@ -308,7 +279,7 @@ pub(crate) fn eliminate_into(
             // The floor exists to stop the *shrinking* phases from
             // whittling an ample consistent region down to a noisy
             // single-cell snap. Empty intersection ⟺ no max-gap below t.
-            let tightest = lane_min(maxgap, |v| v);
+            let tightest = lane_min(maxgap);
             let mut t = start;
             while tightest >= t {
                 t += step;
@@ -428,34 +399,11 @@ pub(crate) fn eliminate_into(
     }
 }
 
-/// Per-reader ascending-sorted copy of the reader-major planes — the search
-/// structure that lets [`eliminate_into`] find each reader's smallest gap
-/// by binary search. [`crate::PreparedVire`] builds it once enough locates
-/// have run against one map to pay for the sort.
-///
-/// Each value is sorted as its [`f64::total_cmp`] integer key (the bits
-/// with the magnitude flipped for negatives), which orders exactly as
-/// `total_cmp` does and maps back to the same bits, but sorts about twice
-/// as fast as the float comparator.
-pub(crate) fn sort_planes(planes: &[f64], k_readers: usize, nodes: usize) -> Vec<f64> {
-    debug_assert_eq!(planes.len(), k_readers * nodes);
-    // The transform is its own inverse: it never changes the sign bit.
-    let flip = |bits: i64| bits ^ (((bits >> 63) as u64) >> 1) as i64;
-    let mut keys: Vec<i64> = planes.iter().map(|v| flip(v.to_bits() as i64)).collect();
-    for k in 0..k_readers {
-        keys[k * nodes..(k + 1) * nodes].sort_unstable();
-    }
-    keys.into_iter()
-        .map(|key| f64::from_bits(flip(key) as u64))
-        .collect()
-}
-
 /// Runs elimination. Returns `None` when a **fixed** threshold eliminates
 /// every region (adaptive mode always keeps at least one).
 ///
 /// One-shot convenience over the internal `eliminate_into`; hot paths go through
-/// [`crate::PreparedVire`], which reuses the buffers across readings. A
-/// single reading never pays for sorted planes: it scans.
+/// [`crate::PreparedVire`], which reuses the buffers across readings.
 pub fn eliminate(
     grid: &VirtualGrid,
     reading: &TrackingReading,
@@ -463,14 +411,7 @@ pub fn eliminate(
 ) -> Option<EliminationResult> {
     debug_assert_eq!(grid.reader_count(), reading.reader_count());
     let mut buf = ElimBuffers::default();
-    if !eliminate_into(
-        grid.planes(),
-        None,
-        grid.tag_count(),
-        reading,
-        mode,
-        &mut buf,
-    ) {
+    if !eliminate_into(grid.planes(), grid.tag_count(), reading, mode, &mut buf) {
         return None;
     }
     Some(EliminationResult {
@@ -484,7 +425,6 @@ mod tests {
     use super::*;
     use crate::types::ReferenceRssiMap;
     use crate::virtual_grid::InterpolationKernel;
-    use proptest::prelude::*;
     use vire_geom::{GridData as GD, Point2, RegularGrid};
 
     fn setup() -> (VirtualGrid, TrackingReading, Point2) {
@@ -599,73 +539,6 @@ mod tests {
         for &t in &r.thresholds {
             assert!(t <= max_t);
             assert!(t >= 0.05);
-        }
-    }
-
-    /// Plane values: RSSI-like decibels plus values around and at ±0.0,
-    /// so ties, signed zeros and exact matches all occur.
-    fn plane_value() -> impl Strategy<Value = f64> {
-        (0u8..5, -95.0..-40.0f64, -1.0..1.0f64).prop_map(|(kind, db, small)| match kind {
-            0 => db,
-            1 => small,
-            2 => 0.0,
-            3 => -0.0,
-            _ => -70.25,
-        })
-    }
-
-    /// A `theta` placed relative to `plane`: below it, above it, equal to
-    /// one of its values, between two neighbouring values, or ±0.0.
-    fn theta_for(plane: &[f64], pick: usize, kind: u8) -> f64 {
-        let mut sorted = plane.to_vec();
-        sorted.sort_unstable_by(f64::total_cmp);
-        let i = pick % sorted.len();
-        let next = sorted[(i + 1).min(sorted.len() - 1)];
-        match kind {
-            0 => sorted[0] - 1.5,
-            1 => sorted[sorted.len() - 1] + 2.25,
-            2 => plane[i],
-            3 => sorted[i] + (next - sorted[i]) / 2.0,
-            4 => 0.0,
-            _ => -0.0,
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// The scan and the binary search agree to the bit, for plane
-        /// lengths on and off the lane width.
-        #[test]
-        fn min_gap_scan_equals_min_gap_sorted(
-            plane in prop::collection::vec(plane_value(), 1..=40),
-            pick in any::<usize>(),
-            kind in 0u8..6,
-        ) {
-            let theta = theta_for(&plane, pick, kind);
-            let sorted = sort_planes(&plane, 1, plane.len());
-            prop_assert_eq!(
-                min_gap_scan(&plane, theta).to_bits(),
-                min_gap_sorted(&sorted, theta).to_bits(),
-                "theta {} over {:?}", theta, plane
-            );
-        }
-
-        /// Sorting integer total-order keys gives the same bytes as
-        /// sorting the floats with `total_cmp`, reader by reader.
-        #[test]
-        fn sort_planes_matches_total_cmp_sort(
-            values in prop::collection::vec(plane_value(), 1..=40),
-            k_readers in 1usize..4,
-        ) {
-            let nodes = values.len().div_ceil(k_readers);
-            let planes: Vec<f64> = values.iter().copied().cycle().take(k_readers * nodes).collect();
-            let mut expected = planes.clone();
-            for plane in expected.chunks_mut(nodes) {
-                plane.sort_unstable_by(f64::total_cmp);
-            }
-            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(&sort_planes(&planes, k_readers, nodes)), bits(&expected));
         }
     }
 }

@@ -13,11 +13,10 @@
 //!   kernel-support region of each changed cell straight into the grid's
 //!   planes — producing state **bit-identical** to a
 //!   from-scratch [`PreparedVire::build`] (pinned by property tests in
-//!   `tests/incremental.rs`). The per-reader sorted planes elimination
-//!   can binary-search are never repaired: every map change drops them,
-//!   and locates scan the new planes until enough of them have run to pay
-//!   for a sort ([`SORT_AFTER`](crate::prepared::SORT_AFTER)). A map that
-//!   changes every drive therefore costs its interpolation, not a sort.
+//!   `tests/incremental.rs`). Nothing else is derived from the planes
+//!   between locates: each locate's max-gap pass also yields every
+//!   reader's smallest gap, so a map change costs its interpolation and
+//!   nothing more.
 //! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
 //!   baseline, which reads the mirror's own reader-major planes, so a
 //!   dirty cell is one O(1) write into the mirror.
@@ -143,11 +142,10 @@ fn past_rebuild_cutover(dirty: usize, refs: &ReferenceRssiMap) -> bool {
 ///
 /// Owns a mirror of the calibration map, the interpolated virtual grid,
 /// whose reader-major RSSI planes (`planes[k * nodes + flat]`) elimination
-/// and weighting scan as contiguous memory, the lazily built sorted
-/// planes, and the [`GridPatcher`] retaining the horizontal-pass
-/// intermediates. [`sync`](OwnedPreparedLocalizer::sync) patches the
-/// grid's planes in place for small dirty sets and drops the sorted
-/// planes.
+/// and weighting scan as contiguous memory, and the [`GridPatcher`]
+/// retaining the horizontal-pass intermediates.
+/// [`sync`](OwnedPreparedLocalizer::sync) patches the grid's planes in
+/// place for small dirty sets.
 pub struct PreparedVire {
     state: VireState,
     patcher: GridPatcher,
@@ -179,13 +177,6 @@ impl PreparedVire {
     /// tests.
     pub fn planes(&self) -> &[f64] {
         self.state.grid.planes()
-    }
-
-    /// The per-reader sorted planes (empty under a fixed threshold),
-    /// built now if no locate has built them for the current map yet —
-    /// for bit-identity tests.
-    pub fn sorted_planes(&self) -> &[f64] {
-        self.state.sorted_planes()
     }
 
     /// The cached virtual grid.
@@ -237,32 +228,19 @@ impl PreparedVire {
         self.state.locate_core(&self.refs, reading, scratch)
     }
 
-    /// Patches the prepared state in place for `dirty` cells whose new
-    /// values `sync` has already written into the mirror — **always** the
-    /// patch path, regardless of batch size (`sync` adds the rebuild
-    /// heuristic on top).
-    ///
-    /// After the call, the virtual grid is bit-identical to a
-    /// from-scratch prepare against the mirror, and the sorted planes are
-    /// dropped.
-    fn apply_dirty(&mut self, dirty: &[DirtyCell]) {
-        self.patcher.patch(&mut self.state.grid, &self.refs, dirty);
-        self.state.invalidate_sorted();
-    }
-
     fn rebuild(&mut self, refs: &ReferenceRssiMap) {
         if same_shape(&self.refs, refs) {
             // The cutover path out of `sync`: too many cells moved for
             // patching, but the lattice is unchanged. Adopt the new values
             // into the existing mirror and re-interpolate into the
-            // existing grid planes — a steady-state rebuild costs
-            // no allocation beyond interpolation scratch.
+            // existing grid planes — bit-identical to a fresh build, and a
+            // steady-state rebuild costs no allocation beyond
+            // interpolation scratch.
             self.refs.copy_values_from(refs);
-            self.state.rebuild_in_place(&self.refs, &mut self.patcher);
+            self.patcher.rebuild(&mut self.state.grid, &self.refs);
             return;
         }
-        // A new lattice or reader set: a fresh state, whose sorted planes
-        // are unbuilt.
+        // A new lattice or reader set: a fresh state.
         self.refs = refs.clone();
         let (state, patcher) = VireState::build_with_patcher(&self.state.config, &self.refs)
             .expect("refine was validated when this instance was built");
@@ -304,10 +282,12 @@ impl OwnedPreparedLocalizer for PreparedVire {
                 self.rebuild(refs);
                 SyncOutcome::Rebuilt
             } else {
+                // Write the new values into the mirror, then patch the
+                // grid from it: bit-identical to a fresh build.
                 for &(k, idx) in &dirty {
                     self.refs.set_rssi(k, idx, refs.rssi(k, idx));
                 }
-                self.apply_dirty(&dirty);
+                self.patcher.patch(&mut self.state.grid, &self.refs, &dirty);
                 SyncOutcome::Patched(dirty.len())
             }
         };
@@ -441,7 +421,8 @@ mod tests {
         let fresh = Vire::default().prepare(refs).unwrap();
         let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(owned.planes()), bits(fresh.planes()));
-        assert_eq!(bits(owned.sorted_planes()), bits(fresh.sorted_planes()));
+        let probe = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
+        assert_eq!(owned.locate(&probe), fresh.locate(&probe));
     }
 
     #[test]

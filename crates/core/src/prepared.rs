@@ -2,9 +2,10 @@
 //! map once, then answer many queries cheaply.
 //!
 //! VIRE's map-dependent work — interpolating the virtual grid (§4.2) into
-//! its reader-major RSSI planes and (once enough locates run against one
-//! map) sorting them — does not depend on the reading. This
-//! module holds the query side of that split:
+//! its reader-major RSSI planes — does not depend on the reading; each
+//! locate then takes one max-gap pass over those planes, which also
+//! yields every reader's smallest gap. This module holds the query side
+//! of that split:
 //!
 //! * the [`PreparedLocalizer`] trait every prepared form implements, with
 //!   an order-preserving [`PreparedLocalizer::locate_batch`] that fans a
@@ -24,10 +25,8 @@
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
-use crate::elimination::{eliminate_into, sort_planes, ElimBuffers, ThresholdMode};
+use crate::elimination::{eliminate_into, ElimBuffers, ThresholdMode};
 use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
@@ -165,31 +164,13 @@ pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
     VIRE_SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// The adaptive locate against one map that sorts its planes. Earlier
-/// locates find each reader's smallest gap by scanning its plane; this one
-/// and later ones binary-search the sorted copy (the same bits either
-/// way). On the paper map (refine 10, four readers, 4 × 961 values) one
-/// sort costs about 60 µs and one four-plane scan about 1.3 µs on a
-/// 2-core x86-64 host, so a sort is worth about this many scans: buying
-/// it once the scans have cost as much keeps a map's total within about
-/// 2× of the better fixed policy, whether the map serves a handful of
-/// locates or thousands (ski rental).
-pub const SORT_AFTER: usize = 48;
-
 /// The map-bound core of [`crate::PreparedVire`]: the interpolated
 /// [`VirtualGrid`], whose reader-major planes (`planes[k * nodes + flat]`)
-/// elimination and weighting read in place, the lazily sorted planes, and
-/// the resolved threshold mode.
+/// elimination and weighting read in place, and the resolved threshold
+/// mode.
 pub(crate) struct VireState {
     pub(crate) config: VireConfig,
     pub(crate) grid: VirtualGrid,
-    /// Per-reader ascending-sorted copy of the grid's planes (empty under
-    /// a fixed threshold), built by the [`SORT_AFTER`]-th locate against
-    /// the current map or by [`VireState::sorted_planes`]. Every map
-    /// change drops it, so it is never stale.
-    sorted: OnceLock<Vec<f64>>,
-    /// Adaptive locates that scanned since the last map change.
-    scans: AtomicUsize,
     /// Threshold mode with the auto candidate floor already resolved to
     /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
     pub(crate) threshold: ThresholdMode,
@@ -217,49 +198,8 @@ impl VireState {
         VireState {
             config: config.clone(),
             grid,
-            sorted: OnceLock::new(),
-            scans: AtomicUsize::new(0),
             threshold,
         }
-    }
-
-    /// The per-reader sorted planes, built on first use (empty under a
-    /// fixed threshold, which never consults them).
-    pub(crate) fn sorted_planes(&self) -> &[f64] {
-        self.sorted.get_or_init(|| match self.threshold {
-            ThresholdMode::Fixed(_) => Vec::new(),
-            ThresholdMode::Adaptive { .. } => sort_planes(
-                self.grid.planes(),
-                self.grid.reader_count(),
-                self.grid.tag_count(),
-            ),
-        })
-    }
-
-    /// The sorted planes for one locate, or `None` to scan instead: the
-    /// first [`SORT_AFTER`] − 1 adaptive locates against a map scan, and
-    /// the next one sorts. Racing locates agree bit-for-bit whichever way
-    /// each goes, and `OnceLock` sorts at most once.
-    fn sorted_for_locate(&self) -> Option<&[f64]> {
-        if let ThresholdMode::Fixed(_) = self.threshold {
-            return None;
-        }
-        if let Some(sorted) = self.sorted.get() {
-            return Some(sorted);
-        }
-        // `Relaxed`: the count publishes nothing; the planes themselves
-        // are published by the `OnceLock`.
-        if self.scans.fetch_add(1, Ordering::Relaxed) + 1 < SORT_AFTER {
-            return None;
-        }
-        Some(self.sorted_planes())
-    }
-
-    /// Drops the sorted planes after a map change, so the next locates
-    /// scan the new planes until sorting them pays again.
-    pub(crate) fn invalidate_sorted(&mut self) {
-        self.sorted.take();
-        *self.scans.get_mut() = 0;
     }
 
     /// Builds the state along with the [`GridPatcher`] the incremental
@@ -276,18 +216,6 @@ impl VireState {
         }
         let (grid, patcher) = VirtualGrid::build_with_patcher(refs, config.refine, config.kernel);
         Ok((Self::from_grid(config, grid), patcher))
-    }
-
-    /// Rebuilds the state from `refs` **in place**, reusing the virtual
-    /// grid's planes — bit-identical to a fresh
-    /// [`Self::build_with_patcher`], without its allocations, and
-    /// with the sorted planes dropped as on any map change. `patcher` must
-    /// be the one built alongside this state, and `refs` must span the
-    /// same lattice and reader set the state was built for (the patcher
-    /// asserts both).
-    pub(crate) fn rebuild_in_place(&mut self, refs: &ReferenceRssiMap, patcher: &mut GridPatcher) {
-        patcher.rebuild(&mut self.grid, refs);
-        self.invalidate_sorted();
     }
 
     /// Query core shared by every VIRE entry point (prepared, batch, and
@@ -308,7 +236,6 @@ impl VireState {
 
         if !eliminate_into(
             self.grid.planes(),
-            self.sorted_for_locate(),
             nodes,
             reading,
             self.threshold,

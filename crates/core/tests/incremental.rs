@@ -1,18 +1,16 @@
 //! Property tests pinning the incremental-sync contract: after an
 //! arbitrary sequence of calibration-cell writes, a patched
-//! [`PreparedVire`] must be **bit-identical** — flattened planes, sorted
-//! planes, and every estimate — to a fresh [`PreparedVire::build`]
-//! against the final map, for every interpolation kernel, whether `sync`
-//! is told the written cells (the writer's hint, repeats and reverts
-//! included) or bit-diffs the map. A hint is trusted only for the map it
-//! describes, and one that misses a cell trips the debug mirror check.
-//! Sorted planes built before a map change must never be searched after
-//! it.
+//! [`PreparedVire`] must be **bit-identical** — flattened planes and every
+//! estimate — to a fresh [`PreparedVire::build`] against the final map,
+//! for every interpolation kernel, whether `sync` is told the written
+//! cells (the writer's hint, repeats and reverts included) or bit-diffs
+//! the map. A hint is trusted only for the map it describes, and one that
+//! misses a cell trips the debug mirror check. Every kind of map change
+//! (patch, in-place rebuild, reshape) localizes like a fresh build.
 
 use proptest::prelude::*;
 use vire_core::elimination::ThresholdMode;
 use vire_core::incremental::SyncOutcome;
-use vire_core::prepared::SORT_AFTER;
 use vire_core::{
     DirtyCell, InterpolationKernel, Landmarc, Localizer, OwnedPreparedLocalizer, PreparedLocalizer,
     PreparedVire, ReferenceRssiMap, TrackingReading, Vire, VireConfig,
@@ -66,11 +64,6 @@ fn assert_matches_fresh(
         bits(owned.planes()),
         bits(fresh.planes()),
         "flattened planes diverged from a fresh prepare"
-    );
-    prop_assert_eq!(
-        bits(owned.sorted_planes()),
-        bits(fresh.sorted_planes()),
-        "sorted planes diverged from a fresh prepare"
     );
     let probe = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
     prop_assert_eq!(owned.locate(&probe), fresh.locate(&probe));
@@ -156,8 +149,7 @@ proptest! {
         }
     }
 
-    /// Same invariant under a fixed threshold, where the sorted planes are
-    /// unused (empty) and sync must not materialize them.
+    /// Same invariant under a fixed threshold.
     #[test]
     fn fixed_threshold_patching_matches_rebuild(writes in writes()) {
         let config = VireConfig {
@@ -170,7 +162,6 @@ proptest! {
             map.set_rssi(k, GridIndex::new(i, j), value);
         }
         owned.sync(&map, &[]);
-        prop_assert!(owned.sorted_planes().is_empty());
         assert_matches_fresh(&owned, &config, &map)?;
     }
 
@@ -229,25 +220,10 @@ fn reading_from(readers: usize, value: impl Fn(usize) -> f64) -> TrackingReading
     TrackingReading::new((0..readers).map(value).collect())
 }
 
-/// Makes `owned` build its sorted planes for the current map: by asking
-/// for them, or by running more than [`SORT_AFTER`] locates.
-fn build_sorted_planes(owned: &PreparedVire, by_locating: bool) {
-    if by_locating {
-        let probe = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
-        for _ in 0..=SORT_AFTER {
-            owned
-                .locate(&probe)
-                .expect("adaptive elimination keeps a region");
-        }
-    } else {
-        assert!(!owned.sorted_planes().is_empty());
-    }
-}
-
-/// Readings that a stale sorted plane would answer differently: every
-/// reader's θ equal to its new fine value at the node that moved most
-/// (true smallest gaps all zero), the same with the old values, each
-/// reader's new maximum, and a mid-range probe. After a reshape, where
+/// Readings that state left over from the old map would answer
+/// differently: every reader's θ equal to its new fine value at the node
+/// that moved most (true smallest gaps all zero), the same with the old
+/// values, each reader's new maximum, and a mid-range probe. After a reshape, where
 /// old and new nodes do not correspond, the middle node stands in.
 fn telling_readings(before: &[f64], after: &PreparedVire) -> Vec<TrackingReading> {
     let planes = after.planes();
@@ -278,8 +254,7 @@ fn telling_readings(before: &[f64], after: &PreparedVire) -> Vec<TrackingReading
 }
 
 /// Every reading localizes on the synced `owned` state exactly as on a
-/// fresh build — estimate, per-reader thresholds and mask to the bit —
-/// and the sorted planes `owned` builds afterwards are the fresh ones.
+/// fresh build — estimate, per-reader thresholds and mask to the bit.
 fn assert_diagnostics_match_fresh(
     owned: &PreparedVire,
     config: &VireConfig,
@@ -319,21 +294,16 @@ fn assert_diagnostics_match_fresh(
             "mask diverged: {what}"
         );
     }
-    assert_eq!(
-        bits(owned.sorted_planes()),
-        bits(fresh.sorted_planes()),
-        "sorted planes diverged: {stage}, {:?}",
-        config.kernel
-    );
 }
 
-/// The stale-plane oracle: sorted planes built for one map are dropped on
-/// every kind of map change — one dirty cell (patch), every cell
-/// (in-place rebuild), a new lattice (reshape) — so a locate after `sync`
-/// never binary-searches the old values, on every kernel.
+/// The map-change oracle: after every kind of map change — one dirty cell
+/// (patch), every cell (in-place rebuild), a new lattice (reshape) — a
+/// locate reads only the new values, so readings that the old map would
+/// answer differently localize exactly as on a fresh build, on every
+/// kernel.
 #[test]
-fn sorted_planes_built_before_a_map_change_are_never_searched_after_it() {
-    for (n, kernel) in kernels().into_iter().enumerate() {
+fn every_map_change_localizes_like_a_fresh_build() {
+    for kernel in kernels() {
         let config = VireConfig {
             kernel,
             ..VireConfig::default()
@@ -342,7 +312,6 @@ fn sorted_planes_built_before_a_map_change_are_never_searched_after_it() {
         let mut owned = PreparedVire::build(&config, &map).expect("default refine prepares");
 
         // One dirty cell, lifted well above its neighbours: the patch path.
-        build_sorted_planes(&owned, n % 2 == 0);
         let before = owned.planes().to_vec();
         let cell = GridIndex::new(1, 2);
         map.set_rssi(0, cell, map.rssi(0, cell) + 12.0);
@@ -350,8 +319,7 @@ fn sorted_planes_built_before_a_map_change_are_never_searched_after_it() {
         let readings = telling_readings(&before, &owned);
         assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "patch");
 
-        // Every cell: past the cutover, so `rebuild_in_place`.
-        build_sorted_planes(&owned, n % 2 == 1);
+        // Every cell: past the cutover, so the in-place rebuild.
         let before = owned.planes().to_vec();
         for k in 0..map.reader_count() {
             for idx in map.grid().indices().collect::<Vec<_>>() {
@@ -363,7 +331,6 @@ fn sorted_planes_built_before_a_map_change_are_never_searched_after_it() {
         assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "rebuild in place");
 
         // A different lattice: the reshape rebuild.
-        build_sorted_planes(&owned, n % 2 == 0);
         let before = owned.planes().to_vec();
         let grid = RegularGrid::square(Point2::ORIGIN, 0.75, SIDE + 1);
         let fields = readers()
@@ -374,39 +341,6 @@ fn sorted_planes_built_before_a_map_change_are_never_searched_after_it() {
         assert_eq!(owned.sync(&reshaped, &[]), SyncOutcome::Rebuilt);
         let readings = telling_readings(&before, &owned);
         assert_diagnostics_match_fresh(&owned, &config, &reshaped, &readings, "reshape");
-    }
-}
-
-/// A fresh state's batch races to build its sorted planes on the worker
-/// pool; whichever lane sorts, and whether each lane scanned or searched,
-/// the batch matches sequential locates to the bit.
-#[test]
-fn batch_that_builds_the_sorted_planes_matches_sequential_locates() {
-    let map = base_map();
-    let readings: Vec<TrackingReading> = (0..3 * SORT_AFTER)
-        .map(|n| {
-            let t = n as f64 * 0.37;
-            TrackingReading::new(vec![-66.0 - t % 9.0, -70.0 - t % 7.0, -73.0 - t % 5.0])
-        })
-        .collect();
-    for kernel in kernels() {
-        let config = VireConfig {
-            kernel,
-            ..VireConfig::default()
-        };
-        let batched = PreparedVire::build(&config, &map)
-            .unwrap()
-            .locate_batch(&readings);
-        let sequential = PreparedVire::build(&config, &map).unwrap();
-        for (reading, got) in readings.iter().zip(batched) {
-            let (got, want) = (got.unwrap(), sequential.locate(reading).unwrap());
-            assert_eq!(
-                [got.position.x.to_bits(), got.position.y.to_bits()],
-                [want.position.x.to_bits(), want.position.y.to_bits()],
-                "{kernel:?}"
-            );
-            assert_eq!(got, want, "{kernel:?}");
-        }
     }
 }
 

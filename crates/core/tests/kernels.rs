@@ -200,7 +200,9 @@ proptest! {
 
     /// The §4.3 max-gap kernel: `out[i] = max_k |s_k(i) − θ_k|` must match
     /// a node-at-a-time scalar fold to the last bit on every interpolation
-    /// kernel and every (odd) virtual lattice size.
+    /// kernel and every (odd) virtual lattice size, and the same pass's
+    /// per-reader minima `min_i |s_k(i) − θ_k|` must match a sequential
+    /// fold over each reader's plane.
     #[test]
     fn max_gap_kernel_is_bit_identical_to_scalar((side, noise, thetas) in workload(), refine in 1usize..6) {
         let map = map_with(side, &noise);
@@ -208,8 +210,8 @@ proptest! {
             let grid = VirtualGrid::build(&map, refine, kernel);
             let planes = flatten(&grid);
             let nodes = grid.tag_count();
-            let mut out = Vec::new();
-            max_gap_into(&planes, nodes, &thetas, &mut out);
+            let (mut out, mut mins) = (Vec::new(), Vec::new());
+            max_gap_into(&planes, nodes, &thetas, &mut out, &mut mins);
             let oracle: Vec<f64> = (0..nodes)
                 .map(|i| {
                     let mut m = 0.0f64;
@@ -223,6 +225,16 @@ proptest! {
                 })
                 .collect();
             prop_assert_eq!(bits(&out), bits(&oracle), "kernel {:?}, {} nodes", kernel, nodes);
+            let min_oracle: Vec<f64> = thetas
+                .iter()
+                .enumerate()
+                .map(|(k, &theta)| {
+                    planes[k * nodes..(k + 1) * nodes]
+                        .iter()
+                        .fold(f64::INFINITY, |m, &s| m.min((s - theta).abs()))
+                })
+                .collect();
+            prop_assert_eq!(bits(&mins), bits(&min_oracle), "minima: kernel {:?}, {} nodes", kernel, nodes);
         }
     }
 

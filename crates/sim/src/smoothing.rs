@@ -93,6 +93,7 @@ impl SmoothingKind {
         Ok(Filter {
             kind: self,
             window: VecDeque::with_capacity(window),
+            sorted: Vec::new(),
             value: None,
         })
     }
@@ -108,12 +109,16 @@ impl SmoothingKind {
 }
 
 /// Filter state for one (tag, reader) stream: its [`SmoothingKind`], the
-/// sliding window (moving average and median only) and the smoothed
-/// value, computed once per reading.
+/// sliding window (moving average and median only), the median's sort
+/// scratch and the smoothed value, computed once per reading.
 #[derive(Debug, Clone)]
 pub struct Filter {
     kind: SmoothingKind,
     window: VecDeque<f64>,
+    /// The median's copy of the window, cleared and refilled on each
+    /// reading: it grows to the window length once, so a median allocates
+    /// nothing per reading after that.
+    sorted: Vec<f64>,
     value: Option<f64>,
 }
 
@@ -133,7 +138,7 @@ impl Filter {
             SmoothingKind::MovingAverage(_) => {
                 self.window.iter().sum::<f64>() / self.window.len() as f64
             }
-            SmoothingKind::Median(_) => median(&self.window),
+            SmoothingKind::Median(_) => median(&self.window, &mut self.sorted),
         };
         let changed = self.value.map(f64::to_bits) != Some(value.to_bits());
         self.value = Some(value);
@@ -155,12 +160,14 @@ impl Filter {
     }
 }
 
-/// Median of a non-empty window. The stable sort keeps arrival order
-/// among equal readings, and adding `0.0` maps −0.0 to +0.0, so the order
-/// agrees with `partial_cmp` on every finite value (±0.0 ties included)
-/// while staying total: a NaN sorts instead of panicking.
-fn median(window: &VecDeque<f64>) -> f64 {
-    let mut sorted: Vec<f64> = window.iter().copied().collect();
+/// Median of a non-empty window, sorted in `sorted` (cleared first). The
+/// stable sort keeps arrival order among equal readings, and adding `0.0`
+/// maps −0.0 to +0.0, so the order agrees with `partial_cmp` on every
+/// finite value (±0.0 ties included) while staying total: a NaN sorts
+/// instead of panicking.
+fn median(window: &VecDeque<f64>, sorted: &mut Vec<f64>) -> f64 {
+    sorted.clear();
+    sorted.extend(window.iter().copied());
     sorted.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
     let mid = sorted.len() / 2;
     if sorted.len() % 2 == 1 {

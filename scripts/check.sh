@@ -32,27 +32,30 @@ cargo test -p vire-geom -q
 # map-building reference of the paper's procedure through all three
 # phases (threshold bits and mask, largest-area reader first), and a
 # lattice with one node along an axis localizes and patches on every
-# kernel. The lazily built sorted planes
-# are dropped on every map change (patch, in-place rebuild, reshape), so
-# no locate searches stale values; and scanning a plane for the smallest
-# gap gives the same bits as binary-searching its sorted copy, so which
-# one a locate takes never shows.
+# kernel. One max-gap pass yields each reader's smallest gap along with
+# the per-node max-gap plane, both bit-identical to scalar folds (ties,
+# ±0.0, ragged lane tails), so nothing derived from the planes outlives
+# a map change: every change (patch, in-place rebuild, reshape) localizes
+# like a fresh build, and a batch matches sequential locates.
 # The hint contract: a sync patches exactly the cells the writer named
 # (repeats and reverts filtered out by to_bits), or diffs them all; an
 # empty hint is always safe, a hint is trusted only for the map id it
 # describes, and a hint that misses a cell trips the debug mirror check.
 echo "==> cargo test (prepared-state oracles)"
 cargo test -q -p vire-core --test kernels --test incremental
-cargo test -q -p vire-core --test kernels -- adaptive_eliminate_matches_map_building_reference
+cargo test -q -p vire-core --test kernels -- \
+  adaptive_eliminate_matches_map_building_reference \
+  max_gap_kernel_is_bit_identical_to_scalar
 cargo test -q -p vire-core --test incremental -- \
-  sorted_planes_built_before_a_map_change_are_never_searched_after_it \
-  batch_that_builds_the_sorted_planes_matches_sequential_locates \
+  every_map_change_localizes_like_a_fresh_build \
   patched_state_is_bit_identical_to_rebuild \
   foreign_map_identity_syncs_via_full_diff \
   a_hint_that_misses_a_changed_cell_trips_the_mirror_check \
   one_node_axis_lattices_localize_and_patch_on_every_kernel
+cargo test -q -p vire-core --test properties -- \
+  locate_batch_matches_sequential_order_and_values
 cargo test -q -p vire-core --lib -- \
-  min_gap_scan_equals_min_gap_sorted sort_planes_matches_total_cmp_sort \
+  max_gap_pass_matches_scalar_max_and_min_folds \
   hint_path_and_diff_path_agree sync_patches_the_named_cell_and_matches_fresh
 
 # The generational tag slab: handle allocation, slot reuse, and the
