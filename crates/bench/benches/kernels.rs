@@ -1,11 +1,12 @@
-//! Scalar-vs-vector data-plane kernels and bool-vs-bitset masks.
+//! VIRE's elimination, LANDMARC's E-distance, and bool-vs-bitset masks.
 //!
-//! Measures the two dense per-reading sweeps that dominate a prepared
-//! locate — the §4.3 max-gap plane (VIRE's hot loop) and the LANDMARC
-//! E-distance — against node-at-a-time scalar baselines, plus the packed
-//! `u64` elimination mask against the historical `Vec<bool>` build. In
-//! bench mode a machine-readable summary goes to `target/kernels.json`
-//! (collected into `BENCH_kernels.json` by `scripts/collect_bench.sh`).
+//! Measures VIRE's tile-pruned §4.3 elimination (the locate hot loop)
+//! against the dense elimination it replaced, one max-gap pass over every
+//! node; the LANDMARC E-distance plane against a node-at-a-time scalar
+//! baseline; and the packed `u64` elimination mask against the historical
+//! `Vec<bool>` build. In bench mode a machine-readable summary goes to
+//! `target/kernels.json` (collected into `BENCH_kernels.json` by
+//! `scripts/collect_bench.sh`).
 //!
 //! Every timed pair is also asserted bit-identical before timing: the
 //! speedups below are for *the same answer*, not an approximation.
@@ -15,37 +16,114 @@ use serde::Serialize;
 use std::hint::black_box;
 use std::time::Instant;
 use vire_bench::fixture;
-use vire_core::kernels::{edist_sq_into, max_gap_into};
-use vire_core::{Landmarc, PreparedLocalizer, ReferenceRssiMap, TrackingReading};
+use vire_core::kernels::edist_sq_into;
+use vire_core::{
+    Landmarc, PreparedLocalizer, PreparedVire, ReferenceRssiMap, ThresholdMode, TrackingReading,
+};
 use vire_geom::{bitgrid, Point2};
 
-/// Node-at-a-time scalar max-gap: the loop shape the lane-chunked kernel
-/// replaced (readers inner, stride-`nodes` plane access per node), plus
-/// each reader's smallest gap folded over its plane, so both sides do the
-/// kernel's work.
-fn scalar_max_gap(
+/// Buffers of the dense elimination, kept across calls as production
+/// keeps its scratch.
+#[derive(Default)]
+struct DenseBuffers {
+    maxgap: Vec<f64>,
+    mins: Vec<f64>,
+    quantile: Vec<f64>,
+    list: Vec<usize>,
+    mask: Vec<u64>,
+}
+
+/// The dense adaptive elimination tile pruning replaced: one lane-chunked
+/// pass takes every node's max-gap `max_k |s_k − θ_k|` and each reader's
+/// smallest gap, then phases 1–3 probe the whole max-gap plane. Returns
+/// the mask words and thresholds, owned, as `PreparedVire::eliminate`
+/// does.
+fn dense_eliminate(
     planes: &[f64],
     nodes: usize,
-    thetas: &[f64],
-    out: &mut Vec<f64>,
-    mins: &mut Vec<f64>,
-) {
-    out.clear();
-    out.resize(nodes, 0.0);
-    for (i, m) in out.iter_mut().enumerate() {
-        for (k, &theta) in thetas.iter().enumerate() {
-            let g = (planes[k * nodes + i] - theta).abs();
-            if g > *m {
-                *m = g;
+    reading: &TrackingReading,
+    mode: ThresholdMode,
+    buf: &mut DenseBuffers,
+) -> (Vec<u64>, Vec<f64>) {
+    let ThresholdMode::Adaptive {
+        step,
+        min,
+        per_reader,
+        min_candidates,
+    } = mode
+    else {
+        unreachable!("the fixture runs the adaptive mode")
+    };
+    const LANES: usize = 8;
+    let k_readers = reading.reader_count();
+    let (maxgap, mins) = (&mut buf.maxgap, &mut buf.mins);
+    maxgap.clear();
+    maxgap.resize(nodes, 0.0);
+    mins.clear();
+    for (k, &theta) in reading.rssi().iter().enumerate() {
+        let mut acc = maxgap.chunks_exact_mut(LANES);
+        let mut vals = planes[k * nodes..(k + 1) * nodes].chunks_exact(LANES);
+        let mut lo = [f64::INFINITY; LANES];
+        for (a, s) in (&mut acc).zip(&mut vals) {
+            for ((a, l), &s) in a.iter_mut().zip(&mut lo).zip(s) {
+                let g = (s - theta).abs();
+                *a = if g > *a { g } else { *a };
+                *l = if g < *l { g } else { *l };
             }
         }
+        let mut m = lo.iter().fold(f64::INFINITY, |m, &l| m.min(l));
+        for (a, &s) in acc.into_remainder().iter_mut().zip(vals.remainder()) {
+            let g = (s - theta).abs();
+            *a = if g > *a { g } else { *a };
+            m = m.min(g);
+        }
+        mins.push(m);
     }
-    mins.clear();
-    mins.extend(thetas.iter().enumerate().map(|(k, &theta)| {
-        planes[k * nodes..(k + 1) * nodes]
-            .iter()
-            .fold(f64::INFINITY, |m, &s| m.min((s - theta).abs()))
-    }));
+    let floor = min_candidates.max(1).min(nodes);
+    let mut t = mins.iter().copied().fold(0.0f64, f64::max).max(min) + step;
+    let tightest = maxgap.iter().fold(f64::INFINITY, |m, &g| m.min(g));
+    while tightest >= t {
+        t += step;
+    }
+    let count = maxgap.iter().filter(|&&g| g < t - step).count();
+    if t - step >= min && count >= floor {
+        t -= step;
+        buf.quantile.clear();
+        buf.quantile.extend_from_slice(maxgap);
+        let (_, &mut q, _) = buf
+            .quantile
+            .select_nth_unstable_by(floor - 1, |a, b| a.partial_cmp(b).unwrap());
+        while t - step >= min && q < t - step {
+            t -= step;
+        }
+    }
+    let mut thresholds = vec![t; k_readers];
+    buf.list.clear();
+    buf.list.extend((0..nodes).filter(|&i| maxgap[i] < t));
+    let gap = |k: usize, i: usize| (planes[k * nodes + i] - reading.at(k)).abs();
+    if per_reader && buf.list.len() >= floor {
+        let area = |k: usize| (0..nodes).filter(|&i| gap(k, i) < t).count();
+        let mut order: Vec<usize> = (0..k_readers).collect();
+        order.sort_by_key(|&k| std::cmp::Reverse(area(k)));
+        for k in order {
+            buf.quantile.clear();
+            buf.quantile.extend(buf.list.iter().map(|&i| gap(k, i)));
+            let (_, &mut qk, _) = buf
+                .quantile
+                .select_nth_unstable_by(floor - 1, |a, b| a.partial_cmp(b).unwrap());
+            while thresholds[k] - step >= min && qk < thresholds[k] - step {
+                thresholds[k] -= step;
+            }
+            let keep = thresholds[k];
+            buf.list.retain(|&i| gap(k, i) < keep);
+        }
+    }
+    bitgrid::ensure_words(&mut buf.mask, nodes);
+    buf.mask.fill(0);
+    for &i in &buf.list {
+        bitgrid::set_bit(&mut buf.mask, i);
+    }
+    (buf.mask.clone(), thresholds)
 }
 
 /// Node-at-a-time scalar E-distance with the historical eager per-node
@@ -152,43 +230,53 @@ fn scalar_landmarc_locate(
     Point2::weighted_centroid(&positions, &weights).expect("non-degenerate fixture")
 }
 
+/// The VIRE state prepared on the Env2 map at the paper's default
+/// refine = 10, and its threshold mode with the candidate floor resolved
+/// (n² = 100, as `PreparedVire` resolves the auto floor).
+fn prepared_vire() -> (PreparedVire, ThresholdMode) {
+    let (map, _) = fixture();
+    let prepared = vire_core::Vire::default()
+        .prepare(&map)
+        .expect("refine > 0");
+    let mode = ThresholdMode::Adaptive {
+        step: 0.25,
+        min: 0.05,
+        per_reader: true,
+        min_candidates: 100,
+    };
+    (prepared, mode)
+}
+
 /// Reader-major planes of the Env2 virtual grid at the paper's default
 /// refine = 10, plus the reading's thetas.
 fn virtual_planes() -> (Vec<f64>, usize, Vec<f64>) {
-    let (map, tags) = fixture();
-    let (_, reading) = &tags[0];
-    let vire = vire_core::Vire::default();
-    let prepared = vire.prepare(&map).expect("refine > 0");
+    let (_, tags) = fixture();
+    let (prepared, _) = prepared_vire();
     let nodes = prepared.grid().tag_count();
-    (prepared.planes().to_vec(), nodes, reading.rssi().to_vec())
+    (prepared.planes().to_vec(), nodes, tags[0].1.rssi().to_vec())
 }
 
 fn bench_kernels(c: &mut Criterion) {
     let (planes, nodes, thetas) = virtual_planes();
+    let (prepared, mode) = prepared_vire();
+    let reading = TrackingReading::new(thetas.clone());
     let mut group = c.benchmark_group("kernels");
-    let (mut out, mut mins) = (Vec::new(), Vec::new());
-    group.bench_function("maxgap_vector", |b| {
+    group.bench_function("eliminate_tiled", |b| {
+        b.iter(|| prepared.eliminate(black_box(&reading)))
+    });
+    let mut dense = DenseBuffers::default();
+    group.bench_function("eliminate_dense", |b| {
         b.iter(|| {
-            max_gap_into(
+            dense_eliminate(
                 black_box(&planes),
                 nodes,
-                black_box(&thetas),
-                &mut out,
-                &mut mins,
+                black_box(&reading),
+                mode,
+                &mut dense,
             )
         })
     });
-    group.bench_function("maxgap_scalar", |b| {
-        b.iter(|| {
-            scalar_max_gap(
-                black_box(&planes),
-                nodes,
-                black_box(&thetas),
-                &mut out,
-                &mut mins,
-            )
-        })
-    });
+    let mut out = Vec::new();
     group.bench_function("edist_sq_vector", |b| {
         b.iter(|| edist_sq_into(black_box(&planes), nodes, black_box(&thetas), &mut out))
     });
@@ -207,7 +295,9 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// One scalar-vs-vector pair in the JSON summary.
+/// One baseline-vs-optimized pair in the JSON summary: `scalar_ns` is
+/// the baseline (the dense elimination, or a scalar loop), `vector_ns`
+/// the path production runs.
 #[derive(Serialize)]
 struct SummaryRow {
     series: String,
@@ -217,6 +307,17 @@ struct SummaryRow {
     speedup: f64,
 }
 
+/// A pair of builds that cost about the same, reported as a ratio the
+/// speedup gate does not read (its field is not named `speedup`).
+#[derive(Serialize)]
+struct RatioRow {
+    series: String,
+    nodes: usize,
+    bool_ns: f64,
+    bitset_ns: f64,
+    bool_vs_bitset_ratio: f64,
+}
+
 /// The `target/kernels.json` document.
 #[derive(Serialize)]
 struct Summary {
@@ -224,6 +325,7 @@ struct Summary {
     fixture: String,
     lanes: usize,
     rows: Vec<SummaryRow>,
+    ratios: Vec<RatioRow>,
 }
 
 /// Mean ns per call of `f` over a fixed wall-clock budget.
@@ -260,42 +362,32 @@ fn emit_json_summary(_c: &mut Criterion) {
     let (_, reading) = &tags[0];
     let mut rows = Vec::new();
 
-    // VIRE's single-tag locate hot loop: the max-gap plane over the full
-    // virtual grid and each reader's smallest gap, recomputed on every
-    // reading.
+    // VIRE's single-tag locate hot loop: adaptive elimination of one
+    // reading, tile-pruned (production) against the dense max-gap pass
+    // over every node it replaced, each returning an owned mask and
+    // thresholds. `scalar_ns` is the dense side, `vector_ns` the pruned.
+    let (prepared, mode) = prepared_vire();
     let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-    let (mut vector, mut vector_mins) = (Vec::new(), Vec::new());
-    let (mut scalar, mut scalar_mins) = (Vec::new(), Vec::new());
-    max_gap_into(&planes, nodes, &thetas, &mut vector, &mut vector_mins);
-    scalar_max_gap(&planes, nodes, &thetas, &mut scalar, &mut scalar_mins);
-    assert_eq!(
-        bits(&vector),
-        bits(&scalar),
-        "max-gap kernel must be bit-identical to the scalar fold"
-    );
-    assert_eq!(
-        bits(&vector_mins),
-        bits(&scalar_mins),
-        "per-reader minima must be bit-identical to the scalar fold"
-    );
+    let mut dense = DenseBuffers::default();
+    for (_, r) in &tags {
+        let pruned = prepared.eliminate(r).expect("adaptive keeps a region");
+        let (mask, thresholds) = dense_eliminate(&planes, nodes, r, mode, &mut dense);
+        assert_eq!(
+            (pruned.mask.words(), bits(&pruned.thresholds)),
+            (mask.as_slice(), bits(&thresholds)),
+            "tile-pruned elimination must be bit-identical to the dense one"
+        );
+    }
     let scalar_ns = time_ns(|| {
-        scalar_max_gap(
+        dense_eliminate(
             black_box(&planes),
             nodes,
-            black_box(&thetas),
-            &mut scalar,
-            &mut scalar_mins,
+            black_box(reading),
+            mode,
+            &mut dense,
         )
     });
-    let vector_ns = time_ns(|| {
-        max_gap_into(
-            black_box(&planes),
-            nodes,
-            black_box(&thetas),
-            &mut vector,
-            &mut vector_mins,
-        )
-    });
+    let vector_ns = time_ns(|| prepared.eliminate(black_box(reading)));
     rows.push(SummaryRow {
         series: "locate_hot_loop_maxgap".into(),
         nodes,
@@ -306,6 +398,7 @@ fn emit_json_summary(_c: &mut Criterion) {
 
     // LANDMARC's distance plane: scalar (eager per-node sqrt) vs the
     // squared-distance kernel with the sqrt deferred to the winners.
+    let (mut vector, mut scalar) = (Vec::new(), Vec::new());
     edist_sq_into(&planes, nodes, &thetas, &mut vector);
     scalar_edist(&planes, nodes, &thetas, &mut scalar);
     for (v, s) in vector.iter().zip(&scalar) {
@@ -324,6 +417,8 @@ fn emit_json_summary(_c: &mut Criterion) {
     });
 
     // Fixed-threshold elimination mask: Vec<bool> build vs packed words.
+    // Both are a compare per node and reader; the packed build is about
+    // as fast, so this is a ratio, not a gated speedup.
     let mut bools = Vec::new();
     let mut words = Vec::new();
     assert_eq!(
@@ -349,13 +444,13 @@ fn emit_json_summary(_c: &mut Criterion) {
             &mut words,
         )
     });
-    rows.push(SummaryRow {
+    let ratios = vec![RatioRow {
         series: "fixed_mask_build_bool_vs_bitset".into(),
         nodes,
-        scalar_ns,
-        vector_ns,
-        speedup: scalar_ns / vector_ns,
-    });
+        bool_ns: scalar_ns,
+        bitset_ns: vector_ns,
+        bool_vs_bitset_ratio: scalar_ns / vector_ns,
+    }];
 
     // K-reader intersection + survivor count over prebuilt per-reader
     // masks: the operation the packed representation turns into word-wise
@@ -428,6 +523,7 @@ fn emit_json_summary(_c: &mut Criterion) {
         fixture: "env2 seed 42, Fig. 2(a) tag 1, refine 10".into(),
         lanes: vire_core::kernels::LANES,
         rows,
+        ratios,
     };
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../target");
     let path = format!("{out}/kernels.json");
@@ -439,6 +535,12 @@ fn emit_json_summary(_c: &mut Criterion) {
         println!(
             "  {:<26} {:>6} nodes: scalar {:>10.0} ns  vector {:>10.0} ns  speedup {:>5.1}x",
             row.series, row.nodes, row.scalar_ns, row.vector_ns, row.speedup,
+        );
+    }
+    for row in &summary.ratios {
+        println!(
+            "  {:<26} {:>6} nodes: bool {:>10.0} ns  bitset {:>10.0} ns  ratio {:>5.2}",
+            row.series, row.nodes, row.bool_ns, row.bitset_ns, row.bool_vs_bitset_ratio,
         );
     }
 }

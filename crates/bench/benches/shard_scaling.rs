@@ -219,8 +219,8 @@ struct SummaryRow {
 /// `speedup` (gated) is the largest zone count's row — the acceptance bar
 /// (≥ 3× there, ≥ 1× everywhere). `rebuild_shard_speedup` (gated) is the
 /// prepared-state rebuild advantage at the largest count: one union-map
-/// build vs all per-zone builds, the decomposition win the parallelized
-/// `GridPatcher::rebuild` fans out per reader. `fabric_vs_sequential_ratio`
+/// build vs all per-zone builds, the decomposition win (each zone's
+/// build interpolates fewer readers). `fabric_vs_sequential_ratio`
 /// is a diagnostic: fabric drive vs driving the shards in a sequential
 /// loop — it hovers near 1.0 on a single-core host (the pool runs inline)
 /// and only exceeds it with real worker threads, so it is deliberately

@@ -13,10 +13,10 @@
 //!   kernel-support region of each changed cell straight into the grid's
 //!   planes — producing state **bit-identical** to a
 //!   from-scratch [`PreparedVire::build`] (pinned by property tests in
-//!   `tests/incremental.rs`). Nothing else is derived from the planes
-//!   between locates: each locate's max-gap pass also yields every
-//!   reader's smallest gap, so a map change costs its interpolation and
-//!   nothing more.
+//!   `tests/incremental.rs`). The one thing derived from the planes, each
+//!   reader's RSSI range per 4 × 4 tile that elimination bounds with, is
+//!   refreshed in the same sync: the tiles a patch wrote, or all of them
+//!   after a rebuild.
 //! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
 //!   baseline, which reads the mirror's own reader-major planes, so a
 //!   dirty cell is one O(1) write into the mirror.
@@ -32,8 +32,8 @@
 //! hint). A new lattice shape rebuilds; a non-empty hint for the map `id`
 //! the state last synced to is deduplicated and filtered by a `to_bits`
 //! compare against the mirror; anything else, an empty hint included,
-//! bit-diffs the coarse map (`readers × nodes` compares). Past about a
-//! sixth of the coarse cells sync rebuilds instead of patching (both are
+//! bit-diffs the coarse map (`readers × nodes` compares). From a twelfth
+//! of the coarse cells on, sync rebuilds instead of patching (both are
 //! bit-identical). Debug builds check after every sync that the mirror
 //! equals the map bit for bit, so a hint that misses a cell fails loudly.
 
@@ -127,15 +127,16 @@ fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
 }
 
 /// Whether patching `dirty` coarse cells of `refs` would cost more than
-/// rebuilding in place: true from a sixth of the coarse table on. Spread
-/// dirty cells re-interpolate whole fine rows *and* columns, so the
-/// patch's saving collapses quickly. Measured on the default map (bench
-/// `incremental_prepare`, 3 readers × 16 cells, refine 10, 2-core
-/// x86-64): an in-place rebuild costs about 25 µs, patching 6 cells about
-/// 8–13 µs, 8 cells about the same as a rebuild, and 16 or more
-/// 26–44 µs.
+/// rebuilding in place: true from a twelfth of the coarse table on.
+/// Spread dirty cells re-interpolate whole fine rows *and* columns, so
+/// the patch's saving collapses quickly, and the linear kernels rebuild
+/// row-major. Measured on the default map (bench `incremental_prepare`,
+/// 3 readers × 16 cells, refine 10, 2-core x86-64): an in-place rebuild,
+/// tile summary included, costs about 10 µs; patching 1 cell about 3 µs,
+/// 2 cells 6.5 µs, 3 cells 9 µs, 4 cells 11 µs, 6 cells 13 µs, and 8 or
+/// more 33–41 µs.
 fn past_rebuild_cutover(dirty: usize, refs: &ReferenceRssiMap) -> bool {
-    6 * dirty >= refs.reader_count() * refs.grid().node_count()
+    12 * dirty >= refs.reader_count() * refs.grid().node_count()
 }
 
 /// VIRE bound to one calibration map, surviving across snapshots.
@@ -176,12 +177,12 @@ impl PreparedVire {
     /// The virtual grid's reader-major RSSI planes — for bit-identity
     /// tests.
     pub fn planes(&self) -> &[f64] {
-        self.state.grid.planes()
+        self.state.grid().planes()
     }
 
     /// The cached virtual grid.
     pub fn grid(&self) -> &VirtualGrid {
-        &self.state.grid
+        self.state.grid()
     }
 
     /// The owned mirror of the calibration map.
@@ -218,6 +219,21 @@ impl PreparedVire {
         })
     }
 
+    /// Runs only the elimination stage on one reading: the surviving
+    /// mask and per-reader thresholds, or `None` when a fixed threshold
+    /// eliminates every region. The same tile-pruned elimination
+    /// [`PreparedLocalizer::locate`] runs, without weighting.
+    pub fn eliminate(&self, reading: &TrackingReading) -> Option<EliminationResult> {
+        with_vire_scratch(|scratch| {
+            self.state
+                .eliminate(reading, &mut scratch.elim)
+                .then(|| EliminationResult {
+                    mask: BitGrid::from_words(*self.grid().grid(), scratch.elim.mask.clone()),
+                    thresholds: scratch.elim.thresholds.clone(),
+                })
+        })
+    }
+
     /// The query core with its diagnostics flag (see
     /// [`VireState::locate_core`]).
     fn locate_core(
@@ -237,7 +253,7 @@ impl PreparedVire {
             // steady-state rebuild costs no allocation beyond
             // interpolation scratch.
             self.refs.copy_values_from(refs);
-            self.patcher.rebuild(&mut self.state.grid, &self.refs);
+            self.state.rebuild(&mut self.patcher, &self.refs);
             return;
         }
         // A new lattice or reader set: a fresh state.
@@ -287,7 +303,7 @@ impl OwnedPreparedLocalizer for PreparedVire {
                 for &(k, idx) in &dirty {
                     self.refs.set_rssi(k, idx, refs.rssi(k, idx));
                 }
-                self.patcher.patch(&mut self.state.grid, &self.refs, &dirty);
+                self.state.patch(&mut self.patcher, &self.refs, &dirty);
                 SyncOutcome::Patched(dirty.len())
             }
         };

@@ -12,8 +12,8 @@
 //! ## Why indices, not closures
 //!
 //! Every parallel section in this codebase is a *data-parallel loop over
-//! a pre-sized output*: locate a batch into `Vec<Result<…>>`, rebuild one
-//! reader's interpolation plane, warm one tag's link-budget row, collect
+//! a pre-sized output*: locate a batch into `Vec<Result<…>>`, drive one
+//! zone, warm one tag's link-budget row, collect
 //! one seed's trial. Expressing the unit of work as "index `i` of `n`"
 //! keeps the bit-identity guarantee trivial — each index writes a
 //! disjoint, pre-allocated slot, so the result is independent of which

@@ -2,10 +2,11 @@
 //! map once, then answer many queries cheaply.
 //!
 //! VIRE's map-dependent work — interpolating the virtual grid (§4.2) into
-//! its reader-major RSSI planes — does not depend on the reading; each
-//! locate then takes one max-gap pass over those planes, which also
-//! yields every reader's smallest gap. This module holds the query side
-//! of that split:
+//! its reader-major RSSI planes, and summarizing each reader's RSSI range
+//! per 4 × 4 tile of them — does not depend on the reading; each locate
+//! then bounds the tiles' gaps from that summary and reads only the tiles
+//! that can hold a reader's smallest gap or a survivor. This module holds
+//! the query side of that split:
 //!
 //! * the [`PreparedLocalizer`] trait every prepared form implements, with
 //!   an order-preserving [`PreparedLocalizer::locate_batch`] that fans a
@@ -26,7 +27,8 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
-use crate::elimination::{eliminate_into, ElimBuffers, ThresholdMode};
+use crate::elimination::{eliminate_into, ElimBuffers, ThresholdMode, TileSummary};
+use crate::incremental::DirtyCell;
 use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
@@ -67,12 +69,19 @@ pub trait PreparedLocalizer: Sync {
     }
 }
 
+/// Fewest readings worth handing to a pool lane. A VIRE locate costs
+/// about 1–2 µs since elimination reads only the tiles that can hold a
+/// survivor, and waking a lane costs about as much as ten of them: on a
+/// 2-core x86-64 host a 16-reading batch took 41 µs fanned over two lanes
+/// against 31 µs inline, and the two broke even at 32 readings.
+const MIN_READINGS_PER_LANE: usize = 16;
+
 /// Fans `readings` (owned or by reference) across the persistent
 /// [`WorkerPool`](crate::pool::WorkerPool) in contiguous, order-preserving
-/// chunks (one per pool lane, capped by the batch size). Each index writes
-/// its own pre-allocated output slot, so results are bit-identical to a
-/// sequential loop — which is exactly what runs when the pool has no
-/// workers or the batch is a single reading.
+/// chunks (one per pool lane, each at least `MIN_READINGS_PER_LANE`
+/// long). Each index writes its own pre-allocated output slot, so results
+/// are bit-identical to a sequential loop — which is exactly what runs
+/// when the pool has no workers or the batch is too small to split.
 pub fn locate_batch_parallel<P, R>(
     prepared: &P,
     readings: &[R],
@@ -82,7 +91,7 @@ where
     R: Borrow<TrackingReading> + Sync,
 {
     let pool = crate::pool::WorkerPool::global();
-    let lanes = (pool.workers() + 1).min(readings.len());
+    let lanes = (pool.workers() + 1).min(readings.len() / MIN_READINGS_PER_LANE);
     if lanes <= 1 {
         return readings
             .iter()
@@ -166,11 +175,17 @@ pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
 
 /// The map-bound core of [`crate::PreparedVire`]: the interpolated
 /// [`VirtualGrid`], whose reader-major planes (`planes[k * nodes + flat]`)
-/// elimination and weighting read in place, and the resolved threshold
-/// mode.
+/// elimination and weighting read in place, their tile summary, and the
+/// resolved threshold mode.
 pub(crate) struct VireState {
     pub(crate) config: VireConfig,
-    pub(crate) grid: VirtualGrid,
+    /// Private, so every change to the planes goes through
+    /// [`VireState::rebuild`] or [`VireState::patch`], which refresh
+    /// `tiles`.
+    grid: VirtualGrid,
+    /// Each reader's RSSI range per 4 × 4 tile of `grid`'s planes, the
+    /// bounds adaptive elimination prunes with.
+    tiles: TileSummary,
     /// Threshold mode with the auto candidate floor already resolved to
     /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
     pub(crate) threshold: ThresholdMode,
@@ -197,8 +212,36 @@ impl VireState {
         };
         VireState {
             config: config.clone(),
+            tiles: TileSummary::of(&grid),
             grid,
             threshold,
+        }
+    }
+
+    /// The interpolated virtual grid.
+    pub(crate) fn grid(&self) -> &VirtualGrid {
+        &self.grid
+    }
+
+    /// Re-interpolates the grid's planes in place from `refs` and
+    /// refreshes the whole tile summary.
+    pub(crate) fn rebuild(&mut self, patcher: &mut GridPatcher, refs: &ReferenceRssiMap) {
+        patcher.rebuild(&mut self.grid, refs);
+        self.tiles.refresh(&self.grid);
+    }
+
+    /// Patches the grid's planes for the changed cells `dirty` (see
+    /// [`GridPatcher::patch`]) and refreshes the tiles the patch wrote.
+    pub(crate) fn patch(
+        &mut self,
+        patcher: &mut GridPatcher,
+        refs: &ReferenceRssiMap,
+        dirty: &[DirtyCell],
+    ) {
+        for (k, rows, cols) in patcher.patch(&mut self.grid, refs, dirty) {
+            let planes = self.grid.planes();
+            self.tiles
+                .refresh_tiles(planes, *k, rows.clone(), cols.clone());
         }
     }
 
@@ -218,6 +261,18 @@ impl VireState {
         Ok((Self::from_grid(config, grid), patcher))
     }
 
+    /// Elimination over the grid's planes and tile summary (see
+    /// `eliminate_into`): `false` when a fixed threshold left nothing.
+    pub(crate) fn eliminate(&self, reading: &TrackingReading, buf: &mut ElimBuffers) -> bool {
+        eliminate_into(
+            self.grid.planes(),
+            &self.tiles,
+            reading,
+            self.threshold,
+            buf,
+        )
+    }
+
     /// Query core shared by every VIRE entry point (prepared, batch, and
     /// the one-shot [`crate::Vire::locate_with_diagnostics`]). `refs`
     /// supplies the reader count check and the LANDMARC fallback; it must
@@ -234,13 +289,7 @@ impl VireState {
         check_readers(refs, reading)?;
         let nodes = self.grid.tag_count();
 
-        if !eliminate_into(
-            self.grid.planes(),
-            nodes,
-            reading,
-            self.threshold,
-            &mut scratch.elim,
-        ) {
+        if !self.eliminate(reading, &mut scratch.elim) {
             return match self.config.fallback {
                 EmptyFallback::Error => Err(LocalizeError::AllEliminated),
                 EmptyFallback::Landmarc => {

@@ -12,6 +12,7 @@
 //! construction is O(N²) in the number of virtual tags, as stated in §4.2.
 
 use crate::types::ReferenceRssiMap;
+use std::ops::Range;
 use vire_geom::interp::linear::{lerp_uniform, paper_weighting};
 use vire_geom::interp::newton::Newton;
 use vire_geom::interp::spline::CubicSpline;
@@ -138,6 +139,7 @@ impl VirtualGrid {
             dirty_rows: Vec::new(),
             changed_cols: Vec::new(),
             row_windows: Vec::new(),
+            touched: Vec::new(),
         };
         (grid, patcher)
     }
@@ -252,8 +254,16 @@ fn horizontal_pass(
     }
 }
 
-/// Pass 2: per fine column `fi`, interpolate the intermediate's column
-/// along y into the row-major output plane.
+/// Pass 2: interpolate the intermediate along y into the row-major output
+/// plane.
+///
+/// The piecewise-linear kernels run row-major: fine row `fj` lies in
+/// coarse cell `c = min(fj / n, cny − 2)` at offset `p = fj − c·n`, so
+/// its weight is computed once per row and every node of the row blends
+/// the same two intermediate rows with `interpolate_line`'s arithmetic
+/// (`l + (r − l)·t` with `t = p / n`, or the §4.2 formula); rows at
+/// `p = 0` and `p = n` are copies. The global kernels fit one spline or
+/// polynomial per fine column, so they gather each column.
 fn vertical_pass(
     intermediate: &[f64],
     coarse_ys: &[f64],
@@ -263,8 +273,37 @@ fn vertical_pass(
     out: &mut [f64],
 ) {
     let cny = coarse_ys.len();
-    let fny = fine_ys.len();
     let fnx = intermediate.len() / cny;
+    if kernel.is_local() {
+        let row = |j: usize| &intermediate[j * fnx..(j + 1) * fnx];
+        for (fj, out_row) in out.chunks_exact_mut(fnx).enumerate() {
+            if cny == 1 {
+                out_row.copy_from_slice(row(0));
+                continue;
+            }
+            let cell = (fj / n).min(cny - 2);
+            let p = fj - cell * n;
+            let (left, right) = (row(cell), row(cell + 1));
+            if p == 0 {
+                out_row.copy_from_slice(left);
+            } else if p == n {
+                out_row.copy_from_slice(right);
+            } else if kernel == InterpolationKernel::PaperLinear {
+                let (nf, pf) = (n as f64, p as f64);
+                let (wl, d) = (nf + 1.0 - pf, nf + 1.0);
+                for ((o, &l), &r) in out_row.iter_mut().zip(left).zip(right) {
+                    *o = (pf * r + wl * l) / d;
+                }
+            } else {
+                let t = p as f64 / n as f64;
+                for ((o, &l), &r) in out_row.iter_mut().zip(left).zip(right) {
+                    *o = l + (r - l) * t;
+                }
+            }
+        }
+        return;
+    }
+    let fny = fine_ys.len();
     let mut col_vals = vec![0.0f64; cny];
     let mut col_out = vec![0.0f64; fny];
     for fi in 0..fnx {
@@ -328,6 +367,8 @@ pub struct GridPatcher {
     dirty_rows: Vec<usize>,
     changed_cols: Vec<usize>,
     row_windows: Vec<(usize, usize)>,
+    /// The last patch's writes, per reader: `(k, fine rows, fine cols)`.
+    touched: Vec<(usize, Range<usize>, Range<usize>)>,
 }
 
 impl GridPatcher {
@@ -359,24 +400,29 @@ impl GridPatcher {
             "reader count mismatch"
         );
         assert_eq!(grid.reader_count(), self.intermediates.len());
-        // One reader's plane per worker-pool lane: each lane owns reader
-        // k's intermediate and output plane exclusively, reads only
-        // shared positions/kernel state, and the passes themselves are
-        // the sequential code verbatim — so the rebuild stays bit-
-        // identical at any worker count (and runs inline on one core).
-        let mut lanes: Vec<(&mut Vec<f64>, &mut [f64])> = self
-            .intermediates
-            .iter_mut()
-            .zip(grid.planes.chunks_exact_mut(self.fine.node_count()))
-            .collect();
-        let (coarse_xs, fine_xs) = (&self.coarse_xs, &self.fine_xs);
-        let (coarse_ys, fine_ys) = (&self.coarse_ys, &self.fine_ys);
-        let (n, kernel) = (self.n, self.kernel);
-        crate::pool::WorkerPool::global().for_each_mut(&mut lanes, |k, lane| {
-            let (inter, plane) = (&mut *lane.0, &mut *lane.1);
-            horizontal_pass(refs.field(k), coarse_xs, fine_xs, n, kernel, inter);
-            vertical_pass(inter, coarse_ys, fine_ys, n, kernel, plane);
-        });
+        // The passes are the fresh build's, on the same inputs, into the
+        // existing buffers, so the rebuild is bit-identical to it. The
+        // readers run inline: a linear rebuild costs a few microseconds,
+        // less than handing readers to pool lanes.
+        let planes = grid.planes.chunks_exact_mut(self.fine.node_count());
+        for (k, (inter, plane)) in self.intermediates.iter_mut().zip(planes).enumerate() {
+            horizontal_pass(
+                refs.field(k),
+                &self.coarse_xs,
+                &self.fine_xs,
+                self.n,
+                self.kernel,
+                inter,
+            );
+            vertical_pass(
+                inter,
+                &self.coarse_ys,
+                &self.fine_ys,
+                self.n,
+                self.kernel,
+                plane,
+            );
+        }
     }
 
     /// Re-interpolates `grid` in place after the calibration cells named
@@ -388,6 +434,8 @@ impl GridPatcher {
     /// replayed once — so only the row coordinate of each entry matters.
     ///
     /// The patched grid is bit-identical to rebuilding from `refs`.
+    /// Returns, per reader whose plane it wrote, the fine rows and
+    /// columns that bound every write: `(k, rows, cols)`.
     ///
     /// # Panics
     /// Panics when `refs` or `grid` does not match the lattice/readers
@@ -397,7 +445,7 @@ impl GridPatcher {
         grid: &mut VirtualGrid,
         refs: &ReferenceRssiMap,
         dirty: &[(usize, GridIndex)],
-    ) {
+    ) -> &[(usize, Range<usize>, Range<usize>)] {
         assert_eq!(refs.grid(), &self.coarse, "reference lattice mismatch");
         assert_eq!(grid.grid(), &self.fine, "virtual lattice mismatch");
         assert_eq!(
@@ -409,6 +457,7 @@ impl GridPatcher {
         let (cnx, cny) = (self.coarse.nx(), self.coarse.ny());
         let fnx = self.fine.nx();
         let nodes = self.fine.node_count();
+        self.touched.clear();
 
         for k in 0..self.intermediates.len() {
             self.dirty_rows.clear();
@@ -489,7 +538,11 @@ impl GridPatcher {
                     }
                 }
             }
+            let rows = self.row_windows[0].0..self.row_windows[self.row_windows.len() - 1].1 + 1;
+            let cols = self.changed_cols[0]..self.changed_cols[self.changed_cols.len() - 1] + 1;
+            self.touched.push((k, rows, cols));
         }
+        &self.touched
     }
 }
 

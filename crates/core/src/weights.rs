@@ -95,6 +95,8 @@ pub(crate) struct WeightBuffers {
     /// Final normalized weights, aligned with `candidates`.
     pub(crate) weights: Vec<f64>,
     /// Connected-component label per node (0 = background / unvisited).
+    /// All zero between calls: only candidates get labels, and
+    /// `candidate_weights_into` clears exactly those before it returns.
     labels: Vec<u32>,
     /// Size of each component, indexed by label − 1.
     comp_sizes: Vec<usize>,
@@ -107,9 +109,13 @@ pub(crate) struct WeightBuffers {
 /// Component *sizes* are what w2 consumes, and those are invariant to
 /// traversal order, so this produces weights identical to the grid-based
 /// labelling.
+///
+/// `buf.labels` must be all zero on entry (it grows, zero-filled, to the
+/// node count); only the candidates' entries are written.
 fn label_components(mask: &[u64], nx: usize, nodes: usize, buf: &mut WeightBuffers) {
-    buf.labels.clear();
-    buf.labels.resize(nodes, 0);
+    if buf.labels.len() < nodes {
+        buf.labels.resize(nodes, 0);
+    }
     buf.comp_sizes.clear();
     // Seeding from the candidate list (all masked flats, ascending) visits
     // seeds in the same order as scanning every node, without the scan.
@@ -227,12 +233,15 @@ pub(crate) fn candidate_weights_into(
         }
     }
 
-    // w2: conjunctive-region size, normalized over candidates.
+    // w2: conjunctive-region size, normalized over candidates. Reading a
+    // candidate's label also clears it, which leaves the labels all zero
+    // for the next call without a pass over every node.
     label_components(mask, nx, nodes, buf);
     buf.w2.clear();
     let mut size_total = 0.0f64;
     for &flat in &buf.candidates {
-        let size = buf.comp_sizes[buf.labels[flat] as usize - 1] as f64;
+        let label = std::mem::take(&mut buf.labels[flat]);
+        let size = buf.comp_sizes[label as usize - 1] as f64;
         buf.w2.push(size);
         size_total += size;
     }
@@ -461,6 +470,45 @@ mod tests {
         let total: f64 = raw.iter().sum();
         for i in 0..c.len() {
             assert!((comb[i] - raw[i] / total).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn reused_buffers_leave_labels_clear_and_match_fresh_ones() {
+        let (vg, reading) = setup();
+        let nx = vg.grid().nx();
+        let masks = [
+            mask_with(&vg, &[GridIndex::new(5, 5), GridIndex::new(6, 5)]),
+            mask_with(
+                &vg,
+                &[
+                    GridIndex::new(5, 5),
+                    GridIndex::new(6, 6),
+                    GridIndex::new(0, 12),
+                    GridIndex::new(12, 0),
+                ],
+            ),
+            mask_with(&vg, &[GridIndex::new(12, 12)]),
+        ];
+        let mut reused = WeightBuffers::default();
+        for mask in masks.iter().chain(&masks) {
+            let run = |buf: &mut WeightBuffers| {
+                candidate_weights_into(
+                    vg.planes(),
+                    vg.tag_count(),
+                    nx,
+                    &reading,
+                    mask.words(),
+                    WeightingMode::Combined,
+                    W1Mode::PaperDiscrepancy,
+                    buf,
+                )
+            };
+            let mut fresh = WeightBuffers::default();
+            assert!(run(&mut reused) && run(&mut fresh));
+            let bits = |w: &[f64]| w.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&reused.weights), bits(&fresh.weights));
+            assert!(reused.labels.iter().all(|&l| l == 0));
         }
     }
 

@@ -83,9 +83,9 @@ fn changed_cells(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> usize {
 }
 
 /// Whether `sync` rebuilds rather than patches `cells` dirty cells of
-/// the 3-reader, 16-node map: from a sixth of its 48 cells on.
+/// the 3-reader, 16-node map: from a twelfth of its 48 cells on.
 fn past_cutover(cells: usize) -> bool {
-    6 * cells >= 48
+    12 * cells >= 48
 }
 
 proptest! {
@@ -345,14 +345,14 @@ fn every_map_change_localizes_like_a_fresh_build() {
 }
 
 /// A lattice with one node along an axis is a valid map
-/// (`RegularGrid::new` allows it): every kernel localizes on the 4×1,
-/// 1×4 and 1×1 lattices, and a one-cell sync (the patch path, where the
-/// map is large enough to stay below the rebuild cutover) equals a fresh
+/// (`RegularGrid::new` allows it): every kernel localizes on the 5×1,
+/// 1×5 and 1×1 lattices, and a one-cell sync (the patch path, where the
+/// map's 15 cells keep one below the rebuild cutover) equals a fresh
 /// build.
 #[test]
 fn one_node_axis_lattices_localize_and_patch_on_every_kernel() {
     let reading = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
-    for (nx, ny) in [(4, 1), (1, 4), (1, 1)] {
+    for (nx, ny) in [(5, 1), (1, 5), (1, 1)] {
         let grid = RegularGrid::new(Point2::ORIGIN, 1.0, 1.0, nx, ny);
         let rs = readers();
         let fields = rs

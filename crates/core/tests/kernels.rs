@@ -1,14 +1,15 @@
 //! Property tests pinning the vectorized data plane to its scalar
-//! specification: the lane-chunked max-gap and E-distance kernels, the
-//! packed fixed-threshold elimination mask, and the full LANDMARC / VIRE
-//! paths must all be **bit-identical** to naive node-at-a-time scalar
-//! oracles, for every interpolation kernel and for node counts that leave
-//! ragged vector tails. Adaptive elimination must match a map-building
-//! reference of the §4.3 procedure through all three phases.
+//! specification: the lane-chunked E-distance kernel, the packed
+//! fixed-threshold elimination mask, and the full LANDMARC / VIRE paths
+//! must all be **bit-identical** to naive node-at-a-time scalar oracles,
+//! for every interpolation kernel and for node counts that leave ragged
+//! vector tails. Adaptive elimination, which reads only the tiles that
+//! can hold a survivor, must match a map-building reference of the §4.3
+//! procedure through all three phases.
 
 use proptest::prelude::*;
 use vire_core::elimination::{eliminate, ThresholdMode};
-use vire_core::kernels::{edist_sq_into, max_gap_into, select_k_smallest};
+use vire_core::kernels::{edist_sq_into, select_k_smallest};
 use vire_core::virtual_grid::VirtualGrid;
 use vire_core::{
     InterpolationKernel, Landmarc, LandmarcConfig, Localizer, OwnedPreparedLocalizer,
@@ -70,17 +71,6 @@ fn all_kernels() -> [InterpolationKernel; 4] {
         InterpolationKernel::CubicSpline,
         InterpolationKernel::Polynomial,
     ]
-}
-
-/// Reader-major copy of a virtual grid's planes, assembled field by field
-/// rather than taken from `VirtualGrid::planes` (so the tests do not
-/// trust the code under test).
-fn flatten(grid: &VirtualGrid) -> Vec<f64> {
-    let mut planes = Vec::new();
-    for k in 0..grid.reader_count() {
-        planes.extend_from_slice(grid.field(k));
-    }
-    planes
 }
 
 fn bits(xs: &[f64]) -> Vec<u64> {
@@ -197,46 +187,6 @@ fn theta_offset() -> impl Strategy<Value = f64> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The §4.3 max-gap kernel: `out[i] = max_k |s_k(i) − θ_k|` must match
-    /// a node-at-a-time scalar fold to the last bit on every interpolation
-    /// kernel and every (odd) virtual lattice size, and the same pass's
-    /// per-reader minima `min_i |s_k(i) − θ_k|` must match a sequential
-    /// fold over each reader's plane.
-    #[test]
-    fn max_gap_kernel_is_bit_identical_to_scalar((side, noise, thetas) in workload(), refine in 1usize..6) {
-        let map = map_with(side, &noise);
-        for kernel in all_kernels() {
-            let grid = VirtualGrid::build(&map, refine, kernel);
-            let planes = flatten(&grid);
-            let nodes = grid.tag_count();
-            let (mut out, mut mins) = (Vec::new(), Vec::new());
-            max_gap_into(&planes, nodes, &thetas, &mut out, &mut mins);
-            let oracle: Vec<f64> = (0..nodes)
-                .map(|i| {
-                    let mut m = 0.0f64;
-                    for (k, &theta) in thetas.iter().enumerate() {
-                        let g = (planes[k * nodes + i] - theta).abs();
-                        if g > m {
-                            m = g;
-                        }
-                    }
-                    m
-                })
-                .collect();
-            prop_assert_eq!(bits(&out), bits(&oracle), "kernel {:?}, {} nodes", kernel, nodes);
-            let min_oracle: Vec<f64> = thetas
-                .iter()
-                .enumerate()
-                .map(|(k, &theta)| {
-                    planes[k * nodes..(k + 1) * nodes]
-                        .iter()
-                        .fold(f64::INFINITY, |m, &s| m.min((s - theta).abs()))
-                })
-                .collect();
-            prop_assert_eq!(bits(&mins), bits(&min_oracle), "minima: kernel {:?}, {} nodes", kernel, nodes);
-        }
-    }
 
     /// The LANDMARC E-distance kernel: `out[i] = Σ_k (θ_k − s_k(i))²` in
     /// ascending-k order, bit-identical to the scalar fold — and its sqrt
@@ -387,9 +337,10 @@ proptest! {
     fn vire_paths_agree_bitwise((side, noise, thetas) in workload()) {
         let map = map_with(side, &noise);
         let reading = TrackingReading::new(thetas);
-        // One moved cell per reader: few enough to stay on the patch path.
+        // One moved cell on each of two readers: few enough to stay on
+        // the patch path (below a twelfth of the smallest, 27-cell, map).
         let mut perturbed = map.clone();
-        for k in 0..READERS {
+        for k in [0, READERS - 1] {
             let idx = GridIndex::new(k % side, (k + 1) % side);
             perturbed.set_rssi(k, idx, map.rssi(k, idx) + 2.5);
         }
@@ -398,7 +349,7 @@ proptest! {
             let one_shot = Localizer::locate(&vire, &map, &reading);
             let prepared = Localizer::prepare(&vire, &map).locate(&reading);
             let mut synced = vire.prepare(&perturbed).expect("non-degenerate config");
-            prop_assert_eq!(synced.sync(&map, &[]), SyncOutcome::Patched(READERS));
+            prop_assert_eq!(synced.sync(&map, &[]), SyncOutcome::Patched(2));
             let synced = synced.locate(&reading);
             prop_assert_eq!(&one_shot, &prepared, "prepared diverged, kernel {:?}", kernel);
             prop_assert_eq!(&one_shot, &synced, "synced diverged, kernel {:?}", kernel);

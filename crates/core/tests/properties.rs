@@ -266,9 +266,12 @@ proptest! {
         );
     }
 
+    /// A batch of 1 to 79 readings — inline below the fan-out threshold
+    /// of 16 readings per lane, split across the pool above it — returns
+    /// sequential locates' results in order.
     #[test]
     fn locate_batch_matches_sequential_order_and_values(
-        ps in proptest::collection::vec(interior_point(), 1..12),
+        ps in proptest::collection::vec(interior_point(), 1..80),
         (ax, ay, amp) in field_params(),
     ) {
         let (map, make) = map_with_field(ax, ay, amp);

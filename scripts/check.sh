@@ -32,11 +32,14 @@ cargo test -p vire-geom -q
 # map-building reference of the paper's procedure through all three
 # phases (threshold bits and mask, largest-area reader first), and a
 # lattice with one node along an axis localizes and patches on every
-# kernel. One max-gap pass yields each reader's smallest gap along with
-# the per-node max-gap plane, both bit-identical to scalar folds (ties,
-# ±0.0, ragged lane tails), so nothing derived from the planes outlives
-# a map change: every change (patch, in-place rebuild, reshape) localizes
-# like a fresh build, and a batch matches sequential locates.
+# kernel. Adaptive elimination reads only the tiles whose bounds (each
+# reader's RSSI range per 4x4 tile, summarized at sync) admit a survivor
+# or a smaller gap, and matches the dense max-gap elimination to the bit:
+# fixed and adaptive modes, every floor, ties and ±0.0, readings on tile
+# extremes, lattice sides off multiples of 4 (1xN, Nx1, 1x1, refine 1).
+# Every map change (patch, in-place rebuild, reshape) refreshes the tile
+# summary and localizes like a fresh build, a batch matches sequential
+# locates, and reused weighting buffers match fresh ones.
 # The hint contract: a sync patches exactly the cells the writer named
 # (repeats and reverts filtered out by to_bits), or diffs them all; an
 # empty hint is always safe, a hint is trusted only for the map id it
@@ -44,8 +47,7 @@ cargo test -p vire-geom -q
 echo "==> cargo test (prepared-state oracles)"
 cargo test -q -p vire-core --test kernels --test incremental
 cargo test -q -p vire-core --test kernels -- \
-  adaptive_eliminate_matches_map_building_reference \
-  max_gap_kernel_is_bit_identical_to_scalar
+  adaptive_eliminate_matches_map_building_reference
 cargo test -q -p vire-core --test incremental -- \
   every_map_change_localizes_like_a_fresh_build \
   patched_state_is_bit_identical_to_rebuild \
@@ -55,7 +57,9 @@ cargo test -q -p vire-core --test incremental -- \
 cargo test -q -p vire-core --test properties -- \
   locate_batch_matches_sequential_order_and_values
 cargo test -q -p vire-core --lib -- \
-  max_gap_pass_matches_scalar_max_and_min_folds \
+  tile_pruned_elimination_matches_dense \
+  tile_pruned_elimination_matches_dense_on_virtual_grids \
+  reused_buffers_leave_labels_clear_and_match_fresh_ones \
   hint_path_and_diff_path_agree sync_patches_the_named_cell_and_matches_fresh
 
 # The generational tag slab: handle allocation, slot reuse, and the
