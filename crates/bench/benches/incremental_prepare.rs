@@ -1,15 +1,13 @@
 //! Incremental sync vs from-scratch prepare.
 //!
 //! A calibration update dirties a handful of coarse cells;
-//! `PreparedVire`'s `sync` re-interpolates only the kernel-support
-//! region of each and patches the flattened planes in place, where the
-//! pre-incremental path rebuilt the whole prepared state. Both paths
-//! end with the planes' tile summary: a patch refreshes the tiles it
-//! wrote, a rebuild all of them.
-//! This bench
-//! sweeps the dirty-cell count (1, 2, 4, 16, all) on the default 3-reader
-//! 4×4 map at refine 10 and, in bench mode, writes a machine-readable
-//! summary to `target/incremental_prepare.json`.
+//! `PreparedVire`'s `sync` re-interpolates, in place, the whole plane of
+//! each reader owning one (and refreshes that reader's tile summary),
+//! where a fresh `prepare` clones the map and builds every plane anew.
+//! This bench sweeps the dirty readers on the default 3-reader 4×4 map at
+//! refine 10 — one cell on one reader, one cell on each of two readers,
+//! and every cell — and, in bench mode, writes a machine-readable summary
+//! to `target/incremental_prepare.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use serde::Serialize;
@@ -20,10 +18,9 @@ use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
 
 const SIDE: usize = 4;
 const READERS: usize = 3;
-/// Dirty-cell counts swept; from 4 up (12·dirty ≥ 48) sync crosses its
-/// rebuild cutover, so the 4, 16 and all-cells rows measure an in-place
-/// rebuild rather than patching.
-const DIRTY_COUNTS: [usize; 5] = [1, 2, 4, 16, READERS * SIDE * SIDE];
+/// The swept cases, `(dirty readers, dirty cells)`: one cell on one
+/// reader, one cell on each of two readers, every cell of every reader.
+const CASES: [(usize, usize); 3] = [(1, 1), (2, 2), (READERS, READERS * SIDE * SIDE)];
 
 fn base_map() -> ReferenceRssiMap {
     let readers = vec![
@@ -39,15 +36,20 @@ fn base_map() -> ReferenceRssiMap {
     ReferenceRssiMap::new(grid, readers, fields)
 }
 
-/// The `dirty`-many (reader, cell) targets, spread across the table.
-fn dirty_cells(map: &ReferenceRssiMap, dirty: usize) -> Vec<(usize, GridIndex, f64)> {
+/// The `cells`-many (reader, cell) targets of a case, on its first
+/// `readers` readers: one cell each, or every cell of every reader.
+fn dirty_cells(
+    map: &ReferenceRssiMap,
+    (readers, cells): (usize, usize),
+) -> Vec<(usize, GridIndex, f64)> {
     let nodes = map.grid().node_count();
-    let total = READERS * nodes;
-    let stride = total / dirty;
-    (0..dirty)
+    (0..cells)
         .map(|n| {
-            let flat = n * stride;
-            let (k, node) = (flat / nodes, flat % nodes);
+            let (k, node) = if cells == readers {
+                (n, n)
+            } else {
+                (n / nodes, n % nodes)
+            };
             let idx = map.grid().unflat(node);
             (k, idx, map.rssi(k, idx))
         })
@@ -66,13 +68,14 @@ fn toggle(map: &mut ReferenceRssiMap, cells: &[(usize, GridIndex, f64)], round: 
 fn bench_incremental_prepare(c: &mut Criterion) {
     let vire = Vire::new(VireConfig::default());
     let mut group = c.benchmark_group("incremental_prepare");
-    for dirty in DIRTY_COUNTS {
+    for case in CASES {
         let mut map = base_map();
-        let cells = dirty_cells(&map, dirty);
+        let cells = dirty_cells(&map, case);
+        let label = format!("{}r{}c", case.0, case.1);
 
         let mut owned = vire.prepare(&map).expect("refine > 0");
         let mut round = 0u64;
-        group.bench_with_input(BenchmarkId::new("patched", dirty), &dirty, |b, _| {
+        group.bench_with_input(BenchmarkId::new("sync", &label), &case, |b, _| {
             b.iter(|| {
                 toggle(&mut map, &cells, round);
                 round += 1;
@@ -81,7 +84,7 @@ fn bench_incremental_prepare(c: &mut Criterion) {
         });
 
         let mut round = 0u64;
-        group.bench_with_input(BenchmarkId::new("rebuild", dirty), &dirty, |b, _| {
+        group.bench_with_input(BenchmarkId::new("prepare", &label), &case, |b, _| {
             b.iter(|| {
                 toggle(&mut map, &cells, round);
                 round += 1;
@@ -93,26 +96,27 @@ fn bench_incremental_prepare(c: &mut Criterion) {
     group.finish();
 }
 
-/// One dirty-count level's measurements in the JSON summary.
+/// One case's measurements in the JSON summary: `sync_ns` times the
+/// in-place sync, `prepare_ns` a fresh prepare against the same map.
 ///
-/// `sync_vs_prepare_ratio` is a diagnostic: sync time vs a from-scratch
-/// prepare at that dirty count. Rows at or past the rebuild cutover
-/// (`12 · dirty ≥ readers · nodes`) measure an in-place rebuild against a
-/// fresh prepare, so the ratio sits near 1.0 there by construction — it is **not** a
-/// regression signal, which is why it is not named `speedup` (the
-/// `scripts/check.sh` gate requires every `speedup` field to be ≥ 1.0).
+/// `sync_vs_prepare_ratio` is a diagnostic (`prepare_ns / sync_ns`): with
+/// every reader dirty both re-interpolate every plane, so it sits near
+/// 1.0 there by construction — it is **not** a regression signal, which
+/// is why it is not named `speedup` (the `scripts/check.sh` gate requires
+/// every `speedup` field to be ≥ 1.0).
 #[derive(Serialize)]
 struct SummaryRow {
-    dirty: usize,
-    patched_ns: f64,
-    rebuild_ns: f64,
+    dirty_readers: usize,
+    dirty_cells: usize,
+    sync_ns: f64,
+    prepare_ns: f64,
     sync_vs_prepare_ratio: f64,
 }
 
 /// The `target/incremental_prepare.json` document. The top-level
-/// `speedup` is the worst sync-vs-prepare ratio over the rows where sync
-/// chooses the patch path (below the rebuild cutover) — the advantage the
-/// incremental machinery must actually deliver.
+/// `speedup` is the every-reader sync time over the one-reader sync time
+/// — the saving that re-interpolating only the changed readers must
+/// deliver.
 #[derive(Serialize)]
 struct Summary {
     group: String,
@@ -150,61 +154,48 @@ fn emit_json_summary(_c: &mut Criterion) {
         return;
     }
     let vire = Vire::new(VireConfig::default());
-    let rows: Vec<SummaryRow> = DIRTY_COUNTS
+    let rows: Vec<SummaryRow> = CASES
         .iter()
-        .map(|&dirty| {
+        .map(|&case| {
             let mut map = base_map();
-            let cells = dirty_cells(&map, dirty);
+            let cells = dirty_cells(&map, case);
             let mut owned = vire.prepare(&map).expect("refine > 0");
 
             // Bit-identity sanity check rides along with the timing run.
             toggle(&mut map, &cells, 0);
             owned.sync(&map, &[]);
             let fresh = vire.prepare(&map).expect("refine > 0");
+            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                owned
-                    .planes()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                fresh
-                    .planes()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                "patched planes must be bit-identical at dirty={dirty}"
+                bits(owned.planes()),
+                bits(fresh.planes()),
+                "synced planes must be bit-identical at {case:?}"
             );
 
             let mut round = 1u64;
-            let patched_ns = time_ns(|| {
+            let sync_ns = time_ns(|| {
                 toggle(&mut map, &cells, round);
                 round += 1;
                 owned.sync(black_box(&map), &[])
             });
             let mut round = 0u64;
-            let rebuild_ns = time_ns(|| {
+            let prepare_ns = time_ns(|| {
                 toggle(&mut map, &cells, round);
                 round += 1;
                 let prepared = vire.prepare(black_box(&map)).expect("refine > 0");
                 black_box(prepared.planes()[0])
             });
             SummaryRow {
-                dirty,
-                patched_ns,
-                rebuild_ns,
-                sync_vs_prepare_ratio: rebuild_ns / patched_ns,
+                dirty_readers: case.0,
+                dirty_cells: case.1,
+                sync_ns,
+                prepare_ns,
+                sync_vs_prepare_ratio: prepare_ns / sync_ns,
             }
         })
         .collect();
 
-    // The gated number: worst advantage over the patch-path rows (sync
-    // rebuilds instead once 12 · dirty ≥ readers · nodes).
-    let nodes = base_map().grid().node_count();
-    let speedup = rows
-        .iter()
-        .filter(|r| 12 * r.dirty < READERS * nodes)
-        .map(|r| r.sync_vs_prepare_ratio)
-        .fold(f64::INFINITY, f64::min);
+    let speedup = rows[rows.len() - 1].sync_ns / rows[0].sync_ns;
     let summary = Summary {
         group: "incremental_prepare".into(),
         fixture: "3 readers, 4x4 lattice, refine 10, linear kernel".into(),
@@ -219,11 +210,18 @@ fn emit_json_summary(_c: &mut Criterion) {
     println!("incremental_prepare summary -> {path}");
     for row in &summary.rows {
         println!(
-            "  dirty {:>2}: rebuild {:>10.0} ns  patched {:>10.0} ns  ratio {:>6.1}x",
-            row.dirty, row.rebuild_ns, row.patched_ns, row.sync_vs_prepare_ratio,
+            "  {} reader(s), {:>2} cell(s): sync {:>8.0} ns  prepare {:>8.0} ns  ratio {:>5.2}x",
+            row.dirty_readers,
+            row.dirty_cells,
+            row.sync_ns,
+            row.prepare_ns,
+            row.sync_vs_prepare_ratio,
         );
     }
-    println!("  patch-path speedup {:>6.1}x", summary.speedup);
+    println!(
+        "  every-reader over one-reader sync {:>5.2}x",
+        summary.speedup
+    );
 }
 
 criterion_group!(benches, bench_incremental_prepare, emit_json_summary);

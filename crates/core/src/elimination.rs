@@ -124,13 +124,8 @@ impl TileSummary {
     /// The summary of a virtual grid's planes.
     pub(crate) fn of(grid: &VirtualGrid) -> Self {
         let mut summary = TileSummary::default();
-        summary.refresh(grid);
+        summary.refresh_planes(grid.planes(), grid.grid().nx(), grid.grid().ny());
         summary
-    }
-
-    /// Rebuilds the summary from `grid`'s planes, reusing its buffers.
-    pub(crate) fn refresh(&mut self, grid: &VirtualGrid) {
-        self.refresh_planes(grid.planes(), grid.grid().nx(), grid.grid().ny());
     }
 
     /// Rebuilds the summary of reader-major planes over an `nx × ny`
@@ -155,39 +150,31 @@ impl TileSummary {
             }
         }
         for k in 0..planes.len() / nodes {
-            self.refresh_tiles(planes, k, 0..ny, 0..nx);
+            self.refresh_reader(planes, k);
         }
     }
 
-    /// Recomputes reader `k`'s tiles that hold any node of fine `rows` ×
-    /// `cols` of the summarized `planes` — all a sync must redo when only
-    /// those nodes changed. Each band of `TILE` rows first folds into
-    /// column-wise minima and maxima (contiguous, so the loop
-    /// vectorizes), and those then fold `TILE` columns at a time.
-    pub(crate) fn refresh_tiles(
-        &mut self,
-        planes: &[f64],
-        k: usize,
-        rows: Range<usize>,
-        cols: Range<usize>,
-    ) {
+    /// Recomputes reader `k`'s tiles from the summarized `planes` — all a
+    /// sync must redo after re-interpolating that reader's plane. Each
+    /// band of `TILE` rows first folds into column-wise minima and maxima
+    /// (contiguous, so the loop vectorizes), and those then fold `TILE`
+    /// columns at a time.
+    pub(crate) fn refresh_reader(&mut self, planes: &[f64], k: usize) {
         let (nx, ny) = (self.nx, self.ny);
         let plane = &planes[k * nx * ny..(k + 1) * nx * ny];
-        let (tx0, tx1) = (cols.start / TILE, cols.end.div_ceil(TILE));
-        let (x0, x1) = (tx0 * TILE, (tx1 * TILE).min(nx));
-        let (col_lo, col_hi) = (&mut self.col_lo[x0..x1], &mut self.col_hi[x0..x1]);
-        for ty in rows.start / TILE..rows.end.div_ceil(TILE) {
+        let (col_lo, col_hi) = (&mut self.col_lo, &mut self.col_hi);
+        for ty in 0..ny.div_ceil(TILE) {
             let (y0, y1) = (ty * TILE, (ty * TILE + TILE).min(ny));
-            col_lo.copy_from_slice(&plane[y0 * nx + x0..y0 * nx + x1]);
+            col_lo.copy_from_slice(&plane[y0 * nx..(y0 + 1) * nx]);
             col_hi.copy_from_slice(col_lo);
             for y in y0 + 1..y1 {
-                let row = &plane[y * nx + x0..y * nx + x1];
+                let row = &plane[y * nx..(y + 1) * nx];
                 for ((l, h), &s) in col_lo.iter_mut().zip(col_hi.iter_mut()).zip(row) {
                     *l = if s < *l { s } else { *l };
                     *h = if s > *h { s } else { *h };
                 }
             }
-            let slot = k * self.tiles + ty * self.tiles_x + tx0;
+            let slot = k * self.tiles + ty * self.tiles_x;
             let tiles = col_lo.chunks(TILE).zip(col_hi.chunks(TILE));
             for ((lo, hi), (cl, ch)) in self.lo[slot..]
                 .iter_mut()

@@ -1,25 +1,25 @@
-//! The prepared states of VIRE and LANDMARC, and the dirty-cell patching
-//! that keeps them in step with a changing calibration map.
+//! The prepared states of VIRE and LANDMARC, and the sync that keeps
+//! them in step with a changing calibration map.
 //!
 //! Each state owns a mirror of its map, so one instance can outlive any
 //! single snapshot — [`crate::service::LocationService::drive`] keeps one
-//! hot across drives instead of re-interpolating the whole virtual grid
-//! whenever a calibration cell moves:
+//! hot across drives instead of preparing afresh whenever a calibration
+//! cell moves:
 //!
-//! * [`PreparedVire`] — owns the map mirror, the virtual grid (whose
+//! * [`PreparedVire`] — owns the map mirror and the virtual grid, whose
 //!   reader-major planes are the only copy elimination and weighting
-//!   read), and a [`GridPatcher`]. On
-//!   [`sync`](OwnedPreparedLocalizer::sync) it re-interpolates only the
-//!   kernel-support region of each changed cell straight into the grid's
-//!   planes — producing state **bit-identical** to a
-//!   from-scratch [`PreparedVire::build`] (pinned by property tests in
-//!   `tests/incremental.rs`). The one thing derived from the planes, each
-//!   reader's RSSI range per 4 × 4 tile that elimination bounds with, is
-//!   refreshed in the same sync: the tiles a patch wrote, or all of them
-//!   after a rebuild.
+//!   read. Paper §4.2 interpolates each reader's plane from that reader's
+//!   real tags alone, so [`sync`](OwnedPreparedLocalizer::sync) flags
+//!   each reader whose cells changed and re-interpolates exactly those
+//!   readers' planes, whole and in place, refreshing each one's RSSI
+//!   range per 4 × 4 tile (the bounds elimination prunes with) as it
+//!   goes. A build is the same per-reader call run for every reader, so
+//!   the synced state is **bit-identical** to a from-scratch
+//!   [`PreparedVire::build`] (pinned by property tests in
+//!   `tests/incremental.rs`).
 //! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
 //!   baseline, which reads the mirror's own reader-major planes, so a
-//!   dirty cell is one O(1) write into the mirror.
+//!   changed calibration cell is one O(1) write into the mirror.
 //!
 //! These are the only prepared forms: [`Vire::prepare`] and
 //! [`Landmarc::prepare`] build them, and the one-shot
@@ -29,12 +29,12 @@
 //! The map keeps no change record; its writer names the cells it changed
 //! (the
 //! [`SnapshotSource::take_dirty_cells`](crate::pipeline::SnapshotSource::take_dirty_cells)
-//! hint). A new lattice shape rebuilds; a non-empty hint for the map `id`
-//! the state last synced to is deduplicated and filtered by a `to_bits`
-//! compare against the mirror; anything else, an empty hint included,
-//! bit-diffs the coarse map (`readers × nodes` compares). From a twelfth
-//! of the coarse cells on, sync rebuilds instead of patching (both are
-//! bit-identical). Debug builds check after every sync that the mirror
+//! hint). A new lattice or reader set rebuilds. A non-empty hint for the
+//! map `id` the state last synced to is applied in one pass, cell by cell
+//! through [`ReferenceRssiMap::set_rssi`], whose `to_bits` compare makes
+//! a repeat or a revert cost one compare. Anything else, an empty hint
+//! included, bit-diffs the whole coarse map (`readers × nodes` compares)
+//! the same way. Debug builds check after every sync that the mirror
 //! equals the map bit for bit, so a hint that misses a cell fails loudly.
 
 use crate::elimination::EliminationResult;
@@ -46,7 +46,7 @@ use crate::prepared::{
 };
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::{Vire, VireConfig};
-use crate::virtual_grid::{GridPatcher, VirtualGrid};
+use crate::virtual_grid::VirtualGrid;
 use vire_geom::{BitGrid, GridIndex, Point2};
 
 /// One changed calibration entry: `(reader, coarse lattice node)`.
@@ -57,15 +57,16 @@ pub type DirtyCell = (usize, GridIndex);
 pub enum SyncOutcome {
     /// The map was bit-identical to the synced state; nothing touched.
     Reused,
-    /// The given number of dirty coarse cells were patched in place.
+    /// The given number of coarse cells changed, on some readers but not
+    /// all; only the readers owning them were re-interpolated.
     Patched(usize),
-    /// Too many cells moved (or the lattice changed shape); the state was
-    /// rebuilt from scratch.
+    /// Every reader was re-interpolated: each had a changed cell, or the
+    /// lattice or reader set changed and the state was built afresh.
     Rebuilt,
 }
 
 /// A prepared localizer that owns its state and can follow a calibration
-/// map across snapshots, patching instead of rebuilding.
+/// map across snapshots, redoing only the work the changed cells reach.
 ///
 /// `sync` must leave the state bit-identical to preparing against `refs`
 /// from scratch — callers (the service layer) choose freely between
@@ -84,78 +85,59 @@ pub trait OwnedPreparedLocalizer: PreparedLocalizer + Send {
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome;
 }
 
-/// Sorts `cells` and drops repeats, so a dirty set never holds more than
-/// `readers × nodes` entries.
-pub(crate) fn dedup_cells(cells: &mut Vec<DirtyCell>) {
-    cells.sort_unstable_by_key(|&(k, idx)| (k, idx.j, idx.i));
-    cells.dedup();
-}
-
-/// Writes the deduplicated coarse cells where `mirror` and `refs` differ
-/// into `out`: the `hint` cells that really changed, or, with no trusted
-/// hint, every differing cell of the coarse table (`readers × nodes`
+/// Copies into `mirror` every coarse cell whose bits differ in `refs`,
+/// calling `flag(k)` for each one's reader, and returns how many changed:
+/// the `hint` cells (a repeat or a revert costs one compare), or, with no
+/// trusted hint, every cell of the coarse table (`readers × nodes`
 /// compares). A hint is trusted when it is non-empty and `refs` is the map
 /// instance the state last synced to.
-fn discover_dirty(
-    mirror: &ReferenceRssiMap,
+fn adopt_changes(
+    mirror: &mut ReferenceRssiMap,
     refs: &ReferenceRssiMap,
     hint: Option<&[DirtyCell]>,
-    out: &mut Vec<DirtyCell>,
-) {
-    out.clear();
-    let differs =
-        |k: usize, idx: GridIndex| mirror.rssi(k, idx).to_bits() != refs.rssi(k, idx).to_bits();
-    if let Some(hint) = hint {
-        out.extend_from_slice(hint);
-        dedup_cells(out);
-        out.retain(|&(k, idx)| differs(k, idx));
-        return;
-    }
-    for k in 0..refs.reader_count() {
-        for idx in refs.grid().indices() {
-            if differs(k, idx) {
-                out.push((k, idx));
+    mut flag: impl FnMut(usize),
+) -> usize {
+    let mut changed = 0;
+    let mut adopt = |k: usize, idx: GridIndex| {
+        if mirror.set_rssi(k, idx, refs.rssi(k, idx)) {
+            changed += 1;
+            flag(k);
+        }
+    };
+    match hint {
+        Some(hint) => hint.iter().for_each(|&(k, idx)| adopt(k, idx)),
+        None => {
+            for k in 0..refs.reader_count() {
+                refs.grid().indices().for_each(|idx| adopt(k, idx));
             }
         }
     }
+    changed
 }
 
 /// Whether the two maps span the same lattice and reader set — the
-/// precondition for patching rather than rebuilding.
+/// precondition for syncing in place rather than building afresh.
 fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
     a.grid() == b.grid() && a.readers() == b.readers()
 }
 
-/// Whether patching `dirty` coarse cells of `refs` would cost more than
-/// rebuilding in place: true from a twelfth of the coarse table on.
-/// Spread dirty cells re-interpolate whole fine rows *and* columns, so
-/// the patch's saving collapses quickly, and the linear kernels rebuild
-/// row-major. Measured on the default map (bench `incremental_prepare`,
-/// 3 readers × 16 cells, refine 10, 2-core x86-64): an in-place rebuild,
-/// tile summary included, costs about 10 µs; patching 1 cell about 3 µs,
-/// 2 cells 6.5 µs, 3 cells 9 µs, 4 cells 11 µs, 6 cells 13 µs, and 8 or
-/// more 33–41 µs.
-fn past_rebuild_cutover(dirty: usize, refs: &ReferenceRssiMap) -> bool {
-    12 * dirty >= refs.reader_count() * refs.grid().node_count()
-}
-
 /// VIRE bound to one calibration map, surviving across snapshots.
 ///
-/// Owns a mirror of the calibration map, the interpolated virtual grid,
-/// whose reader-major RSSI planes (`planes[k * nodes + flat]`) elimination
-/// and weighting scan as contiguous memory, and the [`GridPatcher`]
-/// retaining the horizontal-pass intermediates.
-/// [`sync`](OwnedPreparedLocalizer::sync) patches the grid's planes in
-/// place for small dirty sets.
+/// Owns a mirror of the calibration map and the interpolated virtual
+/// grid, whose reader-major RSSI planes (`planes[k * nodes + flat]`)
+/// elimination and weighting scan as contiguous memory.
+/// [`sync`](OwnedPreparedLocalizer::sync) re-interpolates, in place, the
+/// plane of each reader whose calibration cells changed.
 pub struct PreparedVire {
     state: VireState,
-    patcher: GridPatcher,
     /// Owned mirror of the source map, bit-identical to it as of the last
     /// sync.
     refs: ReferenceRssiMap,
     /// [`ReferenceRssiMap::id`] of the map last synced to.
     source_id: u64,
-    dirty_scratch: Vec<DirtyCell>,
+    /// `flagged[k]`: reader `k` had a changed cell this sync (all false
+    /// between syncs).
+    flagged: Vec<bool>,
 }
 
 impl PreparedVire {
@@ -163,14 +145,11 @@ impl PreparedVire {
     /// mirror). Errors when the configuration is degenerate
     /// (`refine == 0`).
     pub fn build(config: &VireConfig, refs: &ReferenceRssiMap) -> Result<Self, LocalizeError> {
-        let mirror = refs.clone();
-        let (state, patcher) = VireState::build_with_patcher(config, &mirror)?;
         Ok(PreparedVire {
-            state,
-            patcher,
-            refs: mirror,
+            state: VireState::build(config, refs)?,
+            refs: refs.clone(),
             source_id: refs.id(),
-            dirty_scratch: Vec::new(),
+            flagged: vec![false; refs.reader_count()],
         })
     }
 
@@ -243,26 +222,6 @@ impl PreparedVire {
     ) -> Result<(Estimate, bool), LocalizeError> {
         self.state.locate_core(&self.refs, reading, scratch)
     }
-
-    fn rebuild(&mut self, refs: &ReferenceRssiMap) {
-        if same_shape(&self.refs, refs) {
-            // The cutover path out of `sync`: too many cells moved for
-            // patching, but the lattice is unchanged. Adopt the new values
-            // into the existing mirror and re-interpolate into the
-            // existing grid planes — bit-identical to a fresh build, and a
-            // steady-state rebuild costs no allocation beyond
-            // interpolation scratch.
-            self.refs.copy_values_from(refs);
-            self.state.rebuild(&mut self.patcher, &self.refs);
-            return;
-        }
-        // A new lattice or reader set: a fresh state.
-        self.refs = refs.clone();
-        let (state, patcher) = VireState::build_with_patcher(&self.state.config, &self.refs)
-            .expect("refine was validated when this instance was built");
-        self.state = state;
-        self.patcher = patcher;
-    }
 }
 
 impl PreparedLocalizer for PreparedVire {
@@ -277,37 +236,25 @@ impl PreparedLocalizer for PreparedVire {
 
 impl OwnedPreparedLocalizer for PreparedVire {
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
+        if !same_shape(&self.refs, refs) {
+            *self = PreparedVire::build(&self.state.config, refs)
+                .expect("refine was validated when this instance was built");
+            return SyncOutcome::Rebuilt;
+        }
         let hint = (refs.id() == self.source_id && !hint.is_empty()).then_some(hint);
         self.source_id = refs.id();
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        // A new lattice rebuilds. So does a trusted hint already past the
-        // break-even: its length bounds the deduplicated dirty set from
-        // above, so the sort, dedup and mirror compare of
-        // `discover_dirty` would be pure overhead on a sync that rebuilds
-        // anyway (rebuild and patch are bit-identical).
-        let outcome = if !same_shape(&self.refs, refs)
-            || hint.is_some_and(|h| past_rebuild_cutover(h.len(), refs))
-        {
-            self.rebuild(refs);
-            SyncOutcome::Rebuilt
-        } else {
-            discover_dirty(&self.refs, refs, hint, &mut dirty);
-            if dirty.is_empty() {
-                SyncOutcome::Reused
-            } else if past_rebuild_cutover(dirty.len(), refs) {
-                self.rebuild(refs);
-                SyncOutcome::Rebuilt
-            } else {
-                // Write the new values into the mirror, then patch the
-                // grid from it: bit-identical to a fresh build.
-                for &(k, idx) in &dirty {
-                    self.refs.set_rssi(k, idx, refs.rssi(k, idx));
-                }
-                self.state.patch(&mut self.patcher, &self.refs, &dirty);
-                SyncOutcome::Patched(dirty.len())
-            }
+        let flagged = &mut self.flagged;
+        let changed = adopt_changes(&mut self.refs, refs, hint, |k| flagged[k] = true);
+        let outcome = match changed {
+            0 => SyncOutcome::Reused,
+            _ if self.flagged.iter().all(|&f| f) => SyncOutcome::Rebuilt,
+            n => SyncOutcome::Patched(n),
         };
-        self.dirty_scratch = dirty;
+        for k in 0..self.flagged.len() {
+            if std::mem::take(&mut self.flagged[k]) {
+                self.state.reinterpolate(&self.refs, k);
+            }
+        }
         debug_assert!(
             self.refs.same_bits(refs),
             "VIRE mirror diverged from the map after sync: the hint missed a changed cell"
@@ -336,7 +283,6 @@ pub struct PreparedLandmarc {
     positions: Vec<Point2>,
     /// [`ReferenceRssiMap::id`] of the map last synced to.
     source_id: u64,
-    dirty_scratch: Vec<DirtyCell>,
 }
 
 impl PreparedLandmarc {
@@ -348,7 +294,6 @@ impl PreparedLandmarc {
             refs: refs.clone(),
             positions: grid.indices().map(|idx| grid.position(idx)).collect(),
             source_id: refs.id(),
-            dirty_scratch: Vec::new(),
         }
     }
 
@@ -385,21 +330,15 @@ impl OwnedPreparedLocalizer for PreparedLandmarc {
         }
         let hint = (refs.id() == self.source_id && !hint.is_empty()).then_some(hint);
         self.source_id = refs.id();
-        let mut dirty = std::mem::take(&mut self.dirty_scratch);
-        discover_dirty(&self.refs, refs, hint, &mut dirty);
-        for &(k, idx) in &dirty {
-            self.refs.set_rssi(k, idx, refs.rssi(k, idx));
-        }
+        let changed = adopt_changes(&mut self.refs, refs, hint, |_| {});
         debug_assert!(
             self.refs.same_bits(refs),
             "LANDMARC mirror diverged from the map after sync: the hint missed a changed cell"
         );
-        let outcome = match dirty.len() {
+        match changed {
             0 => SyncOutcome::Reused,
             n => SyncOutcome::Patched(n),
-        };
-        self.dirty_scratch = dirty;
-        outcome
+        }
     }
 }
 
@@ -469,10 +408,11 @@ mod tests {
         // Content-identical re-export (another fresh id): reused.
         let reexport = other.clone();
         assert_eq!(owned.sync(&reexport, &[]), SyncOutcome::Reused);
-        // And the original map now differs from the synced state.
+        // The original map, with one more cell moved, now differs from
+        // the synced state on every reader (readers 1 and 2 changed
+        // back), so every plane is re-interpolated.
         refs.set_rssi(0, GridIndex::new(2, 2), -70.125);
-        let out = owned.sync(&refs, &[]);
-        assert!(matches!(out, SyncOutcome::Patched(_)), "{out:?}");
+        assert_eq!(owned.sync(&refs, &[]), SyncOutcome::Rebuilt);
         assert_matches_fresh(&owned, &refs);
         // A new reader set rebuilds.
         let smaller = refs.without_reader(2).unwrap();

@@ -39,8 +39,9 @@
 //! that allocates nothing in steady state and can fan a batch across
 //! threads. VIRE and LANDMARC have one prepared form each,
 //! [`PreparedVire`] and [`PreparedLandmarc`]: it owns a mirror of the
-//! map, follows later snapshots by patching only the dirty cells
-//! ([`OwnedPreparedLocalizer::sync`], module [`incremental`]), and is
+//! map, follows later snapshots by re-interpolating only the readers
+//! whose cells changed ([`OwnedPreparedLocalizer::sync`], module
+//! [`incremental`]), and is
 //! also what one-shot [`Localizer::locate`] prepares and discards. See
 //! DESIGN.md §"Prepared localization".
 

@@ -115,7 +115,8 @@ pub trait Localizer: Sync {
     /// Binds this localizer to a *copy* of the calibration map, returning
     /// an owned prepared instance that outlives the source map and can be
     /// kept in [`sync`](crate::incremental::OwnedPreparedLocalizer::sync)
-    /// with later calibration snapshots by patching only the dirty cells.
+    /// with later calibration snapshots by redoing only the work the
+    /// changed cells reach.
     ///
     /// Returns `None` when the algorithm has no per-map state (the
     /// default) or the configuration cannot be prepared; callers fall back

@@ -62,10 +62,10 @@ pub trait SnapshotSource {
     /// previous drain, as `(reader, cell)` pairs.
     ///
     /// This is the only record of calibration changes: the map keeps
-    /// none. A service keeping an incrementally patched prepared localizer
+    /// none. A service keeping an incrementally synced prepared localizer
     /// feeds it to
     /// [`OwnedPreparedLocalizer::sync`](crate::incremental::OwnedPreparedLocalizer::sync)
-    /// as its dirty hint, which patches exactly the named cells. A source
+    /// as its dirty hint, which adopts exactly the named cells. A source
     /// that overrides this must therefore name **every** cell of the map
     /// [`reference_map`](SnapshotSource::reference_map) returns that it
     /// changed since its last drain (repeats and cells that changed back

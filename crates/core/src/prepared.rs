@@ -19,7 +19,7 @@
 //!
 //! The prepared states themselves, [`crate::PreparedVire`] and
 //! [`crate::PreparedLandmarc`], own a mirror of their map and live in
-//! [`crate::incremental`] beside the `sync` that patches them. They are
+//! [`crate::incremental`] beside the `sync` that updates them. They are
 //! the only prepared form of either algorithm: one-shot
 //! [`Localizer::locate`] is prepare-then-locate on the same state, so
 //! there is a single code path to trust.
@@ -28,13 +28,12 @@ use std::borrow::Borrow;
 use std::cell::RefCell;
 
 use crate::elimination::{eliminate_into, ElimBuffers, ThresholdMode, TileSummary};
-use crate::incremental::DirtyCell;
 use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::{EmptyFallback, VireConfig};
-use crate::virtual_grid::{GridPatcher, VirtualGrid};
+use crate::virtual_grid::{Sweep, VirtualGrid};
 use crate::weights::{candidate_weights_into, WeightBuffers};
 use vire_geom::Point2;
 
@@ -175,24 +174,37 @@ pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
 
 /// The map-bound core of [`crate::PreparedVire`]: the interpolated
 /// [`VirtualGrid`], whose reader-major planes (`planes[k * nodes + flat]`)
-/// elimination and weighting read in place, their tile summary, and the
-/// resolved threshold mode.
+/// elimination and weighting read in place, their tile summary, the
+/// sweep that re-interpolates a reader's plane, and the resolved
+/// threshold mode.
 pub(crate) struct VireState {
     pub(crate) config: VireConfig,
     /// Private, so every change to the planes goes through
-    /// [`VireState::rebuild`] or [`VireState::patch`], which refresh
-    /// `tiles`.
+    /// [`VireState::reinterpolate`], which refreshes `tiles`.
     grid: VirtualGrid,
     /// Each reader's RSSI range per 4 × 4 tile of `grid`'s planes, the
     /// bounds adaptive elimination prunes with.
     tiles: TileSummary,
+    sweep: Sweep,
     /// Threshold mode with the auto candidate floor already resolved to
     /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
     pub(crate) threshold: ThresholdMode,
 }
 
 impl VireState {
-    fn from_grid(config: &VireConfig, grid: VirtualGrid) -> Self {
+    /// Interpolates the virtual grid of `refs` and summarizes its tiles.
+    /// Errors when the configuration is degenerate (`refine == 0`).
+    pub(crate) fn build(
+        config: &VireConfig,
+        refs: &ReferenceRssiMap,
+    ) -> Result<Self, LocalizeError> {
+        if config.refine == 0 {
+            return Err(LocalizeError::InsufficientData(
+                "refinement factor must be >= 1".into(),
+            ));
+        }
+        let mut sweep = Sweep::new(refs.grid(), config.refine, config.kernel);
+        let grid = sweep.build(refs);
         // Resolve the auto candidate floor: one physical cell's worth of
         // virtual regions (n²) keeps elimination from degenerating into a
         // single-cell snap (see ThresholdMode::Adaptive::min_candidates).
@@ -210,12 +222,13 @@ impl VireState {
             },
             other => other,
         };
-        VireState {
+        Ok(VireState {
             config: config.clone(),
             tiles: TileSummary::of(&grid),
             grid,
+            sweep,
             threshold,
-        }
+        })
     }
 
     /// The interpolated virtual grid.
@@ -223,42 +236,12 @@ impl VireState {
         &self.grid
     }
 
-    /// Re-interpolates the grid's planes in place from `refs` and
-    /// refreshes the whole tile summary.
-    pub(crate) fn rebuild(&mut self, patcher: &mut GridPatcher, refs: &ReferenceRssiMap) {
-        patcher.rebuild(&mut self.grid, refs);
-        self.tiles.refresh(&self.grid);
-    }
-
-    /// Patches the grid's planes for the changed cells `dirty` (see
-    /// [`GridPatcher::patch`]) and refreshes the tiles the patch wrote.
-    pub(crate) fn patch(
-        &mut self,
-        patcher: &mut GridPatcher,
-        refs: &ReferenceRssiMap,
-        dirty: &[DirtyCell],
-    ) {
-        for (k, rows, cols) in patcher.patch(&mut self.grid, refs, dirty) {
-            let planes = self.grid.planes();
-            self.tiles
-                .refresh_tiles(planes, *k, rows.clone(), cols.clone());
-        }
-    }
-
-    /// Builds the state along with the [`GridPatcher`] the incremental
-    /// path uses to re-interpolate dirty regions in place. Errors when
-    /// the configuration is degenerate (`refine == 0`).
-    pub(crate) fn build_with_patcher(
-        config: &VireConfig,
-        refs: &ReferenceRssiMap,
-    ) -> Result<(Self, GridPatcher), LocalizeError> {
-        if config.refine == 0 {
-            return Err(LocalizeError::InsufficientData(
-                "refinement factor must be >= 1".into(),
-            ));
-        }
-        let (grid, patcher) = VirtualGrid::build_with_patcher(refs, config.refine, config.kernel);
-        Ok((Self::from_grid(config, grid), patcher))
+    /// Re-interpolates reader `k`'s whole plane in place from `refs` (see
+    /// [`Sweep::reinterpolate`]) and refreshes that reader's tile
+    /// summary.
+    pub(crate) fn reinterpolate(&mut self, refs: &ReferenceRssiMap, k: usize) {
+        self.sweep.reinterpolate(&mut self.grid, refs, k);
+        self.tiles.refresh_reader(self.grid.planes(), k);
     }
 
     /// Elimination over the grid's planes and tile summary (see

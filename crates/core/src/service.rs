@@ -128,12 +128,13 @@ pub struct SyncStats {
     /// Drives where the calibration map was bit-identical to the synced
     /// state, so the prepared localizer was reused untouched.
     pub reused: u64,
-    /// Drives that patched dirty calibration cells in place.
+    /// Drives that re-interpolated the readers owning changed calibration
+    /// cells, but not every reader.
     pub patched: u64,
-    /// Total dirty cells patched across all patch drives.
+    /// Total changed cells across all `patched` drives.
     pub patched_cells: u64,
-    /// Drives that rebuilt the prepared state from scratch (bulk change
-    /// or lattice/reader reshape).
+    /// Drives that re-interpolated every reader (each had a changed cell)
+    /// or rebuilt the state for a new lattice or reader set.
     pub rebuilt: u64,
 }
 
@@ -149,7 +150,8 @@ pub struct LocationService<L: Localizer> {
     /// snapshot.
     last_sweep: f64,
     /// Owned prepared state persisted across [`LocationService::drive`]
-    /// calls and kept in sync with the source map by dirty-cell patching.
+    /// calls and kept in sync with the source map by re-interpolating the
+    /// readers whose calibration cells changed.
     /// `None` until the first drive, or when the localizer has no owned
     /// prepared form (then each drive prepares against that drive's map
     /// through [`Localizer::prepare`]).
@@ -317,10 +319,11 @@ impl<L: Localizer> LocationService<L> {
     /// Across calls, the service keeps an **owned prepared localizer**
     /// ([`Localizer::prepare_owned`]) alive instead of re-preparing per
     /// snapshot: when the calibration map is unchanged the cached state is
-    /// reused outright, and when a few calibration cells moved it is
-    /// patched in place ([`OwnedPreparedLocalizer::sync`], fed the stage's
+    /// reused outright, and when calibration cells moved only the readers
+    /// owning them are re-interpolated in place
+    /// ([`OwnedPreparedLocalizer::sync`], fed the stage's
     /// [`SnapshotSource::take_dirty_cells`] hint) — bit-identical to a
-    /// rebuild at a fraction of the cost. [`LocationService::sync_stats`]
+    /// rebuild. [`LocationService::sync_stats`]
     /// reports which path each drive took.
     ///
     /// Returns one `(tag, result)` per changed tag, in first-dirtied

@@ -155,20 +155,6 @@ impl ReferenceRssiMap {
         true
     }
 
-    /// Overwrites every RSSI value with `other`'s, in place, keeping this
-    /// map's identity — the bulk counterpart of
-    /// [`set_rssi`](ReferenceRssiMap::set_rssi), used when a consumer's
-    /// mirror has fallen so far behind that per-cell patching loses to
-    /// wholesale adoption (the rebuild cutover in [`crate::incremental`]).
-    ///
-    /// # Panics
-    /// Panics when the lattices or reader sets differ.
-    pub fn copy_values_from(&mut self, other: &ReferenceRssiMap) {
-        assert_eq!(self.grid, other.grid, "lattice mismatch");
-        assert_eq!(self.readers, other.readers, "reader set mismatch");
-        self.planes.copy_from_slice(&other.planes);
-    }
-
     /// Whether `other` spans the same lattice and readers and holds the
     /// same RSSI bits in every cell (identity aside).
     pub fn same_bits(&self, other: &ReferenceRssiMap) -> bool {
@@ -328,28 +314,6 @@ mod tests {
         assert!(!m.set_rssi(0, idx, same), "identical bits are a no-op");
         assert!(m.set_rssi(0, idx, same - 1.0));
         assert!(m.set_rssi(1, GridIndex::new(1, 0), -55.25));
-    }
-
-    #[test]
-    fn copy_values_from_adopts_bits_and_keeps_identity() {
-        let mut mirror = tiny_map();
-        let mut source = mirror.clone();
-        source.set_rssi(0, GridIndex::new(1, 0), -97.125);
-        source.set_rssi(1, GridIndex::new(0, 1), -55.5);
-        mirror.set_rssi(0, GridIndex::new(0, 0), -64.0);
-        assert!(!mirror.same_bits(&source));
-        let id_before = mirror.id();
-        mirror.copy_values_from(&source);
-        assert_eq!(mirror.id(), id_before, "identity survives");
-        assert!(mirror.same_bits(&source));
-    }
-
-    #[test]
-    #[should_panic(expected = "reader set mismatch")]
-    fn copy_values_from_rejects_different_readers() {
-        let mut mirror = tiny_map();
-        let source = mirror.without_reader(0).unwrap();
-        mirror.copy_values_from(&source);
     }
 
     #[test]

@@ -10,13 +10,17 @@
 //! For a 4×4 lattice refined with `n = 10` the virtual lattice has
 //! 31² = 961 nodes — the paper's `N² = 900` operating point. The
 //! construction is O(N²) in the number of virtual tags, as stated in §4.2.
+//!
+//! A reader's plane depends on that reader's real tags only, so the grid
+//! is interpolated one whole reader plane at a time by a `Sweep`: a
+//! build runs it for every reader, and a sync of
+//! [`crate::PreparedVire`] runs it for each reader whose calibration
+//! cells changed. There is no partial re-interpolation of a plane.
 
 use crate::types::ReferenceRssiMap;
-use std::ops::Range;
 use vire_geom::interp::linear::{lerp_uniform, paper_weighting};
 use vire_geom::interp::newton::Newton;
 use vire_geom::interp::spline::CubicSpline;
-use vire_geom::interp::window::{full_line_support, local_knot_support};
 use vire_geom::interp::Interpolator1D;
 use vire_geom::{GridData, GridIndex, RegularGrid};
 
@@ -86,62 +90,14 @@ impl VirtualGrid {
     ///
     /// `n` is the per-cell refinement factor (`n = 1` keeps only the real
     /// tags). The total number of virtual+real tags is
-    /// `((nx−1)·n+1) · ((ny−1)·n+1)`. This is the grid half of
-    /// [`Self::build_with_patcher`], with the patcher dropped.
+    /// `((nx−1)·n+1) · ((ny−1)·n+1)`. Each reader's plane is interpolated
+    /// by the same per-reader call a sync of [`crate::PreparedVire`] runs
+    /// for each reader whose cells changed.
     ///
     /// # Panics
     /// Panics when `n == 0`.
     pub fn build(refs: &ReferenceRssiMap, n: usize, kernel: InterpolationKernel) -> Self {
-        Self::build_with_patcher(refs, n, kernel).0
-    }
-
-    /// Builds the virtual grid along with a [`GridPatcher`] that can later
-    /// re-interpolate only the region reached by changed calibration
-    /// cells, instead of rebuilding every field.
-    ///
-    /// # Panics
-    /// Panics when `n == 0`.
-    pub fn build_with_patcher(
-        refs: &ReferenceRssiMap,
-        n: usize,
-        kernel: InterpolationKernel,
-    ) -> (Self, GridPatcher) {
-        assert!(n > 0, "refinement factor must be at least 1");
-        let coarse = *refs.grid();
-        let fine = coarse.refined(n);
-        let (coarse_xs, fine_xs, coarse_ys, fine_ys) = axis_positions(&coarse, &fine);
-        let mut intermediates = Vec::with_capacity(refs.reader_count());
-        let mut planes = vec![0.0f64; refs.reader_count() * fine.node_count()];
-        for (k, plane) in planes.chunks_exact_mut(fine.node_count()).enumerate() {
-            let mut inter = vec![0.0f64; coarse.ny() * fine.nx()];
-            horizontal_pass(refs.field(k), &coarse_xs, &fine_xs, n, kernel, &mut inter);
-            vertical_pass(&inter, &coarse_ys, &fine_ys, n, kernel, plane);
-            intermediates.push(inter);
-        }
-        let grid = VirtualGrid {
-            fine,
-            planes,
-            refine: n,
-        };
-        let patcher = GridPatcher {
-            coarse,
-            fine,
-            n,
-            kernel,
-            coarse_xs,
-            fine_xs,
-            coarse_ys,
-            fine_ys,
-            intermediates,
-            row_out: Vec::new(),
-            col_vals: Vec::new(),
-            col_out: Vec::new(),
-            dirty_rows: Vec::new(),
-            changed_cols: Vec::new(),
-            row_windows: Vec::new(),
-            touched: Vec::new(),
-        };
-        (grid, patcher)
+        Sweep::new(refs.grid(), n, kernel).build(refs)
     }
 
     /// Wraps pre-computed per-reader RSSI fields as a virtual grid.
@@ -317,40 +273,17 @@ fn vertical_pass(
     }
 }
 
-/// Extends `ranges` (sorted by start, disjoint) with `[lo, hi]`, merging
-/// overlapping or adjacent windows. Starts must arrive non-decreasing.
-fn push_merged(ranges: &mut Vec<(usize, usize)>, lo: usize, hi: usize) {
-    if let Some(last) = ranges.last_mut() {
-        if lo <= last.1 + 1 {
-            last.1 = last.1.max(hi);
-            return;
-        }
-    }
-    ranges.push((lo, hi));
-}
-
-/// Incremental re-interpolation of a [`VirtualGrid`].
+/// The §4.2 sweep from one coarse lattice onto its refinement: the four
+/// axes' abscissae and one `cny × fnx` scratch for the horizontal pass.
 ///
-/// Built alongside the grid by [`VirtualGrid::build_with_patcher`], the
-/// patcher retains each reader's horizontal-pass intermediate (the flat
-/// `cny × fnx` row-sweep output). When calibration cells change,
-/// [`GridPatcher::patch`] replays the separable sweep only where the
-/// change can reach:
-///
-/// 1. **Horizontal** — every dirty coarse row is re-interpolated in full
-///    (O(fnx) per row) and bit-diffed against the retained intermediate;
-///    the diff yields the fine *columns* whose vertical inputs moved.
-/// 2. **Vertical** — only those columns are re-interpolated, and only the
-///    union of the dirty rows' y-axis support windows
-///    ([`local_knot_support`]; whole column under global kernels) is
-///    written back into the grid's plane.
-///
-/// Because both passes re-run the exact `interpolate_line` a fresh
-/// [`VirtualGrid::build`] would run on the same inputs, and every sample
-/// outside the replayed region is a function of unchanged inputs only,
-/// the patched grid is **bit-identical** to a from-scratch rebuild.
-#[derive(Debug)]
-pub struct GridPatcher {
+/// Each reader's plane is a function of that reader's coarse field alone,
+/// so re-interpolating reader `k` whole, in place, is both how
+/// [`VirtualGrid::build`] fills fresh planes (every reader) and how a
+/// sync follows a changed map (each reader whose cells changed). It runs
+/// the same `horizontal_pass` and `vertical_pass` on the same inputs
+/// either way, so the planes are **bit-identical** to a fresh build.
+#[derive(Debug, Clone)]
+pub(crate) struct Sweep {
     coarse: RegularGrid,
     fine: RegularGrid,
     n: usize,
@@ -359,190 +292,77 @@ pub struct GridPatcher {
     fine_xs: Vec<f64>,
     coarse_ys: Vec<f64>,
     fine_ys: Vec<f64>,
-    /// Horizontal-pass output per reader, flattened `[j * fnx + fi]`.
-    intermediates: Vec<Vec<f64>>,
-    row_out: Vec<f64>,
-    col_vals: Vec<f64>,
-    col_out: Vec<f64>,
-    dirty_rows: Vec<usize>,
-    changed_cols: Vec<usize>,
-    row_windows: Vec<(usize, usize)>,
-    /// The last patch's writes, per reader: `(k, fine rows, fine cols)`.
-    touched: Vec<(usize, Range<usize>, Range<usize>)>,
+    /// The horizontal-pass output of the reader being interpolated,
+    /// flattened `[j * fnx + fi]`.
+    intermediate: Vec<f64>,
 }
 
-impl GridPatcher {
-    /// The kernel the grid was interpolated with.
-    pub fn kernel(&self) -> InterpolationKernel {
-        self.kernel
-    }
-
-    /// Re-interpolates **every** reader's field of `grid` from `refs` in
-    /// place, refreshing the retained intermediates as it goes.
-    ///
-    /// This is the patcher's bulk path: when so many calibration cells
-    /// changed that per-cell patching loses (the rebuild cutover in
-    /// [`crate::incremental`]), the sweep is replayed wholesale — the same
-    /// `horizontal_pass`/`vertical_pass` a fresh
-    /// [`VirtualGrid::build_with_patcher`] runs, so the result is
-    /// bit-identical to it — but into the existing field and intermediate
-    /// buffers instead of reallocating them every rebuild.
+impl Sweep {
+    /// The sweep refining `coarse` by `n` with `kernel`.
     ///
     /// # Panics
-    /// Panics when `refs` or `grid` does not match the lattice/readers
-    /// this patcher was built for.
-    pub fn rebuild(&mut self, grid: &mut VirtualGrid, refs: &ReferenceRssiMap) {
-        assert_eq!(refs.grid(), &self.coarse, "reference lattice mismatch");
-        assert_eq!(grid.grid(), &self.fine, "virtual lattice mismatch");
-        assert_eq!(
-            refs.reader_count(),
-            self.intermediates.len(),
-            "reader count mismatch"
-        );
-        assert_eq!(grid.reader_count(), self.intermediates.len());
-        // The passes are the fresh build's, on the same inputs, into the
-        // existing buffers, so the rebuild is bit-identical to it. The
-        // readers run inline: a linear rebuild costs a few microseconds,
-        // less than handing readers to pool lanes.
-        let planes = grid.planes.chunks_exact_mut(self.fine.node_count());
-        for (k, (inter, plane)) in self.intermediates.iter_mut().zip(planes).enumerate() {
-            horizontal_pass(
-                refs.field(k),
-                &self.coarse_xs,
-                &self.fine_xs,
-                self.n,
-                self.kernel,
-                inter,
-            );
-            vertical_pass(
-                inter,
-                &self.coarse_ys,
-                &self.fine_ys,
-                self.n,
-                self.kernel,
-                plane,
-            );
+    /// Panics when `n == 0`.
+    pub(crate) fn new(coarse: &RegularGrid, n: usize, kernel: InterpolationKernel) -> Self {
+        assert!(n > 0, "refinement factor must be at least 1");
+        let fine = coarse.refined(n);
+        let (coarse_xs, fine_xs, coarse_ys, fine_ys) = axis_positions(coarse, &fine);
+        Sweep {
+            coarse: *coarse,
+            fine,
+            n,
+            kernel,
+            coarse_xs,
+            fine_xs,
+            coarse_ys,
+            fine_ys,
+            intermediate: vec![0.0; coarse.ny() * fine.nx()],
         }
     }
 
-    /// Re-interpolates `grid` in place after the calibration cells named
-    /// in `dirty` changed in `refs`.
-    ///
-    /// `dirty` entries are `(reader, coarse node)` pairs; duplicates are
-    /// fine, and `refs` must already hold the **new** values for all of
-    /// them. Entries sharing a coarse row are coalesced — the whole row is
-    /// replayed once — so only the row coordinate of each entry matters.
-    ///
-    /// The patched grid is bit-identical to rebuilding from `refs`.
-    /// Returns, per reader whose plane it wrote, the fine rows and
-    /// columns that bound every write: `(k, rows, cols)`.
+    /// Interpolates every reader of `refs` into fresh planes.
+    pub(crate) fn build(&mut self, refs: &ReferenceRssiMap) -> VirtualGrid {
+        let mut grid = VirtualGrid {
+            fine: self.fine,
+            planes: vec![0.0; refs.reader_count() * self.fine.node_count()],
+            refine: self.n,
+        };
+        for k in 0..refs.reader_count() {
+            self.reinterpolate(&mut grid, refs, k);
+        }
+        grid
+    }
+
+    /// Re-interpolates reader `k`'s whole plane of `grid` from `refs`, in
+    /// place; every other reader's plane is untouched.
     ///
     /// # Panics
-    /// Panics when `refs` or `grid` does not match the lattice/readers
-    /// this patcher was built for, or a dirty index is out of range.
-    pub fn patch(
+    /// Panics when `refs` or `grid` does not span the lattices this sweep
+    /// refines, or `k` is out of range.
+    pub(crate) fn reinterpolate(
         &mut self,
         grid: &mut VirtualGrid,
         refs: &ReferenceRssiMap,
-        dirty: &[(usize, GridIndex)],
-    ) -> &[(usize, Range<usize>, Range<usize>)] {
+        k: usize,
+    ) {
         assert_eq!(refs.grid(), &self.coarse, "reference lattice mismatch");
         assert_eq!(grid.grid(), &self.fine, "virtual lattice mismatch");
-        assert_eq!(
-            refs.reader_count(),
-            self.intermediates.len(),
-            "reader count mismatch"
-        );
-        assert_eq!(grid.reader_count(), self.intermediates.len());
-        let (cnx, cny) = (self.coarse.nx(), self.coarse.ny());
-        let fnx = self.fine.nx();
         let nodes = self.fine.node_count();
-        self.touched.clear();
-
-        for k in 0..self.intermediates.len() {
-            self.dirty_rows.clear();
-            self.dirty_rows.extend(
-                dirty
-                    .iter()
-                    .filter(|&&(dk, _)| dk == k)
-                    .map(|&(_, idx)| idx.j),
-            );
-            if self.dirty_rows.is_empty() {
-                continue;
-            }
-            self.dirty_rows.sort_unstable();
-            self.dirty_rows.dedup();
-
-            // Pass 1: replay dirty rows, bit-diff against the retained
-            // intermediate to find the columns whose inputs moved.
-            self.changed_cols.clear();
-            let inter = &mut self.intermediates[k];
-            let field = refs.field(k);
-            for &j in &self.dirty_rows {
-                assert!(j < cny, "dirty row out of range");
-                self.row_out.resize(fnx, 0.0);
-                interpolate_line(
-                    &self.coarse_xs,
-                    &field[j * cnx..(j + 1) * cnx],
-                    &self.fine_xs,
-                    self.n,
-                    self.kernel,
-                    &mut self.row_out,
-                );
-                let row = &mut inter[j * fnx..(j + 1) * fnx];
-                for (fi, (slot, &new)) in row.iter_mut().zip(&self.row_out).enumerate() {
-                    if slot.to_bits() != new.to_bits() {
-                        *slot = new;
-                        self.changed_cols.push(fi);
-                    }
-                }
-            }
-            self.changed_cols.sort_unstable();
-            self.changed_cols.dedup();
-            if self.changed_cols.is_empty() {
-                continue;
-            }
-
-            // Fine rows the change can reach: union of the dirty rows'
-            // y-axis support windows (whole column under global kernels).
-            self.row_windows.clear();
-            if self.kernel.is_local() {
-                for &j in &self.dirty_rows {
-                    let w = local_knot_support(j, cny, self.n);
-                    push_merged(&mut self.row_windows, *w.start(), *w.end());
-                }
-            } else {
-                let w = full_line_support(cny, self.n);
-                self.row_windows.push((*w.start(), *w.end()));
-            }
-
-            // Pass 2: replay each changed column and write its reachable
-            // rows straight into the plane.
-            let inter = &self.intermediates[k];
-            let plane = &mut grid.planes[k * nodes..(k + 1) * nodes];
-            for &fi in &self.changed_cols {
-                self.col_vals.clear();
-                self.col_vals.extend((0..cny).map(|j| inter[j * fnx + fi]));
-                self.col_out.resize(self.fine_ys.len(), 0.0);
-                interpolate_line(
-                    &self.coarse_ys,
-                    &self.col_vals,
-                    &self.fine_ys,
-                    self.n,
-                    self.kernel,
-                    &mut self.col_out,
-                );
-                for &(lo, hi) in &self.row_windows {
-                    for fj in lo..=hi {
-                        plane[fj * fnx + fi] = self.col_out[fj];
-                    }
-                }
-            }
-            let rows = self.row_windows[0].0..self.row_windows[self.row_windows.len() - 1].1 + 1;
-            let cols = self.changed_cols[0]..self.changed_cols[self.changed_cols.len() - 1] + 1;
-            self.touched.push((k, rows, cols));
-        }
-        &self.touched
+        horizontal_pass(
+            refs.field(k),
+            &self.coarse_xs,
+            &self.fine_xs,
+            self.n,
+            self.kernel,
+            &mut self.intermediate,
+        );
+        vertical_pass(
+            &self.intermediate,
+            &self.coarse_ys,
+            &self.fine_ys,
+            self.n,
+            self.kernel,
+            &mut grid.planes[k * nodes..(k + 1) * nodes],
+        );
     }
 }
 
@@ -739,86 +559,67 @@ mod tests {
         assert_eq!(names.len(), 4);
     }
 
-    fn grids_bit_identical(a: &VirtualGrid, b: &VirtualGrid) -> bool {
-        a.planes().len() == b.planes().len()
-            && a.planes()
-                .iter()
-                .zip(b.planes())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|v| v.to_bits()).collect()
     }
 
-    #[test]
-    fn patch_matches_rebuild_for_all_kernels() {
-        let mut refs = map_with(|p| -65.0 - 2.1 * p.x - 0.8 * p.y);
-        let dirty = vec![
-            (0usize, GridIndex::new(1, 2)),
-            (1usize, GridIndex::new(3, 0)),
-            (0usize, GridIndex::new(2, 2)), // same row as the first entry
-        ];
-        for kernel in InterpolationKernel::ALL {
-            let (mut grid, mut patcher) = VirtualGrid::build_with_patcher(&refs, 4, kernel);
-            for &(k, idx) in &dirty {
-                let old = refs.rssi(k, idx);
-                refs.set_rssi(k, idx, old - 3.75);
-            }
-            patcher.patch(&mut grid, &refs, &dirty);
-            let fresh = VirtualGrid::build(&refs, 4, kernel);
-            assert!(grids_bit_identical(&grid, &fresh), "{kernel:?}");
-            // Roll the map back for the next kernel.
-            for &(k, idx) in &dirty {
-                let v = refs.rssi(k, idx);
-                refs.set_rssi(k, idx, v + 3.75);
-            }
-        }
-    }
-
-    #[test]
-    fn patcher_rebuild_matches_fresh_build_for_all_kernels() {
-        let mut refs = map_with(|p| -68.0 - 1.9 * p.x + 0.3 * p.y * p.y);
-        for kernel in InterpolationKernel::ALL {
-            let (mut grid, mut patcher) = VirtualGrid::build_with_patcher(&refs, 4, kernel);
-            // Bulk change: every cell of every reader moves.
-            for k in 0..refs.reader_count() {
-                for idx in refs.grid().indices().collect::<Vec<_>>() {
-                    let v = refs.rssi(k, idx);
-                    refs.set_rssi(k, idx, v - 2.25);
-                }
-            }
-            patcher.rebuild(&mut grid, &refs);
-            let fresh = VirtualGrid::build(&refs, 4, kernel);
-            assert!(grids_bit_identical(&grid, &fresh), "{kernel:?}");
-            // The intermediates were refreshed too: a follow-up patch
-            // starts from consistent state and still matches fresh.
-            let cell = GridIndex::new(1, 1);
-            refs.set_rssi(0, cell, refs.rssi(0, cell) + 1.5);
-            patcher.patch(&mut grid, &refs, &[(0, cell)]);
-            let fresh2 = VirtualGrid::build(&refs, 4, kernel);
-            assert!(grids_bit_identical(&grid, &fresh2), "{kernel:?} post-patch");
-            // Roll back for the next kernel.
-            for k in 0..refs.reader_count() {
-                for idx in refs.grid().indices().collect::<Vec<_>>() {
-                    let v = refs.rssi(k, idx);
-                    refs.set_rssi(k, idx, v + 2.25);
-                }
-            }
-            let v = refs.rssi(0, cell);
-            refs.set_rssi(0, cell, v - 1.5);
-        }
-    }
-
+    /// Re-interpolating any subset of readers of a grid built from `old`
+    /// leaves each reader in the subset bit-identical to a fresh build
+    /// from the new map and every other reader bit-identical to the old
+    /// build, on every kernel; a map on a foreign lattice is refused.
     #[test]
     #[should_panic(expected = "reference lattice mismatch")]
-    fn patch_rejects_foreign_map() {
-        let refs = map_with(|p| -70.0 - p.x);
-        let (mut grid, mut patcher) =
-            VirtualGrid::build_with_patcher(&refs, 2, InterpolationKernel::Linear);
+    fn reinterpolating_any_reader_subset_matches_fresh_builds() {
+        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 4);
+        let readers = vec![
+            Point2::new(-1.0, -1.0),
+            Point2::new(4.0, -1.0),
+            Point2::new(4.0, 4.0),
+        ];
+        let fields = |shift: f64| {
+            readers
+                .iter()
+                .map(|r| GridData::from_fn(grid, |_, p| shift - 24.0 * p.distance(*r).log10()))
+                .collect()
+        };
+        let old = ReferenceRssiMap::new(grid, readers.clone(), fields(-62.0));
+        let new = ReferenceRssiMap::new(grid, readers.clone(), fields(-58.75));
+        for kernel in InterpolationKernel::ALL {
+            let (before, after) = (
+                VirtualGrid::build(&old, 4, kernel),
+                VirtualGrid::build(&new, 4, kernel),
+            );
+            for subset in 0..1u32 << readers.len() {
+                let mut sweep = Sweep::new(&grid, 4, kernel);
+                let mut vg = sweep.build(&old);
+                for k in (0..readers.len()).filter(|k| subset >> k & 1 == 1) {
+                    sweep.reinterpolate(&mut vg, &new, k);
+                }
+                for k in 0..readers.len() {
+                    let want = if subset >> k & 1 == 1 {
+                        &after
+                    } else {
+                        &before
+                    };
+                    assert_eq!(
+                        bits(vg.field(k)),
+                        bits(want.field(k)),
+                        "{kernel:?}, subset {subset:#b}, reader {k}"
+                    );
+                }
+            }
+        }
         let other_grid = RegularGrid::square(Point2::ORIGIN, 2.0, 4);
-        let readers = vec![Point2::new(-1.0, -1.0), Point2::new(4.0, 4.0)];
-        let fields = readers
-            .iter()
-            .map(|_| GridData::filled(other_grid, -70.0))
-            .collect();
-        let other = ReferenceRssiMap::new(other_grid, readers, fields);
-        patcher.patch(&mut grid, &other, &[(0, GridIndex::new(0, 0))]);
+        let foreign = ReferenceRssiMap::new(
+            other_grid,
+            readers.clone(),
+            readers
+                .iter()
+                .map(|_| GridData::filled(other_grid, -70.0))
+                .collect(),
+        );
+        let mut sweep = Sweep::new(&grid, 2, InterpolationKernel::Linear);
+        let mut vg = sweep.build(&old);
+        sweep.reinterpolate(&mut vg, &foreign, 0);
     }
 }

@@ -1,12 +1,14 @@
 //! Property tests pinning the incremental-sync contract: after an
-//! arbitrary sequence of calibration-cell writes, a patched
+//! arbitrary sequence of calibration-cell writes, a synced
 //! [`PreparedVire`] must be **bit-identical** — flattened planes and every
 //! estimate — to a fresh [`PreparedVire::build`] against the final map,
 //! for every interpolation kernel, whether `sync` is told the written
 //! cells (the writer's hint, repeats and reverts included) or bit-diffs
-//! the map. A hint is trusted only for the map it describes, and one that
-//! misses a cell trips the debug mirror check. Every kind of map change
-//! (patch, in-place rebuild, reshape) localizes like a fresh build.
+//! the map. Sync re-interpolates exactly the readers whose cells changed
+//! and reports what it did from that alone. A hint is trusted only for
+//! the map it describes, and one that misses a cell trips the debug
+//! mirror check. Every kind of map change (some readers, every reader,
+//! reshape) localizes like a fresh build.
 
 use proptest::prelude::*;
 use vire_core::elimination::ThresholdMode;
@@ -70,40 +72,58 @@ fn assert_matches_fresh(
     Ok(())
 }
 
-/// The coarse cells where `a` and `b` differ.
-fn changed_cells(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> usize {
-    (0..a.reader_count())
+/// The readers with a cell where `a` and `b` differ, and the number of
+/// such cells.
+fn map_diff(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> (Vec<usize>, usize) {
+    let per_reader: Vec<usize> = (0..a.reader_count())
         .map(|k| {
             a.grid()
                 .indices()
                 .filter(|&idx| a.rssi(k, idx).to_bits() != b.rssi(k, idx).to_bits())
                 .count()
         })
-        .sum()
+        .collect();
+    let dirty = (0..per_reader.len())
+        .filter(|&k| per_reader[k] > 0)
+        .collect();
+    (dirty, per_reader.iter().sum())
 }
 
-/// Whether `sync` rebuilds rather than patches `cells` dirty cells of
-/// the 3-reader, 16-node map: from a twelfth of its 48 cells on.
-fn past_cutover(cells: usize) -> bool {
-    12 * cells >= 48
+/// What syncing a state from `synced` to `map` (same lattice and readers)
+/// must report: nothing changed, every reader changed, or the changed
+/// cells of some readers.
+fn expected_outcome(synced: &ReferenceRssiMap, map: &ReferenceRssiMap) -> SyncOutcome {
+    match map_diff(synced, map) {
+        (_, 0) => SyncOutcome::Reused,
+        (dirty, _) if dirty.len() == map.reader_count() => SyncOutcome::Rebuilt,
+        (_, cells) => SyncOutcome::Patched(cells),
+    }
+}
+
+/// One sync round's writes, `(lattice i, lattice j, RSSI)`, which the
+/// round spreads over its readers.
+fn round_writes() -> impl Strategy<Value = Vec<(usize, usize, f64)>> {
+    prop::collection::vec((0..SIDE, 0..SIDE, -95.0..-55.0f64), 3..8)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The tentpole invariant: patching after random dirty sequences is
-    /// bit-identical to rebuilding, for local and global kernels alike.
-    /// Rounds alternate between passing the written cells as the hint —
-    /// repeats included, and the first `reverts` cells written back to
-    /// their synced value (A→B→A), so the hint names cells that did not
-    /// change — and passing an empty hint (a full diff). Either way sync
-    /// patches exactly the cells that really changed, unless the hint's
-    /// length or the real dirty count crosses the rebuild cutover.
+    /// The tentpole invariant: a sync after random writes is
+    /// bit-identical to a fresh build, for local and global kernels
+    /// alike. Round `r` dirties exactly `r % 3 + 1` of the three readers
+    /// (one, several, all), starting at a random one, and every reader it
+    /// leaves clean keeps its plane bit-unchanged. Each round also writes
+    /// `reverts` cells on any reader and writes them back (A→B→A), so the
+    /// hint names cells that did not change. Rounds alternate between
+    /// passing every written cell as the hint, repeats included, and
+    /// passing an empty hint (a full diff); either way sync reports
+    /// exactly the cells and readers that really changed.
     #[test]
     fn patched_state_is_bit_identical_to_rebuild(
-        writes in writes(),
-        rounds in 1usize..4,
-        reverts in 0usize..4,
+        rounds in prop::collection::vec(round_writes(), 3..6),
+        first in 0..3usize,
+        reverts in prop::collection::vec((0..3usize, 0..SIDE, 0..SIDE, -95.0..-55.0f64), 0..4),
     ) {
         for (n, kernel) in kernels().into_iter().enumerate() {
             let config = VireConfig { kernel, ..VireConfig::default() };
@@ -111,32 +131,44 @@ proptest! {
             let mut owned = PreparedVire::build(&config, &map)
                 .expect("default refine prepares");
             let mut landmarc = Landmarc::default().prepare(&map);
-            let chunk = writes.len().div_ceil(rounds);
-            for (round, batch) in writes.chunks(chunk).enumerate() {
+            for (round, writes) in rounds.iter().enumerate() {
                 let synced = map.clone();
                 let mut hint: Vec<DirtyCell> = Vec::new();
-                for &(k, i, j, value) in batch {
-                    map.set_rssi(k, GridIndex::new(i, j), value);
-                    hint.push((k, GridIndex::new(i, j)));
-                }
-                for &(k, i, j, _) in batch.iter().take(reverts) {
+                for &(k, i, j, value) in &reverts {
                     let idx = GridIndex::new(i, j);
+                    map.set_rssi(k, idx, value);
                     map.set_rssi(k, idx, synced.rssi(k, idx));
+                    hint.push((k, idx));
                 }
+                let readers = round % 3 + 1;
+                let mut want_dirty: Vec<usize> =
+                    (0..readers).map(|r| (first + r) % 3).collect();
+                for (w, &(i, j, value)) in writes.iter().enumerate() {
+                    let (k, idx) = (want_dirty[w % readers], GridIndex::new(i, j));
+                    map.set_rssi(k, idx, value);
+                    hint.push((k, idx));
+                }
+                hint.extend_from_within(..hint.len() / 2);
+                want_dirty.sort_unstable();
+                let (dirty, _) = map_diff(&synced, &map);
+                prop_assert_eq!(&dirty, &want_dirty, "round {} dirties its readers", round);
+
                 let hinted = (n + round) % 2 == 0;
                 let hint: &[DirtyCell] = if hinted { &hint } else { &[] };
-                let real = changed_cells(&synced, &map);
-                let expect = if past_cutover(real) || (hinted && past_cutover(hint.len())) {
-                    SyncOutcome::Rebuilt
-                } else if real == 0 {
-                    SyncOutcome::Reused
-                } else {
-                    SyncOutcome::Patched(real)
-                };
+                let before = owned.planes().to_vec();
+                let expect = expected_outcome(&synced, &map);
                 prop_assert_eq!(owned.sync(&map, hint), expect, "round {} hinted {}", round, hinted);
                 prop_assert!(owned.refs().same_bits(&map));
+                let nodes = owned.grid().tag_count();
+                for k in (0..3).filter(|k| !dirty.contains(k)) {
+                    prop_assert_eq!(
+                        bits(&owned.planes()[k * nodes..(k + 1) * nodes]),
+                        bits(&before[k * nodes..(k + 1) * nodes]),
+                        "clean reader {} changed in round {}", k, round
+                    );
+                }
                 assert_matches_fresh(&owned, &config, &map)?;
-                let landmarc_expect = match real {
+                let landmarc_expect = match map_diff(&synced, &map).1 {
                     0 => SyncOutcome::Reused,
                     real => SyncOutcome::Patched(real),
                 };
@@ -297,8 +329,8 @@ fn assert_diagnostics_match_fresh(
 }
 
 /// The map-change oracle: after every kind of map change — one dirty cell
-/// (patch), every cell (in-place rebuild), a new lattice (reshape) — a
-/// locate reads only the new values, so readings that the old map would
+/// (one reader re-interpolated), every cell (every reader), a new lattice
+/// (reshape) — a locate reads only the new values, so readings that the old map would
 /// answer differently localize exactly as on a fresh build, on every
 /// kernel.
 #[test]
@@ -311,24 +343,25 @@ fn every_map_change_localizes_like_a_fresh_build() {
         let mut map = base_map();
         let mut owned = PreparedVire::build(&config, &map).expect("default refine prepares");
 
-        // One dirty cell, lifted well above its neighbours: the patch path.
-        let before = owned.planes().to_vec();
+        // One dirty cell, lifted well above its neighbours: one reader
+        // re-interpolated.
+        let (before, synced) = (owned.planes().to_vec(), map.clone());
         let cell = GridIndex::new(1, 2);
         map.set_rssi(0, cell, map.rssi(0, cell) + 12.0);
-        assert_eq!(owned.sync(&map, &[]), SyncOutcome::Patched(1));
+        assert_eq!(owned.sync(&map, &[]), expected_outcome(&synced, &map));
         let readings = telling_readings(&before, &owned);
-        assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "patch");
+        assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "one reader");
 
-        // Every cell: past the cutover, so the in-place rebuild.
-        let before = owned.planes().to_vec();
+        // Every cell: every reader re-interpolated in place.
+        let (before, synced) = (owned.planes().to_vec(), map.clone());
         for k in 0..map.reader_count() {
             for idx in map.grid().indices().collect::<Vec<_>>() {
                 map.set_rssi(k, idx, map.rssi(k, idx) + 7.5);
             }
         }
-        assert_eq!(owned.sync(&map, &[]), SyncOutcome::Rebuilt);
+        assert_eq!(owned.sync(&map, &[]), expected_outcome(&synced, &map));
         let readings = telling_readings(&before, &owned);
-        assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "rebuild in place");
+        assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "every reader");
 
         // A different lattice: the reshape rebuild.
         let before = owned.planes().to_vec();
@@ -346,9 +379,8 @@ fn every_map_change_localizes_like_a_fresh_build() {
 
 /// A lattice with one node along an axis is a valid map
 /// (`RegularGrid::new` allows it): every kernel localizes on the 5×1,
-/// 1×5 and 1×1 lattices, and a one-cell sync (the patch path, where the
-/// map's 15 cells keep one below the rebuild cutover) equals a fresh
-/// build.
+/// 1×5 and 1×1 lattices, and a one-cell sync (one reader re-interpolated)
+/// equals a fresh build.
 #[test]
 fn one_node_axis_lattices_localize_and_patch_on_every_kernel() {
     let reading = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
@@ -372,9 +404,11 @@ fn one_node_axis_lattices_localize_and_patch_on_every_kernel() {
             assert!(located.is_ok(), "{kernel:?} on {nx}×{ny}: {located:?}");
             let mut owned = PreparedVire::build(&config, &map).unwrap();
             let outcome = owned.sync(&moved, &[]);
-            if nx * ny > 1 {
-                assert_eq!(outcome, SyncOutcome::Patched(1), "{kernel:?} on {nx}×{ny}");
-            }
+            assert_eq!(
+                outcome,
+                expected_outcome(&map, &moved),
+                "{kernel:?} on {nx}×{ny}"
+            );
             let fresh = PreparedVire::build(&config, &moved).unwrap();
             assert_eq!(
                 bits(owned.planes()),

@@ -332,13 +332,13 @@ proptest! {
     /// Every way into VIRE's prepared state must produce identical
     /// estimates for every interpolation kernel: one-shot locate, the
     /// trait-level prepare, and a state first built on a perturbed map and
-    /// then synced back to `map` (the patch path).
+    /// then synced back to `map` (some readers re-interpolated).
     #[test]
     fn vire_paths_agree_bitwise((side, noise, thetas) in workload()) {
         let map = map_with(side, &noise);
         let reading = TrackingReading::new(thetas);
-        // One moved cell on each of two readers: few enough to stay on
-        // the patch path (below a twelfth of the smallest, 27-cell, map).
+        // One moved cell on each of two of the three readers: sync
+        // re-interpolates those two readers and reports their two cells.
         let mut perturbed = map.clone();
         for k in [0, READERS - 1] {
             let idx = GridIndex::new(k % side, (k + 1) % side);

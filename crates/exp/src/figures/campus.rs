@@ -25,7 +25,7 @@ pub struct CampusZoneRow {
     pub located: usize,
     /// Mean estimation error over the zone's located tags, m.
     pub mean_error: f64,
-    /// Calibration syncs that took the incremental patch path.
+    /// Calibration syncs that re-interpolated some readers, not all.
     pub sync_patched: u64,
     /// Calibration syncs that rebuilt from scratch.
     pub sync_rebuilt: u64,

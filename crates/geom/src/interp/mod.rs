@@ -16,10 +16,6 @@
 //! * [`idw`] — inverse-distance weighting, a scattered-data fallback for
 //!   non-rectangular deployments (paper §6, "the requirement of having a
 //!   square real grid is not necessary").
-//!
-//! [`window`] is not a kernel: it computes per-knot **support windows** on
-//! refined lines so callers can re-interpolate only the region a changed
-//! knot can reach (the incremental radio-map maintenance path).
 
 pub mod bilinear;
 pub mod idw;
@@ -27,7 +23,6 @@ pub mod lagrange;
 pub mod linear;
 pub mod newton;
 pub mod spline;
-pub mod window;
 
 /// A 1D interpolation kernel over samples at strictly increasing knots.
 ///

@@ -16,7 +16,7 @@
 //!   reader has heard,
 //! * [`MiddlewareStage::take_dirty_cells`] drains the calibration cells
 //!   whose cached-map value bit-changed, feeding the service's
-//!   incremental prepared-state patching
+//!   incremental prepared-state sync
 //!   ([`vire_core::incremental`]).
 //!
 //! The stage implements [`vire_core::SnapshotSource`], so
@@ -63,11 +63,12 @@ pub struct MiddlewareStage {
     /// to update: that export reads every smoothed value itself.
     cached_map: Option<ReferenceRssiMap>,
     /// Cells whose `cached_map` value bit-changed, not yet drained by
-    /// [`MiddlewareStage::take_dirty_cells`]; `service_dirty_set` dedups.
-    /// This is the only record of how `cached_map` changed, so every
-    /// bit-changing write lands here.
+    /// [`MiddlewareStage::take_dirty_cells`]. This is the only record of
+    /// how `cached_map` changed, so every bit-changing write lands here.
     service_dirty: Vec<DirtyCell>,
-    service_dirty_set: HashSet<DirtyCell>,
+    /// `service_pending[k * nodes + flat]`: cell `(k, flat)` is in
+    /// `service_dirty`, so it holds each cell at most once.
+    service_pending: Vec<bool>,
     /// Tracking tags with changed readings, in first-dirtied order.
     dirty_tracking: Vec<TagId>,
     dirty_tracking_set: HashSet<TagId>,
@@ -87,6 +88,7 @@ impl MiddlewareStage {
         readers: Vec<Point2>,
         token: ReaderToken,
     ) -> Self {
+        let cells = readers.len() * grid.node_count();
         MiddlewareStage {
             middleware,
             token,
@@ -98,7 +100,7 @@ impl MiddlewareStage {
             reference_cells: HashMap::new(),
             cached_map: None,
             service_dirty: Vec::new(),
-            service_dirty_set: HashSet::new(),
+            service_pending: vec![false; cells],
             dirty_tracking: Vec::new(),
             dirty_tracking_set: HashSet::new(),
             removed: Vec::new(),
@@ -143,6 +145,7 @@ impl MiddlewareStage {
             ..PumpStats::default()
         };
         self.lagged_total += stats.lagged;
+        let nodes = self.grid.node_count();
         for &reading in read {
             stats.events += 1;
             if reading.time > self.clock {
@@ -157,8 +160,11 @@ impl MiddlewareStage {
                     continue;
                 };
                 let k = reading.reader.0 as usize;
-                if map.set_rssi(k, cell, value) && self.service_dirty_set.insert((k, cell)) {
-                    self.service_dirty.push((k, cell));
+                if map.set_rssi(k, cell, value) {
+                    let pending = &mut self.service_pending[k * nodes + self.grid.flat(cell)];
+                    if !std::mem::replace(pending, true) {
+                        self.service_dirty.push((k, cell));
+                    }
                 }
             } else if self.dirty_tracking_set.insert(reading.tag) {
                 self.dirty_tracking.push(reading.tag);
@@ -200,7 +206,7 @@ impl MiddlewareStage {
         if self.cached_map.is_none() {
             // The full export reflects every change so far, and a consumer
             // binding to this brand-new map has no prior state a dirty
-            // hint could patch.
+            // hint could update.
             self.cached_map =
                 self.middleware
                     .reference_map(self.grid, &self.reference_tags, &self.readers);
@@ -213,13 +219,16 @@ impl MiddlewareStage {
     /// [`SnapshotSource::take_dirty_cells`] seam.
     ///
     /// The set is **complete** up to the last pump: a consumer that
-    /// patches its prepared state by exactly these cells ends up
+    /// syncs its prepared state by exactly these cells ends up
     /// bit-identical to rebuilding against
     /// [`MiddlewareStage::reference_map`]. The cached map keeps no change
     /// record of its own, so this drain is the hint's only source, and one
     /// consumer should drain it.
     pub fn take_dirty_cells(&mut self) -> Vec<DirtyCell> {
-        self.service_dirty_set.clear();
+        let nodes = self.grid.node_count();
+        for &(k, cell) in &self.service_dirty {
+            self.service_pending[k * nodes + self.grid.flat(cell)] = false;
+        }
         std::mem::take(&mut self.service_dirty)
     }
 

@@ -24,23 +24,27 @@ cargo test -p vire-geom -q
 
 # One prepared state per algorithm: the vector kernels match their scalar
 # oracles, every VIRE entry point (one-shot, prepare, sync from a
-# perturbed map) agrees bit-for-bit, and a patched state equals a fresh
+# perturbed map) agrees bit-for-bit, and a synced state equals a fresh
 # build on every interpolation kernel. The calibration map and the
 # virtual grid each hold the only copy of their reader-major planes:
 # LANDMARC reads the map's, elimination and weighting read the grid's,
-# and a patch writes straight into them. Adaptive elimination matches a
-# map-building reference of the paper's procedure through all three
-# phases (threshold bits and mask, largest-area reader first), and a
-# lattice with one node along an axis localizes and patches on every
+# and a sync re-interpolates straight into them. Adaptive elimination
+# matches a map-building reference of the paper's procedure through all
+# three phases (threshold bits and mask, largest-area reader first), and
+# a lattice with one node along an axis localizes and syncs on every
 # kernel. Adaptive elimination reads only the tiles whose bounds (each
 # reader's RSSI range per 4x4 tile, summarized at sync) admit a survivor
 # or a smaller gap, and matches the dense max-gap elimination to the bit:
 # fixed and adaptive modes, every floor, ties and ±0.0, readings on tile
 # extremes, lattice sides off multiples of 4 (1xN, Nx1, 1x1, refine 1).
-# Every map change (patch, in-place rebuild, reshape) refreshes the tile
-# summary and localizes like a fresh build, a batch matches sequential
-# locates, and reused weighting buffers match fresh ones.
-# The hint contract: a sync patches exactly the cells the writer named
+# The one sync path: a sync re-interpolates, whole, the plane of exactly
+# each reader with a changed cell and refreshes that reader's tile
+# summary; the readers it leaves clean keep their planes to the bit
+# (rounds dirty one reader, several, and all), and re-interpolating any
+# subset of readers equals a fresh build. Every map change (some readers,
+# every reader, reshape) localizes like a fresh build, a batch matches
+# sequential locates, and reused weighting buffers match fresh ones.
+# The hint contract: a sync adopts exactly the cells the writer named
 # (repeats and reverts filtered out by to_bits), or diffs them all; an
 # empty hint is always safe, a hint is trusted only for the map id it
 # describes, and a hint that misses a cell trips the debug mirror check.
@@ -59,6 +63,7 @@ cargo test -q -p vire-core --test properties -- \
 cargo test -q -p vire-core --lib -- \
   tile_pruned_elimination_matches_dense \
   tile_pruned_elimination_matches_dense_on_virtual_grids \
+  reinterpolating_any_reader_subset_matches_fresh_builds \
   reused_buffers_leave_labels_clear_and_match_fresh_ones \
   hint_path_and_diff_path_agree sync_patches_the_named_cell_and_matches_fresh
 
@@ -174,7 +179,7 @@ fi
 # Every tracked bench summary must report its optimized path ahead of the
 # baseline: any `*speedup*` field below 1.0 is a committed regression.
 # (Diagnostic ratios that legitimately straddle 1.0 — e.g. sync-vs-prepare
-# at the rebuild cutover — are named `*_ratio`, not `speedup`.)
+# with every reader dirty — are named `*_ratio`, not `speedup`.)
 echo "==> bench speedup gate"
 fail=0
 for f in BENCH_*.json; do
