@@ -8,7 +8,6 @@ use crate::smoothing::SmoothingKind;
 use crate::tag::{Tag, TagId, TagRole};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use vire_bus::{BusRead, EventBus, ReaderToken};
 use vire_core::{DirtyCell, ReferenceRssiMap, SnapshotSource, TrackingReading};
 use vire_env::{Deployment, Environment, Obstacle, Wall};
@@ -142,7 +141,6 @@ pub struct Testbed {
     channel: RfChannel,
     readers: Vec<Reader>,
     tags: Vec<Tag>,
-    reference_tags: HashMap<GridIndex, TagId>,
     /// Every decoded reading is published here; the middleware stage and
     /// any external subscriber consume it through their own cursors.
     bus: EventBus<Reading>,
@@ -225,7 +223,6 @@ impl Testbed {
             channel,
             readers,
             tags: Vec::new(),
-            reference_tags: HashMap::new(),
             bus,
             stage,
             queue: EventQueue::new(),
@@ -241,7 +238,6 @@ impl Testbed {
             testbed.config.deployment.reference_grid.nodes().collect();
         for (idx, pos) in nodes {
             let id = testbed.register_tag(pos, TagRole::Reference(idx));
-            testbed.reference_tags.insert(idx, id);
             testbed.stage.pin_reference(idx, id);
         }
         // Warm the whole reference lattice's link budgets in one batch
@@ -692,14 +688,12 @@ impl Testbed {
     /// indoor propagation hazards.
     pub fn reference_map(&self) -> Option<ReferenceRssiMap> {
         let grid = self.config.deployment.reference_grid;
-        let mut fields = Vec::with_capacity(self.readers.len());
-        for k in 0..self.readers.len() {
-            let mut field = vire_geom::GridData::filled(grid, 0.0f64);
-            for idx in grid.indices() {
-                let tag = *self.reference_tags.get(&idx)?;
+        let mut fields = vec![vire_geom::GridData::filled(grid, 0.0f64); self.readers.len()];
+        // `new` pinned a reference tag to every lattice node.
+        for (idx, tag) in self.stage.middleware().pinned() {
+            for (k, field) in fields.iter_mut().enumerate() {
                 field.set(idx, self.rssi_or_floor(tag, k)?);
             }
-            fields.push(field);
         }
         Some(ReferenceRssiMap::new(
             grid,

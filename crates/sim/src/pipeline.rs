@@ -19,13 +19,17 @@
 //!   incremental prepared-state sync
 //!   ([`vire_core::incremental`]).
 //!
+//! The stage keeps no per-tag state of its own: the pins, the filters and
+//! the first-dirtied list of tracking tags are rows of the middleware's
+//! tag table ([`crate::middleware`]), so each pumped reading costs one
+//! keyed lookup.
+//!
 //! The stage implements [`vire_core::SnapshotSource`], so
 //! [`vire_core::LocationService::drive`] can poll it incrementally —
 //! localizing nothing when the deployment is quiet.
 
 use crate::middleware::{Middleware, Reading};
 use crate::tag::TagId;
-use std::collections::{HashMap, HashSet};
 use vire_bus::{EventBus, ReaderToken};
 use vire_core::{DirtyCell, ReferenceRssiMap, SnapshotSource, TrackingReading};
 use vire_geom::{GridIndex, Point2, RegularGrid};
@@ -40,6 +44,9 @@ pub struct PumpStats {
     /// Events lost to ring overwriting before this pump (the stage fell
     /// more than the bus capacity behind).
     pub lagged: u64,
+    /// Tags evicted from the full tag table to make room for new ones
+    /// (see [`crate::middleware::MAX_TAGS`]).
+    pub evicted: usize,
 }
 
 /// A middleware consuming [`Reading`] events from a bus, with incremental
@@ -54,10 +61,6 @@ pub struct MiddlewareStage {
     lagged_total: u64,
     grid: RegularGrid,
     readers: Vec<Point2>,
-    /// Lattice node -> pinned reference tag (for full exports).
-    reference_tags: HashMap<GridIndex, TagId>,
-    /// Reference tag -> its lattice node (for dirty classification).
-    reference_cells: HashMap<TagId, GridIndex>,
     /// Last exported calibration map, updated in place as reference
     /// readings are pumped. Until its first full export there is nothing
     /// to update: that export reads every smoothed value itself.
@@ -69,9 +72,6 @@ pub struct MiddlewareStage {
     /// `service_pending[k * nodes + flat]`: cell `(k, flat)` is in
     /// `service_dirty`, so it holds each cell at most once.
     service_pending: Vec<bool>,
-    /// Tracking tags with changed readings, in first-dirtied order.
-    dirty_tracking: Vec<TagId>,
-    dirty_tracking_set: HashSet<TagId>,
     /// Tracking tags removed upstream, not yet drained by
     /// [`MiddlewareStage::take_removed_tags`].
     removed: Vec<TagId>,
@@ -96,13 +96,9 @@ impl MiddlewareStage {
             lagged_total: 0,
             grid,
             readers,
-            reference_tags: HashMap::new(),
-            reference_cells: HashMap::new(),
             cached_map: None,
             service_dirty: Vec::new(),
             service_pending: vec![false; cells],
-            dirty_tracking: Vec::new(),
-            dirty_tracking_set: HashSet::new(),
             removed: Vec::new(),
         }
     }
@@ -115,9 +111,6 @@ impl MiddlewareStage {
     /// stale-track sweep.
     pub fn note_removed(&mut self, id: TagId) {
         self.middleware.forget_tag(id);
-        if self.dirty_tracking_set.remove(&id) {
-            self.dirty_tracking.retain(|t| *t != id);
-        }
         self.removed.push(id);
     }
 
@@ -129,10 +122,9 @@ impl MiddlewareStage {
 
     /// Declares `tag` as the reference tag pinned to lattice node `idx`.
     /// Readings from pinned tags feed the calibration map instead of the
-    /// tracking dirty set.
+    /// tracking dirty list. See [`Middleware::pin`].
     pub fn pin_reference(&mut self, idx: GridIndex, tag: TagId) {
-        self.reference_tags.insert(idx, tag);
-        self.reference_cells.insert(tag, idx);
+        self.middleware.pin(tag, idx);
     }
 
     /// Drains every new event from the bus through the smoothing filters,
@@ -145,31 +137,29 @@ impl MiddlewareStage {
             ..PumpStats::default()
         };
         self.lagged_total += stats.lagged;
+        let evicted = self.middleware.evicted();
         let nodes = self.grid.node_count();
         for &reading in read {
             stats.events += 1;
             if reading.time > self.clock {
                 self.clock = reading.time;
             }
-            let Some(value) = self.middleware.ingest(reading) else {
+            let Some((pin, value)) = self.middleware.ingest_and_mark(reading) else {
                 continue;
             };
             stats.changed += 1;
-            if let Some(&cell) = self.reference_cells.get(&reading.tag) {
-                let Some(map) = self.cached_map.as_mut() else {
-                    continue;
-                };
-                let k = reading.reader.0 as usize;
-                if map.set_rssi(k, cell, value) {
-                    let pending = &mut self.service_pending[k * nodes + self.grid.flat(cell)];
-                    if !std::mem::replace(pending, true) {
-                        self.service_dirty.push((k, cell));
-                    }
+            let (Some(cell), Some(map)) = (pin, self.cached_map.as_mut()) else {
+                continue;
+            };
+            let k = reading.reader.0 as usize;
+            if map.set_rssi(k, cell, value) {
+                let pending = &mut self.service_pending[k * nodes + self.grid.flat(cell)];
+                if !std::mem::replace(pending, true) {
+                    self.service_dirty.push((k, cell));
                 }
-            } else if self.dirty_tracking_set.insert(reading.tag) {
-                self.dirty_tracking.push(reading.tag);
             }
         }
+        stats.evicted = (self.middleware.evicted() - evicted) as usize;
         stats
     }
 
@@ -189,11 +179,16 @@ impl MiddlewareStage {
         self.lagged_total
     }
 
+    /// Total tags evicted from the middleware's full tag table.
+    pub fn evicted_total(&self) -> u64 {
+        self.middleware.evicted()
+    }
+
     /// Number of tracking tags marked dirty since the last
     /// [`MiddlewareStage::changed_readings`] drain (0 right after one: a
     /// drain keeps nothing).
     pub fn pending_tracking(&self) -> usize {
-        self.dirty_tracking.len()
+        self.middleware.dirty_len()
     }
 
     /// The reference calibration map, refreshed incrementally.
@@ -207,9 +202,7 @@ impl MiddlewareStage {
             // The full export reflects every change so far, and a consumer
             // binding to this brand-new map has no prior state a dirty
             // hint could update.
-            self.cached_map =
-                self.middleware
-                    .reference_map(self.grid, &self.reference_tags, &self.readers);
+            self.cached_map = self.middleware.reference_map(self.grid, &self.readers);
         }
         self.cached_map.as_ref()
     }
@@ -238,13 +231,7 @@ impl MiddlewareStage {
     /// that reader's first reading always changes its stream, which
     /// dirties the tag again, so it is reported once complete.
     pub fn changed_readings(&mut self) -> Vec<(TagId, TrackingReading)> {
-        let reader_count = self.readers.len();
-        let middleware = &self.middleware;
-        self.dirty_tracking_set.clear();
-        self.dirty_tracking
-            .drain(..)
-            .filter_map(|tag| Some((tag, middleware.tracking_reading(tag, reader_count)?)))
-            .collect()
+        self.middleware.drain_dirty(self.readers.len())
     }
 }
 

@@ -62,6 +62,9 @@ pub struct DriveReport {
     /// Readings superseded by a newer same-`(tag, reader)` reading —
     /// ring-policy and batch-dedup coalescing combined.
     pub coalesced: u64,
+    /// Tags evicted from the middleware's full tag table this drive to
+    /// make room for new ones (see [`crate::middleware::MAX_TAGS`]).
+    pub evicted: usize,
     /// Localization results for the tags whose smoothed readings changed,
     /// in first-dirtied order.
     pub results: Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)>,
@@ -178,6 +181,7 @@ impl<L: Localizer> IngestServer<L> {
             delivered: batch.readings.len(),
             lagged: batch.lagged,
             coalesced: batch.coalesced_in_ring + batch.coalesced_in_batch,
+            evicted: pumped.evicted,
             results,
         }
     }

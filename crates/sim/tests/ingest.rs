@@ -14,8 +14,8 @@ use vire_core::{
 use vire_geom::Point2;
 use vire_sim::trace::TraceReading;
 use vire_sim::{
-    EventBus, IngestServer, Middleware, MiddlewareStage, ServeConfig, SmoothingKind, TagId,
-    Testbed, TestbedConfig, Trace,
+    EventBus, IngestServer, Middleware, MiddlewareStage, ReaderId, Reading, ServeConfig,
+    SmoothingKind, TagId, Testbed, TestbedConfig, Trace,
 };
 
 type DriveResult = Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)>;
@@ -412,4 +412,77 @@ fn an_incomplete_map_buffers_nothing_in_the_service() {
     assert_eq!(localized.get(&TagKey::first(tracking)), Some(&1));
     assert!(localized.values().all(|&n| n == 1));
     assert!(server.drive().results.is_empty(), "nothing is left over");
+}
+
+/// No wire message removes a tag, so a gateway sending ever-new tag ids
+/// must not grow a zone: the middleware's tag table holds at most
+/// `MAX_TAGS` rows, and a new tag at capacity evicts the unpinned tag the
+/// CLOCK hand finds unheard since it last passed. 10⁶ distinct tracking
+/// ids arrive in batches of 1,000, each heard once; one more tag is heard
+/// again in every batch, so the hand (about 1,000 rows per batch) always
+/// finds it heard and it keeps its filters. The reference tags are never
+/// heard, so the map stays incomplete and the service drains nothing:
+/// the stage's dirty list holds every unpinned row and must shrink as
+/// rows are evicted.
+#[test]
+fn a_million_new_tag_ids_stay_within_the_tag_table() {
+    use vire_sim::middleware::MAX_TAGS;
+    const IDS: u32 = 1_000_000;
+    const BATCH: u32 = 1_000;
+    let trace = capture();
+    let mut server = IngestServer::from_trace(
+        &trace,
+        vire(InterpolationKernel::Linear),
+        ServeConfig::default(),
+    )
+    .expect("paper testbed trace infers its own deployment");
+    let pinned = trace.infer_deployment().unwrap().1.len();
+    let kept = TagKey::first(100);
+    let first_new = 1_000;
+    let mut fresh = Middleware::new(SmoothingKind::default(), false);
+    let mut evicted = 0;
+    for b in 0..IDS / BATCH {
+        let time = b as f64;
+        let rssi = -60.0 - f64::from(b % 7);
+        let new = (0..BATCH).map(|j| BeaconEvent {
+            time,
+            tag: TagKey::first(first_new + b * BATCH + j),
+            reader: j % 4,
+            rssi: -70.0,
+        });
+        let again = BeaconEvent {
+            time,
+            tag: kept,
+            reader: 0,
+            rssi,
+        };
+        assert_eq!(server.accept(new.chain([again])), BATCH as usize + 1);
+        let report = server.drive();
+        assert!(
+            report.results.is_empty(),
+            "batch {b}: the map is incomplete"
+        );
+        evicted += report.evicted as u64;
+        fresh.ingest(Reading {
+            time,
+            tag: TagId::new(kept.index, kept.generation),
+            reader: ReaderId(0),
+            rssi,
+        });
+        let stage = server.stage_mut();
+        assert!(stage.middleware().tag_count() <= MAX_TAGS, "batch {b}");
+        assert!(stage.pending_tracking() <= MAX_TAGS, "batch {b}");
+    }
+    let stage = server.stage_mut();
+    let want = u64::from(IDS) - (MAX_TAGS - pinned - 1) as u64;
+    assert_eq!(evicted, want);
+    assert_eq!(stage.evicted_total(), want);
+    assert_eq!(stage.middleware().tag_count(), MAX_TAGS);
+    let kept = TagId::new(kept.index, kept.generation);
+    assert_eq!(
+        stage.middleware().rssi(kept, ReaderId(0)).map(f64::to_bits),
+        fresh.rssi(kept, ReaderId(0)).map(f64::to_bits),
+        "the re-heard tag kept its filter"
+    );
+    assert_eq!(stage.middleware().pinned().count(), pinned);
 }

@@ -74,9 +74,22 @@ cargo test -q -p vire-geom handle::
 
 # Churn safety: slab-reused identity must be observationally identical to
 # a never-reused-ids oracle (service estimates, track counts, cache
-# hit/miss sequences), with storage pinned at the high-water mark.
+# hit/miss sequences), with storage pinned at the high-water mark. The
+# middleware's tag table (one row per tag: filters by reader, pin, dirty
+# link) must match the keyed maps it replaced on every output, to the
+# bit, through ingests, pins, removals, re-ingest of a removed id and
+# generation bumps on every smoothing kind: each reported value, every
+# stream's value and fill, each tracking drain (order and values), the
+# dirty cells, both calibration maps and the removals. A freed row that
+# kept its filters, or a re-inserted tag that kept its old dirty place,
+# fails it. The table stays within MAX_TAGS rows while 10^6 new tag ids
+# stream through a server: unpinned rows are evicted (CLOCK), counted
+# to the tag, and a tag heard in every batch keeps its filter.
 echo "==> cargo test (churn oracle proptest)"
 cargo test -q -p vire-sim --test churn
+cargo test -q -p vire-sim --test properties -- tag_table_matches_the_keyed_maps_it_replaced
+cargo test -q -p vire-sim --test ingest -- a_million_new_tag_ids_stay_within_the_tag_table
+cargo test -q -p vire-sim --lib -- a_full_table_evicts_an_unheard_unpinned_row
 
 # The link-budget cache must be invisible: cached and uncached testbeds
 # bit-identical across every preset environment and config (proptest).
@@ -107,8 +120,9 @@ cargo test -q -p vire-sim --test fabric
 # or one with a non-finite time or RSSI, is skipped, not counted, and
 # changes no number; and no buffer between the ring and the sync grows
 # while the map is incomplete or the tracking tags are quiet. The service
-# drains nothing until it can localize: the stage's deduped dirty sets
-# are the only buffer before locate, and a drain keeps the newest
+# drains nothing until it can localize: the tag table's dirty list and
+# the stage's dirty cells are the only buffer before locate, and a
+# drain keeps the newest
 # lifetime's reading per slot.
 echo "==> cargo test (ingest coalescing oracle)"
 cargo test -q -p vire-sim --test ingest

@@ -102,18 +102,17 @@ fn trace_export_relocalizes_identically() {
     // Round-trip through JSON.
     let trace = tb.export_trace("integration capture");
     let trace = vire::sim::Trace::from_json(&trace.to_json()).unwrap();
-    let mw = trace.replay(SmoothingKind::default());
+    let mut mw = trace.replay(SmoothingKind::default());
 
     // Rebuild the reference map from the replayed middleware using the
     // trace's own metadata.
     let grid = vire::geom::RegularGrid::square(Point2::ORIGIN, 1.0, 4);
-    let mut ref_tags = std::collections::HashMap::new();
     for (tag_id, (x, y)) in &trace.reference_tags {
         let idx = grid.nearest_node(Point2::new(*x, *y));
-        ref_tags.insert(idx, vire::sim::TagId::first(*tag_id));
+        mw.pin(vire::sim::TagId::first(*tag_id), idx);
     }
     let replay_map = mw
-        .reference_map(grid, &ref_tags, &trace.reader_positions())
+        .reference_map(grid, &trace.reader_positions())
         .expect("replay covers all reference tags");
     let replay_reading = mw.tracking_reading(id, 4).unwrap();
     let replay_est = Vire::default()
