@@ -5,11 +5,16 @@
 //! localization rate — a tag beaconing every ~2 s against four readers is
 //! already 4 events per period, and a burst of gateway traffic can deliver
 //! thousands of readings between two `drive` calls. Localizing every one
-//! of them is wasted work: the middleware's smoothing window only ever
-//! sees each tag's **latest** reading per reader, so a run of beacons for
-//! the same `(tag lifetime, reader)` pair collapses to its newest element
-//! with bit-identical localization output (proven by the oracle test in
-//! `vire-sim`).
+//! of them is wasted work, so a run of beacons for the same
+//! `(tag lifetime, reader)` pair collapses to its newest element. A
+//! coalesced drive is bit-identical to replaying only the surviving
+//! readings (the oracle test in `vire-sim`), but it equals feeding every
+//! reading only under `SmoothingKind::Raw`: a windowed filter sees fewer
+//! readings. Under the default `Median(5)`, one `(tag, reader)` fed −60,
+//! −70, −61, −75, −62, −80 smooths to −70.0 when every reading reaches it
+//! and to −80.0 when only the newest does. The `burst_flood` benchmark
+//! workload coalesces about 84% of its events. ROADMAP.md direction 1
+//! makes the collapse exact.
 //!
 //! [`coalesce_newest`] is that collapse: newest reading per
 //! [`beacon_key`], in last-occurrence order. It is idempotent and it
@@ -71,8 +76,9 @@ pub fn beacon_key(e: &BeaconEvent) -> u128 {
 
 /// Collapses `events` in place to the newest event per [`beacon_key`],
 /// survivors in last-occurrence order, and returns how many events were
-/// merged away. See the [module docs](self) for why any number of
-/// collapses along the way leaves localization bit-identical.
+/// merged away. Any number of collapses along the way leaves the same
+/// survivors as one; see the [module docs](self) for what a collapse
+/// changes.
 pub fn coalesce_newest(events: &mut Vec<BeaconEvent>) -> u64 {
     let before = events.len();
     // Walk newest → oldest: the first sighting of a key is its newest.

@@ -47,7 +47,10 @@ pub trait SnapshotSource {
     fn changed_readings(&mut self) -> Vec<(TagKey, TrackingReading)>;
 
     /// Drains the tracking tags removed upstream since the previous
-    /// drain. [`LocationService::drive`](crate::LocationService::drive)
+    /// drain, despawned or evicted from a full table alike: a source that
+    /// bounds its tags and reports each eviction here bounds the service's
+    /// live tracks too.
+    /// [`LocationService::drive`](crate::LocationService::drive)
     /// evicts each one's Kalman track **immediately** — before the same
     /// drive's changed readings are processed — instead of letting it
     /// linger until the stale-track sweep. The key's

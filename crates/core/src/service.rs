@@ -81,18 +81,59 @@ pub enum QueryResponse {
     Unknown,
 }
 
-/// Last known state of a retired track, kept so queries about an evicted
-/// or churned-away lifetime can answer `Stale { age }` instead of
-/// pretending the tag never existed. Bounded: one entry per slot, pruned
-/// by the amortized sweep once [`RETIRED_HORIZON`] sweeps-worth stale.
+/// Last known state of a retired lifetime, kept so queries about an
+/// evicted or churned-away lifetime can answer `Stale { age }` instead of
+/// pretending the tag never existed. One per slot at most, bounded by age
+/// ([`RETIRED_HORIZON`]) and by count ([`TOMBSTONE_CAP`]).
 #[derive(Debug, Clone, Copy)]
-struct RetiredTrack {
+struct Tombstone {
     /// Lifetime the retired state belongs to.
     generation: u32,
     /// Time of the lifetime's last accepted snapshot.
     last_update: f64,
     /// Last filtered position.
     position: Point2,
+}
+
+/// One slot's entry in the service's table: the live track of the slot's
+/// current lifetime and the tombstone of the newest lifetime that lost
+/// the slot. Either may be absent; a slot holding neither leaves the
+/// table.
+#[derive(Debug, Default)]
+struct Slot {
+    track: Option<Track>,
+    tombstone: Option<Tombstone>,
+}
+
+impl Slot {
+    /// Moves the live track into the tombstone, so later queries about
+    /// that lifetime answer `Stale` rather than `Unknown`. A track with no
+    /// filtered position leaves no tombstone, and a tombstone never
+    /// regresses to an older generation of the slot. Counts a new
+    /// tombstone in `tombstones`.
+    fn retire(&mut self, tombstones: &mut usize) {
+        let Some(track) = self.track.take() else {
+            return;
+        };
+        let Some(position) = track.filter.position() else {
+            return;
+        };
+        match self.tombstone {
+            Some(old) if old.generation > track.generation => {}
+            old => {
+                *tombstones += usize::from(old.is_none());
+                self.tombstone = Some(Tombstone {
+                    generation: track.generation,
+                    last_update: track.last_update,
+                    position,
+                });
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.track.is_none() && self.tombstone.is_none()
+    }
 }
 
 /// Service configuration.
@@ -110,6 +151,13 @@ pub struct ServiceConfig {
 /// [`ServiceConfig::stale_after`] before the sweep forgets them entirely
 /// (a [`QueryResponse::Stale`] answer becomes `Unknown` past it).
 const RETIRED_HORIZON: f64 = 4.0;
+
+/// Most tombstones the service keeps. Past it, the oldest quarter (by
+/// last update, then slot) is dropped in one pass, so each drop costs
+/// O(1) amortized; a dropped lifetime answers `Unknown`, as one retired
+/// more than four [`ServiceConfig::stale_after`] ago does, and
+/// [`LocationService::tombstones_dropped`] counts it.
+pub const TOMBSTONE_CAP: usize = 1 << 16;
 
 impl Default for ServiceConfig {
     fn default() -> Self {
@@ -142,9 +190,16 @@ pub struct SyncStats {
 pub struct LocationService<L: Localizer> {
     localizer: L,
     config: ServiceConfig,
-    /// Kalman tracks keyed by slot index; each track remembers which
-    /// lifetime (generation) of the slot it belongs to.
-    tracks: HashMap<u32, Track>,
+    /// The one table, keyed by slot index: each slot's live track (which
+    /// remembers the lifetime, or generation, it belongs to) and its
+    /// tombstone. Live tracks are bounded by the source's rows when it
+    /// reports its evictions ([`SnapshotSource::removed_tags`]),
+    /// tombstones by [`TOMBSTONE_CAP`].
+    slots: HashMap<u32, Slot>,
+    /// Slots holding a tombstone.
+    tombstones: usize,
+    /// Tombstones dropped by [`TOMBSTONE_CAP`].
+    tombstones_dropped: u64,
     /// Time of the last full stale sweep; sweeps are amortized to at most
     /// one HashMap scan per `stale_after` interval instead of one per
     /// snapshot.
@@ -156,8 +211,6 @@ pub struct LocationService<L: Localizer> {
     /// prepared form (then each drive prepares against that drive's map
     /// through [`Localizer::prepare`]).
     prepared: Option<Box<dyn OwnedPreparedLocalizer>>,
-    /// Tombstones of evicted/churned lifetimes, for `Stale` query answers.
-    retired: HashMap<u32, RetiredTrack>,
     sync_stats: SyncStats,
 }
 
@@ -166,7 +219,8 @@ impl<L: Localizer + fmt::Debug> fmt::Debug for LocationService<L> {
         f.debug_struct("LocationService")
             .field("localizer", &self.localizer)
             .field("config", &self.config)
-            .field("tracks", &self.tracks)
+            .field("slots", &self.slots)
+            .field("tombstones_dropped", &self.tombstones_dropped)
             .field("last_sweep", &self.last_sweep)
             .field("prepared", &self.prepared.as_ref().map(|p| p.name()))
             .field("sync_stats", &self.sync_stats)
@@ -188,10 +242,11 @@ impl<L: Localizer> LocationService<L> {
         LocationService {
             localizer,
             config,
-            tracks: HashMap::new(),
+            slots: HashMap::new(),
+            tombstones: 0,
+            tombstones_dropped: 0,
             last_sweep: f64::NEG_INFINITY,
             prepared: None,
-            retired: HashMap::new(),
             sync_stats: SyncStats::default(),
         }
     }
@@ -207,7 +262,10 @@ impl<L: Localizer> LocationService<L> {
     ///   filtered position and exact age,
     /// * anything else is [`QueryResponse::Unknown`].
     pub fn query(&self, q: LocationQuery) -> QueryResponse {
-        if let Some(track) = self.tracks.get(&q.tag.index) {
+        let Some(slot) = self.slots.get(&q.tag.index) else {
+            return QueryResponse::Unknown;
+        };
+        if let Some(track) = &slot.track {
             if track.generation == q.tag.generation {
                 let Some(position) = track.filter.position() else {
                     return QueryResponse::Unknown;
@@ -230,32 +288,12 @@ impl<L: Localizer> LocationService<L> {
             // The slot churned to a newer lifetime: fall through to the
             // tombstone recorded when this lifetime lost the slot.
         }
-        match self.retired.get(&q.tag.index) {
+        match slot.tombstone {
             Some(r) if r.generation == q.tag.generation => QueryResponse::Stale {
                 position: r.position,
                 age: q.at - r.last_update,
             },
             _ => QueryResponse::Unknown,
-        }
-    }
-
-    /// Records a dropped track's last state so later queries about that
-    /// lifetime answer `Stale` rather than `Unknown`. A tombstone never
-    /// regresses to an older generation of the slot.
-    fn retire_into(retired: &mut HashMap<u32, RetiredTrack>, index: u32, track: &Track) {
-        let Some(position) = track.filter.position() else {
-            return;
-        };
-        let entry = RetiredTrack {
-            generation: track.generation,
-            last_update: track.last_update,
-            position,
-        };
-        match retired.get(&index) {
-            Some(old) if old.generation > entry.generation => {}
-            _ => {
-                retired.insert(index, entry);
-            }
         }
     }
 
@@ -340,9 +378,9 @@ impl<L: Localizer> LocationService<L> {
         stage: &mut dyn SnapshotSource,
     ) -> Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)> {
         let time = stage.snapshot_time();
-        // Removals first: a tag despawned upstream must be evicted before
-        // its slot's next lifetime (possibly drained in this same call)
-        // claims the track.
+        // Removals first: a tag despawned or evicted upstream must be
+        // evicted here before its slot's next lifetime (possibly drained
+        // in this same call) claims the track.
         for removed in stage.removed_tags() {
             self.evict(removed);
         }
@@ -394,12 +432,15 @@ impl<L: Localizer> LocationService<L> {
     /// [`LocationService::drive`] calls it for each upstream removal
     /// ([`SnapshotSource::removed_tags`]).
     pub fn evict(&mut self, tag: TagKey) {
-        if let Some(track) = self.tracks.get(&tag.index) {
-            if track.generation <= tag.generation {
-                Self::retire_into(&mut self.retired, tag.index, track);
-                self.tracks.remove(&tag.index);
+        if let Entry::Occupied(mut slot) = self.slots.entry(tag.index) {
+            if matches!(&slot.get().track, Some(t) if t.generation <= tag.generation) {
+                slot.get_mut().retire(&mut self.tombstones);
+                if slot.get().is_empty() {
+                    slot.remove();
+                }
             }
         }
+        self.bound_tombstones();
     }
 
     /// How [`LocationService::drive`] maintained its cached prepared
@@ -408,10 +449,50 @@ impl<L: Localizer> LocationService<L> {
         self.sync_stats
     }
 
+    /// Tombstones held, at most [`TOMBSTONE_CAP`].
+    pub fn tombstone_count(&self) -> usize {
+        self.tombstones
+    }
+
+    /// Tombstones dropped so far because the service held
+    /// [`TOMBSTONE_CAP`] of them (those aged past the horizon are not
+    /// counted).
+    pub fn tombstones_dropped(&self) -> u64 {
+        self.tombstones_dropped
+    }
+
+    /// Drops the oldest quarter of the tombstones, by last update and
+    /// then slot, once there are more than [`TOMBSTONE_CAP`]: one pass
+    /// per `TOMBSTONE_CAP / 4` drops.
+    fn bound_tombstones(&mut self) {
+        if self.tombstones <= TOMBSTONE_CAP {
+            return;
+        }
+        let order = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        let mut ages: Vec<(f64, u32)> = self
+            .slots
+            .iter()
+            .filter_map(|(&index, s)| Some((s.tombstone?.last_update, index)))
+            .collect();
+        let drop = self.tombstones - TOMBSTONE_CAP * 3 / 4;
+        let newest_dropped = *ages.select_nth_unstable_by(drop - 1, order).1;
+        self.slots.retain(|&index, slot| {
+            if let Some(r) = slot.tombstone {
+                if order(&(r.last_update, index), &newest_dropped).is_le() {
+                    slot.tombstone = None;
+                }
+            }
+            !slot.is_empty()
+        });
+        self.tombstones -= drop;
+        self.tombstones_dropped += drop as u64;
+    }
+
     /// Folds one raw estimate into the tag's track (creating the track on
     /// first sight) and produces the tracked output.
     fn fold(&mut self, time: f64, tag: TagKey, raw: Estimate) -> TrackedEstimate {
-        if let Some(track) = self.tracks.get(&tag.index) {
+        let slot = self.slots.entry(tag.index).or_default();
+        if let Some(track) = &slot.track {
             if track.generation > tag.generation {
                 // A straggler from a dead lifetime of this slot: it must
                 // never fold into (or resurrect over) the current
@@ -433,13 +514,13 @@ impl<L: Localizer> LocationService<L> {
             if track.generation < tag.generation
                 || time - track.last_update > self.config.stale_after
             {
-                Self::retire_into(&mut self.retired, tag.index, track);
-                self.tracks.remove(&tag.index);
+                slot.retire(&mut self.tombstones);
             }
         }
-        let track = self.tracks.entry(tag.index).or_insert_with(|| Track {
+        let config = &self.config;
+        let track = slot.track.get_or_insert_with(|| Track {
             generation: tag.generation,
-            filter: KalmanTracker::new(self.config.process_noise, self.config.measurement_noise),
+            filter: KalmanTracker::new(config.process_noise, config.measurement_noise),
             last_update: f64::NEG_INFINITY,
         });
         // Ignore out-of-order snapshots (a real middleware can deliver
@@ -452,18 +533,22 @@ impl<L: Localizer> LocationService<L> {
             track.filter.position().unwrap_or(raw.position)
         };
 
-        TrackedEstimate {
+        let out = TrackedEstimate {
             position,
             velocity: track.filter.velocity().unwrap_or(Vec2::ZERO),
             sigma: track.filter.position_sigma().unwrap_or((0.0, 0.0)),
             raw,
-        }
+        };
+        self.bound_tombstones();
+        out
     }
 
     /// The slot's track when it belongs to exactly `tag`'s lifetime.
     fn track_of(&self, tag: TagKey) -> Option<&Track> {
-        self.tracks
-            .get(&tag.index)
+        self.slots
+            .get(&tag.index)?
+            .track
+            .as_ref()
             .filter(|t| t.generation == tag.generation)
     }
 
@@ -481,9 +566,9 @@ impl<L: Localizer> LocationService<L> {
     /// Currently tracked tag keys (unordered), each carrying the
     /// generation its track belongs to.
     pub fn tracked_tags(&self) -> Vec<TagKey> {
-        self.tracks
+        self.slots
             .iter()
-            .map(|(&index, t)| TagKey::new(index, t.generation))
+            .filter_map(|(&index, s)| Some(TagKey::new(index, s.track.as_ref()?.generation)))
             .collect()
     }
 
@@ -492,7 +577,7 @@ impl<L: Localizer> LocationService<L> {
         &self.localizer
     }
 
-    /// Full stale sweep, amortized: scans the track map at most once per
+    /// Full stale sweep, amortized: scans the slot table at most once per
     /// `stale_after` interval. Tags observed in between are checked
     /// individually in [`LocationService::fold`], so per-snapshot cost no
     /// longer grows with the number of tracked tags.
@@ -501,18 +586,27 @@ impl<L: Localizer> LocationService<L> {
             return;
         }
         let horizon = self.config.stale_after;
-        let retired = &mut self.retired;
-        self.tracks.retain(|&index, t| {
-            let keep = now - t.last_update <= horizon;
-            if !keep {
-                Self::retire_into(retired, index, t);
+        let tombstones = &mut self.tombstones;
+        self.slots.retain(|_, slot| {
+            if let Some(t) = &slot.track {
+                let keep = now - t.last_update <= horizon;
+                if !keep {
+                    slot.retire(tombstones);
+                }
             }
-            keep
+            // Tombstones age out too: queries about a lifetime retired
+            // more than `RETIRED_HORIZON` sweeps ago answer `Unknown`.
+            if let Some(r) = slot.tombstone {
+                let keep = now - r.last_update <= horizon * RETIRED_HORIZON;
+                if !keep {
+                    slot.tombstone = None;
+                    *tombstones -= 1;
+                }
+            }
+            !slot.is_empty()
         });
-        // Tombstones are bounded too: queries about a lifetime retired
-        // more than `RETIRED_HORIZON` sweeps ago answer `Unknown`.
-        retired.retain(|_, r| now - r.last_update <= horizon * RETIRED_HORIZON);
         self.last_sweep = now;
+        self.bound_tombstones();
     }
 }
 

@@ -1,17 +1,20 @@
-//! Property-based tests for the localization algorithms and the ingest
-//! ring.
+//! Property-based tests for the localization algorithms, the ingest
+//! ring and the location service's slot table.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use vire_core::elimination::{eliminate, ThresholdMode};
 use vire_core::ext::extend_reference_map;
 use vire_core::virtual_grid::{InterpolationKernel, VirtualGrid};
 use vire_core::weights::{candidate_weights, W1Mode, WeightingMode};
 use vire_core::{
-    beacon_key, coalesce_newest, BeaconEvent, IngestBatch, IngestConfig, IngestFrontEnd,
-    IngestStats, Landmarc, LandmarcConfig, Localizer, PreparedLocalizer, ReferenceRssiMap, TagKey,
-    TrackingReading, Vire, VireConfig,
+    beacon_key, coalesce_newest, BeaconEvent, Estimate, IngestBatch, IngestConfig, IngestFrontEnd,
+    IngestStats, KalmanTracker, Landmarc, LandmarcConfig, Localizer, LocationQuery,
+    LocationService, PreparedLocalizer, QueryResponse, ReferenceRssiMap, ServiceConfig, TagKey,
+    TrackedEstimate, TrackingReading, Vire, VireConfig,
 };
 use vire_geom::hull::{convex_hull, hull_contains};
+use vire_geom::Vec2;
 use vire_geom::{GridData, Point2, RegularGrid};
 
 fn readers() -> Vec<Point2> {
@@ -464,4 +467,261 @@ fn distinct_keys_past_the_ceiling_do_not_stall() {
     assert_eq!(batch.delivered, ceiling);
     assert_eq!(batch.coalesced_in_ring + batch.coalesced_in_batch, 0);
     assert_eq!(batch.readings, events[3 * ceiling..]);
+}
+
+/// The location service's table as it was before live tracks and
+/// tombstones shared one slot-keyed map: two maps, with the same fold,
+/// query, evict and sweep rules, fed the raw estimates the service
+/// localized.
+struct TwoMaps {
+    config: ServiceConfig,
+    /// slot -> (generation, filter, last update)
+    tracks: HashMap<u32, (u32, KalmanTracker, f64)>,
+    /// slot -> (generation, last update, last filtered position)
+    retired: HashMap<u32, (u32, f64, Point2)>,
+    last_sweep: f64,
+}
+
+impl TwoMaps {
+    fn new(config: ServiceConfig) -> Self {
+        TwoMaps {
+            config,
+            tracks: HashMap::new(),
+            retired: HashMap::new(),
+            last_sweep: f64::NEG_INFINITY,
+        }
+    }
+
+    fn retire(
+        retired: &mut HashMap<u32, (u32, f64, Point2)>,
+        index: u32,
+        track: &(u32, KalmanTracker, f64),
+    ) {
+        let Some(position) = track.1.position() else {
+            return;
+        };
+        match retired.get(&index) {
+            Some(old) if old.0 > track.0 => {}
+            _ => {
+                retired.insert(index, (track.0, track.2, position));
+            }
+        }
+    }
+
+    fn observe(&mut self, time: f64, tag: TagKey, raw: Estimate) -> TrackedEstimate {
+        self.sweep(time);
+        if let Some(track) = self.tracks.get(&tag.index) {
+            if track.0 > tag.generation {
+                return TrackedEstimate {
+                    position: raw.position,
+                    velocity: Vec2::ZERO,
+                    sigma: (0.0, 0.0),
+                    raw,
+                };
+            }
+            if track.0 < tag.generation || time - track.2 > self.config.stale_after {
+                Self::retire(&mut self.retired, tag.index, track);
+                self.tracks.remove(&tag.index);
+            }
+        }
+        let config = self.config;
+        let track = self.tracks.entry(tag.index).or_insert_with(|| {
+            let filter = KalmanTracker::new(config.process_noise, config.measurement_noise);
+            (tag.generation, filter, f64::NEG_INFINITY)
+        });
+        let position = if time > track.2 {
+            let p = track.1.update(time, raw.position);
+            track.2 = time;
+            p
+        } else {
+            track.1.position().unwrap_or(raw.position)
+        };
+        TrackedEstimate {
+            position,
+            velocity: track.1.velocity().unwrap_or(Vec2::ZERO),
+            sigma: track.1.position_sigma().unwrap_or((0.0, 0.0)),
+            raw,
+        }
+    }
+
+    fn evict(&mut self, tag: TagKey) {
+        if let Some(track) = self.tracks.get(&tag.index) {
+            if track.0 <= tag.generation {
+                Self::retire(&mut self.retired, tag.index, track);
+                self.tracks.remove(&tag.index);
+            }
+        }
+    }
+
+    fn sweep(&mut self, now: f64) {
+        if now - self.last_sweep < self.config.stale_after {
+            return;
+        }
+        let horizon = self.config.stale_after;
+        let retired = &mut self.retired;
+        self.tracks.retain(|&index, t| {
+            let keep = now - t.2 <= horizon;
+            if !keep {
+                Self::retire(retired, index, t);
+            }
+            keep
+        });
+        retired.retain(|_, r| now - r.1 <= horizon * 4.0);
+        self.last_sweep = now;
+    }
+
+    fn query(&self, q: LocationQuery) -> QueryResponse {
+        if let Some((generation, filter, last_update)) = self.tracks.get(&q.tag.index) {
+            if *generation == q.tag.generation {
+                let Some(position) = filter.position() else {
+                    return QueryResponse::Unknown;
+                };
+                let age = q.at - last_update;
+                if age <= self.config.stale_after {
+                    return QueryResponse::Fresh {
+                        position: filter.predict(age.max(0.0)).unwrap_or(position),
+                        velocity: filter.velocity().unwrap_or(Vec2::ZERO),
+                        sigma: filter.position_sigma().unwrap_or((0.0, 0.0)),
+                        age,
+                    };
+                }
+                return QueryResponse::Stale { position, age };
+            }
+            if *generation < q.tag.generation {
+                return QueryResponse::Unknown;
+            }
+        }
+        match self.retired.get(&q.tag.index) {
+            Some(r) if r.0 == q.tag.generation => QueryResponse::Stale {
+                position: r.2,
+                age: q.at - r.1,
+            },
+            _ => QueryResponse::Unknown,
+        }
+    }
+
+    fn tracked_tags(&self) -> Vec<TagKey> {
+        let mut tags: Vec<TagKey> = self
+            .tracks
+            .iter()
+            .map(|(&index, t)| TagKey::new(index, t.0))
+            .collect();
+        tags.sort_by_key(|t| (t.index, t.generation));
+        tags
+    }
+}
+
+fn estimate_bits(e: &TrackedEstimate) -> [u64; 8] {
+    [
+        e.position.x.to_bits(),
+        e.position.y.to_bits(),
+        e.velocity.x.to_bits(),
+        e.velocity.y.to_bits(),
+        e.sigma.0.to_bits(),
+        e.sigma.1.to_bits(),
+        e.raw.position.x.to_bits(),
+        e.raw.position.y.to_bits(),
+    ]
+}
+
+fn response_bits(r: &QueryResponse) -> (u8, Vec<u64>) {
+    match r {
+        QueryResponse::Fresh {
+            position,
+            velocity,
+            sigma,
+            age,
+        } => (
+            0,
+            [
+                position.x, position.y, velocity.x, velocity.y, sigma.0, sigma.1, *age,
+            ]
+            .map(f64::to_bits)
+            .to_vec(),
+        ),
+        QueryResponse::Stale { position, age } => {
+            (1, [position.x, position.y, *age].map(f64::to_bits).to_vec())
+        }
+        QueryResponse::Unknown => (2, Vec::new()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The one slot table answers exactly as the two maps it replaced,
+    /// below the tombstone cap: every tracked estimate and every query
+    /// answer to the bit, and the same tracked tags. Four slots see random
+    /// observes of their current lifetime, stragglers from older ones,
+    /// evictions of either, generation bumps, out-of-order times, jumps
+    /// past `stale_after` and past four of them (the tombstone horizon),
+    /// and first sights at `-inf` or NaN, which leave a track with no
+    /// position. After every step, each slot is asked about lifetimes 0-4
+    /// now, a little later, past `stale_after` and past the horizon.
+    #[test]
+    fn slot_table_matches_the_two_maps_it_replaced(
+        ops in prop::collection::vec(
+            (0u32..9, 0u32..4, 0u32..3, 0usize..7, 0.05..2.95f64, 0.05..2.95f64),
+            1..80,
+        ),
+    ) {
+        const STALE: f64 = 10.0;
+        let config = ServiceConfig { stale_after: STALE, ..ServiceConfig::default() };
+        let (map, reading_at) = map_with_field(0.7, 1.1, 1.5);
+        let mut service = LocationService::new(Vire::default(), config);
+        let mut model = TwoMaps::new(config);
+        let mut current = [0u32; 4];
+        let mut clock = 0.0f64;
+        for (step, &(kind, slot, back, dt, x, y)) in ops.iter().enumerate() {
+            let older = current[slot as usize].saturating_sub(back);
+            match kind {
+                // Observe the current lifetime (0-3) or a straggler (4).
+                0..=4 | 8 => {
+                    let generation = if kind == 4 { older } else { current[slot as usize] };
+                    let time = if kind == 8 {
+                        [f64::NEG_INFINITY, f64::NAN][dt % 2]
+                    } else {
+                        let jump = [0.0, 0.25, 1.5, STALE + 0.5, 4.0 * STALE + 0.5, -2.0, -STALE][dt];
+                        if jump >= 0.0 {
+                            clock += jump;
+                            clock
+                        } else {
+                            clock + jump
+                        }
+                    };
+                    let tag = TagKey::new(slot, generation);
+                    let got = service
+                        .observe(time, tag, &map, &reading_at(Point2::new(x, y)))
+                        .unwrap();
+                    let want = model.observe(time, tag, got.raw.clone());
+                    prop_assert_eq!(estimate_bits(&got), estimate_bits(&want), "step {}", step);
+                }
+                // Evict the current lifetime or an older one.
+                5 | 6 => {
+                    let generation = if kind == 5 { current[slot as usize] } else { older };
+                    service.evict(TagKey::new(slot, generation));
+                    model.evict(TagKey::new(slot, generation));
+                }
+                // The slot's next lifetime begins.
+                _ => current[slot as usize] += 1,
+            }
+            for index in 0..4 {
+                for generation in 0..5 {
+                    for later in [0.0, 3.0, STALE + 1.0, 4.0 * STALE + 1.0] {
+                        let q = LocationQuery { tag: TagKey::new(index, generation), at: clock + later };
+                        prop_assert_eq!(
+                            response_bits(&service.query(q)),
+                            response_bits(&model.query(q)),
+                            "step {} query {:?}", step, q
+                        );
+                    }
+                }
+            }
+            let mut tracked = service.tracked_tags();
+            tracked.sort_by_key(|t| (t.index, t.generation));
+            prop_assert_eq!(tracked, model.tracked_tags(), "step {}", step);
+        }
+        prop_assert_eq!(service.tombstones_dropped(), 0);
+        prop_assert_eq!(service.tombstone_count(), model.retired.len());
+    }
 }

@@ -9,7 +9,9 @@
 //! [`Middleware::forget_tag`] go on a free list. The table holds at most
 //! [`MAX_TAGS`] rows: a new tag arriving at capacity takes the row of an
 //! unpinned tag chosen by a second-chance (CLOCK) sweep, so a stream of
-//! ever-new tag ids cannot grow it.
+//! ever-new tag ids cannot grow it. The pipeline stage queues each evicted
+//! tag as a removal ([`crate::MiddlewareStage::take_removed_tags`]), so
+//! the location service it drives retires the tag's track too.
 
 use crate::reader::ReaderId;
 use crate::smoothing::{Filter, SmoothingKind};
@@ -147,24 +149,30 @@ impl Middleware {
         self.ingest_at(reading).1
     }
 
-    /// Ingests one reading for the pipeline stage: returns the row's pin
-    /// and the new smoothed value when it changed, and puts a changed
-    /// unpinned row on the dirty list.
-    pub(crate) fn ingest_and_mark(&mut self, reading: Reading) -> Option<(Option<GridIndex>, f64)> {
-        let (row, value) = self.ingest_at(reading);
-        let value = value?;
+    /// Ingests one reading for the pipeline stage: returns the tag evicted
+    /// to give the reading's tag a row, if any, and the row's pin and new
+    /// smoothed value when it changed. A changed unpinned row goes on the
+    /// dirty list.
+    pub(crate) fn ingest_and_mark(
+        &mut self,
+        reading: Reading,
+    ) -> (Option<TagId>, Option<(Option<GridIndex>, f64)>) {
+        let (row, value, evicted) = self.ingest_at(reading);
+        let Some(value) = value else {
+            return (evicted, None);
+        };
         let pin = self.rows[row].pin;
         if pin.is_none() {
             self.mark_dirty(row);
         }
-        Some((pin, value))
+        (evicted, Some((pin, value)))
     }
 
-    fn ingest_at(&mut self, reading: Reading) -> (usize, Option<f64>) {
-        let row = match self.index.get(&reading.tag) {
+    fn ingest_at(&mut self, reading: Reading) -> (usize, Option<f64>, Option<TagId>) {
+        let (row, evicted) = match self.index.get(&reading.tag) {
             Some(&row) => {
                 self.rows[row as usize].heard = true;
-                row as usize
+                (row as usize, None)
             }
             None => self.insert(reading.tag),
         };
@@ -187,14 +195,16 @@ impl Middleware {
             }
             self.log.push_back(reading);
         }
-        (row, changed)
+        (row, changed, evicted)
     }
 
     /// Gives `tag` a row: a freed one, a new one below [`MAX_TAGS`], or
     /// the first unpinned row the CLOCK hand finds not heard since it
     /// last passed. The hand clears each heard bit it passes, so a sweep
     /// costs O(1) amortized over the readings that set those bits.
-    fn insert(&mut self, tag: TagId) -> usize {
+    /// Returns the row and the tag evicted from it, if any.
+    fn insert(&mut self, tag: TagId) -> (usize, Option<TagId>) {
+        let mut evicted = None;
         let row = if let Some(row) = self.free.pop() {
             row as usize
         } else if self.rows.len() < MAX_TAGS {
@@ -215,6 +225,7 @@ impl Middleware {
                 let r = &mut self.rows[row];
                 if r.pin.is_none() && !std::mem::take(&mut r.heard) {
                     self.index.remove(&r.tag);
+                    evicted = Some(r.tag);
                     self.clear(row);
                     self.evicted += 1;
                     break row;
@@ -223,7 +234,7 @@ impl Middleware {
         };
         self.rows[row].tag = tag;
         self.index.insert(tag, row as u32);
-        row
+        (row, evicted)
     }
 
     /// Takes `row` off the dirty list and resets its filters and heard
@@ -295,13 +306,14 @@ impl Middleware {
     /// Pins `tag` to lattice node `idx` as a reference tag, giving it a
     /// row if it has none. A pinned row is never evicted, and
     /// [`Middleware::reference_map`] reads it. Pin each node once.
+    /// Returns the tag evicted to give `tag` a row, if any.
     ///
     /// # Panics
     /// Panics when the pin would leave no row to evict
     /// ([`MAX_TAGS`] − 1 pinned rows at most).
-    pub fn pin(&mut self, tag: TagId, idx: GridIndex) {
-        let row = match self.index.get(&tag) {
-            Some(&row) => row as usize,
+    pub fn pin(&mut self, tag: TagId, idx: GridIndex) -> Option<TagId> {
+        let (row, evicted) = match self.index.get(&tag) {
+            Some(&row) => (row as usize, None),
             None => self.insert(tag),
         };
         if self.rows[row].pin.is_none() {
@@ -309,6 +321,7 @@ impl Middleware {
             self.pinned += 1;
         }
         self.rows[row].pin = Some(idx);
+        evicted
     }
 
     /// The pinned reference tags, as `(lattice node, tag)` pairs in row

@@ -72,8 +72,8 @@ pub struct MiddlewareStage {
     /// `service_pending[k * nodes + flat]`: cell `(k, flat)` is in
     /// `service_dirty`, so it holds each cell at most once.
     service_pending: Vec<bool>,
-    /// Tracking tags removed upstream, not yet drained by
-    /// [`MiddlewareStage::take_removed_tags`].
+    /// Tracking tags removed upstream or evicted from the full tag table,
+    /// not yet drained by [`MiddlewareStage::take_removed_tags`].
     removed: Vec<TagId>,
 }
 
@@ -114,22 +114,27 @@ impl MiddlewareStage {
         self.removed.push(id);
     }
 
-    /// Drains the tracking tags removed upstream since the last drain —
-    /// the [`SnapshotSource::removed_tags`] seam.
+    /// Drains the tags removed upstream or evicted from the full tag table
+    /// since the last drain — the [`SnapshotSource::removed_tags`] seam.
+    /// Each eviction is queued here, so a location service driven by this
+    /// stage retires the evicted tag's track in its next drive and never
+    /// holds more live tracks than the table holds rows.
     pub fn take_removed_tags(&mut self) -> Vec<TagId> {
         std::mem::take(&mut self.removed)
     }
 
     /// Declares `tag` as the reference tag pinned to lattice node `idx`.
     /// Readings from pinned tags feed the calibration map instead of the
-    /// tracking dirty list. See [`Middleware::pin`].
+    /// tracking dirty list. See [`Middleware::pin`]; a tag it evicts is
+    /// queued for [`MiddlewareStage::take_removed_tags`].
     pub fn pin_reference(&mut self, idx: GridIndex, tag: TagId) {
-        self.middleware.pin(tag, idx);
+        self.removed.extend(self.middleware.pin(tag, idx));
     }
 
     /// Drains every new event from the bus through the smoothing filters,
     /// writing changed reference cells into the cached map and recording
-    /// which cells changed. Returns what was consumed.
+    /// which cells changed, and queues each tag evicted to make room for
+    /// [`MiddlewareStage::take_removed_tags`]. Returns what was consumed.
     pub fn pump(&mut self, bus: &EventBus<Reading>) -> PumpStats {
         let read = bus.read(&mut self.token);
         let mut stats = PumpStats {
@@ -137,14 +142,16 @@ impl MiddlewareStage {
             ..PumpStats::default()
         };
         self.lagged_total += stats.lagged;
-        let evicted = self.middleware.evicted();
         let nodes = self.grid.node_count();
         for &reading in read {
             stats.events += 1;
             if reading.time > self.clock {
                 self.clock = reading.time;
             }
-            let Some((pin, value)) = self.middleware.ingest_and_mark(reading) else {
+            let (evicted, changed) = self.middleware.ingest_and_mark(reading);
+            stats.evicted += usize::from(evicted.is_some());
+            self.removed.extend(evicted);
+            let Some((pin, value)) = changed else {
                 continue;
             };
             stats.changed += 1;
@@ -159,7 +166,6 @@ impl MiddlewareStage {
                 }
             }
         }
-        stats.evicted = (self.middleware.evicted() - evicted) as usize;
         stats
     }
 
@@ -415,6 +421,35 @@ mod tests {
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -70.5);
         assert_eq!(map.rssi(0, GridIndex::new(1, 1)), -77.0);
         assert!(stage.take_dirty_cells().is_empty());
+    }
+
+    #[test]
+    fn evicted_tags_are_queued_as_removals() {
+        use crate::middleware::MAX_TAGS;
+        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
+        let mut bus = EventBus::with_capacity(MAX_TAGS);
+        let mut stage = MiddlewareStage::new(
+            Middleware::new(SmoothingKind::Raw, false),
+            grid,
+            vec![Point2::new(-1.0, -1.0)],
+            bus.reader(),
+        );
+        let full = MAX_TAGS as u32;
+        for n in 0..full {
+            bus.publish(reading(0.0, n, 0, -70.0));
+        }
+        assert_eq!(stage.pump(&bus).evicted, 0);
+        assert!(stage.take_removed_tags().is_empty());
+        // Every row was heard once, so the hand takes row 0 for a new
+        // tracking tag and row 1 for a new reference tag.
+        bus.publish(reading(1.0, full, 0, -71.0));
+        assert_eq!(stage.pump(&bus).evicted, 1);
+        stage.pin_reference(GridIndex::new(0, 0), TagId::first(full + 1));
+        assert_eq!(
+            stage.take_removed_tags(),
+            vec![TagId::first(0), TagId::first(1)]
+        );
+        assert_eq!(stage.evicted_total(), 2);
     }
 
     #[test]

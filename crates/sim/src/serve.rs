@@ -22,10 +22,14 @@
 //! drops the oldest only when every buffered key is distinct. Every
 //! superseded or dropped event lands in the [`DriveReport`] counters:
 //! `delivered + lagged + coalesced` always equals the events accepted.
-//! Coalescing is also *harmless* by construction: the smoothing window
-//! and the Kalman fold only ever see the newest reading per key, so a
-//! coalesced drive is bit-identical to replaying only the surviving
-//! readings (pinned by `tests/ingest.rs`).
+//! A coalesced drive is bit-identical to replaying only the surviving
+//! readings (pinned by `tests/ingest.rs`). It equals a drive fed every
+//! reading only under [`SmoothingKind::Raw`]: a windowed filter loses the
+//! superseded readings. Under the default `Median(5)`, one `(tag, reader)`
+//! fed −60, −70, −61, −75, −62, −80 smooths to −70.0 from every reading
+//! and to −80.0 from the newest alone, and the `burst_flood` benchmark
+//! workload coalesces about 84% of its events. ROADMAP.md direction 1
+//! makes the collapse exact.
 
 use crate::middleware::{Middleware, Reading};
 use crate::pipeline::MiddlewareStage;
@@ -63,7 +67,8 @@ pub struct DriveReport {
     /// ring-policy and batch-dedup coalescing combined.
     pub coalesced: u64,
     /// Tags evicted from the middleware's full tag table this drive to
-    /// make room for new ones (see [`crate::middleware::MAX_TAGS`]).
+    /// make room for new ones (see [`crate::middleware::MAX_TAGS`]). The
+    /// service retired each one's track in the same drive.
     pub evicted: usize,
     /// Localization results for the tags whose smoothed readings changed,
     /// in first-dirtied order.

@@ -486,3 +486,103 @@ fn a_million_new_tag_ids_stay_within_the_tag_table() {
     );
     assert_eq!(stage.middleware().pinned().count(), pinned);
 }
+
+/// Nor may a gateway sending ever-new tag ids grow the location service
+/// behind the table. Once the paper capture completes the map, 200
+/// batches of 1,000 new tracking ids arrive, each id heard by all four
+/// readers, all at one beacon time, so no track ever ages out; one more
+/// tag is heard again in every batch. Each tag the table evicts reaches
+/// the service as a removal in the same drive, so live tracks never
+/// outnumber the unpinned rows. Each retired track leaves a tombstone,
+/// and past `TOMBSTONE_CAP` the oldest are dropped and counted, so every
+/// eviction is either held or counted. The re-heard tag keeps its track:
+/// it answers as a server fed only the capture and that tag's readings
+/// does, to the bit.
+#[test]
+fn a_flood_of_new_tag_ids_stays_within_the_service() {
+    use vire_core::service::TOMBSTONE_CAP;
+    use vire_sim::middleware::MAX_TAGS;
+    const BATCHES: u32 = 200;
+    const BATCH: u32 = 1_000;
+    let trace = capture();
+    let server = || {
+        IngestServer::from_trace(
+            &trace,
+            vire(InterpolationKernel::Linear),
+            ServeConfig::default(),
+        )
+        .expect("paper testbed trace infers its own deployment")
+    };
+    let (mut flooded, mut quiet) = (server(), server());
+    for s in [&mut flooded, &mut quiet] {
+        s.accept(trace.readings.iter().map(to_beacon));
+        assert!(
+            !s.drive().results.is_empty(),
+            "the capture completes the map"
+        );
+    }
+    let pinned = trace.infer_deployment().unwrap().1.len();
+    let tracking = 16; // 16 reference slots, then the tag
+                       // Every tag copies the tracking tag's last reading per reader, so it
+                       // localizes inside the room.
+    let last_rssi: Vec<f64> = (0..trace.reader_positions().len() as u32)
+        .map(|k| {
+            let last = trace
+                .readings
+                .iter()
+                .rev()
+                .find(|r| r.tag == tracking && r.reader == k);
+            last.expect("every reader heard the tracking tag").rssi
+        })
+        .collect();
+    let time = trace.readings.last().unwrap().time + 1.0;
+    let heard = |tag: TagKey, shift: f64| -> Vec<BeaconEvent> {
+        let rssi = last_rssi.iter().enumerate();
+        rssi.map(|(k, &rssi)| BeaconEvent {
+            time,
+            tag,
+            reader: k as u32,
+            rssi: rssi + shift,
+        })
+        .collect()
+    };
+    let kept = TagKey::first(100);
+    let first_new = 1_000;
+    let mut evicted = 0u64;
+    for b in 0..BATCHES {
+        let again = heard(kept, -0.5 * f64::from(b % 5));
+        let new = (0..BATCH).flat_map(|j| heard(TagKey::first(first_new + b * BATCH + j), 0.0));
+        flooded.accept(new.chain(again.iter().copied()));
+        evicted += flooded.drive().evicted as u64;
+        quiet.accept(again);
+        quiet.drive();
+        let service = flooded.service();
+        if b % 20 == 19 {
+            assert!(
+                service.tracked_tags().len() <= MAX_TAGS - pinned,
+                "batch {b}: {} tracks behind {} unpinned rows",
+                service.tracked_tags().len(),
+                MAX_TAGS - pinned
+            );
+        }
+        assert!(service.tombstone_count() <= TOMBSTONE_CAP, "batch {b}");
+    }
+    let service = flooded.service();
+    assert!(service.tracked_tags().len() <= MAX_TAGS - pinned);
+    assert!(evicted > TOMBSTONE_CAP as u64, "the flood filled the cap");
+    assert!(service.tombstone_count() <= TOMBSTONE_CAP);
+    assert!(service.tombstones_dropped() > 0);
+    assert_eq!(
+        service.tombstone_count() as u64 + service.tombstones_dropped(),
+        evicted,
+        "every evicted track is held as a tombstone or counted as dropped"
+    );
+    let q = LocationQuery {
+        tag: kept,
+        at: time,
+    };
+    let (got, want) = (flooded.query(q), quiet.query(q));
+    assert!(matches!(got, QueryResponse::Fresh { .. }), "{got:?}");
+    // `Debug` prints each f64 in its shortest round-trip form.
+    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+}

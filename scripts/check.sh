@@ -84,12 +84,27 @@ cargo test -q -p vire-geom handle::
 # kept its filters, or a re-inserted tag that kept its old dirty place,
 # fails it. The table stays within MAX_TAGS rows while 10^6 new tag ids
 # stream through a server: unpinned rows are evicted (CLOCK), counted
-# to the tag, and a tag heard in every batch keeps its filter.
+# to the tag, and a tag heard in every batch keeps its filter. The
+# service behind it is bounded too: each evicted tag (by a pump or a pin)
+# is queued as a removal, so after 200,000 new ids at one beacon time its live tracks
+# stay within the table's unpinned rows, its tombstones within
+# TOMBSTONE_CAP with every drop counted, and a tag heard in every batch
+# answers to the bit as if the flood never came. The service's one slot
+# table (live track and tombstone per slot) answers exactly as the two
+# maps it replaced: every estimate, query answer and tracked tag, through
+# evictions, generation bumps, stragglers, out-of-order times, jumps past
+# stale_after and the tombstone horizon, and tracks that never got a
+# position; dropping the rule that a tombstone never goes back to an
+# older generation fails it, as does a positionless track leaving one.
 echo "==> cargo test (churn oracle proptest)"
 cargo test -q -p vire-sim --test churn
 cargo test -q -p vire-sim --test properties -- tag_table_matches_the_keyed_maps_it_replaced
-cargo test -q -p vire-sim --test ingest -- a_million_new_tag_ids_stay_within_the_tag_table
-cargo test -q -p vire-sim --lib -- a_full_table_evicts_an_unheard_unpinned_row
+cargo test -q -p vire-sim --test ingest -- \
+  a_million_new_tag_ids_stay_within_the_tag_table \
+  a_flood_of_new_tag_ids_stays_within_the_service
+cargo test -q -p vire-core --test properties -- slot_table_matches_the_two_maps_it_replaced
+cargo test -q -p vire-sim --lib -- \
+  a_full_table_evicts_an_unheard_unpinned_row evicted_tags_are_queued_as_removals
 
 # The link-budget cache must be invisible: cached and uncached testbeds
 # bit-identical across every preset environment and config (proptest).
