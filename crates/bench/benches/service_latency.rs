@@ -135,7 +135,6 @@ fn run_rate(trace: &Trace, events_per_sec: usize, snapshots: usize) -> RateSumma
         stats.delivered + stats.lagged + stats.coalesced_in_ring,
         "ingest accounting must balance at {events_per_sec} ev/s"
     );
-    assert_eq!(server.internal_lag(), 0);
 
     snapshot_us.sort_by(f64::total_cmp);
     query_us.sort_by(f64::total_cmp);

@@ -27,11 +27,13 @@
 //!   slot of that key's newest event, so a repeat key supersedes the older
 //!   slot at once (one hash insert per event).
 //! * **At the ceiling** — the ring doubles up to
-//!   [`IngestConfig::max_capacity`]. Full at the ceiling, it first gives
-//!   up the superseded events (counted in
+//!   [`IngestConfig::max_capacity`]. Full at the ceiling, it first lets
+//!   the incoming event supersede its key's buffered one, then gives up
+//!   every superseded event (counted in
 //!   [`IngestBatch::coalesced_in_ring`], O(1) because they are already
-//!   known), and only when every buffered key is distinct drops the
-//!   oldest event (counted in [`IngestBatch::lagged`]).
+//!   known), and only when the incoming key is new and every buffered key
+//!   is distinct drops the oldest event (counted in
+//!   [`IngestBatch::lagged`]).
 //! * **At drain** — the live slots *are* the collapse, so
 //!   [`IngestFrontEnd::drain`] is one in-order walk; the superseded
 //!   events are the batch's [`IngestBatch::coalesced_in_batch`].
@@ -175,8 +177,8 @@ pub struct IngestStats {
     pub coalesced_in_ring: u64,
     /// Events merged away at drain time (same-key runs in one batch).
     pub coalesced_in_batch: u64,
-    /// Events hard-dropped by the ring (0 unless every buffered event had
-    /// a distinct key at the capacity ceiling).
+    /// Events hard-dropped by the ring (0 unless a new key arrived while
+    /// every buffered event had a distinct key at the capacity ceiling).
     pub lagged: u64,
 }
 
@@ -276,11 +278,10 @@ impl IngestFrontEnd {
         n
     }
 
-    /// Buffers one event, making room first when the ring is full.
+    /// Buffers one event: it supersedes its key's buffered event first, so
+    /// a full ring at the ceiling gives that one up rather than another
+    /// key's only event.
     fn push(&mut self, e: BeaconEvent) {
-        if self.len == self.cap {
-            self.make_room();
-        }
         if self.slots.len() >= self.cap.saturating_mul(2) {
             self.compact();
         }
@@ -289,12 +290,16 @@ impl IngestFrontEnd {
             self.slots[older] = None;
             self.superseded += 1;
         }
+        if self.len == self.cap {
+            self.make_room();
+        }
         self.slots.push(Some(e));
         self.len += 1;
     }
 
     /// Frees room in a full ring: grow below the ceiling; at it, give up
-    /// the superseded events, or drop the oldest when there are none.
+    /// the superseded events, or drop the oldest when there are none (the
+    /// incoming event, not yet in a slot, is never the oldest).
     fn make_room(&mut self) {
         if self.cap < self.max_cap {
             self.cap = self.cap.saturating_mul(2).min(self.max_cap);
@@ -607,6 +612,29 @@ mod tests {
         assert_eq!(batch.readings.len(), 2);
         assert_eq!(batch.readings[1], ev(11.0, 1, 0, 0, -71.0));
         assert_eq!(batch.readings[0], ev(10.0, 0, 0, 0, -70.0));
+    }
+
+    #[test]
+    fn a_repeat_at_the_ceiling_supersedes_instead_of_dropping() {
+        let mut front = IngestFrontEnd::new(IngestConfig {
+            initial_capacity: 2,
+            max_capacity: 2,
+        });
+        // Full at the ceiling with two distinct keys: the repeat of tag 1
+        // gives up tag 1's older event, not tag 2's only one.
+        front.accept([
+            ev(0.0, 2, 0, 0, -70.0),
+            ev(0.1, 1, 0, 0, -60.0),
+            ev(0.2, 1, 0, 0, -61.0),
+        ]);
+        let batch = front.drain();
+        assert_eq!(batch.lagged, 0);
+        assert_eq!(batch.coalesced_in_ring, 1);
+        assert_eq!(batch.coalesced_in_batch, 0);
+        assert_eq!(
+            batch.readings,
+            vec![ev(0.0, 2, 0, 0, -70.0), ev(0.2, 1, 0, 0, -61.0)]
+        );
     }
 
     #[test]

@@ -290,9 +290,9 @@ proptest! {
 
 /// The ingest ring's policy, naively: `r` is the unread buffer, at most
 /// `cap` long. Full at `cap`, it grows below the ceiling; at the ceiling
-/// it collapses `r` to the newest event per key when a key repeats, else
-/// drops the oldest event. A drain hands out
-/// `coalesce_newest(r)`.
+/// it collapses `r` plus the incoming event to the newest event per key
+/// when the incoming key is buffered or some buffered key repeats, else
+/// drops the oldest event. A drain hands out `coalesce_newest(r)`.
 struct RingModel {
     config: IngestConfig,
     r: Vec<BeaconEvent>,
@@ -317,24 +317,25 @@ impl RingModel {
     }
 
     fn accept(&mut self, e: BeaconEvent) {
+        self.stats.accepted += 1;
         if self.r.len() == self.cap {
             if self.cap < self.config.max_capacity {
                 self.cap = (self.cap * 2).min(self.config.max_capacity);
                 self.grown += 1;
             } else {
                 let mut collapsed = self.r.clone();
+                collapsed.push(e);
                 let merged = coalesce_newest(&mut collapsed);
                 if merged > 0 {
                     self.r = collapsed;
                     self.coalesced_in_ring += merged;
-                } else {
-                    self.r.remove(0);
-                    self.lagged += 1;
+                    return;
                 }
+                self.r.remove(0);
+                self.lagged += 1;
             }
         }
         self.r.push(e);
-        self.stats.accepted += 1;
     }
 
     fn drain(&mut self) -> IngestBatch {

@@ -46,7 +46,8 @@ use vire_sim::TestbedConfig;
 /// silently wrong fixtures.
 ///
 /// v2: `TestbedConfig::reader_antennas` joined the fingerprint stream.
-const FORMAT_VERSION: u32 = 2;
+/// v3: `TestbedConfig::event_capacity` left it.
+const FORMAT_VERSION: u32 = 3;
 
 /// A fixture's content address: the stable 128-bit digest of its
 /// canonical bytes.

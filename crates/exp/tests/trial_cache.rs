@@ -150,13 +150,6 @@ fn every_knob_moves_the_fixture_key() {
         },
     );
     push(
-        "event_capacity",
-        TestbedConfig {
-            event_capacity: 2048,
-            ..base.clone()
-        },
-    );
-    push(
         "link_budget_cache",
         TestbedConfig {
             link_budget_cache: false,

@@ -8,7 +8,6 @@ use crate::smoothing::SmoothingKind;
 use crate::tag::{Tag, TagId, TagRole};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use vire_bus::{BusRead, EventBus, ReaderToken};
 use vire_core::{DirtyCell, ReferenceRssiMap, SnapshotSource, TrackingReading};
 use vire_env::{Deployment, Environment, Obstacle, Wall};
 use vire_geom::{GridIndex, HandleAllocator, Point2};
@@ -36,7 +35,8 @@ pub struct TestbedConfig {
     /// Emulate the original LANDMARC equipment: quantize every RSSI to the
     /// 8 legacy power levels before it reaches the middleware.
     pub legacy_power_levels: bool,
-    /// Keep the raw reading log in the middleware.
+    /// Keep the raw reading log in the middleware: the record of every
+    /// decoded reading ([`Middleware::log_readings`]).
     pub keep_log: bool,
     /// Radius within which tags count as co-located for the beacon
     /// collision (interference) model, meters.
@@ -45,11 +45,6 @@ pub struct TestbedConfig {
     /// "varying behaviors of tags" pitfall). 0 models the improved
     /// equipment; ~1.5 the original generation before calibration.
     pub tag_gain_sigma: f64,
-    /// Capacity of the reading event bus: how many decoded readings are
-    /// retained for external subscribers ([`Testbed::subscribe`]) before
-    /// the oldest are overwritten. Slow subscribers observe the loss as an
-    /// explicit lag count rather than stalling the pipeline.
-    pub event_capacity: usize,
     /// Memoize the deterministic link budget (channel mean + receiver
     /// antenna gain) per (tag, reader) link, so repeated beacons pay only
     /// the stochastic tail. Results are `f64::to_bits`-identical either
@@ -79,7 +74,6 @@ impl TestbedConfig {
             keep_log: false,
             collision_radius: 0.3,
             tag_gain_sigma: 0.0,
-            event_capacity: 4096,
             link_budget_cache: true,
             reader_antennas: Vec::new(),
         }
@@ -100,10 +94,10 @@ impl TestbedConfig {
 impl vire_geom::Fingerprint for TestbedConfig {
     /// Canonical bytes of the *whole* configuration: deployment layout,
     /// environment physics, seed, and every simulation knob. Knobs that
-    /// are provably output-neutral (`link_budget_cache`, `keep_log`,
-    /// `event_capacity`) are hashed anyway — over-splitting a cache key
-    /// costs one redundant simulation; under-splitting silently serves a
-    /// stale fixture, so drift detection wins.
+    /// are provably output-neutral (`link_budget_cache`, `keep_log`) are
+    /// hashed anyway — over-splitting a cache key costs one redundant
+    /// simulation; under-splitting silently serves a stale fixture, so
+    /// drift detection wins.
     fn fingerprint<H: std::hash::Hasher>(&self, h: &mut H) {
         self.deployment.fingerprint(h);
         self.environment.fingerprint(h);
@@ -115,7 +109,6 @@ impl vire_geom::Fingerprint for TestbedConfig {
         self.keep_log.fingerprint(h);
         self.collision_radius.fingerprint(h);
         self.tag_gain_sigma.fingerprint(h);
-        self.event_capacity.fingerprint(h);
         self.link_budget_cache.fingerprint(h);
         self.reader_antennas.fingerprint(h);
     }
@@ -141,11 +134,7 @@ pub struct Testbed {
     channel: RfChannel,
     readers: Vec<Reader>,
     tags: Vec<Tag>,
-    /// Every decoded reading is published here; the middleware stage and
-    /// any external subscriber consume it through their own cursors.
-    bus: EventBus<Reading>,
-    /// The bus-subscribed middleware stage (pumped after every beacon, so
-    /// it never lags the engine).
+    /// The middleware stage, handed every reading as it is decoded.
     stage: MiddlewareStage,
     queue: EventQueue,
     clock: f64,
@@ -182,10 +171,6 @@ impl Testbed {
             "jitter fraction must be within [0, 1)"
         );
         assert!(
-            config.event_capacity >= config.deployment.readers.len(),
-            "event bus must hold at least one beacon's readings"
-        );
-        assert!(
             config.reader_antennas.is_empty()
                 || config.reader_antennas.len() == config.deployment.readers.len(),
             "reader_antennas must cover every reader (or be empty for all-omni)"
@@ -208,12 +193,10 @@ impl Testbed {
         let quantizer = config
             .legacy_power_levels
             .then(PowerLevelQuantizer::paper_default);
-        let bus = EventBus::with_capacity(config.event_capacity);
-        let stage = MiddlewareStage::new(
+        let stage = MiddlewareStage::detached(
             Middleware::new(config.smoothing, config.keep_log),
             config.deployment.reference_grid,
             config.deployment.readers.clone(),
-            bus.reader(),
         );
         let budget_cache = config
             .link_budget_cache
@@ -223,7 +206,6 @@ impl Testbed {
             channel,
             readers,
             tags: Vec::new(),
-            bus,
             stage,
             queue: EventQueue::new(),
             clock: 0.0,
@@ -517,10 +499,6 @@ impl Testbed {
                 continue;
             }
             self.process_beacon(tag);
-            // Pump the middleware stage after every beacon: the engine's
-            // own consumer never falls behind the bus, so the smoothed
-            // table matches the direct-call path bit for bit.
-            self.stage.pump(&self.bus);
             // Reschedule the next beacon with jitter.
             let tag_info = self.tags[tag.slot()];
             let jitter = if self.config.beacon_jitter_frac > 0.0 {
@@ -566,12 +544,12 @@ impl Testbed {
                 rssi = q.degrade(rssi);
             }
             if reader.can_hear(rssi) {
-                self.bus.publish(Reading {
+                self.stage.ingest([Reading {
                     time: self.clock,
                     tag: tag_id,
                     reader: reader.id,
                     rssi,
-                });
+                }]);
             }
         }
     }
@@ -586,8 +564,8 @@ impl Testbed {
         self.stage.middleware()
     }
 
-    /// The bus-subscribed middleware pipeline stage. Mutable access is
-    /// what [`vire_core::LocationService::drive`] needs to poll the stage
+    /// The middleware pipeline stage. Mutable access is what
+    /// [`vire_core::LocationService::drive`] needs to poll the stage
     /// incrementally:
     ///
     /// ```
@@ -610,26 +588,6 @@ impl Testbed {
     /// The middleware pipeline stage (read access).
     pub fn stage(&self) -> &MiddlewareStage {
         &self.stage
-    }
-
-    /// Registers an external subscriber on the reading bus. The returned
-    /// token observes every reading decoded after this call; drain it with
-    /// [`Testbed::events`]. A subscriber that falls more than the
-    /// configured [`TestbedConfig::event_capacity`] behind loses the
-    /// oldest readings and sees the loss as an explicit lag count.
-    pub fn subscribe(&self) -> ReaderToken {
-        self.bus.reader()
-    }
-
-    /// Drains the readings published since `token` last read (see
-    /// [`Testbed::subscribe`]).
-    pub fn events(&self, token: &mut ReaderToken) -> BusRead<'_, Reading> {
-        self.bus.read(token)
-    }
-
-    /// The reading event bus itself (diagnostics: capacity, totals).
-    pub fn bus(&self) -> &EventBus<Reading> {
-        &self.bus
     }
 
     /// All tag slots (reference + tracking), slot-major. Under churn a
@@ -741,11 +699,11 @@ impl Testbed {
 }
 
 /// A [`Testbed`] is itself a snapshot source, delegating to its embedded
-/// (always-pumped) middleware stage. This is what lets
-/// [`vire_core::drive_zones`] drive a whole slice of zone testbeds
-/// directly: `drive_zones(&mut services, campus.zones_mut())`. Note the
-/// inherent [`Testbed::reference_map`] (a from-scratch export with the dead-spot
-/// floor) remains distinct from the trait's incremental
+/// middleware stage, which has ingested every decoded reading. This is
+/// what lets [`vire_core::drive_zones`] drive a whole slice of zone
+/// testbeds directly: `drive_zones(&mut services, campus.zones_mut())`.
+/// Note the inherent [`Testbed::reference_map`] (a from-scratch export
+/// with the dead-spot floor) remains distinct from the trait's incremental
 /// [`SnapshotSource::reference_map`], which is `None` until the stage has
 /// complete smoothed coverage.
 impl SnapshotSource for Testbed {

@@ -16,10 +16,10 @@
 //! * [`middleware`] — the reading store and its export into the
 //!   `vire-core` data model ([`vire_core::ReferenceRssiMap`] +
 //!   [`vire_core::TrackingReading`]),
-//! * [`pipeline`] — the streaming data path: the engine publishes every
-//!   decoded reading to a `vire-bus` event channel, and the bus-subscribed
-//!   [`MiddlewareStage`] smooths per event with incremental dirty-cell
-//!   tracking, implementing [`vire_core::SnapshotSource`] so
+//! * [`pipeline`] — the streaming data path: the engine hands every
+//!   decoded reading to the [`MiddlewareStage`], which smooths per event
+//!   with incremental dirty-cell tracking, implementing
+//!   [`vire_core::SnapshotSource`] so
 //!   [`vire_core::LocationService::drive`] localizes only what changed,
 //! * [`engine`] — [`Testbed`]: wires a deployment, an environment, and a
 //!   channel together and runs simulated time; it is itself a
@@ -57,4 +57,4 @@ pub use serve::{DriveReport, IngestServer, ServeConfig};
 pub use smoothing::{SmoothingError, SmoothingKind};
 pub use tag::{TagId, TagRole};
 pub use trace::Trace;
-pub use vire_bus::{BackPressure, BusRead, EventBus, ReaderToken};
+pub use vire_bus::{EventBus, ReaderToken};

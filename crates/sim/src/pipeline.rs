@@ -1,15 +1,13 @@
-//! The bus-subscribed middleware pipeline stage.
+//! The middleware pipeline stage.
 //!
-//! The streaming data path is `engine → bus → middleware stage → location
-//! service`: the engine publishes every decoded [`Reading`] to a
-//! [`vire_bus::EventBus`], and a [`MiddlewareStage`] subscribed with its
-//! own [`vire_bus::ReaderToken`] consumes the stream at its own pace —
-//! applying the smoothing filters per event and tracking exactly which
-//! `(tag, reader)` cells changed, so downstream exports touch only dirty
-//! state:
+//! The streaming data path is `engine → middleware stage → location
+//! service`: the engine (or a serving front end) hands every decoded
+//! [`Reading`] to [`MiddlewareStage::ingest`], which applies the smoothing
+//! filters per event and tracks exactly which `(tag, reader)` cells
+//! changed, so downstream exports touch only dirty state:
 //!
 //! * [`MiddlewareStage::reference_map`] exports the calibration map once,
-//!   and each pump rewrites in place only the cells whose smoothed value
+//!   and each ingest rewrites in place only the cells whose smoothed value
 //!   moved,
 //! * [`MiddlewareStage::changed_readings`] drains only the tracking tags
 //!   whose reading vector changed since the last drain and that every
@@ -19,9 +17,16 @@
 //!   incremental prepared-state sync
 //!   ([`vire_core::incremental`]).
 //!
+//! A stage built with [`MiddlewareStage::new`] can also read a
+//! [`vire_bus::EventBus`] through its own [`vire_bus::ReaderToken`]:
+//! [`MiddlewareStage::pump`] drains the bus into the same smoothing loop
+//! and counts what the ring overwrote. The library's own pipelines hand
+//! readings over directly and build their stages with
+//! [`MiddlewareStage::detached`].
+//!
 //! The stage keeps no per-tag state of its own: the pins, the filters and
 //! the first-dirtied list of tracking tags are rows of the middleware's
-//! tag table ([`crate::middleware`]), so each pumped reading costs one
+//! tag table ([`crate::middleware`]), so each ingested reading costs one
 //! keyed lookup.
 //!
 //! The stage implements [`vire_core::SnapshotSource`], so
@@ -34,35 +39,38 @@ use vire_bus::{EventBus, ReaderToken};
 use vire_core::{DirtyCell, ReferenceRssiMap, SnapshotSource, TrackingReading};
 use vire_geom::{GridIndex, Point2, RegularGrid};
 
-/// What one [`MiddlewareStage::pump`] call consumed.
+/// What one [`MiddlewareStage::ingest`] or [`MiddlewareStage::pump`]
+/// call consumed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PumpStats {
-    /// Events ingested from the bus.
+    /// Events ingested.
     pub events: usize,
     /// Events whose smoothed `(tag, reader)` value changed.
     pub changed: usize,
-    /// Events lost to ring overwriting before this pump (the stage fell
-    /// more than the bus capacity behind).
+    /// Events lost to bus overwriting before this pump (the stage fell
+    /// more than the bus capacity behind); always 0 from an ingest.
     pub lagged: u64,
     /// Tags evicted from the full tag table to make room for new ones
     /// (see [`crate::middleware::MAX_TAGS`]).
     pub evicted: usize,
 }
 
-/// A middleware consuming [`Reading`] events from a bus, with incremental
-/// dirty-cell tracking. See the [module docs](self).
+/// A middleware consuming [`Reading`] events, with incremental dirty-cell
+/// tracking. See the [module docs](self).
 #[derive(Debug)]
 pub struct MiddlewareStage {
     middleware: Middleware,
-    token: ReaderToken,
+    /// Bus position read by [`MiddlewareStage::pump`]; `None` for a
+    /// [`MiddlewareStage::detached`] stage.
+    token: Option<ReaderToken>,
     /// Timestamp of the newest ingested reading.
     clock: f64,
-    /// Total events lost across all pumps.
+    /// Total events lost to bus overwriting across all pumps.
     lagged_total: u64,
     grid: RegularGrid,
     readers: Vec<Point2>,
     /// Last exported calibration map, updated in place as reference
-    /// readings are pumped. Until its first full export there is nothing
+    /// readings are ingested. Until its first full export there is nothing
     /// to update: that export reads every smoothed value itself.
     cached_map: Option<ReferenceRssiMap>,
     /// Cells whose `cached_map` value bit-changed, not yet drained by
@@ -79,19 +87,29 @@ pub struct MiddlewareStage {
 
 impl MiddlewareStage {
     /// Wraps `middleware` as a pipeline stage reading from the bus
-    /// position captured in `token`. `grid` and `readers` describe the
-    /// deployment; pin reference tags with
-    /// [`MiddlewareStage::pin_reference`].
+    /// position captured in `token` (see [`MiddlewareStage::pump`]);
+    /// otherwise as [`MiddlewareStage::detached`].
     pub fn new(
         middleware: Middleware,
         grid: RegularGrid,
         readers: Vec<Point2>,
         token: ReaderToken,
     ) -> Self {
+        MiddlewareStage {
+            token: Some(token),
+            ..MiddlewareStage::detached(middleware, grid, readers)
+        }
+    }
+
+    /// Wraps `middleware` as a pipeline stage fed through
+    /// [`MiddlewareStage::ingest`]. `grid` and `readers` describe the
+    /// deployment; pin reference tags with
+    /// [`MiddlewareStage::pin_reference`].
+    pub fn detached(middleware: Middleware, grid: RegularGrid, readers: Vec<Point2>) -> Self {
         let cells = readers.len() * grid.node_count();
         MiddlewareStage {
             middleware,
-            token,
+            token: None,
             clock: 0.0,
             lagged_total: 0,
             grid,
@@ -131,19 +149,14 @@ impl MiddlewareStage {
         self.removed.extend(self.middleware.pin(tag, idx));
     }
 
-    /// Drains every new event from the bus through the smoothing filters,
-    /// writing changed reference cells into the cached map and recording
-    /// which cells changed, and queues each tag evicted to make room for
+    /// Runs `readings` through the smoothing filters in order, writing
+    /// changed reference cells into the cached map and recording which
+    /// cells changed, and queues each tag evicted to make room for
     /// [`MiddlewareStage::take_removed_tags`]. Returns what was consumed.
-    pub fn pump(&mut self, bus: &EventBus<Reading>) -> PumpStats {
-        let read = bus.read(&mut self.token);
-        let mut stats = PumpStats {
-            lagged: read.lagged(),
-            ..PumpStats::default()
-        };
-        self.lagged_total += stats.lagged;
+    pub fn ingest(&mut self, readings: impl IntoIterator<Item = Reading>) -> PumpStats {
+        let mut stats = PumpStats::default();
         let nodes = self.grid.node_count();
-        for &reading in read {
+        for reading in readings {
             stats.events += 1;
             if reading.time > self.clock {
                 self.clock = reading.time;
@@ -166,6 +179,25 @@ impl MiddlewareStage {
                 }
             }
         }
+        stats
+    }
+
+    /// Drains every new event from the bus through
+    /// [`MiddlewareStage::ingest`], counting the events the bus overwrote
+    /// before this pump in [`PumpStats::lagged`].
+    ///
+    /// # Panics
+    /// Panics on a [`MiddlewareStage::detached`] stage, which holds no bus
+    /// position.
+    pub fn pump(&mut self, bus: &EventBus<Reading>) -> PumpStats {
+        let token = self.token.as_mut().expect(
+            "MiddlewareStage::pump needs a stage built with a bus token (MiddlewareStage::new)",
+        );
+        let read = bus.read(token);
+        let lagged = read.lagged();
+        self.lagged_total += lagged;
+        let mut stats = self.ingest(read.copied());
+        stats.lagged = lagged;
         stats
     }
 
@@ -200,7 +232,7 @@ impl MiddlewareStage {
     /// The reference calibration map, refreshed incrementally.
     ///
     /// The first successful call performs a full export; afterwards
-    /// [`MiddlewareStage::pump`] rewrites only the `(cell, reader)` entries
+    /// [`MiddlewareStage::ingest`] rewrites only the `(cell, reader)` entries
     /// whose smoothed value changed. `None` while some (reference tag,
     /// reader) pair has no smoothed value yet.
     pub fn reference_map(&mut self) -> Option<&ReferenceRssiMap> {
@@ -217,7 +249,7 @@ impl MiddlewareStage {
     /// since the last drain, as `(reader, cell)` pairs — the
     /// [`SnapshotSource::take_dirty_cells`] seam.
     ///
-    /// The set is **complete** up to the last pump: a consumer that
+    /// The set is **complete** up to the last ingest: a consumer that
     /// syncs its prepared state by exactly these cells ends up
     /// bit-identical to rebuilding against
     /// [`MiddlewareStage::reference_map`]. The cached map keeps no change
@@ -278,28 +310,27 @@ mod tests {
         }
     }
 
+    fn grid() -> RegularGrid {
+        RegularGrid::square(Point2::ORIGIN, 1.0, 2)
+    }
+
     /// 2×2 lattice with tags 0–3 pinned, one reader, tag 10 tracking.
-    fn stage_and_bus() -> (MiddlewareStage, EventBus<Reading>) {
-        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
-        let bus = EventBus::with_capacity(64);
-        let mut stage = MiddlewareStage::new(
+    fn stage() -> MiddlewareStage {
+        let mut stage = MiddlewareStage::detached(
             Middleware::new(SmoothingKind::Raw, false),
-            grid,
+            grid(),
             vec![Point2::new(-1.0, -1.0)],
-            bus.reader(),
         );
-        for (n, idx) in grid.indices().enumerate() {
+        for (n, idx) in grid().indices().enumerate() {
             stage.pin_reference(idx, TagId::first(n as u32));
         }
-        (stage, bus)
+        stage
     }
 
     #[test]
-    fn pump_applies_smoothing_and_tracks_clock() {
-        let (mut stage, mut bus) = stage_and_bus();
-        bus.publish(reading(1.0, 0, 0, -70.0));
-        bus.publish(reading(3.0, 10, 0, -80.0));
-        let stats = stage.pump(&bus);
+    fn ingest_applies_smoothing_and_tracks_clock() {
+        let mut stage = stage();
+        let stats = stage.ingest([reading(1.0, 0, 0, -70.0), reading(3.0, 10, 0, -80.0)]);
         assert_eq!(stats.events, 2);
         assert_eq!(stats.changed, 2);
         assert_eq!(stats.lagged, 0);
@@ -309,30 +340,24 @@ mod tests {
             Some(-70.0)
         );
         // Repeating the identical reading changes nothing.
-        bus.publish(reading(4.0, 0, 0, -70.0));
-        let stats = stage.pump(&bus);
+        let stats = stage.ingest([reading(4.0, 0, 0, -70.0)]);
         assert_eq!(stats.events, 1);
         assert_eq!(stats.changed, 0);
     }
 
     #[test]
     fn reference_map_is_incrementally_refreshed() {
-        let (mut stage, mut bus) = stage_and_bus();
+        let mut stage = stage();
         // Incomplete coverage -> None.
-        bus.publish(reading(0.0, 0, 0, -70.0));
-        stage.pump(&bus);
+        stage.ingest([reading(0.0, 0, 0, -70.0)]);
         assert!(stage.reference_map().is_none());
         // Complete coverage -> full export.
-        for n in 1..4u32 {
-            bus.publish(reading(0.5, n, 0, -70.0 - n as f64));
-        }
-        stage.pump(&bus);
+        stage.ingest((1..4u32).map(|n| reading(0.5, n, 0, -70.0 - n as f64)));
         let map = stage.reference_map().expect("complete");
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -70.0);
         // A changed cell is rewritten in place; untouched cells keep
         // their values.
-        bus.publish(reading(1.0, 0, 0, -90.0));
-        stage.pump(&bus);
+        stage.ingest([reading(1.0, 0, 0, -90.0)]);
         let map = stage.reference_map().expect("still complete");
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -90.0);
         assert_eq!(map.rssi(0, GridIndex::new(1, 1)), -73.0);
@@ -340,18 +365,15 @@ mod tests {
 
     #[test]
     fn changed_readings_drains_only_dirty_tracking_tags() {
-        let (mut stage, mut bus) = stage_and_bus();
-        bus.publish(reading(0.0, 10, 0, -75.0));
-        bus.publish(reading(0.0, 11, 0, -85.0));
-        stage.pump(&bus);
+        let mut stage = stage();
+        stage.ingest([reading(0.0, 10, 0, -75.0), reading(0.0, 11, 0, -85.0)]);
         let changed = stage.changed_readings();
         assert_eq!(changed.len(), 2);
         assert_eq!(changed[0].0, TagId::first(10), "first-dirtied order");
         assert_eq!(changed[0].1.rssi(), &[-75.0]);
         // Drained: nothing pending until a value changes again.
         assert!(stage.changed_readings().is_empty());
-        bus.publish(reading(1.0, 11, 0, -80.0));
-        stage.pump(&bus);
+        stage.ingest([reading(1.0, 11, 0, -80.0)]);
         let changed = stage.changed_readings();
         assert_eq!(changed.len(), 1);
         assert_eq!(changed[0].0, TagId::first(11));
@@ -359,51 +381,47 @@ mod tests {
 
     #[test]
     fn take_dirty_cells_reports_each_bit_changed_cell_once() {
-        let (mut stage, mut bus) = stage_and_bus();
-        for n in 0..4u32 {
-            bus.publish(reading(0.0, n, 0, -70.0 - n as f64));
-        }
-        stage.pump(&bus);
+        let mut stage = stage();
+        stage.ingest((0..4u32).map(|n| reading(0.0, n, 0, -70.0 - n as f64)));
         assert!(stage.reference_map().is_some());
         assert!(
             stage.take_dirty_cells().is_empty(),
             "a fresh full export has no deltas to report"
         );
         // Two updates to one cell plus one to another, drained without an
-        // intervening reference_map() call: the pump wrote them into the
+        // intervening reference_map() call: the ingest wrote them into the
         // map, and the drain coalesces the repeat.
-        bus.publish(reading(1.0, 0, 0, -90.0));
-        bus.publish(reading(2.0, 0, 0, -91.0));
-        bus.publish(reading(2.0, 1, 0, -75.0));
-        stage.pump(&bus);
+        stage.ingest([
+            reading(1.0, 0, 0, -90.0),
+            reading(2.0, 0, 0, -91.0),
+            reading(2.0, 1, 0, -75.0),
+        ]);
         let dirty = stage.take_dirty_cells();
         assert_eq!(dirty.len(), 2);
         assert!(dirty.contains(&(0, GridIndex::new(0, 0))));
         assert!(dirty.contains(&(0, GridIndex::new(1, 0))));
-        // The pump already applied the changes to the cached map.
+        // The ingest already applied the changes to the cached map.
         let map = stage.reference_map().expect("still complete");
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -91.0);
         assert!(stage.take_dirty_cells().is_empty(), "drained");
-        // Re-publishing the identical value dirties nothing.
-        bus.publish(reading(3.0, 0, 0, -91.0));
-        stage.pump(&bus);
+        // Re-ingesting the identical value dirties nothing.
+        stage.ingest([reading(3.0, 0, 0, -91.0)]);
         assert!(stage.take_dirty_cells().is_empty());
     }
 
     #[test]
     fn stage_state_stays_bounded_while_the_map_is_incomplete() {
-        let (mut stage, mut bus) = stage_and_bus();
+        let mut stage = stage();
         // Reference tag 3 is never heard (a dead spot): the map stays
         // incomplete while tags 0-2 keep re-calibrating. The Debug
         // rendering shows every buffer the stage holds, so its length
         // must not grow with the number of drives.
         let mut first_size = None;
         for drive in 0..2_000u32 {
-            for n in 0..3u32 {
+            stage.ingest((0..3u32).map(|n| {
                 let rssi = -70.0 - n as f64 - (drive % 9) as f64 * 0.5;
-                bus.publish(reading(drive as f64, n, 0, rssi));
-            }
-            stage.pump(&bus);
+                reading(drive as f64, n, 0, rssi)
+            }));
             assert!(stage.reference_map().is_none());
             assert!(stage.take_dirty_cells().is_empty());
             let size = format!("{stage:?}").len();
@@ -415,8 +433,7 @@ mod tests {
         }
         // Tag 3 is heard at last: the first export holds every newest
         // value, with nothing left over for a hint.
-        bus.publish(reading(2_000.0, 3, 0, -77.0));
-        stage.pump(&bus);
+        stage.ingest([reading(2_000.0, 3, 0, -77.0)]);
         let map = stage.reference_map().expect("complete");
         assert_eq!(map.rssi(0, GridIndex::new(0, 0)), -70.5);
         assert_eq!(map.rssi(0, GridIndex::new(1, 1)), -77.0);
@@ -426,24 +443,18 @@ mod tests {
     #[test]
     fn evicted_tags_are_queued_as_removals() {
         use crate::middleware::MAX_TAGS;
-        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
-        let mut bus = EventBus::with_capacity(MAX_TAGS);
-        let mut stage = MiddlewareStage::new(
+        let mut stage = MiddlewareStage::detached(
             Middleware::new(SmoothingKind::Raw, false),
-            grid,
+            grid(),
             vec![Point2::new(-1.0, -1.0)],
-            bus.reader(),
         );
         let full = MAX_TAGS as u32;
-        for n in 0..full {
-            bus.publish(reading(0.0, n, 0, -70.0));
-        }
-        assert_eq!(stage.pump(&bus).evicted, 0);
+        let stats = stage.ingest((0..full).map(|n| reading(0.0, n, 0, -70.0)));
+        assert_eq!(stats.evicted, 0);
         assert!(stage.take_removed_tags().is_empty());
         // Every row was heard once, so the hand takes row 0 for a new
         // tracking tag and row 1 for a new reference tag.
-        bus.publish(reading(1.0, full, 0, -71.0));
-        assert_eq!(stage.pump(&bus).evicted, 1);
+        assert_eq!(stage.ingest([reading(1.0, full, 0, -71.0)]).evicted, 1);
         stage.pin_reference(GridIndex::new(0, 0), TagId::first(full + 1));
         assert_eq!(
             stage.take_removed_tags(),
@@ -454,11 +465,10 @@ mod tests {
 
     #[test]
     fn lag_is_recorded_not_fatal() {
-        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 2);
         let mut bus = EventBus::with_capacity(2);
         let mut stage = MiddlewareStage::new(
             Middleware::new(SmoothingKind::Raw, false),
-            grid,
+            grid(),
             vec![Point2::new(-1.0, -1.0)],
             bus.reader(),
         );
@@ -474,5 +484,13 @@ mod tests {
             stage.middleware().rssi(TagId::first(10), ReaderId(0)),
             Some(-74.0)
         );
+        assert_eq!(stage.clock(), 4.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bus token")]
+    fn pump_on_a_detached_stage_panics() {
+        let bus = EventBus::with_capacity(2);
+        stage().pump(&bus);
     }
 }

@@ -5,8 +5,8 @@
 //! stack. Beacon bursts enter through a [`vire_core::IngestFrontEnd`]
 //! (raw events or trace-schema JSON), a ring that keeps the newest
 //! reading per `(tag, reader)` as they arrive, and are drained in batches
-//! into the classic pipeline — reading bus →
-//! [`MiddlewareStage`] → [`vire_core::LocationService::drive`]. Between
+//! straight into the classic pipeline — [`MiddlewareStage::ingest`] →
+//! [`vire_core::LocationService::drive`]. Between
 //! drives, [`IngestServer::query`] answers position questions from the
 //! per-tag Kalman state in O(1) without touching (or blocking) ingestion.
 //!
@@ -18,8 +18,9 @@
 //!
 //! Overload never loses readings silently. The front end's ring grows
 //! (amortized doubling) up to its ceiling; there it gives up the
-//! readings a newer same-`(tag, reader)` reading already superseded, and
-//! drops the oldest only when every buffered key is distinct. Every
+//! readings a newer same-`(tag, reader)` reading supersedes, the
+//! incoming one's included, and drops the oldest only when the incoming
+//! key is new and every buffered key is distinct. Every
 //! superseded or dropped event lands in the [`DriveReport`] counters:
 //! `delivered + lagged + coalesced` always equals the events accepted.
 //! A coalesced drive is bit-identical to replaying only the surviving
@@ -37,7 +38,6 @@ use crate::reader::ReaderId;
 use crate::smoothing::SmoothingKind;
 use crate::tag::TagId;
 use crate::trace::{Trace, TraceError};
-use vire_bus::{BackPressure, EventBus};
 use vire_core::{
     parse_wire, BeaconEvent, IngestBatch, IngestConfig, IngestFrontEnd, IngestStats, LocalizeError,
     Localizer, LocationQuery, LocationService, QueryResponse, ServiceConfig, TagKey,
@@ -61,7 +61,7 @@ pub struct DriveReport {
     /// Readings delivered into the pipeline this drive.
     pub delivered: usize,
     /// Readings hard-dropped by the front end since the last drive
-    /// (ceiling reached with every buffered key distinct).
+    /// (ceiling reached by a new key with every buffered key distinct).
     pub lagged: u64,
     /// Readings superseded by a newer same-`(tag, reader)` reading —
     /// ring-policy and batch-dedup coalescing combined.
@@ -75,21 +75,16 @@ pub struct DriveReport {
     pub results: Vec<(TagKey, Result<TrackedEstimate, LocalizeError>)>,
 }
 
-/// A serving pipeline: ingest front end + bus + middleware stage +
-/// location service. See the [module docs](self).
+/// A serving pipeline: ingest front end + middleware stage + location
+/// service. See the [module docs](self).
 #[derive(Debug)]
 pub struct IngestServer<L: Localizer> {
     front: IngestFrontEnd,
-    bus: EventBus<Reading>,
     stage: MiddlewareStage,
     service: LocationService<L>,
     /// Readers the deployment has; events from any other reader id are
     /// skipped on accept.
     reader_count: u32,
-    /// Internal-bus events lost between drain and pump. Structurally zero
-    /// (one drained batch always fits the bus ceiling); surfaced so the
-    /// oracle tests can assert it rather than trust it.
-    internal_lag: u64,
 }
 
 impl<L: Localizer> IngestServer<L> {
@@ -108,32 +103,18 @@ impl<L: Localizer> IngestServer<L> {
     ) -> Result<Self, TraceError> {
         let (grid, nodes) = trace.infer_deployment()?;
         let front = IngestFrontEnd::new(config.ingest);
-        // The internal reading bus only ever buffers one drained batch
-        // between publish and pump, and a batch never exceeds the front
-        // ring's ceiling — so with the same ceiling nothing can lag.
-        let bus = EventBus::resizable(
-            config.ingest.initial_capacity,
-            config.ingest.max_capacity,
-            BackPressure::DropOldest,
-        );
         let readers = trace.reader_positions();
         let reader_count = readers.len() as u32;
-        let mut stage = MiddlewareStage::new(
-            Middleware::new(config.smoothing, false),
-            grid,
-            readers,
-            bus.reader(),
-        );
+        let mut stage =
+            MiddlewareStage::detached(Middleware::new(config.smoothing, false), grid, readers);
         for (slot, idx) in nodes {
             stage.pin_reference(idx, TagId::first(slot));
         }
         Ok(IngestServer {
             front,
-            bus,
             stage,
             service: LocationService::new(localizer, config.service),
             reader_count,
-            internal_lag: 0,
         })
     }
 
@@ -171,22 +152,18 @@ impl<L: Localizer> IngestServer<L> {
     /// (a transport's zone ring guarantees this by routing only known
     /// readers to the zone).
     pub fn drive_batch(&mut self, batch: IngestBatch) -> DriveReport {
-        for &e in &batch.readings {
-            self.bus.publish(Reading {
-                time: e.time,
-                tag: TagId::new(e.tag.index, e.tag.generation),
-                reader: ReaderId(e.reader),
-                rssi: e.rssi,
-            });
-        }
-        let pumped = self.stage.pump(&self.bus);
-        self.internal_lag += pumped.lagged;
+        let ingested = self.stage.ingest(batch.readings.iter().map(|e| Reading {
+            time: e.time,
+            tag: TagId::new(e.tag.index, e.tag.generation),
+            reader: ReaderId(e.reader),
+            rssi: e.rssi,
+        }));
         let results = self.service.drive(&mut self.stage);
         DriveReport {
             delivered: batch.readings.len(),
             lagged: batch.lagged,
             coalesced: batch.coalesced_in_ring + batch.coalesced_in_batch,
-            evicted: pumped.evicted,
+            evicted: ingested.evicted,
             results,
         }
     }
@@ -217,11 +194,6 @@ impl<L: Localizer> IngestServer<L> {
     /// How many times the front-end ring has doubled.
     pub fn grown(&self) -> u64 {
         self.front.grown()
-    }
-
-    /// Internal-bus events lost between drain and pump — structurally 0.
-    pub fn internal_lag(&self) -> u64 {
-        self.internal_lag
     }
 
     /// The location service (for estimate export and tuning inspection).

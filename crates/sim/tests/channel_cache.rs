@@ -28,6 +28,19 @@ fn config(env_idx: usize, legacy: bool, seed: u64) -> TestbedConfig {
     }
 }
 
+/// A testbed that keeps the middleware's raw log: the record of every
+/// decoded reading.
+fn logged(mut cfg: TestbedConfig) -> Testbed {
+    cfg.keep_log = true;
+    Testbed::new(cfg)
+}
+
+/// Every reading `tb` decoded, oldest first, from its raw log.
+fn decoded(tb: &Testbed) -> Vec<Reading> {
+    assert_eq!(tb.middleware().log_evicted(), 0, "the log dropped readings");
+    tb.middleware().log_readings().copied().collect()
+}
+
 /// Runs one scripted scenario and returns every decoded reading plus the
 /// final calibration table, for bitwise comparison.
 fn run_scenario(
@@ -36,17 +49,15 @@ fn run_scenario(
     tag_count: usize,
 ) -> (Vec<Reading>, Vec<u64>) {
     cfg.link_budget_cache = cached;
-    let mut tb = Testbed::new(cfg);
-    let mut token = tb.subscribe();
-    let mut readings = Vec::new();
+    let mut tb = logged(cfg);
     for &(x, y) in SPARSE_SPOTS.iter().take(tag_count) {
         tb.add_tracking_tag(Point2::new(x, y));
     }
     let step = tb.warmup_duration();
     for _ in 0..3 {
         tb.run_for(step);
-        readings.extend(tb.events(&mut token).copied());
     }
+    let readings = decoded(&tb);
     let map_bits: Vec<u64> = tb
         .reference_map()
         .expect("warmed up")
@@ -121,18 +132,14 @@ fn move_tag_matches_testbed_built_at_new_position() {
     let t_post = 30.0;
 
     let run = |start: Point2, moved: Option<Point2>| -> (vire_sim::tag::TagId, Vec<Reading>) {
-        let mut tb = Testbed::new(TestbedConfig::paper(env2(), 41));
-        let mut token = tb.subscribe();
+        let mut tb = logged(TestbedConfig::paper(env2(), 41));
         let id = tb.add_tracking_tag(start);
-        let mut readings = Vec::new();
         tb.run_for(t_pre);
-        readings.extend(tb.events(&mut token).copied());
         if let Some(p) = moved {
             tb.move_tag(id, p);
         }
         tb.run_for(t_post);
-        readings.extend(tb.events(&mut token).copied());
-        (id, readings)
+        (id, decoded(&tb))
     };
 
     let (id_a, moved) = run(p_old, Some(p_new));
@@ -166,21 +173,17 @@ fn antenna_swap_matches_testbed_built_with_new_antenna() {
     let t_post = 30.0;
 
     let run = |swap_at_start: bool, swap_mid: bool| -> Vec<Reading> {
-        let mut tb = Testbed::new(TestbedConfig::paper(env2(), 43));
-        let mut token = tb.subscribe();
+        let mut tb = logged(TestbedConfig::paper(env2(), 43));
         tb.add_tracking_tag(Point2::new(1.3, 1.7));
         if swap_at_start {
             tb.set_reader_antenna(0, pattern());
         }
-        let mut readings = Vec::new();
         tb.run_for(t_pre);
-        readings.extend(tb.events(&mut token).copied());
         if swap_mid {
             tb.set_reader_antenna(0, pattern());
         }
         tb.run_for(t_post);
-        readings.extend(tb.events(&mut token).copied());
-        readings
+        decoded(&tb)
     };
 
     let swapped_mid = run(false, true);
@@ -225,21 +228,17 @@ fn assert_mutator_has_teeth(mutate: impl Fn(&mut Testbed), label: &str) {
     let t_pre = 30.0;
     let t_post = 30.0;
     let run = |at_start: bool, mid: bool| -> Vec<Reading> {
-        let mut tb = Testbed::new(TestbedConfig::paper(env2(), 47));
-        let mut token = tb.subscribe();
+        let mut tb = logged(TestbedConfig::paper(env2(), 47));
         tb.add_tracking_tag(Point2::new(1.3, 1.7));
         if at_start {
             mutate(&mut tb);
         }
-        let mut readings = Vec::new();
         tb.run_for(t_pre);
-        readings.extend(tb.events(&mut token).copied());
         if mid {
             mutate(&mut tb);
         }
         tb.run_for(t_post);
-        readings.extend(tb.events(&mut token).copied());
-        readings
+        decoded(&tb)
     };
     let mutated_mid = run(false, true);
     let from_start = run(true, false);
@@ -312,8 +311,7 @@ fn set_clutter_invalidates_the_memoized_budgets() {
 /// mark — and removed tags stop beaconing.
 #[test]
 fn tag_churn_keeps_cache_rows_bounded_and_silences_removed_tags() {
-    let mut tb = Testbed::new(TestbedConfig::paper(env2(), 11));
-    let mut token = tb.subscribe();
+    let mut tb = logged(TestbedConfig::paper(env2(), 11));
     let lattice_rows = tb.link_budget_cache().expect("cache on").allocated_rows();
     let mut removed = Vec::new();
     for round in 0..10 {
@@ -342,9 +340,9 @@ fn tag_churn_keeps_cache_rows_bounded_and_silences_removed_tags() {
     assert_eq!(stats.released_rows, 30);
     assert_eq!(stats.reclaimed_rows, 27, "9 later rounds reuse 3 rows each");
     // Silence: no reading from any removed tag after its removal.
-    let _ = tb.events(&mut token);
+    let before = tb.middleware().log_len();
     tb.run_for(60.0);
-    let tail: Vec<Reading> = tb.events(&mut token).copied().collect();
+    let tail = &decoded(&tb)[before..];
     assert!(
         tail.iter().all(|r| !removed.contains(&r.tag)),
         "removed tags must stop beaconing"

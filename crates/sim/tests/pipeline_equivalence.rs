@@ -1,8 +1,8 @@
-//! The event-bus pipeline is a refactoring, not a behavior change: an
-//! external bus subscriber replaying the reading stream into its own
-//! middleware must reproduce the engine's smoothed table bit for bit, and
-//! the stage's incrementally-maintained calibration map must equal the
-//! full re-export.
+//! The middleware stage is a refactoring, not a behavior change:
+//! replaying the testbed's raw reading log into a fresh middleware must
+//! reproduce the engine's smoothed table bit for bit, and the stage's
+//! incrementally-maintained calibration map must equal the full
+//! re-export.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -17,33 +17,31 @@ fn paper_testbed(seed: u64) -> Testbed {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Replaying the bus into a fresh middleware (the "external consumer"
-    /// path) yields exactly the smoothed table the engine's own stage
-    /// built — same readings, same order, bit-identical filters.
+    /// Replaying the raw log into a fresh middleware (the "external
+    /// consumer" path) yields exactly the smoothed table the engine's own
+    /// stage built — same readings, same order, bit-identical filters.
     #[test]
-    fn bus_replay_matches_engine_middleware(
+    fn log_replay_matches_engine_middleware(
         seed in 0u64..1000,
         snapshots in 1usize..8,
         tag_x in 0.25f64..3.75,
         tag_y in 0.25f64..3.75,
     ) {
-        let mut tb = paper_testbed(seed);
+        let mut cfg = TestbedConfig::paper(vire_env::presets::env1(), seed);
+        cfg.keep_log = true;
+        let smoothing = cfg.smoothing;
+        let mut tb = Testbed::new(cfg);
         tb.add_tracking_tag(Point2::new(tag_x, tag_y));
-        let mut token = tb.subscribe();
-
-        let smoothing = TestbedConfig::paper(vire_env::presets::env1(), seed).smoothing;
-        let mut shadow = Middleware::new(smoothing, false);
-        let mut seen: HashSet<(vire_sim::TagId, vire_sim::ReaderId)> = HashSet::new();
-
         for _ in 0..snapshots {
             tb.run_for(2.0);
-            // Drain every snapshot so the external consumer never lags.
-            let batch = tb.events(&mut token);
-            prop_assert_eq!(batch.lagged(), 0, "consumer fell behind the bus");
-            for reading in batch.cloned().collect::<Vec<_>>() {
-                seen.insert((reading.tag, reading.reader));
-                shadow.ingest(reading);
-            }
+        }
+        prop_assert_eq!(tb.middleware().log_evicted(), 0, "the log dropped readings");
+
+        let mut shadow = Middleware::new(smoothing, false);
+        let mut seen: HashSet<(vire_sim::TagId, vire_sim::ReaderId)> = HashSet::new();
+        for &reading in tb.middleware().log_readings() {
+            seen.insert((reading.tag, reading.reader));
+            shadow.ingest(reading);
         }
 
         prop_assert!(!seen.is_empty(), "no readings decoded at all");

@@ -126,8 +126,10 @@ cargo test -q -p vire-sim --test fabric
 # Burst coalescing is pure loss policy: a coalesced serve drive must be
 # bit-identical to replaying only the surviving readings, on every
 # kernel, and no reading may ever be lost silently. The ring contract:
-# full at capacity, the ring doubles up to its ceiling; at the ceiling it
-# gives up superseded same-key events, else drops the oldest; a drain is
+# full at capacity, the ring doubles up to its ceiling; at the ceiling the
+# incoming event first supersedes its key's buffered one, then the ring
+# gives up superseded same-key events, else drops the oldest (so a repeat
+# never costs another key its only reading); a drain is
 # the newest event per key in last-occurrence order, and
 # accepted == delivered + lagged + coalesced_in_ring. The ring must match
 # a naive model of that policy on every output, and must not stall when
@@ -151,12 +153,15 @@ cargo test -q -p vire-core --lib -- \
   drive_keeps_the_newest_lifetime_per_slot_in_first_drained_order
 cargo test -q -p vire-core --test properties -- \
   ingest_ring_matches_naive_policy_model distinct_keys_past_the_ceiling_do_not_stall
+cargo test -q -p vire-core --lib -- a_repeat_at_the_ceiling_supersedes_instead_of_dropping
 
 # Middleware smoothing: a filter's value and change flag equal a
 # from-scratch recompute over its reading history, to the bit (the
 # median's order matches partial_cmp, ±0.0 ties in arrival order, and is
 # total, so a non-finite reading cannot panic it). A drain reports each
-# dirty, fully heard tag once and keeps nothing.
+# dirty, fully heard tag once and keeps nothing. The testbed hands each
+# decoded reading straight to its stage: replaying its raw log into a
+# fresh middleware rebuilds the engine's smoothed table to the bit.
 echo "==> cargo test (middleware smoothing oracle)"
 cargo test -q -p vire-sim --test properties -- \
   filter_value_and_change_flag_match_a_recompute \
@@ -164,6 +169,7 @@ cargo test -q -p vire-sim --test properties -- \
 cargo test -q -p vire-sim --test drain -- \
   partially_heard_tags_are_left_out_and_reported_once_complete \
   tags_heard_by_one_reader_do_not_accumulate
+cargo test -q -p vire-sim --test pipeline_equivalence -- log_replay_matches_engine_middleware
 
 # The wire must never change a number: a trace streamed over a real TCP
 # socket (binary and JSON framing) produces estimates bit-identical to
