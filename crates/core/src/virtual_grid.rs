@@ -219,13 +219,15 @@ fn horizontal_pass(
 /// the same two intermediate rows with `interpolate_line`'s arithmetic
 /// (`l + (r − l)·t` with `t = p / n`, or the §4.2 formula); rows at
 /// `p = 0` and `p = n` are copies. The global kernels fit one spline or
-/// polynomial per fine column, so they gather each column.
+/// polynomial per fine column, so they gather each column into the first
+/// `cny` values of `columns` and interpolate it into the next `fny`.
 fn vertical_pass(
     intermediate: &[f64],
     coarse_ys: &[f64],
     fine_ys: &[f64],
     n: usize,
     kernel: InterpolationKernel,
+    columns: &mut [f64],
     out: &mut [f64],
 ) {
     let cny = coarse_ys.len();
@@ -259,14 +261,12 @@ fn vertical_pass(
         }
         return;
     }
-    let fny = fine_ys.len();
-    let mut col_vals = vec![0.0f64; cny];
-    let mut col_out = vec![0.0f64; fny];
+    let (col_vals, col_out) = columns.split_at_mut(cny);
     for fi in 0..fnx {
         for (j, v) in col_vals.iter_mut().enumerate() {
             *v = intermediate[j * fnx + fi];
         }
-        interpolate_line(coarse_ys, &col_vals, fine_ys, n, kernel, &mut col_out);
+        interpolate_line(coarse_ys, col_vals, fine_ys, n, kernel, col_out);
         for (fj, &v) in col_out.iter().enumerate() {
             out[fj * fnx + fi] = v;
         }
@@ -274,7 +274,8 @@ fn vertical_pass(
 }
 
 /// The §4.2 sweep from one coarse lattice onto its refinement: the four
-/// axes' abscissae and one `cny × fnx` scratch for the horizontal pass.
+/// axes' abscissae, one `cny × fnx` scratch for the horizontal pass and
+/// one column scratch for the vertical pass.
 ///
 /// Each reader's plane is a function of that reader's coarse field alone,
 /// so re-interpolating reader `k` whole, in place, is both how
@@ -295,6 +296,9 @@ pub(crate) struct Sweep {
     /// The horizontal-pass output of the reader being interpolated,
     /// flattened `[j * fnx + fi]`.
     intermediate: Vec<f64>,
+    /// The global kernels' column of `intermediate` (`cny` values), then
+    /// its interpolation (`fny` values).
+    columns: Vec<f64>,
 }
 
 impl Sweep {
@@ -316,6 +320,7 @@ impl Sweep {
             coarse_ys,
             fine_ys,
             intermediate: vec![0.0; coarse.ny() * fine.nx()],
+            columns: vec![0.0; coarse.ny() + fine.ny()],
         }
     }
 
@@ -361,6 +366,7 @@ impl Sweep {
             &self.fine_ys,
             self.n,
             self.kernel,
+            &mut self.columns,
             &mut grid.planes[k * nodes..(k + 1) * nodes],
         );
     }

@@ -160,7 +160,8 @@ impl Testbed {
     /// Builds the testbed and registers the deployment's reference tags.
     ///
     /// # Panics
-    /// Panics on non-positive beacon interval or out-of-range jitter.
+    /// Panics on non-positive beacon interval, out-of-range jitter, or an
+    /// invalid smoothing policy ([`SmoothingKind::check`]).
     pub fn new(config: TestbedConfig) -> Self {
         assert!(
             config.beacon_interval > 0.0,

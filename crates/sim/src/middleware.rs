@@ -3,18 +3,19 @@
 //!
 //! One table holds everything the middleware knows about a tag. A keyed
 //! index maps each [`TagId`] to a dense row, and the row holds the tag's
-//! smoothing filters (one per reader, indexed by [`ReaderId`]), the
+//! smoothing streams (one per reader, indexed by [`ReaderId`]), the
 //! lattice node its reference tag is pinned to, and its place on the
-//! first-dirtied list the pipeline stage drains. Rows freed by
-//! [`Middleware::forget_tag`] go on a free list. The table holds at most
-//! [`MAX_TAGS`] rows: a new tag arriving at capacity takes the row of an
-//! unpinned tag chosen by a second-chance (CLOCK) sweep, so a stream of
-//! ever-new tag ids cannot grow it. The pipeline stage queues each evicted
-//! tag as a removal ([`crate::MiddlewareStage::take_removed_tags`]), so
-//! the location service it drives retires the tag's track too.
+//! first-dirtied list the pipeline stage drains; the middleware keeps the
+//! one smoothing policy. Rows freed by [`Middleware::forget_tag`] go on a
+//! free list, and a reused row keeps its stream storage. The table holds
+//! at most [`MAX_TAGS`] rows: a new tag arriving at capacity takes the row
+//! of an unpinned tag chosen by a second-chance (CLOCK) sweep, so a stream
+//! of ever-new tag ids cannot grow it. The pipeline stage queues each
+//! evicted tag as a removal ([`crate::MiddlewareStage::take_removed_tags`]),
+//! so the location service it drives retires the tag's track too.
 
 use crate::reader::ReaderId;
-use crate::smoothing::{Filter, SmoothingKind};
+use crate::smoothing::SmoothingKind;
 use crate::tag::TagId;
 use std::collections::{HashMap, VecDeque};
 use vire_core::{ReferenceRssiMap, TrackingReading};
@@ -50,9 +51,11 @@ const NIL: u32 = u32::MAX;
 struct Row {
     /// The tag owning the row (stale while the row is free).
     tag: TagId,
-    /// Smoothing filter per reader, indexed by reader id; `None` until
-    /// that reader's first reading.
-    filters: Vec<Option<Filter>>,
+    /// Per reader, indexed by reader id: the readings in its stream's
+    /// window (0 until that reader's first reading) and its smoothed value.
+    streams: Vec<(usize, f64)>,
+    /// Per reader, its stream's window (`SmoothingKind::window` values).
+    windows: Vec<f64>,
     /// The lattice node of a pinned reference tag. Pinned rows are never
     /// evicted.
     pin: Option<GridIndex>,
@@ -67,7 +70,8 @@ struct Row {
 
 impl Row {
     fn value(&self, k: usize) -> Option<f64> {
-        self.filters.get(k)?.as_ref()?.value()
+        let &(held, value) = self.streams.get(k)?;
+        (held > 0).then_some(value)
     }
 
     fn reading(&self, reader_count: usize) -> Option<TrackingReading> {
@@ -86,6 +90,8 @@ impl Row {
 #[derive(Debug)]
 pub struct Middleware {
     smoothing: SmoothingKind,
+    /// The median's scratch, shared by every stream.
+    sorted: Vec<f64>,
     /// Tag -> row. Tag ids come from the wire, so the keyed hasher stays.
     index: HashMap<TagId, u32>,
     rows: Vec<Row>,
@@ -112,6 +118,9 @@ impl Middleware {
     /// Creates a middleware with the given smoothing policy. `keep_log`
     /// retains raw readings up to [`DEFAULT_LOG_CAPACITY`] (oldest evicted
     /// first); see [`Middleware::with_log_capacity`] to size the ring.
+    ///
+    /// # Panics
+    /// On an invalid smoothing policy ([`SmoothingKind::check`]).
     pub fn new(smoothing: SmoothingKind, keep_log: bool) -> Self {
         Middleware::with_log_capacity(smoothing, if keep_log { DEFAULT_LOG_CAPACITY } else { 0 })
     }
@@ -119,9 +128,14 @@ impl Middleware {
     /// Creates a middleware retaining at most `log_capacity` raw readings
     /// (0 disables the log). When the ring is full, each new reading
     /// evicts the oldest one.
+    ///
+    /// # Panics
+    /// On an invalid smoothing policy ([`SmoothingKind::check`]).
     pub fn with_log_capacity(smoothing: SmoothingKind, log_capacity: usize) -> Self {
+        smoothing.check().unwrap_or_else(|e| panic!("{e}"));
         Middleware {
             smoothing,
+            sorted: Vec::new(),
             index: HashMap::new(),
             rows: Vec::new(),
             free: Vec::new(),
@@ -177,17 +191,17 @@ impl Middleware {
             None => self.insert(reading.tag),
         };
         let k = reading.reader.0 as usize;
-        let smoothing = self.smoothing;
-        let filters = &mut self.rows[row].filters;
-        if filters.len() <= k {
-            filters.resize_with(k + 1, || None);
+        let w = self.smoothing.window();
+        let r = &mut self.rows[row];
+        if r.streams.len() <= k {
+            r.streams.resize(k + 1, (0, 0.0));
+            r.windows.resize((k + 1) * w, 0.0);
         }
-        let filter = filters[k].get_or_insert_with(|| smoothing.build());
-        let changed = if filter.update(reading.rssi) {
-            filter.value()
-        } else {
-            None
-        };
+        let window = &mut r.windows[k * w..(k + 1) * w];
+        let stream = &mut r.streams[k];
+        let changed = self
+            .smoothing
+            .feed(stream, window, reading.rssi, &mut self.sorted);
         if self.log_capacity > 0 {
             if self.log.len() == self.log_capacity {
                 self.log.pop_front();
@@ -195,7 +209,7 @@ impl Middleware {
             }
             self.log.push_back(reading);
         }
-        (row, changed, evicted)
+        (row, changed.then_some(stream.1), evicted)
     }
 
     /// Gives `tag` a row: a freed one, a new one below [`MAX_TAGS`], or
@@ -210,7 +224,8 @@ impl Middleware {
         } else if self.rows.len() < MAX_TAGS {
             self.rows.push(Row {
                 tag,
-                filters: Vec::new(),
+                streams: Vec::new(),
+                windows: Vec::new(),
                 pin: None,
                 dirty: false,
                 prev: NIL,
@@ -237,12 +252,12 @@ impl Middleware {
         (row, evicted)
     }
 
-    /// Takes `row` off the dirty list and resets its filters and heard
-    /// bit, so the next tag to take it starts clean.
+    /// Takes `row` off the dirty list and resets its stream counts (the
+    /// storage stays) and heard bit, so the next tag starts clean.
     fn clear(&mut self, row: usize) {
         self.unmark_dirty(row);
         let r = &mut self.rows[row];
-        r.filters.iter_mut().for_each(|f| *f = None);
+        r.streams.iter_mut().for_each(|(held, _)| *held = 0);
         r.heard = false;
     }
 
@@ -339,7 +354,7 @@ impl Middleware {
         self.index.get(&tag).map(|&row| &self.rows[row as usize])
     }
 
-    /// Drops every smoothing filter of `tag` — the tag despawned and its
+    /// Resets every smoothing stream of `tag` — the tag despawned and its
     /// smoothed state must not linger (nor be inherited by a later
     /// lifetime of the same slot) — and takes it off the dirty list.
     /// Returns the number of `(tag, reader)` streams that had a reading;
@@ -350,7 +365,7 @@ impl Middleware {
             return 0;
         };
         let row = row as usize;
-        let streams = self.rows[row].filters.iter().flatten().count();
+        let streams = self.rows[row].streams.iter().filter(|s| s.0 > 0).count();
         self.clear(row);
         if self.rows[row].pin.is_none() {
             self.index.remove(&tag);
@@ -362,8 +377,8 @@ impl Middleware {
     /// Number of readings currently influencing a (tag, reader) estimate.
     pub fn fill(&self, tag: TagId, reader: ReaderId) -> usize {
         self.row(tag)
-            .and_then(|r| r.filters.get(reader.0 as usize)?.as_ref())
-            .map_or(0, Filter::fill)
+            .and_then(|r| r.streams.get(reader.0 as usize))
+            .map_or(0, |s| s.0)
     }
 
     /// Number of tags holding a row, pinned ones included (at most
@@ -511,7 +526,7 @@ mod tests {
         assert_eq!(mw.rssi(TagId::first(2), ReaderId(0)), Some(-80.0));
         assert_eq!(mw.forget_tag(TagId::first(1)), 0, "idempotent");
         assert_eq!(mw.tag_count(), 1, "the forgotten row is freed");
-        // A later lifetime of the same slot starts from a clean filter and
+        // A later lifetime of the same slot starts from a clean stream and
         // is not dropped by a (stale) repeat of the old removal.
         let reborn = Reading {
             tag: TagId::new(1, 1),

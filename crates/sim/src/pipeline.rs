@@ -122,7 +122,7 @@ impl MiddlewareStage {
     }
 
     /// Notes that tracking tag `id` was removed upstream: its smoothing
-    /// filters are dropped from the middleware, any pending dirty entry
+    /// streams are reset in the middleware, any pending dirty entry
     /// for it is discarded, and the removal is queued for
     /// [`MiddlewareStage::take_removed_tags`] so the location service can
     /// evict the tag's track immediately instead of waiting for the

@@ -95,7 +95,8 @@ impl<L: Localizer> IngestServer<L> {
     ///
     /// # Panics
     /// Panics on a degenerate `config.ingest` ring shape (zero capacity
-    /// or ceiling below the initial capacity).
+    /// or ceiling below the initial capacity), or on an invalid smoothing
+    /// policy ([`SmoothingKind::check`]).
     pub fn from_trace(
         trace: &Trace,
         localizer: L,

@@ -4,11 +4,11 @@
 //! human-movement spike (paper §4.1: "such a factor should be avoided or
 //! filtered out when designing the location sensing system"). The
 //! middleware smooths each (tag, reader) stream with one of these filters
-//! before the localization algorithms see it. A [`Filter`] computes its
-//! smoothed value once per reading, in [`Filter::update`], and keeps it:
-//! [`Filter::value`] only reads the stored value.
-
-use std::collections::VecDeque;
+//! before the localization algorithms see it. The middleware validates its
+//! [`SmoothingKind`] once, at construction ([`SmoothingKind::check`]), and
+//! keeps each stream's state in its tag-table row: the readings held, the
+//! smoothed value and the window. `SmoothingKind::feed` computes the
+//! value once per reading; every later read is the stored value.
 
 /// Which filter the middleware applies per (tag, reader) stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,86 +77,60 @@ impl std::fmt::Display for SmoothingError {
 impl std::error::Error for SmoothingError {}
 
 impl SmoothingKind {
-    /// Instantiates the filter state, rejecting invalid parameters (zero
-    /// window, alpha outside `(0, 1]`) instead of panicking.
-    pub fn try_build(self) -> Result<Filter, SmoothingError> {
-        let window = match self {
+    /// Rejects parameters no stream can run with: a zero window, or an
+    /// EWMA alpha outside `(0, 1]`.
+    pub fn check(self) -> Result<(), SmoothingError> {
+        match self {
             SmoothingKind::MovingAverage(0) | SmoothingKind::Median(0) => {
-                return Err(SmoothingError::ZeroWindow)
+                Err(SmoothingError::ZeroWindow)
             }
             SmoothingKind::Ewma(alpha) if !(alpha > 0.0 && alpha <= 1.0) => {
-                return Err(SmoothingError::InvalidAlpha(alpha))
+                Err(SmoothingError::InvalidAlpha(alpha))
             }
+            _ => Ok(()),
+        }
+    }
+
+    /// Readings a stream's window holds: Raw and EWMA keep the newest.
+    pub(crate) fn window(self) -> usize {
+        match self {
             SmoothingKind::MovingAverage(n) | SmoothingKind::Median(n) => n,
-            SmoothingKind::Raw | SmoothingKind::Ewma(_) => 0,
-        };
-        Ok(Filter {
-            kind: self,
-            window: VecDeque::with_capacity(window),
-            sorted: Vec::new(),
-            value: None,
-        })
-    }
-
-    /// Instantiates the filter state.
-    ///
-    /// # Panics
-    /// Panics on invalid parameters (zero window, alpha outside `(0, 1]`);
-    /// use [`SmoothingKind::try_build`] to handle them as values.
-    pub fn build(self) -> Filter {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-}
-
-/// Filter state for one (tag, reader) stream: its [`SmoothingKind`], the
-/// sliding window (moving average and median only), the median's sort
-/// scratch and the smoothed value, computed once per reading.
-#[derive(Debug, Clone)]
-pub struct Filter {
-    kind: SmoothingKind,
-    window: VecDeque<f64>,
-    /// The median's copy of the window, cleared and refilled on each
-    /// reading: it grows to the window length once, so a median allocates
-    /// nothing per reading after that.
-    sorted: Vec<f64>,
-    value: Option<f64>,
-}
-
-impl Filter {
-    /// Feeds one raw reading and recomputes the smoothed value. Returns
-    /// whether the value's bits changed (the first reading always does).
-    pub fn update(&mut self, x: f64) -> bool {
-        if let SmoothingKind::MovingAverage(n) | SmoothingKind::Median(n) = self.kind {
-            if self.window.len() == n {
-                self.window.pop_front();
-            }
-            self.window.push_back(x);
+            SmoothingKind::Raw | SmoothingKind::Ewma(_) => 1,
         }
-        let value = match self.kind {
+    }
+
+    /// Feeds raw reading `x` into one stream: `stream` holds the number of
+    /// readings in its window (0 before the first) and its smoothed value,
+    /// `window` its newest [`SmoothingKind::window`] readings, oldest
+    /// first. `sorted` is the median's scratch. Returns whether the value's
+    /// bits changed (the first reading always does).
+    pub(crate) fn feed(
+        self,
+        stream: &mut (usize, f64),
+        window: &mut [f64],
+        x: f64,
+        sorted: &mut Vec<f64>,
+    ) -> bool {
+        let (held, value) = stream;
+        let first = *held == 0;
+        // A full window drops its oldest reading.
+        if *held == window.len() {
+            window.copy_within(1.., 0);
+        } else {
+            *held += 1;
+        }
+        window[*held - 1] = x;
+        let window = &window[..*held];
+        let new = match self {
             SmoothingKind::Raw => x,
-            SmoothingKind::Ewma(alpha) => self.value.map_or(x, |s| alpha * x + (1.0 - alpha) * s),
-            SmoothingKind::MovingAverage(_) => {
-                self.window.iter().sum::<f64>() / self.window.len() as f64
-            }
-            SmoothingKind::Median(_) => median(&self.window, &mut self.sorted),
+            SmoothingKind::Ewma(alpha) if !first => alpha * x + (1.0 - alpha) * *value,
+            SmoothingKind::Ewma(_) => x,
+            SmoothingKind::MovingAverage(_) => window.iter().sum::<f64>() / *held as f64,
+            SmoothingKind::Median(_) => median(window, sorted),
         };
-        let changed = self.value.map(f64::to_bits) != Some(value.to_bits());
-        self.value = Some(value);
+        let changed = first || value.to_bits() != new.to_bits();
+        *value = new;
         changed
-    }
-
-    /// Current smoothed value, or `None` before the first reading.
-    pub fn value(&self) -> Option<f64> {
-        self.value
-    }
-
-    /// Number of readings consumed so far that still influence the value
-    /// (window length; 1 for Raw/EWMA once primed).
-    pub fn fill(&self) -> usize {
-        match self.kind {
-            SmoothingKind::MovingAverage(_) | SmoothingKind::Median(_) => self.window.len(),
-            SmoothingKind::Raw | SmoothingKind::Ewma(_) => usize::from(self.value.is_some()),
-        }
     }
 }
 
@@ -165,9 +139,9 @@ impl Filter {
 /// maps −0.0 to +0.0, so the order agrees with `partial_cmp` on every
 /// finite value (±0.0 ties included) while staying total: a NaN sorts
 /// instead of panicking.
-fn median(window: &VecDeque<f64>, sorted: &mut Vec<f64>) -> f64 {
+fn median(window: &[f64], sorted: &mut Vec<f64>) -> f64 {
     sorted.clear();
-    sorted.extend(window.iter().copied());
+    sorted.extend_from_slice(window);
     sorted.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
     let mid = sorted.len() / 2;
     if sorted.len() % 2 == 1 {
@@ -180,10 +154,41 @@ fn median(window: &VecDeque<f64>, sorted: &mut Vec<f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Middleware, ReaderId, Reading, TagId};
+
+    /// One stream of a one-tag middleware.
+    struct Stream(Middleware);
+
+    impl Stream {
+        fn new(kind: SmoothingKind) -> Self {
+            Stream(Middleware::new(kind, false))
+        }
+
+        fn update(&mut self, rssi: f64) -> bool {
+            let (tag, reader) = (TagId::first(0), ReaderId(0));
+            let time = 0.0;
+            self.0
+                .ingest(Reading {
+                    time,
+                    tag,
+                    reader,
+                    rssi,
+                })
+                .is_some()
+        }
+
+        fn value(&self) -> Option<f64> {
+            self.0.rssi(TagId::first(0), ReaderId(0))
+        }
+
+        fn fill(&self) -> usize {
+            self.0.fill(TagId::first(0), ReaderId(0))
+        }
+    }
 
     #[test]
     fn raw_tracks_last_value() {
-        let mut f = SmoothingKind::Raw.build();
+        let mut f = Stream::new(SmoothingKind::Raw);
         assert_eq!(f.value(), None);
         f.update(-70.0);
         f.update(-75.0);
@@ -193,7 +198,7 @@ mod tests {
 
     #[test]
     fn moving_average_averages_the_window() {
-        let mut f = SmoothingKind::MovingAverage(3).build();
+        let mut f = Stream::new(SmoothingKind::MovingAverage(3));
         for x in [-70.0, -72.0, -74.0] {
             f.update(x);
         }
@@ -206,7 +211,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_geometrically() {
-        let mut f = SmoothingKind::Ewma(0.5).build();
+        let mut f = Stream::new(SmoothingKind::Ewma(0.5));
         f.update(-80.0);
         assert_eq!(f.value(), Some(-80.0)); // primes with first value
         f.update(-70.0);
@@ -217,7 +222,7 @@ mod tests {
 
     #[test]
     fn median_rejects_single_spike() {
-        let mut f = SmoothingKind::Median(5).build();
+        let mut f = Stream::new(SmoothingKind::Median(5));
         for x in [-70.0, -70.5, -99.0 /* spike */, -70.2, -69.8] {
             f.update(x);
         }
@@ -231,8 +236,8 @@ mod tests {
     #[test]
     fn mean_is_dragged_by_spike_median_is_not() {
         let feed = [-70.0, -70.0, -95.0, -70.0, -70.0];
-        let mut mean = SmoothingKind::MovingAverage(5).build();
-        let mut med = SmoothingKind::Median(5).build();
+        let mut mean = Stream::new(SmoothingKind::MovingAverage(5));
+        let mut med = Stream::new(SmoothingKind::Median(5));
         for x in feed {
             mean.update(x);
             med.update(x);
@@ -243,7 +248,7 @@ mod tests {
 
     #[test]
     fn median_of_even_window_interpolates() {
-        let mut f = SmoothingKind::Median(4).build();
+        let mut f = Stream::new(SmoothingKind::Median(4));
         for x in [-70.0, -72.0, -74.0, -76.0] {
             f.update(x);
         }
@@ -258,46 +263,46 @@ mod tests {
             SmoothingKind::Ewma(0.3),
             SmoothingKind::Median(3),
         ] {
-            assert_eq!(kind.build().value(), None);
+            assert_eq!(Stream::new(kind).value(), None);
         }
     }
 
     #[test]
     #[should_panic(expected = "alpha")]
     fn invalid_alpha_panics() {
-        SmoothingKind::Ewma(1.5).build();
+        Middleware::new(SmoothingKind::Ewma(1.5), false);
     }
 
     #[test]
     #[should_panic(expected = "window")]
     fn zero_window_panics() {
-        SmoothingKind::Median(0).build();
+        Middleware::new(SmoothingKind::Median(0), false);
     }
 
     #[test]
-    fn try_build_reports_invalid_parameters_as_values() {
+    fn check_reports_invalid_parameters_as_values() {
         assert_eq!(
-            SmoothingKind::MovingAverage(0).try_build().unwrap_err(),
+            SmoothingKind::MovingAverage(0).check().unwrap_err(),
             SmoothingError::ZeroWindow
         );
         assert_eq!(
-            SmoothingKind::Median(0).try_build().unwrap_err(),
+            SmoothingKind::Median(0).check().unwrap_err(),
             SmoothingError::ZeroWindow
         );
         assert_eq!(
-            SmoothingKind::Ewma(0.0).try_build().unwrap_err(),
+            SmoothingKind::Ewma(0.0).check().unwrap_err(),
             SmoothingError::InvalidAlpha(0.0)
         );
         assert_eq!(
-            SmoothingKind::Ewma(1.5).try_build().unwrap_err(),
+            SmoothingKind::Ewma(1.5).check().unwrap_err(),
             SmoothingError::InvalidAlpha(1.5)
         );
-        assert!(SmoothingKind::Ewma(f64::NAN).try_build().is_err());
-        // Valid parameters still build.
-        assert!(SmoothingKind::Raw.try_build().is_ok());
-        assert!(SmoothingKind::MovingAverage(1).try_build().is_ok());
-        assert!(SmoothingKind::Ewma(1.0).try_build().is_ok());
-        // Error messages match what `build` panics with.
+        assert!(SmoothingKind::Ewma(f64::NAN).check().is_err());
+        // Valid parameters pass.
+        assert!(SmoothingKind::Raw.check().is_ok());
+        assert!(SmoothingKind::MovingAverage(1).check().is_ok());
+        assert!(SmoothingKind::Ewma(1.0).check().is_ok());
+        // Error messages match what `Middleware::new` panics with.
         assert_eq!(
             SmoothingError::ZeroWindow.to_string(),
             "window must be positive"
@@ -308,8 +313,8 @@ mod tests {
     #[test]
     fn window_of_one_tracks_last_value_like_raw() {
         for kind in [SmoothingKind::MovingAverage(1), SmoothingKind::Median(1)] {
-            let mut f = kind.build();
-            let mut raw = SmoothingKind::Raw.build();
+            let mut f = Stream::new(kind);
+            let mut raw = Stream::new(SmoothingKind::Raw);
             for x in [-70.0, -90.5, -61.25] {
                 f.update(x);
                 raw.update(x);
@@ -321,7 +326,7 @@ mod tests {
 
     #[test]
     fn exactly_full_window_then_one_more_slides() {
-        let mut f = SmoothingKind::MovingAverage(3).build();
+        let mut f = Stream::new(SmoothingKind::MovingAverage(3));
         // One short of full: averages what's there.
         f.update(-70.0);
         f.update(-74.0);
@@ -339,8 +344,8 @@ mod tests {
 
     #[test]
     fn ewma_alpha_one_equals_raw() {
-        let mut ewma = SmoothingKind::Ewma(1.0).build();
-        let mut raw = SmoothingKind::Raw.build();
+        let mut ewma = Stream::new(SmoothingKind::Ewma(1.0));
+        let mut raw = Stream::new(SmoothingKind::Raw);
         for x in [-70.0, -95.0, -62.5, -80.0] {
             ewma.update(x);
             raw.update(x);

@@ -2,6 +2,39 @@
 
 use proptest::prelude::*;
 use vire_sim::smoothing::SmoothingKind;
+use vire_sim::{Middleware, ReaderId, Reading, TagId};
+
+/// One stream of a one-tag middleware: the smoothing under test runs in
+/// the tag table's row, as it does in the pipeline.
+struct Stream(Middleware);
+
+impl Stream {
+    fn new(kind: SmoothingKind) -> Self {
+        Stream(Middleware::new(kind, false))
+    }
+
+    /// Feeds one reading; returns whether the smoothed value's bits moved.
+    fn update(&mut self, rssi: f64) -> bool {
+        let (tag, reader) = (TagId::first(0), ReaderId(0));
+        let time = 0.0;
+        self.0
+            .ingest(Reading {
+                time,
+                tag,
+                reader,
+                rssi,
+            })
+            .is_some()
+    }
+
+    fn value(&self) -> Option<f64> {
+        self.0.rssi(TagId::first(0), ReaderId(0))
+    }
+
+    fn fill(&self) -> usize {
+        self.0.fill(TagId::first(0), ReaderId(0))
+    }
+}
 
 fn readings() -> impl Strategy<Value = Vec<f64>> {
     prop::collection::vec(-105.0..-55.0f64, 1..40)
@@ -20,7 +53,7 @@ proptest! {
             SmoothingKind::Ewma(0.3),
             SmoothingKind::Median(5),
         ] {
-            let mut f = kind.build();
+            let mut f = Stream::new(kind);
             for &x in &xs {
                 f.update(x);
                 let v = f.value().expect("primed after first update");
@@ -37,7 +70,7 @@ proptest! {
             SmoothingKind::Ewma(0.5),
             SmoothingKind::Median(3),
         ] {
-            let mut f = kind.build();
+            let mut f = Stream::new(kind);
             for _ in 0..n {
                 f.update(x);
             }
@@ -51,7 +84,7 @@ proptest! {
         spike in -40.0..-20.0f64,
     ) {
         // 2 spikes inside a window of 5 cannot move the median.
-        let mut f = SmoothingKind::Median(5).build();
+        let mut f = Stream::new(SmoothingKind::Median(5));
         for x in [base, base + 0.1, spike, base - 0.1, spike] {
             f.update(x);
         }
@@ -66,7 +99,7 @@ proptest! {
     ) {
         // After 3 more updates than the window holds, the head values are
         // forgotten entirely.
-        let mut f = SmoothingKind::MovingAverage(3).build();
+        let mut f = Stream::new(SmoothingKind::MovingAverage(3));
         for &x in head.iter().chain(&tail) {
             f.update(x);
         }
@@ -76,7 +109,7 @@ proptest! {
 
     #[test]
     fn ewma_is_a_convex_combination(xs in readings(), alpha in 0.05..1.0f64) {
-        let mut f = SmoothingKind::Ewma(alpha).build();
+        let mut f = Stream::new(SmoothingKind::Ewma(alpha));
         let mut prev: Option<f64> = None;
         for &x in &xs {
             f.update(x);
@@ -92,7 +125,7 @@ proptest! {
 
     #[test]
     fn filter_fill_never_exceeds_window(xs in readings()) {
-        let mut f = SmoothingKind::Median(7).build();
+        let mut f = Stream::new(SmoothingKind::Median(7));
         for (k, &x) in xs.iter().enumerate() {
             f.update(x);
             prop_assert!(f.fill() <= 7);
@@ -150,12 +183,12 @@ fn recomputed(kind: SmoothingKind, history: &[f64]) -> Option<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// A filter computes its value once per reading and keeps it: after
+    /// A stream's value is computed once per reading and kept: after
     /// every update, the value and the change flag equal a from-scratch
     /// recompute over the reading history, to the bit.
     #[test]
     fn filter_value_and_change_flag_match_a_recompute(kind in any_kind(), xs in pooled_readings()) {
-        let mut f = kind.build();
+        let mut f = Stream::new(kind);
         for k in 0..xs.len() {
             let before = recomputed(kind, &xs[..k]).map(f64::to_bits);
             let want = recomputed(kind, &xs[..=k]).map(f64::to_bits);
@@ -171,7 +204,7 @@ proptest! {
 #[test]
 fn windowed_filters_take_non_finite_readings_without_panicking() {
     for kind in [SmoothingKind::Median(3), SmoothingKind::MovingAverage(3)] {
-        let mut f = kind.build();
+        let mut f = Stream::new(kind);
         for x in [
             -70.0,
             f64::NAN,
@@ -186,8 +219,8 @@ fn windowed_filters_take_non_finite_readings_without_panicking() {
     }
 }
 
-/// The tag table against the structures it replaced: a filter per
-/// `(tag, reader)` in one map, the pins in two maps, and the tracking
+/// The tag table against the structures it replaced: a reading history
+/// per `(tag, reader)` in one map (its value recomputed from scratch), the pins in two maps, and the tracking
 /// dirty set as a first-dirtied `Vec` deduplicated by a `HashSet`, driven
 /// exactly as the pipeline stage drove them.
 mod tag_table {
@@ -195,8 +228,7 @@ mod tag_table {
     use std::collections::{HashMap, HashSet};
     use vire_core::{DirtyCell, ReferenceRssiMap, TrackingReading};
     use vire_geom::{GridData, GridIndex, Point2, RegularGrid};
-    use vire_sim::smoothing::Filter;
-    use vire_sim::{EventBus, Middleware, MiddlewareStage, ReaderId, Reading, TagId};
+    use vire_sim::{EventBus, MiddlewareStage};
 
     const READERS: u32 = 3;
     const SLOTS: u32 = 5;
@@ -241,9 +273,9 @@ mod tag_table {
         (0..READERS).map(|k| Point2::new(k as f64, -1.0)).collect()
     }
 
-    #[derive(Default)]
     struct Model {
-        filters: HashMap<(TagId, ReaderId), Filter>,
+        kind: SmoothingKind,
+        histories: HashMap<(TagId, ReaderId), Vec<f64>>,
         reference_tags: HashMap<GridIndex, TagId>,
         reference_cells: HashMap<TagId, GridIndex>,
         cached_map: Option<ReferenceRssiMap>,
@@ -255,20 +287,50 @@ mod tag_table {
     }
 
     impl Model {
+        fn new(kind: SmoothingKind) -> Self {
+            Model {
+                kind,
+                histories: HashMap::new(),
+                reference_tags: HashMap::new(),
+                reference_cells: HashMap::new(),
+                cached_map: None,
+                service_dirty: Vec::new(),
+                service_pending: HashSet::new(),
+                dirty_tracking: Vec::new(),
+                dirty_tracking_set: HashSet::new(),
+                removed: Vec::new(),
+            }
+        }
+
+        fn history(&self, tag: TagId, reader: ReaderId) -> &[f64] {
+            self.histories
+                .get(&(tag, reader))
+                .map_or(&[], Vec::as_slice)
+        }
+
         fn rssi(&self, tag: TagId, reader: ReaderId) -> Option<f64> {
-            self.filters.get(&(tag, reader)).and_then(Filter::value)
+            recomputed(self.kind, self.history(tag, reader))
         }
 
+        /// The readings that still influence the value: the window's for
+        /// the windowed kinds, the newest one for Raw and EWMA.
         fn fill(&self, tag: TagId, reader: ReaderId) -> usize {
-            self.filters.get(&(tag, reader)).map_or(0, Filter::fill)
+            let held = self.history(tag, reader).len();
+            match self.kind {
+                SmoothingKind::MovingAverage(n) | SmoothingKind::Median(n) => held.min(n),
+                SmoothingKind::Raw | SmoothingKind::Ewma(_) => held.min(1),
+            }
         }
 
-        fn ingest(&mut self, kind: SmoothingKind, r: Reading) -> Option<f64> {
-            let filter = self
-                .filters
+        fn ingest(&mut self, r: Reading) -> Option<f64> {
+            let before = self.rssi(r.tag, r.reader).map(f64::to_bits);
+            self.histories
                 .entry((r.tag, r.reader))
-                .or_insert_with(|| kind.build());
-            let value = filter.update(r.rssi).then(|| filter.value()).flatten()?;
+                .or_default()
+                .push(r.rssi);
+            let value = self
+                .rssi(r.tag, r.reader)
+                .filter(|v| Some(v.to_bits()) != before)?;
             if let Some(&cell) = self.reference_cells.get(&r.tag) {
                 if let Some(map) = self.cached_map.as_mut() {
                     let k = r.reader.0 as usize;
@@ -283,13 +345,13 @@ mod tag_table {
         }
 
         fn forget(&mut self, tag: TagId) -> usize {
-            let before = self.filters.len();
-            self.filters.retain(|(t, _), _| *t != tag);
+            let before = self.histories.len();
+            self.histories.retain(|(t, _), _| *t != tag);
             if self.dirty_tracking_set.remove(&tag) {
                 self.dirty_tracking.retain(|t| *t != tag);
             }
             self.removed.push(tag);
-            before - self.filters.len()
+            before - self.histories.len()
         }
 
         fn full_export(&self) -> Option<ReferenceRssiMap> {
@@ -346,7 +408,7 @@ mod tag_table {
             let mut stage =
                 MiddlewareStage::new(Middleware::new(kind, false), grid(), readers(), bus.reader());
             let mut bare = Middleware::new(kind, false);
-            let mut model = Model::default();
+            let mut model = Model::new(kind);
             let nodes: Vec<GridIndex> = grid().indices().collect();
             // Two cases in three pin every node before the first reading,
             // and one of those never removes a pinned tag, so the
@@ -358,7 +420,7 @@ mod tag_table {
                 match op {
                     Op::Ingest(tag, k, rssi) => {
                         let r = Reading { time: step as f64, tag, reader: ReaderId(k), rssi };
-                        let want = model.ingest(kind, r);
+                        let want = model.ingest(r);
                         prop_assert_eq!(bare.ingest(r).map(f64::to_bits), want.map(f64::to_bits));
                         bus.publish(r);
                         let pumped = stage.pump(&bus);

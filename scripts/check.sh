@@ -10,6 +10,29 @@ cd "$(dirname "$0")/.."
 # Vendored-dependency workspaces must never hit the network.
 export CARGO_NET_OFFLINE=true
 
+# `named_tests <cargo test args> -- <names>` runs the named tests, after
+# checking each name against the targets' `--list`: a name that matches
+# no test fails the step instead of running zero tests silently (cargo
+# exits 0 on "running 0 tests"), so a renamed oracle cannot drop out.
+named_tests() {
+  local args=()
+  while [[ "$1" != -- ]]; do
+    args+=("$1")
+    shift
+  done
+  shift
+  local listed
+  listed=$(cargo test -q "${args[@]}" -- --list | sed -n 's/: test$//p')
+  local name
+  for name in "$@"; do
+    if ! grep -qF -- "$name" <<<"$listed"; then
+      echo "no test matches '$name' in: cargo test ${args[*]}" >&2
+      exit 1
+    fi
+  done
+  cargo test -q "${args[@]}" -- "$@"
+}
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -50,17 +73,17 @@ cargo test -p vire-geom -q
 # describes, and a hint that misses a cell trips the debug mirror check.
 echo "==> cargo test (prepared-state oracles)"
 cargo test -q -p vire-core --test kernels --test incremental
-cargo test -q -p vire-core --test kernels -- \
+named_tests -p vire-core --test kernels -- \
   adaptive_eliminate_matches_map_building_reference
-cargo test -q -p vire-core --test incremental -- \
+named_tests -p vire-core --test incremental -- \
   every_map_change_localizes_like_a_fresh_build \
   patched_state_is_bit_identical_to_rebuild \
   foreign_map_identity_syncs_via_full_diff \
   a_hint_that_misses_a_changed_cell_trips_the_mirror_check \
   one_node_axis_lattices_localize_and_patch_on_every_kernel
-cargo test -q -p vire-core --test properties -- \
+named_tests -p vire-core --test properties -- \
   locate_batch_matches_sequential_order_and_values
-cargo test -q -p vire-core --lib -- \
+named_tests -p vire-core --lib -- \
   tile_pruned_elimination_matches_dense \
   tile_pruned_elimination_matches_dense_on_virtual_grids \
   reinterpolating_any_reader_subset_matches_fresh_builds \
@@ -70,21 +93,24 @@ cargo test -q -p vire-core --lib -- \
 # The generational tag slab: handle allocation, slot reuse, and the
 # lifetime-safety invariants every layer leans on.
 echo "==> cargo test (tag-handle slab)"
-cargo test -q -p vire-geom handle::
+named_tests -p vire-geom -- handle::
 
 # Churn safety: slab-reused identity must be observationally identical to
 # a never-reused-ids oracle (service estimates, track counts, cache
 # hit/miss sequences), with storage pinned at the high-water mark. The
-# middleware's tag table (one row per tag: filters by reader, pin, dirty
-# link) must match the keyed maps it replaced on every output, to the
-# bit, through ingests, pins, removals, re-ingest of a removed id and
-# generation bumps on every smoothing kind: each reported value, every
-# stream's value and fill, each tracking drain (order and values), the
+# middleware's tag table (one row per tag: smoothing streams by reader,
+# pin, dirty link) must match the keyed maps it replaced on every output,
+# to the bit, through ingests, pins, removals, re-ingest of a removed id
+# and generation bumps on every smoothing kind: each reported value, every
+# stream's value and fill (against a from-scratch recompute over each
+# stream's reading history), each tracking drain (order and values), the
 # dirty cells, both calibration maps and the removals. A freed row that
-# kept its filters, or a re-inserted tag that kept its old dirty place,
-# fails it. The table stays within MAX_TAGS rows while 10^6 new tag ids
-# stream through a server: unpinned rows are evicted (CLOCK), counted
-# to the tag, and a tag heard in every batch keeps its filter. The
+# kept its stream counts, or a re-inserted tag that kept its old dirty
+# place, fails it. The table stays within MAX_TAGS rows while 10^6 new tag
+# ids stream through a server: unpinned rows are evicted (CLOCK), counted
+# to the tag, and a tag heard in every batch keeps its stream. A row's
+# stream storage outlives its tags: new ids evicting a full table of
+# MAX_TAGS rows x 4 readers allocate nothing. The
 # service behind it is bounded too: each evicted tag (by a pump or a pin)
 # is queued as a removal, so after 200,000 new ids at one beacon time its live tracks
 # stay within the table's unpinned rows, its tombstones within
@@ -98,12 +124,13 @@ cargo test -q -p vire-geom handle::
 # older generation fails it, as does a positionless track leaving one.
 echo "==> cargo test (churn oracle proptest)"
 cargo test -q -p vire-sim --test churn
-cargo test -q -p vire-sim --test properties -- tag_table_matches_the_keyed_maps_it_replaced
-cargo test -q -p vire-sim --test ingest -- \
+named_tests -p vire-sim --test properties -- tag_table_matches_the_keyed_maps_it_replaced
+named_tests -p vire-sim --test table_allocations -- evicting_a_full_table_allocates_nothing
+named_tests -p vire-sim --test ingest -- \
   a_million_new_tag_ids_stay_within_the_tag_table \
   a_flood_of_new_tag_ids_stays_within_the_service
-cargo test -q -p vire-core --test properties -- slot_table_matches_the_two_maps_it_replaced
-cargo test -q -p vire-sim --lib -- \
+named_tests -p vire-core --test properties -- slot_table_matches_the_two_maps_it_replaced
+named_tests -p vire-sim --lib -- \
   a_full_table_evicts_an_unheard_unpinned_row evicted_tags_are_queued_as_removals
 
 # The link-budget cache must be invisible: cached and uncached testbeds
@@ -143,33 +170,36 @@ cargo test -q -p vire-sim --test fabric
 # lifetime's reading per slot.
 echo "==> cargo test (ingest coalescing oracle)"
 cargo test -q -p vire-sim --test ingest
-cargo test -q -p vire-sim --test ingest -- \
+named_tests -p vire-sim --test ingest -- \
   unknown_reader_and_non_finite_events_are_skipped_not_ingested \
   an_incomplete_map_buffers_nothing_in_the_service
-cargo test -q -p vire-sim --lib -- stage_state_stays_bounded_while_the_map_is_incomplete
-cargo test -q -p vire-core --lib -- \
+named_tests -p vire-sim --lib -- stage_state_stays_bounded_while_the_map_is_incomplete
+named_tests -p vire-core --lib -- \
   quiet_drives_leave_the_dirty_cells_in_the_stage \
   drive_drains_nothing_until_the_map_completes \
   drive_keeps_the_newest_lifetime_per_slot_in_first_drained_order
-cargo test -q -p vire-core --test properties -- \
+named_tests -p vire-core --test properties -- \
   ingest_ring_matches_naive_policy_model distinct_keys_past_the_ceiling_do_not_stall
-cargo test -q -p vire-core --lib -- a_repeat_at_the_ceiling_supersedes_instead_of_dropping
+named_tests -p vire-core --lib -- a_repeat_at_the_ceiling_supersedes_instead_of_dropping
 
-# Middleware smoothing: a filter's value and change flag equal a
-# from-scratch recompute over its reading history, to the bit (the
-# median's order matches partial_cmp, ±0.0 ties in arrival order, and is
-# total, so a non-finite reading cannot panic it). A drain reports each
+# Middleware smoothing: a stream's value and change flag, read through a
+# one-tag middleware, equal a from-scratch recompute over its reading
+# history, to the bit (the median's order matches partial_cmp, ±0.0 ties
+# in arrival order, and is total, so a non-finite reading cannot panic
+# it). An invalid policy panics when the middleware is built. A drain reports each
 # dirty, fully heard tag once and keeps nothing. The testbed hands each
 # decoded reading straight to its stage: replaying its raw log into a
 # fresh middleware rebuilds the engine's smoothed table to the bit.
 echo "==> cargo test (middleware smoothing oracle)"
-cargo test -q -p vire-sim --test properties -- \
+named_tests -p vire-sim --test properties -- \
   filter_value_and_change_flag_match_a_recompute \
   windowed_filters_take_non_finite_readings_without_panicking
-cargo test -q -p vire-sim --test drain -- \
+named_tests -p vire-sim --lib -- \
+  smoothing::tests::invalid_alpha_panics smoothing::tests::zero_window_panics
+named_tests -p vire-sim --test drain -- \
   partially_heard_tags_are_left_out_and_reported_once_complete \
   tags_heard_by_one_reader_do_not_accumulate
-cargo test -q -p vire-sim --test pipeline_equivalence -- log_replay_matches_engine_middleware
+named_tests -p vire-sim --test pipeline_equivalence -- log_replay_matches_engine_middleware
 
 # The wire must never change a number: a trace streamed over a real TCP
 # socket (binary and JSON framing) produces estimates bit-identical to
