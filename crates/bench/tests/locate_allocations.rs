@@ -1,0 +1,94 @@
+//! A steady-state locate allocates nothing: elimination reads the tile
+//! store in place, and every buffer of the scratch arena keeps its
+//! capacity from one reading to the next.
+//!
+//! Its own test binary, because it installs a counting global allocator.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use vire_bench::fixture;
+use vire_core::{TrackingReading, Vire, VireConfig, VireScratch};
+
+/// Counts allocations made on a thread while its `COUNTING` flag is set,
+/// so the harness's other threads do not disturb the count.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn note() {
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout,
+// pointer and size unchanged, so `System` receives exactly the guarantees
+// `GlobalAlloc` asks of the caller; counting touches only an atomic and a
+// const-initialized thread-local, which never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc`'s contract for this call.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc`'s contract for this call.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: the caller upholds `GlobalAlloc`'s contract for this call.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller upholds `GlobalAlloc`'s contract for this call.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn steady_state_locates_allocate_nothing() {
+    let (map, tags) = fixture();
+    // The fixture's readings, and each shifted by up to ±3 dB per reader
+    // so phase 1 runs for several steps.
+    let mut readings: Vec<TrackingReading> = tags.iter().map(|(_, r)| r.clone()).collect();
+    for (i, (_, r)) in tags.iter().enumerate() {
+        let shifted = r.rssi().iter().enumerate();
+        let shifted = shifted.map(|(k, &s)| s + [-3.0, 1.5, 3.0, -1.5][(i + k) % 4]);
+        readings.push(TrackingReading::new(shifted.collect()));
+    }
+    for refine in [10, 20] {
+        let config = VireConfig {
+            refine,
+            ..VireConfig::default()
+        };
+        let prepared = Vire::new(config).prepare(&map).expect("refine > 0");
+        let mut scratch = VireScratch::new();
+        for r in &readings {
+            prepared
+                .locate_with_scratch(r, &mut scratch)
+                .expect("locates");
+        }
+        ALLOCATIONS.store(0, Ordering::Relaxed);
+        COUNTING.with(|c| c.set(true));
+        for r in readings.iter().chain(&readings) {
+            prepared
+                .locate_with_scratch(r, &mut scratch)
+                .expect("locates");
+        }
+        COUNTING.with(|c| c.set(false));
+        assert_eq!(ALLOCATIONS.load(Ordering::Relaxed), 0, "refine {refine}");
+    }
+}

@@ -18,17 +18,19 @@
 //!
 //! At the default operating point only two or three of the 961 virtual
 //! regions survive, so the adaptive mode does not sweep the lattice. A
-//! tile summary holds each reader's RSSI range over every 4 × 4 tile,
-//! and each locate bounds a tile's gaps `|s − θ|` from those ranges
-//! before reading any node: a reader's smallest gap is taken exactly
-//! from the few tiles that could hold it, and per-node max-gaps are
-//! computed only in the tiles whose bound is below the threshold, where
-//! every survivor lies. The thresholds and the mask are bit-identical to
-//! a dense pass over every node.
+//! tile-major store holds, for every 4 × 4 tile, each reader's RSSI range
+//! over the tile and each reader's 16 values in one contiguous block, and
+//! a locate reads nothing else. One fused pass over the ranges bounds
+//! every tile's gaps `|s − θ|` before any node is read; a reader's
+//! smallest gap is then taken exactly from the few tiles that could hold
+//! it, and per-node max-gaps are computed only in the tiles whose bound
+//! is below the threshold, where every survivor lies, visited best-first
+//! by bound. Phases 2–3 and the weighting read the survivors' values from
+//! the same store. The thresholds and the mask are bit-identical to a
+//! dense pass over every node.
 
 use crate::types::TrackingReading;
 use crate::virtual_grid::VirtualGrid;
-use std::ops::Range;
 use vire_geom::{bitgrid, BitGrid};
 
 /// How the elimination threshold is chosen.
@@ -91,150 +93,374 @@ impl EliminationResult {
 /// is narrower where a side is not a multiple of `TILE`.
 pub(crate) const TILE: usize = 4;
 
-/// Each reader's smallest and largest RSSI over every `TILE × TILE` tile
-/// of the fine lattice, read from the reader-major planes in one pass.
+/// Nodes in one tile. A reader's values over a tile are one contiguous
+/// block of `SLOTS`, row-major within the tile.
+const SLOTS: usize = TILE * TILE;
+
+/// Tiles per block, and blocks per group, of the range store: one
+/// reader's ranges over a block (or a group) are `LANES` independent
+/// lanes, so the bounds run across tiles, for any reader count.
+const LANES: usize = 8;
+
+/// One value per tile of a block.
+type Lanes = [f64; LANES];
+
+/// The one store adaptive elimination and weighting read, tile-major: for
+/// every `TILE × TILE` tile of the fine lattice, each reader's RSSI range
+/// over the tile and each reader's values at the tile's nodes.
 ///
-/// Adaptive elimination bounds a whole tile's gaps from it before looking
-/// at any node: for `s ∈ [lo, hi]`, `|s − θ| ≥ max(θ − hi, lo − θ, 0)`.
-/// The bound holds for the computed floats too, because rounding is
-/// monotone: `s ≤ hi` gives `fl(θ − s) ≥ fl(θ − hi)`, and `s ≥ lo` gives
-/// `fl(s − θ) ≥ fl(lo − θ)`. The summary is a function of the planes
-/// alone, so whatever changes the planes must refresh it (every sync of
-/// [`crate::PreparedVire`] does).
+/// * `ranges[block · K + k]` holds reader `k`'s minima and maxima over
+///   a block of `LANES` consecutive tiles, lane `tile % LANES` of block
+///   `tile / LANES`. The last block is padded with tiles whose range is
+///   `[+∞, +∞]`, so their bounds are `+∞`.
+/// * `blocks[group · K + k]` holds, the same way, reader `k`'s range over
+///   each whole block (lane `block % LANES` of group `block / LANES`):
+///   a second level, so a locate bounds blocks first and reads the tile
+///   ranges of only the blocks that can matter.
+/// * `values[(tile · K + k) · SLOTS + slot]` is reader `k`'s value at the
+///   tile's node `slot = r · TILE + c`, `r` rows below and `c` columns
+///   right of the tile's first node. Slots off the lattice (in edge tiles)
+///   hold `+∞`, whose gap to any reading is `+∞`: never a survivor and
+///   never a smaller gap.
+///
+/// Adaptive elimination bounds a whole block's or tile's gaps from its
+/// ranges before looking at any node: for `s ∈ [lo, hi]`,
+/// `|s − θ| ≥ max(θ − hi, lo − θ, 0)`. The bound holds for the computed
+/// floats too, because rounding is monotone: `s ≤ hi` gives
+/// `fl(θ − s) ≥ fl(θ − hi)`, and `s ≥ lo` gives `fl(s − θ) ≥ fl(lo − θ)`.
+/// The store is a function of the reader-major planes alone (the sweep
+/// writes the planes, never the store), so whatever changes a plane must
+/// refresh that reader (every sync of [`crate::PreparedVire`] does).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct TileSummary {
     nx: usize,
     ny: usize,
+    /// Readers `K`.
+    readers: usize,
     /// Tiles per band of `TILE` fine rows, `⌈nx / TILE⌉`.
     tiles_x: usize,
     /// Tiles in the lattice, `tiles_x · ⌈ny / TILE⌉`.
     tiles: usize,
-    /// `lo[k * tiles + tile]`: reader `k`'s smallest RSSI in the tile.
-    lo: Vec<f64>,
-    /// `hi[k * tiles + tile]`: reader `k`'s largest RSSI in the tile.
-    hi: Vec<f64>,
-    /// Each tile's first (top-left) flat node, width and height.
-    spans: Vec<(u32, u32, u32)>,
-    /// Column-wise minima and maxima of one band (refresh scratch).
-    col_lo: Vec<f64>,
-    col_hi: Vec<f64>,
+    /// Each reader's smallest and largest value per tile, in blocks of
+    /// `LANES` tiles.
+    ranges: Vec<[Lanes; 2]>,
+    /// Each reader's smallest and largest value per block of tiles, in
+    /// groups of `LANES` blocks.
+    blocks: Vec<[Lanes; 2]>,
+    /// Each reader's values per tile, one `SLOTS` block per tile and
+    /// reader.
+    values: Vec<f64>,
+    /// Each tile's first (top-left) flat node.
+    firsts: Vec<u32>,
 }
 
 impl TileSummary {
-    /// The summary of a virtual grid's planes.
+    /// The store of a virtual grid's planes.
     pub(crate) fn of(grid: &VirtualGrid) -> Self {
         let mut summary = TileSummary::default();
         summary.refresh_planes(grid.planes(), grid.grid().nx(), grid.grid().ny());
         summary
     }
 
-    /// Rebuilds the summary of reader-major planes over an `nx × ny`
+    /// Rebuilds the store of reader-major planes over an `nx × ny`
     /// row-major lattice.
     fn refresh_planes(&mut self, planes: &[f64], nx: usize, ny: usize) {
         let nodes = nx * ny;
         debug_assert!(nodes > 0 && planes.len().is_multiple_of(nodes));
         self.nx = nx;
         self.ny = ny;
+        self.readers = planes.len() / nodes;
         self.tiles_x = nx.div_ceil(TILE);
         self.tiles = self.tiles_x * ny.div_ceil(TILE);
-        let slots = planes.len() / nodes * self.tiles;
-        self.lo.resize(slots, 0.0);
-        self.hi.resize(slots, 0.0);
-        self.col_lo.resize(nx, 0.0);
-        self.col_hi.resize(nx, 0.0);
-        self.spans.clear();
+        let blocks = self.tiles.div_ceil(LANES);
+        // Pad tiles, pad blocks and off-lattice slots keep these `+∞`: a
+        // refresh writes only the lattice's own tiles, blocks and nodes.
+        self.ranges.clear();
+        self.ranges
+            .resize(blocks * self.readers, [[f64::INFINITY; LANES]; 2]);
+        self.blocks.clear();
+        self.blocks.resize(
+            blocks.div_ceil(LANES) * self.readers,
+            [[f64::INFINITY; LANES]; 2],
+        );
+        self.values.clear();
+        self.values
+            .resize(self.tiles * self.readers * SLOTS, f64::INFINITY);
+        self.firsts.clear();
         for y0 in (0..ny).step_by(TILE) {
-            for x0 in (0..nx).step_by(TILE) {
-                let (w, h) = (TILE.min(nx - x0), TILE.min(ny - y0));
-                self.spans.push(((y0 * nx + x0) as u32, w as u32, h as u32));
-            }
+            self.firsts
+                .extend((0..nx).step_by(TILE).map(|x0| (y0 * nx + x0) as u32));
         }
-        for k in 0..planes.len() / nodes {
+        for k in 0..self.readers {
             self.refresh_reader(planes, k);
         }
     }
 
-    /// Recomputes reader `k`'s tiles from the summarized `planes` — all a
-    /// sync must redo after re-interpolating that reader's plane. Each
-    /// band of `TILE` rows first folds into column-wise minima and maxima
-    /// (contiguous, so the loop vectorizes), and those then fold `TILE`
-    /// columns at a time.
+    /// Recomputes reader `k`'s ranges and values from the stored `planes`
+    /// — all a sync must redo after re-interpolating that reader's plane.
+    /// Each tile's rows are copied into its value block (a whole tile row
+    /// at a time where the tile is `TILE` wide), and its range folds the
+    /// block's values on the lattice.
     pub(crate) fn refresh_reader(&mut self, planes: &[f64], k: usize) {
-        let (nx, ny) = (self.nx, self.ny);
+        let TileSummary {
+            nx,
+            ny,
+            readers,
+            tiles,
+            ranges,
+            blocks,
+            values,
+            ..
+        } = self;
+        let (nx, ny, readers) = (*nx, *ny, *readers);
         let plane = &planes[k * nx * ny..(k + 1) * nx * ny];
-        let (col_lo, col_hi) = (&mut self.col_lo, &mut self.col_hi);
-        for ty in 0..ny.div_ceil(TILE) {
-            let (y0, y1) = (ty * TILE, (ty * TILE + TILE).min(ny));
-            col_lo.copy_from_slice(&plane[y0 * nx..(y0 + 1) * nx]);
-            col_hi.copy_from_slice(col_lo);
-            for y in y0 + 1..y1 {
-                let row = &plane[y * nx..(y + 1) * nx];
-                for ((l, h), &s) in col_lo.iter_mut().zip(col_hi.iter_mut()).zip(row) {
-                    *l = if s < *l { s } else { *l };
-                    *h = if s > *h { s } else { *h };
-                }
+        let mut tile = 0;
+        for y0 in (0..ny).step_by(TILE) {
+            let h = TILE.min(ny - y0);
+            for x0 in (0..nx).step_by(TILE) {
+                let w = TILE.min(nx - x0);
+                let block = &mut values[(tile * readers + k) * SLOTS..][..SLOTS];
+                let (lo, hi) = if (h, w) == (TILE, TILE) {
+                    let mut full = [0.0f64; SLOTS];
+                    for (r, row) in full.chunks_exact_mut(TILE).enumerate() {
+                        row.copy_from_slice(&plane[(y0 + r) * nx + x0..][..TILE]);
+                    }
+                    block.copy_from_slice(&full);
+                    (lanes_min(full), lanes_max(full))
+                } else {
+                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                    for (r, row) in block.chunks_exact_mut(TILE).take(h).enumerate() {
+                        let src = &plane[(y0 + r) * nx + x0..][..w];
+                        for (slot, &v) in row.iter_mut().zip(src) {
+                            *slot = v;
+                            lo = if v < lo { v } else { lo };
+                            hi = if v > hi { v } else { hi };
+                        }
+                    }
+                    (lo, hi)
+                };
+                let [tile_lo, tile_hi] = &mut ranges[tile / LANES * readers + k];
+                tile_lo[tile % LANES] = lo;
+                tile_hi[tile % LANES] = hi;
+                tile += 1;
             }
-            let slot = k * self.tiles + ty * self.tiles_x;
-            let tiles = col_lo.chunks(TILE).zip(col_hi.chunks(TILE));
-            for ((lo, hi), (cl, ch)) in self.lo[slot..]
-                .iter_mut()
-                .zip(&mut self.hi[slot..])
-                .zip(tiles)
-            {
-                *lo = cl.iter().fold(cl[0], |m, &v| if v < m { v } else { m });
-                *hi = ch.iter().fold(ch[0], |m, &v| if v > m { v } else { m });
-            }
+        }
+        // Each block's range folds its real tiles' ranges.
+        for (block, [lo, hi]) in ranges.iter().skip(k).step_by(readers).enumerate() {
+            let real = LANES.min(*tiles - block * LANES);
+            let [block_lo, block_hi] = &mut blocks[block / LANES * readers + k];
+            block_lo[block % LANES] = lo[..real].iter().fold(lo[0], |m, &v| m.min(v));
+            block_hi[block % LANES] = hi[..real].iter().fold(hi[0], |m, &v| m.max(v));
         }
     }
 
-    /// Node count of the summarized lattice.
-    fn nodes(&self) -> usize {
+    /// Node count of the stored lattice.
+    pub(crate) fn nodes(&self) -> usize {
         self.nx * self.ny
     }
 
-    /// The nodes of `tile`: one half-open flat range per row.
-    fn rows(&self, tile: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        let (first, w, h) = self.spans[tile];
-        let (first, w) = (first as usize, w as usize);
-        (0..h as usize).map(move |r| first + r * self.nx..first + r * self.nx + w)
+    /// Nodes per row of the stored lattice.
+    pub(crate) fn nx(&self) -> usize {
+        self.nx
     }
 
-    /// `min(m, min |s − θ|)` over reader plane `plane`'s nodes in `tile`.
-    fn min_gap(&self, plane: &[f64], theta: f64, tile: usize, m: f64) -> f64 {
-        let mut acc = [m; TILE];
-        for row in self.rows(tile) {
-            for (a, &s) in acc.iter_mut().zip(&plane[row]) {
-                let g = (s - theta).abs();
-                *a = if g < *a { g } else { *a };
-            }
-        }
-        acc.iter().fold(m, |m, &a| if a < m { a } else { m })
+    /// Flat (row-major) index of the node in `slot` of `tile`.
+    fn flat(&self, tile: usize, slot: usize) -> usize {
+        self.firsts[tile] as usize + slot / TILE * self.nx + slot % TILE
     }
 
-    /// Calls `visit(flat, max_k |s_k − θ_k|)` for every node of `tile`,
-    /// row-major. The max-gap folds from zero in ascending `k`, like the
-    /// dense max-gap plane's per-node value, so it has the same bits.
-    fn for_each_max_gap(
-        &self,
-        planes: &[f64],
-        thetas: &[f64],
-        tile: usize,
-        mut visit: impl FnMut(usize, f64),
-    ) {
-        let nodes = self.nodes();
-        for row in self.rows(tile) {
-            let mut acc = [0.0f64; TILE];
-            for (k, &theta) in thetas.iter().enumerate() {
-                let vals = &planes[k * nodes + row.start..k * nodes + row.end];
-                for (a, &s) in acc.iter_mut().zip(vals) {
-                    let g = (s - theta).abs();
-                    *a = if g > *a { g } else { *a };
+    /// The readers' values at node `flat`, `k` ascending.
+    pub(crate) fn node_values(&self, flat: usize) -> impl Iterator<Item = f64> + '_ {
+        let (y, x) = (flat / self.nx, flat % self.nx);
+        let tile = y / TILE * self.tiles_x + x / TILE;
+        let first = tile * self.readers * SLOTS + y % TILE * TILE + x % TILE;
+        let values = self.values[first..].iter().step_by(SLOTS);
+        values.take(self.readers).copied()
+    }
+
+    /// Reader `k`'s values over `tile`.
+    fn block(&self, tile: usize, k: usize) -> &[f64] {
+        &self.values[(tile * self.readers + k) * SLOTS..][..SLOTS]
+    }
+
+    /// The block pass, one read of every block range: `bounds[block]`
+    /// becomes the block's bound over readers, a lower bound on every
+    /// max-gap in it (padded to whole groups with `+∞`), and
+    /// `near[k][lane]` the smallest, over the lane's blocks, of reader
+    /// `k`'s gap at the block extreme nearest its reading. With
+    /// `d = max(θ − hi, lo − θ)` that gap is `|d|`: `lo − θ` when
+    /// `θ < lo`, `θ − hi` when `θ > hi`, and the smaller of `θ − lo` and
+    /// `hi − θ` in between (rounding is monotone, so this holds for the
+    /// computed floats too). It is bit for bit the extreme node's own gap
+    /// (`fl(θ − s) = −fl(s − θ)`), so a gap some node has.
+    fn block_pass(&self, thetas: &[f64], bounds: &mut Vec<f64>, near: &mut Vec<Lanes>) {
+        bounds.clear();
+        near.clear();
+        near.resize(self.readers, [f64::INFINITY; LANES]);
+        for group in self.blocks.chunks_exact(self.readers) {
+            // Folding from zero clamps the bound at zero.
+            let mut acc = [0.0f64; LANES];
+            for ((&theta, [lo, hi]), nr) in thetas.iter().zip(group).zip(near.iter_mut()) {
+                for l in 0..LANES {
+                    let (below, above) = (theta - hi[l], lo[l] - theta);
+                    let d = if below > above { below } else { above };
+                    acc[l] = if d > acc[l] { d } else { acc[l] };
+                    let g = d.abs();
+                    nr[l] = if g < nr[l] { g } else { nr[l] };
                 }
             }
-            for (flat, &m) in row.zip(&acc) {
-                visit(flat, m);
+            bounds.extend_from_slice(&acc);
+        }
+    }
+
+    /// The bounds over readers of `block`'s tiles, clamped at zero like
+    /// the block bounds (`+∞` for pad tiles).
+    fn tile_bounds(&self, block: usize, thetas: &[f64]) -> Lanes {
+        let mut acc = [0.0f64; LANES];
+        let ranges = &self.ranges[block * self.readers..][..self.readers];
+        for (&theta, [lo, hi]) in thetas.iter().zip(ranges) {
+            for l in 0..LANES {
+                let (below, above) = (theta - hi[l], lo[l] - theta);
+                let d = if below > above { below } else { above };
+                acc[l] = if d > acc[l] { d } else { acc[l] };
             }
         }
+        acc
+    }
+
+    /// Reader `k`'s smallest gap to `theta`, exactly whenever it exceeds
+    /// `reach`, starting from `m`, a gap some node has: only a tile (in a
+    /// block) whose bound for `k` is below the running minimum can lower
+    /// it, and once the minimum is at most `reach` it is no longer
+    /// needed. Entering a block first takes the gap of each of its tiles'
+    /// nearest extreme (`|d|`, see the block pass), also a gap some node
+    /// has. (Every
+    /// reader's bound below would be clamped at zero, but the minimum
+    /// only runs while it exceeds `reach ≥ 0`, so the clamp changes no
+    /// comparison.)
+    fn smallest_gap(
+        &self,
+        k: usize,
+        theta: f64,
+        mut m: f64,
+        reach: f64,
+        work: &mut impl Tally,
+    ) -> f64 {
+        let groups = self.blocks.iter().skip(k).step_by(self.readers);
+        let blocks = groups.flat_map(|[lo, hi]| lo.iter().zip(hi));
+        for (block, (&block_lo, &block_hi)) in blocks.enumerate() {
+            work.range_entries(2);
+            if theta - block_hi >= m || block_lo - theta >= m {
+                continue;
+            }
+            // The block's tile extremes are nodes too: the nearest one
+            // may lower the minimum before any value is read.
+            let [lo, hi] = &self.ranges[block * self.readers + k];
+            work.range_entries(2 * LANES);
+            let mut d = [0.0f64; LANES];
+            let mut nearest = [f64::INFINITY; LANES];
+            for l in 0..LANES {
+                let (below, above) = (theta - hi[l], lo[l] - theta);
+                d[l] = if below > above { below } else { above };
+                nearest[l] = d[l].abs();
+            }
+            m = m.min(lanes_min(nearest));
+            for (l, &d) in d.iter().enumerate() {
+                if d < m {
+                    work.scanned_tile();
+                    m = self.min_gap(block * LANES + l, k, theta, m);
+                    if m <= reach {
+                        return m;
+                    }
+                }
+            }
+        }
+        m
+    }
+
+    /// `min(m, min |s − θ|)` over reader `k`'s values in `tile`: one
+    /// contiguous block.
+    fn min_gap(&self, tile: usize, k: usize, theta: f64, m: f64) -> f64 {
+        let mut acc = [m; SLOTS];
+        for (a, &s) in acc.iter_mut().zip(self.block(tile, k)) {
+            let g = (s - theta).abs();
+            *a = if g < *a { g } else { *a };
+        }
+        lanes_min(acc)
+    }
+
+    /// Every node's max-gap `max_k |s_k − θ_k|` in `tile`, by slot (`+∞`
+    /// off the lattice). It folds from zero in ascending `k`, like the
+    /// dense max-gap plane's per-node value, so it has the same bits.
+    fn max_gaps(&self, tile: usize, thetas: &[f64]) -> [f64; SLOTS] {
+        let mut acc = [0.0f64; SLOTS];
+        let blocks = self.values[tile * self.readers * SLOTS..].chunks_exact(SLOTS);
+        for (&theta, block) in thetas.iter().zip(blocks) {
+            for (a, &s) in acc.iter_mut().zip(block) {
+                let g = (s - theta).abs();
+                *a = if g > *a { g } else { *a };
+            }
+        }
+        acc
+    }
+
+    /// `#{nodes : |s_k − θ| < bound}` over reader `k`'s values.
+    fn area(&self, k: usize, theta: f64, bound: f64) -> usize {
+        let blocks = self
+            .values
+            .chunks_exact(SLOTS)
+            .skip(k)
+            .step_by(self.readers);
+        blocks
+            .map(|block| count_gap_below(block, theta, bound))
+            .sum()
+    }
+}
+
+/// What one elimination read and computed: the work tile pruning leaves,
+/// counted only when a caller asks for it
+/// ([`crate::PreparedVire::elimination_work`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EliminationWork {
+    /// Tile range entries read (one reader's smallest or largest value
+    /// over one tile, the pad tiles of the last block included).
+    pub range_entries: usize,
+    /// Tiles whose values a reader's smallest-gap scan read.
+    pub scanned_tiles: usize,
+    /// Tiles phase 1 queued by bound after its first tile.
+    pub queued_tiles: usize,
+    /// Tiles whose nodes' max-gaps were computed.
+    pub computed_tiles: usize,
+}
+
+/// Where an elimination counts its work: production passes `()`, which
+/// counts nothing and compiles away.
+pub(crate) trait Tally {
+    fn range_entries(&mut self, n: usize);
+    fn scanned_tile(&mut self);
+    fn queued_tiles(&mut self, n: usize);
+    fn computed_tile(&mut self);
+}
+
+impl Tally for () {
+    fn range_entries(&mut self, _: usize) {}
+    fn scanned_tile(&mut self) {}
+    fn queued_tiles(&mut self, _: usize) {}
+    fn computed_tile(&mut self) {}
+}
+
+impl Tally for EliminationWork {
+    fn range_entries(&mut self, n: usize) {
+        self.range_entries += n;
+    }
+    fn scanned_tile(&mut self) {
+        self.scanned_tiles += 1;
+    }
+    fn queued_tiles(&mut self, n: usize) {
+        self.queued_tiles += n;
+    }
+    fn computed_tile(&mut self) {
+        self.computed_tiles += 1;
     }
 }
 
@@ -244,29 +470,25 @@ impl TileSummary {
 /// between calls.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct ElimBuffers {
-    /// One reader's tile bounds: a lower bound on `|s_k − θ_k|` over
-    /// each tile's nodes.
-    bounds: Vec<f64>,
-    /// One reader's per-tile gap nearest to its reading among the tile's
-    /// extremes.
-    near: Vec<f64>,
-    /// Tiles that may lower a minimum or hold a survivor, one bit per
-    /// tile in the [`bitgrid`] word layout.
-    tile_bits: Vec<u64>,
-    /// Phase 1's tiles whose max-gaps are already computed, as bits.
-    covered: Vec<u64>,
-    /// Per-tile largest bound over readers: a lower bound on every
-    /// max-gap in the tile, so a tile whose bound is at least `t` holds
+    /// Per-block largest bound over readers: a lower bound on every
+    /// max-gap in the block, so a block whose bound is at least `t` holds
     /// no survivor at `t`.
-    tile_bounds: Vec<f64>,
-    /// Flat indices of the nodes whose max-gap was computed: every node
-    /// of every tile whose bound is below the phase-1 threshold.
-    flats: Vec<u32>,
-    /// Those nodes' max-gaps `max_k |s_k − θ_k|`, aligned with `flats`.
+    block_bounds: Vec<f64>,
+    /// Each reader's lanes of nearest-extreme gaps (see the block pass).
+    near: Vec<Lanes>,
+    /// Blocks whose tile bounds phase 1 computed while looking for the
+    /// tile of smallest bound, with those bounds.
+    descended: Vec<(usize, Lanes)>,
+    /// Phase 1's tiles to compute after the first, as `(bound, tile)`,
+    /// ascending by bound.
+    queue: Vec<(f64, u32)>,
+    /// The tiles whose max-gaps were computed, in the order computed.
+    done: Vec<u32>,
+    /// Their nodes' max-gaps, one `SLOTS` block per tile of `done`.
     gaps: Vec<f64>,
     /// `select_nth` scratch (a copy of `gaps`, permuted).
     quantile: Vec<f64>,
-    /// Surviving flat node indices during phase 3.
+    /// Surviving nodes during phase 3, as `tile · SLOTS + slot`.
     list: Vec<u32>,
     /// Per-survivor gaps, entry-major: `list_gaps[e * K + k]`.
     list_gaps: Vec<f64>,
@@ -283,99 +505,133 @@ pub(crate) struct ElimBuffers {
     areas: Vec<usize>,
 }
 
-/// Smallest of `vals` not below `floor` (`+∞` if none), reduced with
-/// lane-parallel accumulators. `min` over a fixed set of non-NaN values
-/// is exact and order-independent, so this returns the same value as a
-/// sequential fold while letting the loop vectorize instead of
-/// serializing on the FP-min latency chain.
-fn lane_min(vals: &[f64], floor: f64) -> f64 {
-    let mut acc = [f64::INFINITY; 8];
-    let mut chunks = vals.chunks_exact(acc.len());
-    for c in &mut chunks {
-        for (a, &v) in acc.iter_mut().zip(c) {
-            *a = if v >= floor && v < *a { v } else { *a };
+/// `lanes` reduced pairwise by `pick` (`min` or `max`), so the lanes stay
+/// independent. Over non-NaN values both are exact and do not depend on
+/// the order, so this equals a sequential fold.
+fn lanes_fold<const N: usize>(mut lanes: [f64; N], pick: impl Fn(f64, f64) -> f64) -> f64 {
+    const { assert!(N.is_power_of_two(), "pairwise halving needs 2^n lanes") };
+    let mut n = N;
+    while n > 1 {
+        n /= 2;
+        for i in 0..n {
+            lanes[i] = pick(lanes[i], lanes[i + n]);
         }
     }
-    let tail = chunks.remainder().iter().filter(|&&v| v >= floor);
-    let m = tail.fold(f64::INFINITY, |m, &v| m.min(v));
-    acc.iter().fold(m, |m, &a| m.min(a))
+    lanes[0]
 }
 
-/// Packs `vals[i] < bound` into bitset words (the [`bitgrid`] layout),
-/// 64 comparisons per word, tail bits zero.
-fn pack_below(vals: &[f64], bound: f64, words: &mut Vec<u64>) {
-    words.clear();
-    words.extend(vals.chunks(bitgrid::WORD_BITS).map(|chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .fold(0u64, |bits, (b, &v)| bits | u64::from(v < bound) << b)
-    }));
+/// The smallest of `lanes` (see `lanes_fold`).
+fn lanes_min<const N: usize>(lanes: [f64; N]) -> f64 {
+    lanes_fold(lanes, |a, b| if b < a { b } else { a })
 }
 
-/// `#{i : vals[i] < bound}` as a vectorizable bool-sum.
-fn count_below(vals: &[f64], bound: f64) -> usize {
-    vals.iter().map(|&v| usize::from(v < bound)).sum()
+/// The largest of `lanes` (see `lanes_fold`).
+fn lanes_max<const N: usize>(lanes: [f64; N]) -> f64 {
+    lanes_fold(lanes, |a, b| if b > a { b } else { a })
 }
 
-/// `#{i : |plane[i] − theta| < bound}` as a vectorizable bool-sum.
-fn count_gap_below(plane: &[f64], theta: f64, bound: f64) -> usize {
-    plane
-        .iter()
+/// The slots of one tile's max-gaps below `t`, as bits.
+fn below(gaps: &[f64], t: f64) -> u32 {
+    let bits = gaps.iter().enumerate();
+    bits.fold(0, |bits, (slot, &g)| bits | u32::from(g < t) << slot)
+}
+
+/// Calls `visit(tile, slot)` for every computed node whose max-gap is
+/// below `t`.
+fn for_each_below(done: &[u32], gaps: &[f64], t: f64, mut visit: impl FnMut(usize, usize)) {
+    for (&tile, g) in done.iter().zip(gaps.chunks_exact(SLOTS)) {
+        let mut bits = below(g, t);
+        while bits != 0 {
+            visit(tile as usize, bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
+}
+
+/// `#{i : |vals[i] − theta| < bound}` as a vectorizable bool-sum.
+fn count_gap_below(vals: &[f64], theta: f64, bound: f64) -> usize {
+    vals.iter()
         .map(|&s| usize::from((s - theta).abs() < bound))
         .sum()
 }
 
-/// Allocation-free elimination over reader-major RSSI planes
-/// (`planes[k * nodes + flat]`, the layout [`VirtualGrid::planes`] stores)
-/// and their tile summary. On success the final mask and per-reader
-/// thresholds are left in `buf` and `true` is returned; `false` means a
-/// **fixed** threshold eliminated every region (adaptive mode always
-/// keeps at least one).
+/// Computes `tile`'s max-gaps into `done` and `gaps` and returns their
+/// smallest.
+fn compute_tile(
+    tiles: &TileSummary,
+    thetas: &[f64],
+    tile: usize,
+    done: &mut Vec<u32>,
+    gaps: &mut Vec<f64>,
+    work: &mut impl Tally,
+) -> f64 {
+    work.computed_tile();
+    let g = tiles.max_gaps(tile, thetas);
+    done.push(tile as u32);
+    gaps.extend_from_slice(&g);
+    lanes_min(g)
+}
+
+/// Allocation-free elimination over the tile store of the reader-major
+/// RSSI planes. On success the final mask and per-reader thresholds are
+/// left in `buf` and `true` is returned; `false` means a **fixed**
+/// threshold eliminated every region (adaptive mode always keeps at
+/// least one). `work` counts what the elimination read (`()` counts
+/// nothing).
 ///
-/// A fixed threshold is one dense pass: each reader's `|s − θ| < t`
-/// compares pack into 64-node words, and the readers' words AND.
+/// A fixed threshold computes every tile's max-gaps and keeps the nodes
+/// below it: `∀k: |s_k − θ_k| < t` ⟺ `max_k |s_k − θ_k| < t` for finite
+/// gaps.
 ///
 /// The adaptive mode is bit-for-bit equivalent to the historical
 /// map-building implementation, but visits only the tiles that can hold
 /// a survivor. The joint survival test `∀k: |s_k − θ_k| < t` at a uniform
-/// `t` equals `max_k |s_k − θ_k| < t`, and every tile carries a lower
-/// bound on that max-gap (see [`TileSummary`]):
+/// `t` equals `max_k |s_k − θ_k| < t`, and every block and tile carries a
+/// lower bound on that max-gap (see [`TileSummary`]):
 ///
+/// * one pass over the block ranges yields each block's bound over
+///   readers and each reader's nearest-extreme gap;
 /// * the phase-1 start, the largest of the readers' smallest gaps (at
 ///   least `min`), is exact: a tile is scanned for reader `k` only while
-///   its bound for `k` is below the running minimum, which starts at a
-///   gap some node is known to have (the tile extreme nearest to `θ_k`),
-///   and a reader stops once its minimum is at most the largest exact
-///   minimum so far, since it can no longer raise the start;
-/// * phase 1 computes exact max-gaps only in the tiles whose bound is
-///   below the current `t`, and adds the tiles that newly fall below it
-///   each time it raises `t`. A node with max-gap below `t` lies in such a
-///   tile, so "the intersection is still empty" reads the same off the
-///   computed nodes as off the whole lattice;
+///   its bound for `k` (and its block's) is below the running minimum,
+///   which starts at the reader's nearest-extreme gap, and a reader stops
+///   once its minimum is
+///   at most the largest exact minimum so far, since it can no longer
+///   raise the start;
+/// * phase 1 visits tiles best-first by bound. It computes the tile of
+///   smallest bound first: every max-gap is at least that bound, and the
+///   growth stops at the first `t` above the smallest max-gap, so that
+///   tile is always below the final `t`. Its smallest max-gap caps the
+///   final `t` by the first `t` of the same `+ step` walk above it, so
+///   one more pass queues every other tile below that cap, sorted by
+///   bound, and each `t` step computes the queued tiles it passes. A node
+///   with max-gap below `t` lies in a tile whose bound is below `t`, so
+///   "the intersection is still empty" reads the same off the computed
+///   nodes as off the whole lattice;
 /// * phase 2's count and floor-th smallest max-gap (one `select_nth`),
 ///   phase 3's survivor list and the final mask see only computed nodes.
 ///   A skipped node's max-gap is at least its tile's bound, which is at
-///   least the `t` it was skipped at, and phases 2–3 only lower `t`, so
-///   it never survives and never ranks among the floor smallest;
+///   least the final phase-1 `t`, and phases 2–3 only lower `t`, so it
+///   never survives and never ranks among the floor smallest;
 /// * phase 3 probes only the surviving candidate list (survivors are
 ///   monotone under tightening, so pruning on accepted probes is exact);
-///   its reader order counts each reader's area over the dense plane,
+///   its reader order counts each reader's area over the whole store,
 ///   which it only needs when the list reaches the floor.
 ///
 /// The threshold sequences themselves are produced by the same repeated
 /// `+ step` / `− step` float arithmetic as the historical loops, so the
 /// resulting thresholds, mask, and downstream weights are bit-identical.
 pub(crate) fn eliminate_into(
-    planes: &[f64],
     tiles: &TileSummary,
     reading: &TrackingReading,
     mode: ThresholdMode,
     buf: &mut ElimBuffers,
+    work: &mut impl Tally,
 ) -> bool {
-    let k_readers = reading.reader_count();
+    let thetas = reading.rssi();
+    let k_readers = thetas.len();
     let nodes = tiles.nodes();
-    debug_assert_eq!(planes.len(), k_readers * nodes);
+    debug_assert_eq!(k_readers, tiles.readers);
 
     match mode {
         ThresholdMode::Fixed(t) => {
@@ -385,21 +641,12 @@ pub(crate) fn eliminate_into(
             );
             let mask = &mut buf.mask;
             bitgrid::ensure_words(mask, nodes);
-            // Each reader's threshold comparison emits word bitmasks; the
-            // K-reader intersection is then a word-wise AND, with no
-            // max-gap plane materialized at all. Equivalent to the
-            // historical `max_k gap < t` test since `∀k: gap_k < t`
-            // ⟺ `max_k gap_k < t` for finite gaps.
-            bitgrid::fill_ones(mask, nodes);
-            for k in 0..k_readers {
-                let theta = reading.at(k);
-                let plane = &planes[k * nodes..(k + 1) * nodes];
-                for (word, chunk) in mask.iter_mut().zip(plane.chunks(bitgrid::WORD_BITS)) {
-                    let mut bits = 0u64;
-                    for (b, &s) in chunk.iter().enumerate() {
-                        bits |= u64::from((s - theta).abs() < t) << b;
+            mask.fill(0);
+            for tile in 0..tiles.tiles {
+                for (slot, &g) in tiles.max_gaps(tile, thetas).iter().enumerate() {
+                    if g < t {
+                        bitgrid::set_bit(mask, tiles.flat(tile, slot));
                     }
-                    *word &= bits;
                 }
             }
             if mask.iter().all(|&w| w == 0) {
@@ -417,12 +664,11 @@ pub(crate) fn eliminate_into(
         } => {
             assert!(step > 0.0 && min >= 0.0, "invalid adaptive parameters");
             let ElimBuffers {
-                bounds,
+                block_bounds,
                 near,
-                tile_bounds,
-                tile_bits,
-                covered,
-                flats,
+                descended,
+                queue,
+                done,
                 gaps,
                 quantile,
                 list,
@@ -432,7 +678,8 @@ pub(crate) fn eliminate_into(
                 order,
                 areas,
             } = buf;
-            let n_tiles = tiles.tiles;
+            tiles.block_pass(thetas, block_bounds, near);
+            work.range_entries(tiles.blocks.len() * 2 * LANES);
             // Smallest per-reader gap: at threshold just above it, reader k
             // still highlights its best-matching region. The common start
             // is the largest of those (at least `min`), plus one step,
@@ -442,46 +689,10 @@ pub(crate) fn eliminate_into(
             // far (from `min`), and a reader whose minimum cannot exceed it
             // need not be finished.
             let mut reach = min;
-            bounds.resize(n_tiles, 0.0);
-            near.resize(n_tiles, 0.0);
-            tile_bounds.clear();
-            tile_bounds.resize(n_tiles, 0.0);
-            for k in 0..k_readers {
-                let theta = reading.at(k);
-                let span = k * n_tiles..(k + 1) * n_tiles;
-                let (lo, hi) = (&tiles.lo[span.clone()], &tiles.hi[span]);
-                let (rb, nr, tb) = (&mut bounds[..], &mut near[..], &mut tile_bounds[..]);
-                // Per tile: reader k's bound, the bound over readers so far,
-                // and the nearer of the gaps of the nodes holding the
-                // tile's extremes, `|lo − θ|` and `|θ − hi|`. Those are
-                // bit for bit the nodes' own gaps (`fl(θ − s) = −fl(s − θ)`),
-                // so the nearer one is a gap some node has.
-                for i in 0..n_tiles {
-                    let (below, above) = (theta - hi[i], lo[i] - theta);
-                    let d = if below > above { below } else { above };
-                    let d = if d > 0.0 { d } else { 0.0 };
-                    rb[i] = d;
-                    tb[i] = if d > tb[i] { d } else { tb[i] };
-                    let (gl, gh) = (above.abs(), below.abs());
-                    nr[i] = if gl < gh { gl } else { gh };
-                }
-                // Reader k's smallest gap, exactly whenever it exceeds
-                // `reach`: starting from a gap some node has, only a tile
-                // whose bound is below the running minimum can lower it,
-                // and once the minimum is at most `reach` it cannot raise
-                // the start.
-                let mut m = lane_min(near, f64::NEG_INFINITY);
+            for (k, (&theta, lanes)) in thetas.iter().zip(near.iter()).enumerate() {
+                let m = lanes_min(*lanes);
                 if m > reach {
-                    pack_below(bounds, m, tile_bits);
-                    let plane = &planes[k * nodes..(k + 1) * nodes];
-                    for tile in bitgrid::iter_ones(tile_bits) {
-                        if bounds[tile] < m {
-                            m = tiles.min_gap(plane, theta, tile, m);
-                            if m <= reach {
-                                break;
-                            }
-                        }
-                    }
+                    let m = tiles.smallest_gap(k, theta, m, reach, work);
                     reach = if m > reach { m } else { reach };
                 }
             }
@@ -500,30 +711,67 @@ pub(crate) fn eliminate_into(
             // whittling an ample consistent region down to a noisy
             // single-cell snap. Empty intersection ⟺ no max-gap below t,
             // and every max-gap below t lies in a tile whose bound is below
-            // t: those tiles are computed, once each, as t passes their
-            // bounds. `next` is the smallest bound not yet covered, so a
-            // step that does not pass it reads no tile.
-            flats.clear();
+            // t: those tiles are computed, once each, best-first, as t
+            // passes their bounds.
+            done.clear();
             gaps.clear();
-            covered.clear();
-            covered.resize(bitgrid::words_for(n_tiles), 0);
+            // The tile of smallest bound: only a block whose bound is
+            // below the best tile bound so far can hold a smaller one.
+            // Each block's tile bounds are computed once and kept.
+            descended.clear();
+            let best_block = (0..block_bounds.len())
+                .min_by(|&a, &b| block_bounds[a].total_cmp(&block_bounds[b]))
+                .unwrap_or(0);
+            let others = (0..block_bounds.len()).filter(|&b| b != best_block);
+            let (mut first, mut first_bound) = (0, f64::INFINITY);
+            for block in std::iter::once(best_block).chain(others) {
+                if block_bounds[block] >= first_bound {
+                    continue;
+                }
+                work.range_entries(k_readers * 2 * LANES);
+                let lanes = tiles.tile_bounds(block, thetas);
+                descended.push((block, lanes));
+                for (tile, b) in (block * LANES..).zip(lanes) {
+                    if b < first_bound {
+                        (first, first_bound) = (tile, b);
+                    }
+                }
+            }
+            // Every max-gap is at least that tile's bound, so it lies below
+            // the final `t` and is computed first; its smallest max-gap caps
+            // the walk at `last`, and the tiles below the cap are queued.
+            let mut tightest = compute_tile(tiles, thetas, first, done, gaps, work);
+            let mut last = start;
+            while tightest >= last {
+                last += step;
+            }
+            queue.clear();
+            for (block, &bound) in block_bounds.iter().enumerate() {
+                if bound >= last {
+                    continue;
+                }
+                let lanes = match descended.iter().find(|(b, _)| *b == block) {
+                    Some(&(_, lanes)) => lanes,
+                    None => {
+                        work.range_entries(k_readers * 2 * LANES);
+                        tiles.tile_bounds(block, thetas)
+                    }
+                };
+                let lanes = (block * LANES..).zip(lanes);
+                queue.extend(
+                    lanes
+                        .filter(|&(tile, b)| b < last && tile != first)
+                        .map(|(tile, b)| (b, tile as u32)),
+                );
+            }
+            queue.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            work.queued_tiles(queue.len());
             let mut t = start;
-            let mut tightest = f64::INFINITY;
-            let mut next = f64::NEG_INFINITY;
+            let mut queued = queue.iter().peekable();
             loop {
-                if next < t {
-                    pack_below(tile_bounds, t, tile_bits);
-                    next = lane_min(tile_bounds, t);
-                    for (word, seen) in tile_bits.iter_mut().zip(covered.iter_mut()) {
-                        (*word, *seen) = (*word & !*seen, *seen | *word);
-                    }
-                    for tile in bitgrid::iter_ones(tile_bits) {
-                        tiles.for_each_max_gap(planes, reading.rssi(), tile, |flat, g| {
-                            flats.push(flat as u32);
-                            gaps.push(g);
-                            tightest = if g < tightest { g } else { tightest };
-                        });
-                    }
+                while let Some(&(_, tile)) = queued.next_if(|&&(b, _)| b < t) {
+                    let g = compute_tile(tiles, thetas, tile as usize, done, gaps, work);
+                    tightest = if g < tightest { g } else { tightest };
                 }
                 if tightest < t {
                     break;
@@ -537,12 +785,16 @@ pub(crate) fn eliminate_into(
             // and in hostile conditions it already fails); only if it
             // succeeds is the floor-th smallest max-gap selected to drive
             // the remaining probes as scalar rank tests.
-            if t - step >= min && count_below(gaps, t - step) >= floor {
+            let count_below = |t| -> usize {
+                let blocks = gaps.chunks_exact(SLOTS);
+                blocks.map(|g| below(g, t).count_ones() as usize).sum()
+            };
+            if t - step >= min && count_below(t - step) >= floor {
                 t -= step;
                 quantile.clear();
                 quantile.extend_from_slice(gaps);
                 let (_, &mut q, _) = quantile.select_nth_unstable_by(floor - 1, |a, b| {
-                    a.partial_cmp(b).expect("finite gaps")
+                    a.partial_cmp(b).expect("gaps are not NaN")
                 });
                 while t - step >= min {
                     let cand = t - step;
@@ -568,15 +820,12 @@ pub(crate) fn eliminate_into(
                 // their per-reader gaps (entry-major for contiguous probes).
                 list.clear();
                 list_gaps.clear();
-                for (&flat, &m) in flats.iter().zip(gaps) {
-                    if m < t {
-                        list.push(flat);
-                        for k in 0..k_readers {
-                            let s = planes[k * nodes + flat as usize];
-                            list_gaps.push((s - reading.at(k)).abs());
-                        }
+                for_each_below(done, gaps, t, |tile, slot| {
+                    list.push((tile * SLOTS + slot) as u32);
+                    for (k, &theta) in thetas.iter().enumerate() {
+                        list_gaps.push((tiles.block(tile, k)[slot] - theta).abs());
                     }
-                }
+                });
                 // While reader k's threshold is being tightened, every
                 // other reader's threshold is fixed and every list entry
                 // already satisfies it — so the joint survivor count at a
@@ -587,13 +836,13 @@ pub(crate) fn eliminate_into(
                 // reader's threshold stays — skip directly, without
                 // ordering the readers.)
                 if list.len() >= floor {
-                    // Each area is one pass over a plane, so compute the
-                    // keys once; the stable sort keeps ties in reader
-                    // order.
+                    // Each area is one pass over a reader's values, so
+                    // compute the keys once; the stable sort keeps ties in
+                    // reader order.
                     areas.clear();
-                    areas.extend((0..k_readers).map(|k| {
-                        count_gap_below(&planes[k * nodes..(k + 1) * nodes], reading.at(k), t)
-                    }));
+                    areas.extend(
+                        (thetas.iter().enumerate()).map(|(k, &theta)| tiles.area(k, theta, t)),
+                    );
                     order.clear();
                     order.extend(0..k_readers);
                     order.sort_by_key(|&k| std::cmp::Reverse(areas[k]));
@@ -631,15 +880,14 @@ pub(crate) fn eliminate_into(
                         }
                     }
                 }
-                for &flat in list.iter() {
-                    bitgrid::set_bit(mask, flat as usize);
+                for &id in list.iter() {
+                    let id = id as usize;
+                    bitgrid::set_bit(mask, tiles.flat(id / SLOTS, id % SLOTS));
                 }
             } else {
-                for (&flat, &m) in flats.iter().zip(gaps) {
-                    if m < t {
-                        bitgrid::set_bit(mask, flat as usize);
-                    }
-                }
+                for_each_below(done, gaps, t, |tile, slot| {
+                    bitgrid::set_bit(mask, tiles.flat(tile, slot));
+                });
             }
             true
         }
@@ -650,9 +898,9 @@ pub(crate) fn eliminate_into(
 /// every region (adaptive mode always keeps at least one).
 ///
 /// One-shot convenience over the internal `eliminate_into`, which also
-/// builds the grid's tile summary; hot paths go through
-/// [`crate::PreparedVire`], which keeps the summary in step with its
-/// grid and reuses the buffers across readings.
+/// builds the grid's tile store; hot paths go through
+/// [`crate::PreparedVire`], which keeps the store in step with its grid
+/// and reuses the buffers across readings.
 pub fn eliminate(
     grid: &VirtualGrid,
     reading: &TrackingReading,
@@ -661,7 +909,7 @@ pub fn eliminate(
     debug_assert_eq!(grid.reader_count(), reading.reader_count());
     let mut buf = ElimBuffers::default();
     let tiles = TileSummary::of(grid);
-    if !eliminate_into(grid.planes(), &tiles, reading, mode, &mut buf) {
+    if !eliminate_into(&tiles, reading, mode, &mut buf, &mut ()) {
         return None;
     }
     Some(EliminationResult {
@@ -798,12 +1046,17 @@ mod tests {
     /// lane-chunked pass computes every node's max-gap and each reader's
     /// smallest gap, and phases 1–3 then probe that whole plane.
     mod dense {
-        use super::super::{count_below, count_gap_below};
+        use super::super::count_gap_below;
         use crate::types::TrackingReading;
         use crate::ThresholdMode;
         use vire_geom::bitgrid;
 
         const LANES: usize = 8;
+
+        /// `#{i : vals[i] < bound}`.
+        fn count_below(vals: &[f64], bound: f64) -> usize {
+            vals.iter().filter(|&&v| v < bound).count()
+        }
 
         /// `out[i] = max_k |planes[k][i] − thetas[k]|` folded from zero in
         /// ascending `k`, and `mins[k] = min_i |planes[k][i] − thetas[k]|`.
@@ -942,14 +1195,16 @@ mod tests {
         let mut summary = TileSummary::default();
         summary.refresh_planes(plane, nx, ny);
         let tile = pick % summary.tiles;
+        let [lo, hi] = summary.ranges[tile / LANES];
+        let (lo, hi) = (lo[tile % LANES], hi[tile % LANES]);
         let (i, j) = (pick % plane.len(), (pick / 7) % plane.len());
         match kind {
             0 | 1 => plane[i],
-            2 => summary.lo[tile],
-            3 => summary.hi[tile],
+            2 => lo,
+            3 => hi,
             4 => plane[i] + (plane[j] - plane[i]) / 2.0,
-            5 => summary.lo[tile] - 2.5,
-            6 => summary.hi[tile] + 0.75,
+            5 => lo - 2.5,
+            6 => hi + 0.75,
             7 => 0.0,
             _ => -0.0,
         }
@@ -993,7 +1248,7 @@ mod tests {
         let mut buf = ElimBuffers::default();
         // Twice through one buffer, so stale scratch would show.
         for _ in 0..2 {
-            let kept = eliminate_into(planes, &summary, &reading, mode, &mut buf);
+            let kept = eliminate_into(&summary, &reading, mode, &mut buf, &mut ());
             let reference = dense::eliminate(planes, nx * ny, &reading, mode);
             prop_assert_eq!(kept, reference.is_some(), "{:?}", mode);
             if let Some((mask, thresholds)) = reference {
@@ -1073,5 +1328,146 @@ mod tests {
                 assert_matches_dense(vg.planes(), nx, ny, &thetas, mode_for(nodes, gap, params))?;
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The same comparison at the lattices the server runs: a 4 × 4
+        /// coarse map at refine 10 (31 × 31 nodes, 64 tiles whose last
+        /// column and row are 3 wide) and refine 20 (61 × 61 nodes, 256
+        /// tiles whose last column and row are 1 wide), with 1 to 6
+        /// readers, one kernel a case.
+        #[test]
+        fn tile_pruned_elimination_matches_dense_at_serving_lattices(
+            refine in (0usize..2).prop_map(|i| [10, 20][i]),
+            k_readers in 1usize..=6,
+            kernel in 0usize..4,
+            cells in prop::collection::vec(plane_value(), 6 * 16),
+            picks in prop::collection::vec((any::<usize>(), 0u8..9), 6),
+            params in mode_params(),
+        ) {
+            let coarse = RegularGrid::square(Point2::ORIGIN, 1.0, 4);
+            let readers: Vec<Point2> =
+                (0..k_readers).map(|k| Point2::new(k as f64, -1.0)).collect();
+            let fields = cells
+                .chunks_exact(16)
+                .take(k_readers)
+                .map(|c| {
+                    let mut i = 0;
+                    GD::from_fn(coarse, |_, _| {
+                        i += 1;
+                        c[i - 1]
+                    })
+                })
+                .collect();
+            let refs = ReferenceRssiMap::new(coarse, readers, fields);
+            let vg = VirtualGrid::build(&refs, refine, InterpolationKernel::ALL[kernel]);
+            let (nx, ny, nodes) = (vg.grid().nx(), vg.grid().ny(), vg.tag_count());
+            let thetas: Vec<f64> = (0..k_readers)
+                .map(|k| theta_for(vg.field(k), nx, ny, picks[k].0, picks[k].1))
+                .collect();
+            let gap = (vg.field(0)[picks[0].0 % nodes] - thetas[0]).abs();
+            assert_matches_dense(vg.planes(), nx, ny, &thetas, mode_for(nodes, gap, params))?;
+        }
+    }
+
+    /// The work of one adaptive elimination over raw planes on an
+    /// `nx × ny` lattice, with `step` 0.25, `min` 0, floor 1 and no
+    /// per-reader tightening.
+    fn work_on(planes: &[f64], nx: usize, ny: usize, thetas: &[f64]) -> EliminationWork {
+        let mut summary = TileSummary::default();
+        summary.refresh_planes(planes, nx, ny);
+        let mode = ThresholdMode::Adaptive {
+            step: 0.25,
+            min: 0.0,
+            per_reader: false,
+            min_candidates: 1,
+        };
+        let mut work = EliminationWork::default();
+        let reading = TrackingReading::new(thetas.to_vec());
+        assert!(eliminate_into(
+            &summary,
+            &reading,
+            mode,
+            &mut ElimBuffers::default(),
+            &mut work
+        ));
+        work
+    }
+
+    /// A row-major plane over `n` side-by-side 4 × 4 tiles, each tile's
+    /// nodes from `tile(t, slot)`.
+    fn tiles_in_a_row(n: usize, tile: impl Fn(usize, usize) -> f64) -> Vec<f64> {
+        let nx = 4 * n;
+        (0..4 * nx)
+            .map(|flat| tile(flat % nx / 4, flat / nx * 4 + flat % 4))
+            .collect()
+    }
+
+    /// A tile whose bound equals the final threshold holds no survivor
+    /// and is not computed. Two readers at `θ = 0`: tile 0's gaps reach
+    /// from 0 to 1 on either reader but no node has both below 1 (bound
+    /// 0, max-gaps 1), tile 1's nodes are all 0.5 off on both (bound and
+    /// max-gaps 0.5), tile 2's all 0.75 (bound 0.75). Phase 1 starts at
+    /// 0.25, computes tile 0 first, and stops at `t = 0.75` once tile 1
+    /// is computed; tile 2 is queued (below the cap 1.25 from tile 0's
+    /// max-gap 1) but its bound is not below `t`. The block pass reads
+    /// the one group of block ranges and phase 1 the one block's tile
+    /// ranges: 2 · 2 · 8 entries each.
+    #[test]
+    fn a_tile_whose_bound_equals_the_threshold_is_not_computed() {
+        let reader = |k: usize| {
+            tiles_in_a_row(3, move |tile, slot| match (tile, slot) {
+                (0, 0) => [0.0, 1.0][k],
+                (0, 1) => [1.0, 0.0][k],
+                (0, _) => 1.0,
+                (1, _) => 0.5,
+                _ => 0.75,
+            })
+        };
+        let planes = [reader(0), reader(1)].concat();
+        let work = work_on(&planes, 12, 4, &[0.0, 0.0]);
+        let expected = EliminationWork {
+            range_entries: 2 * 2 * LANES + 2 * 2 * LANES,
+            scanned_tiles: 0,
+            queued_tiles: 2,
+            computed_tiles: 2,
+        };
+        assert_eq!(work, expected);
+    }
+
+    /// Block and tile bounds are clamped at zero, so blocks and tiles
+    /// whose ranges hold the reading tie at 0 and phase 1 starts from the
+    /// first of them. One reader at `θ = 0`, nine tiles in two blocks:
+    /// tile 0 spans ±0.5, tile 1 spans ±1 with a node at 0, tile 2 sits
+    /// at 0.375, tiles 3–7 at 5, and tile 8 (the second block) spans ±2
+    /// with a node at 0.1. Both blocks' bounds are 0, so phase 1 looks in
+    /// block 0 first and starts from tile 0: its smallest max-gap 0.5
+    /// caps the walk at 0.75, and tiles 1, 2 and 8 are queued; tiles 1
+    /// and 8 are computed at `t = 0.25`. Unclamped, block 1 (−2) would
+    /// come first and tile 8 (cap 0.25) would queue only tiles 0 and 1,
+    /// and unclamped tiles would start from tile 1 (−1) and queue only
+    /// tiles 0 and 8.
+    #[test]
+    fn tiles_holding_the_reading_tie_at_a_zero_bound() {
+        let plane = tiles_in_a_row(9, |tile, slot| match tile {
+            0 => [-0.5, 0.5][slot % 2],
+            1 => [-1.0, 1.0, 0.0][slot % 3],
+            2 => 0.375,
+            8 => [-2.0, 2.0, 0.1][slot % 3],
+            _ => 5.0,
+        });
+        let work = work_on(&plane, 36, 4, &[0.0]);
+        // The block pass reads 16 entries; the smallest-gap scan reads
+        // block 0's range and its tiles' ranges (18 entries) and scans
+        // tiles 0 and 1; phase 1 reads both blocks' tile ranges (32).
+        let expected = EliminationWork {
+            range_entries: 2 * LANES + 2 + 2 * LANES + 2 * 2 * LANES,
+            scanned_tiles: 2,
+            queued_tiles: 3,
+            computed_tiles: 3,
+        };
+        assert_eq!(work, expected);
     }
 }

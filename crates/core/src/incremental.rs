@@ -7,13 +7,13 @@
 //! cell moves:
 //!
 //! * [`PreparedVire`] — owns the map mirror and the virtual grid, whose
-//!   reader-major planes are the only copy elimination and weighting
-//!   read. Paper §4.2 interpolates each reader's plane from that reader's
+//!   reader-major planes the sweep writes and the tile store elimination
+//!   and weighting read is refreshed from. Paper §4.2 interpolates each reader's plane from that reader's
 //!   real tags alone, so [`sync`](OwnedPreparedLocalizer::sync) flags
 //!   each reader whose cells changed and re-interpolates exactly those
-//!   readers' planes, whole and in place, refreshing each one's RSSI
-//!   range per 4 × 4 tile (the bounds elimination prunes with) as it
-//!   goes. A build is the same per-reader call run for every reader, so
+//!   readers' planes, whole and in place, refreshing each one's part of
+//!   the tile store (its RSSI range and values per 4 × 4 tile, the one
+//!   store a locate reads) as it goes. A build is the same per-reader call run for every reader, so
 //!   the synced state is **bit-identical** to a from-scratch
 //!   [`PreparedVire::build`] (pinned by property tests in
 //!   `tests/incremental.rs`).
@@ -37,7 +37,7 @@
 //! the same way. Debug builds check after every sync that the mirror
 //! equals the map bit for bit, so a hint that misses a cell fails loudly.
 
-use crate::elimination::EliminationResult;
+use crate::elimination::{EliminationResult, EliminationWork, Tally};
 use crate::landmarc::{Landmarc, LandmarcConfig};
 use crate::localizer::{Estimate, LocalizeError};
 use crate::prepared::{
@@ -203,9 +203,28 @@ impl PreparedVire {
     /// eliminates every region. The same tile-pruned elimination
     /// [`PreparedLocalizer::locate`] runs, without weighting.
     pub fn eliminate(&self, reading: &TrackingReading) -> Option<EliminationResult> {
+        self.eliminate_counting(reading, &mut ())
+    }
+
+    /// The work [`PreparedVire::eliminate`] does on one reading: the
+    /// tile ranges it reads, the tiles its smallest-gap scans read, the
+    /// tiles phase 1 queues and the tiles whose max-gaps it computes.
+    /// Production locates count nothing; this runs the same code with the
+    /// counts kept.
+    pub fn elimination_work(&self, reading: &TrackingReading) -> EliminationWork {
+        let mut work = EliminationWork::default();
+        self.eliminate_counting(reading, &mut work);
+        work
+    }
+
+    fn eliminate_counting(
+        &self,
+        reading: &TrackingReading,
+        work: &mut impl Tally,
+    ) -> Option<EliminationResult> {
         with_vire_scratch(|scratch| {
             self.state
-                .eliminate(reading, &mut scratch.elim)
+                .eliminate(reading, &mut scratch.elim, work)
                 .then(|| EliminationResult {
                     mask: BitGrid::from_words(*self.grid().grid(), scratch.elim.mask.clone()),
                     thresholds: scratch.elim.thresholds.clone(),

@@ -7,7 +7,8 @@
 //! the compiler autovectorizes without SIMD intrinsics or new
 //! dependencies. (VIRE's elimination used to run a dense max-gap pass of
 //! the same shape; it now visits only the tiles that can hold a survivor,
-//! see [`crate::elimination`].)
+//! reading their values from a tile-major store, see
+//! [`crate::elimination`].)
 //!
 //! Bit-identity with the scalar reference is structural, not accidental:
 //! every lane holds exactly one node, and the reader loop visits

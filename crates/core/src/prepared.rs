@@ -2,11 +2,12 @@
 //! map once, then answer many queries cheaply.
 //!
 //! VIRE's map-dependent work — interpolating the virtual grid (§4.2) into
-//! its reader-major RSSI planes, and summarizing each reader's RSSI range
-//! per 4 × 4 tile of them — does not depend on the reading; each locate
-//! then bounds the tiles' gaps from that summary and reads only the tiles
-//! that can hold a reader's smallest gap or a survivor. This module holds
-//! the query side of that split:
+//! its reader-major RSSI planes, and copying them into a tile-major store
+//! (each reader's RSSI range and 16 values per 4 × 4 tile) — does not
+//! depend on the reading. Each locate reads only that store: one pass
+//! over the ranges bounds every tile's gaps, and only the tiles that can
+//! hold a reader's smallest gap or a survivor have their values read.
+//! This module holds the query side of that split:
 //!
 //! * the [`PreparedLocalizer`] trait every prepared form implements, with
 //!   an order-preserving [`PreparedLocalizer::locate_batch`] that fans a
@@ -27,7 +28,7 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
-use crate::elimination::{eliminate_into, ElimBuffers, ThresholdMode, TileSummary};
+use crate::elimination::{eliminate_into, ElimBuffers, Tally, ThresholdMode, TileSummary};
 use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
@@ -69,10 +70,13 @@ pub trait PreparedLocalizer: Sync {
 }
 
 /// Fewest readings worth handing to a pool lane. A VIRE locate costs
-/// about 1–2 µs since elimination reads only the tiles that can hold a
-/// survivor, and waking a lane costs about as much as ten of them: on a
-/// 2-core x86-64 host a 16-reading batch took 41 µs fanned over two lanes
-/// against 31 µs inline, and the two broke even at 32 readings.
+/// about 0.6–1.1 µs on the tile store, and waking a lane costs about as
+/// much as ten of them: on a 2-core x86-64 host (medians of 15 × 500
+/// batches, three runs) a 16-reading batch took 13.5–26.7 µs fanned over
+/// two lanes against 9.9–17.8 µs inline. Two runs broke even between 24
+/// and 40 readings; in the third, with the second core busy, fanning
+/// still lost at 64. So a lane still needs 16 readings, and a batch fans
+/// out from 32.
 const MIN_READINGS_PER_LANE: usize = 16;
 
 /// Fans `readings` (owned or by reference) across the persistent
@@ -174,7 +178,7 @@ pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
 
 /// The map-bound core of [`crate::PreparedVire`]: the interpolated
 /// [`VirtualGrid`], whose reader-major planes (`planes[k * nodes + flat]`)
-/// elimination and weighting read in place, their tile summary, the
+/// the sweep writes, the tile store elimination and weighting read, the
 /// sweep that re-interpolates a reader's plane, and the resolved
 /// threshold mode.
 pub(crate) struct VireState {
@@ -182,8 +186,8 @@ pub(crate) struct VireState {
     /// Private, so every change to the planes goes through
     /// [`VireState::reinterpolate`], which refreshes `tiles`.
     grid: VirtualGrid,
-    /// Each reader's RSSI range per 4 × 4 tile of `grid`'s planes, the
-    /// bounds adaptive elimination prunes with.
+    /// Each reader's RSSI range and values per 4 × 4 tile of `grid`'s
+    /// planes: the one store elimination and weighting read.
     tiles: TileSummary,
     sweep: Sweep,
     /// Threshold mode with the auto candidate floor already resolved to
@@ -192,7 +196,7 @@ pub(crate) struct VireState {
 }
 
 impl VireState {
-    /// Interpolates the virtual grid of `refs` and summarizes its tiles.
+    /// Interpolates the virtual grid of `refs` and fills its tile store.
     /// Errors when the configuration is degenerate (`refine == 0`).
     pub(crate) fn build(
         config: &VireConfig,
@@ -237,23 +241,23 @@ impl VireState {
     }
 
     /// Re-interpolates reader `k`'s whole plane in place from `refs` (see
-    /// [`Sweep::reinterpolate`]) and refreshes that reader's tile
-    /// summary.
+    /// [`Sweep::reinterpolate`]) and refreshes that reader's part of the
+    /// tile store.
     pub(crate) fn reinterpolate(&mut self, refs: &ReferenceRssiMap, k: usize) {
         self.sweep.reinterpolate(&mut self.grid, refs, k);
         self.tiles.refresh_reader(self.grid.planes(), k);
     }
 
-    /// Elimination over the grid's planes and tile summary (see
-    /// `eliminate_into`): `false` when a fixed threshold left nothing.
-    pub(crate) fn eliminate(&self, reading: &TrackingReading, buf: &mut ElimBuffers) -> bool {
-        eliminate_into(
-            self.grid.planes(),
-            &self.tiles,
-            reading,
-            self.threshold,
-            buf,
-        )
+    /// Elimination over the grid's tile store (see `eliminate_into`),
+    /// counting its work into `work`: `false` when a fixed threshold left
+    /// nothing.
+    pub(crate) fn eliminate(
+        &self,
+        reading: &TrackingReading,
+        buf: &mut ElimBuffers,
+        work: &mut impl Tally,
+    ) -> bool {
+        eliminate_into(&self.tiles, reading, self.threshold, buf, work)
     }
 
     /// Query core shared by every VIRE entry point (prepared, batch, and
@@ -270,9 +274,8 @@ impl VireState {
         scratch: &mut VireScratch,
     ) -> Result<(Estimate, bool), LocalizeError> {
         check_readers(refs, reading)?;
-        let nodes = self.grid.tag_count();
 
-        if !self.eliminate(reading, &mut scratch.elim) {
+        if !self.eliminate(reading, &mut scratch.elim, &mut ()) {
             return match self.config.fallback {
                 EmptyFallback::Error => Err(LocalizeError::AllEliminated),
                 EmptyFallback::Landmarc => {
@@ -283,9 +286,7 @@ impl VireState {
         }
 
         if !candidate_weights_into(
-            self.grid.planes(),
-            nodes,
-            self.grid.grid().nx(),
+            &self.tiles,
             reading,
             &scratch.elim.mask,
             self.config.weighting,

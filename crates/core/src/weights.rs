@@ -11,6 +11,7 @@
 //!
 //! The combined weight is `w = w1·w2`, renormalized.
 
+use crate::elimination::TileSummary;
 use crate::landmarc::inverse_square_weights_into;
 use crate::virtual_grid::VirtualGrid;
 use crate::TrackingReading;
@@ -160,8 +161,8 @@ fn label_components(mask: &[u64], nx: usize, nodes: usize, buf: &mut WeightBuffe
     }
 }
 
-/// Allocation-free weighting over reader-major RSSI planes
-/// (`planes[k * nodes + flat]`, [`VirtualGrid::planes`]) and a packed
+/// Allocation-free weighting over the tile store of the reader-major RSSI
+/// planes (the one store elimination reads, [`TileSummary`]) and a packed
 /// candidate mask in the [`bitgrid`] word layout. On success the candidate
 /// flat indices and their normalized weights are left in `buf` and `true`
 /// is returned; `false` corresponds to the `None` cases of
@@ -170,22 +171,18 @@ fn label_components(mask: &[u64], nx: usize, nodes: usize, buf: &mut WeightBuffe
 /// Bit-for-bit equivalent to the historical implementation: candidate
 /// iteration walks `trailing_zeros` word by word, which enumerates the
 /// same ascending row-major order as a full scan; every per-candidate sum
-/// runs k-ascending, and normalization divides in the same order.
-#[allow(clippy::too_many_arguments)]
+/// runs k-ascending over the same values the planes hold, and
+/// normalization divides in the same order.
 pub(crate) fn candidate_weights_into(
-    planes: &[f64],
-    nodes: usize,
-    nx: usize,
+    tiles: &TileSummary,
     reading: &TrackingReading,
     mask: &[u64],
     mode: WeightingMode,
     w1_mode: W1Mode,
     buf: &mut WeightBuffers,
 ) -> bool {
+    let (nodes, nx) = (tiles.nodes(), tiles.nx());
     debug_assert_eq!(mask.len(), bitgrid::words_for(nodes));
-    let k_readers = reading.reader_count();
-    debug_assert_eq!(planes.len(), k_readers * nodes);
-
     buf.candidates.clear();
     buf.candidates.extend(bitgrid::iter_ones(mask));
     if buf.candidates.is_empty() {
@@ -198,8 +195,8 @@ pub(crate) fn candidate_weights_into(
             // Σ_k (θ_k − s_k)², k ascending, then sqrt.
             buf.scores.clear();
             for &flat in &buf.candidates {
-                let e = (0..k_readers)
-                    .map(|k| (reading.at(k) - planes[k * nodes + flat]).powi(2))
+                let e = (reading.rssi().iter().zip(tiles.node_values(flat)))
+                    .map(|(&theta, s)| (theta - s).powi(2))
                     .sum::<f64>()
                     .sqrt();
                 buf.scores.push(e);
@@ -211,14 +208,11 @@ pub(crate) fn candidate_weights_into(
             // candidates: `w1ᵢ ∝ Σ_k |S_k(Tᵢ) − θ_k| / (K·|S_k(Tᵢ)|)`.
             // When every discrepancy is zero the weights degrade to
             // uniform.
-            let k_f = k_readers as f64;
+            let k_f = reading.reader_count() as f64;
             buf.scores.clear();
             for &flat in &buf.candidates {
-                let raw = (0..k_readers)
-                    .map(|k| {
-                        let s = planes[k * nodes + flat];
-                        (s - reading.at(k)).abs() / (k_f * s.abs().max(1e-9))
-                    })
+                let raw = (reading.rssi().iter().zip(tiles.node_values(flat)))
+                    .map(|(&theta, s)| (s - theta).abs() / (k_f * s.abs().max(1e-9)))
                     .sum::<f64>();
                 buf.scores.push(raw);
             }
@@ -276,9 +270,10 @@ pub(crate) fn candidate_weights_into(
 /// Returns `(candidate_indices, weights)`; weights are normalized to sum
 /// to 1. Returns `None` when the mask is empty or the weights degenerate.
 ///
-/// One-shot convenience over the internal `candidate_weights_into`; hot paths go
-/// through [`crate::PreparedVire`], which reuses the buffers across
-/// readings.
+/// One-shot convenience over the internal `candidate_weights_into`, which
+/// also builds the grid's tile store; hot paths go through
+/// [`crate::PreparedVire`], which keeps the store in step with its grid
+/// and reuses the buffers across readings.
 pub fn candidate_weights(
     grid: &VirtualGrid,
     reading: &TrackingReading,
@@ -289,9 +284,7 @@ pub fn candidate_weights(
     let nx = grid.grid().nx();
     let mut buf = WeightBuffers::default();
     if !candidate_weights_into(
-        grid.planes(),
-        grid.tag_count(),
-        nx,
+        &TileSummary::of(grid),
         reading,
         mask.words(),
         mode,
@@ -476,7 +469,7 @@ mod tests {
     #[test]
     fn reused_buffers_leave_labels_clear_and_match_fresh_ones() {
         let (vg, reading) = setup();
-        let nx = vg.grid().nx();
+        let tiles = TileSummary::of(&vg);
         let masks = [
             mask_with(&vg, &[GridIndex::new(5, 5), GridIndex::new(6, 5)]),
             mask_with(
@@ -494,9 +487,7 @@ mod tests {
         for mask in masks.iter().chain(&masks) {
             let run = |buf: &mut WeightBuffers| {
                 candidate_weights_into(
-                    vg.planes(),
-                    vg.tag_count(),
-                    nx,
+                    &tiles,
                     &reading,
                     mask.words(),
                     WeightingMode::Combined,

@@ -399,3 +399,67 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // The oracle recounts the whole lattice per probe, so the serving
+    // lattices run fewer cases, one kernel each.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The same comparison at the lattices the server runs: a 4 × 4 map
+    /// at refine 10 (31 × 31 nodes, 64 tiles with 3-wide edge tiles) and
+    /// refine 20 (61 × 61 nodes, 256 tiles), with 1 to 6 readers.
+    #[test]
+    fn adaptive_eliminate_matches_map_building_reference_at_serving_lattices(
+        k_readers in 1usize..=6,
+        refine in (0usize..2).prop_map(|i| [10, 20][i]),
+        kernel in 0usize..4,
+        cells in prop::collection::vec((0u8..24, -3.0..3.0f64), 6 * 16),
+        pick in any::<usize>(),
+        offsets in prop::collection::vec(theta_offset(), 6),
+        (step, min) in (0usize..4, 0usize..3),
+        per_reader in any::<bool>(),
+        floor_pick in any::<usize>(),
+        small_floor in 0u8..4,
+    ) {
+        let (step, min) = ([0.25, 1.0, 2.0, 4.0][step], [0.0, 0.05, 0.5][min]);
+        let grid = RegularGrid::square(Point2::ORIGIN, 1.0, 4);
+        let rs: Vec<Point2> = (0..k_readers)
+            .map(|k| Point2::new(-1.0 + 1.5 * k as f64, if k % 2 == 0 { -1.0 } else { 4.0 }))
+            .collect();
+        let fields = rs
+            .iter()
+            .zip(cells.chunks_exact(16))
+            .map(|(r, cells)| {
+                let mut flat = 0;
+                GridData::from_fn(grid, |_, p| {
+                    let (kind, noise) = cells[flat];
+                    flat += 1;
+                    match kind {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => {
+                            let db = -62.0 - 24.0 * p.distance(*r).max(0.1).log10() + noise;
+                            (db * 2.0).round() / 2.0
+                        }
+                    }
+                })
+            })
+            .collect();
+        let map = ReferenceRssiMap::new(grid, rs, fields);
+        let kernel = all_kernels()[kernel];
+        let vg = VirtualGrid::build(&map, refine, kernel);
+        let nodes = vg.tag_count();
+        let thetas: Vec<f64> = (0..k_readers)
+            .map(|k| vg.field(k)[pick % nodes] + offsets[k])
+            .collect();
+        let floor = 1 + floor_pick % if small_floor > 0 { nodes.min(4) } else { nodes };
+        let mode = ThresholdMode::Adaptive { step, min, per_reader, min_candidates: floor };
+        let planes: Vec<&[f64]> = (0..k_readers).map(|k| vg.field(k)).collect();
+        let (ts, mask) = reference_adaptive(&planes, &thetas, step, min, per_reader, floor);
+        let r = eliminate(&vg, &TrackingReading::new(thetas), mode)
+            .expect("adaptive elimination keeps a region");
+        prop_assert_eq!(bits(&r.thresholds), bits(&ts), "kernel {:?}, floor {}", kernel, floor);
+        let unpacked = r.mask.to_grid_data();
+        prop_assert_eq!(unpacked.as_slice(), mask.as_slice(), "kernel {:?}", kernel);
+    }
+}

@@ -139,7 +139,23 @@ impl SmoothingKind {
 /// maps −0.0 to +0.0, so the order agrees with `partial_cmp` on every
 /// finite value (±0.0 ties included) while staying total: a NaN sorts
 /// instead of panicking.
+///
+/// A window of exactly five finite, non-zero readings takes its middle
+/// from a seven compare-exchange network instead. Under that order only
+/// ±0.0 tie with different bits, so among such readings equal values are
+/// the same bits and any correct selection returns the sort's middle.
 fn median(window: &[f64], sorted: &mut Vec<f64>) -> f64 {
+    if let &[a, b, c, d, e] = window {
+        if window.iter().all(|x| x.is_finite() && *x != 0.0) {
+            let mut v = [a, b, c, d, e];
+            for (i, j) in [(0, 1), (3, 4), (0, 3), (1, 4), (1, 2), (2, 3), (1, 2)] {
+                if v[i] > v[j] {
+                    v.swap(i, j);
+                }
+            }
+            return v[2];
+        }
+    }
     sorted.clear();
     sorted.extend_from_slice(window);
     sorted.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
@@ -253,6 +269,56 @@ mod tests {
             f.update(x);
         }
         assert_eq!(f.value(), Some(-73.0));
+    }
+
+    /// A reading for the median oracle: a few repeated decibel values (so
+    /// windows tie), ±0.0, NaN and ±∞.
+    fn median_reading() -> impl proptest::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        (0u8..10, 0u8..4).prop_map(|(kind, db)| match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            _ => -70.0 - f64::from(db) / 2.0,
+        })
+    }
+
+    proptest::proptest! {
+        /// The median (network or sort) equals the middle of the stable
+        /// sort, to the bit, on windows of one to seven readings.
+        #[test]
+        fn median_of_five_matches_the_stable_sort(
+            window in proptest::collection::vec(median_reading(), 1..=7),
+        ) {
+            let mut stable = window.clone();
+            stable.sort_by(|a, b| (a + 0.0).total_cmp(&(b + 0.0)));
+            let mid = stable.len() / 2;
+            let want = if stable.len() % 2 == 1 {
+                stable[mid]
+            } else {
+                (stable[mid - 1] + stable[mid]) / 2.0
+            };
+            let got = median(&window, &mut Vec::new());
+            proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?}", window);
+        }
+    }
+
+    /// The network selects the middle of every order of five distinct
+    /// readings.
+    #[test]
+    fn median_of_five_network_sorts_every_permutation() {
+        let values = [-74.0, -72.5, -71.0, -69.5, -68.0];
+        for p in 0..5usize.pow(5) {
+            let idx: Vec<usize> = (0..5).map(|i| p / 5usize.pow(i) % 5).collect();
+            let mut seen = [false; 5];
+            if idx.iter().any(|&i| std::mem::replace(&mut seen[i], true)) {
+                continue;
+            }
+            let window: Vec<f64> = idx.iter().map(|&i| values[i]).collect();
+            assert_eq!(median(&window, &mut Vec::new()), -71.0, "{window:?}");
+        }
     }
 
     #[test]

@@ -55,11 +55,18 @@ cargo test -p vire-geom -q
 # matches a map-building reference of the paper's procedure through all
 # three phases (threshold bits and mask, largest-area reader first), and
 # a lattice with one node along an axis localizes and syncs on every
-# kernel. Adaptive elimination reads only the tiles whose bounds (each
-# reader's RSSI range per 4x4 tile, summarized at sync) admit a survivor
-# or a smaller gap, and matches the dense max-gap elimination to the bit:
-# fixed and adaptive modes, every floor, ties and ±0.0, readings on tile
-# extremes, lattice sides off multiples of 4 (1xN, Nx1, 1x1, refine 1).
+# kernel. Elimination and weighting read one tile-major store (each
+# reader's RSSI range and 16 values per 4x4 tile, refreshed at sync);
+# adaptive elimination reads the values of only the tiles whose bounds
+# admit a survivor or a smaller gap, and matches the dense max-gap
+# elimination to the bit: fixed and adaptive modes, every floor, ties and
+# ±0.0, readings on tile extremes, lattice sides off multiples of 4 (1xN,
+# Nx1, 1x1, refine 1), and the lattices the server runs (refine 10 and
+# 20, 1 to 6 readers), where it also matches the map-building reference.
+# Its work is pinned: exact counts of range entries read, tiles scanned,
+# queued and computed on the Env2 fixture, a tile whose bound equals the
+# threshold is not computed, and tiles holding the reading tie at a zero
+# bound. A steady-state locate (refine 10 and 20) allocates nothing.
 # The one sync path: a sync re-interpolates, whole, the plane of exactly
 # each reader with a changed cell and refreshes that reader's tile
 # summary; the readers it leaves clean keep their planes to the bit
@@ -74,7 +81,8 @@ cargo test -p vire-geom -q
 echo "==> cargo test (prepared-state oracles)"
 cargo test -q -p vire-core --test kernels --test incremental
 named_tests -p vire-core --test kernels -- \
-  adaptive_eliminate_matches_map_building_reference
+  adaptive_eliminate_matches_map_building_reference \
+  adaptive_eliminate_matches_map_building_reference_at_serving_lattices
 named_tests -p vire-core --test incremental -- \
   every_map_change_localizes_like_a_fresh_build \
   patched_state_is_bit_identical_to_rebuild \
@@ -86,9 +94,16 @@ named_tests -p vire-core --test properties -- \
 named_tests -p vire-core --lib -- \
   tile_pruned_elimination_matches_dense \
   tile_pruned_elimination_matches_dense_on_virtual_grids \
+  tile_pruned_elimination_matches_dense_at_serving_lattices \
+  a_tile_whose_bound_equals_the_threshold_is_not_computed \
+  tiles_holding_the_reading_tie_at_a_zero_bound \
   reinterpolating_any_reader_subset_matches_fresh_builds \
   reused_buffers_leave_labels_clear_and_match_fresh_ones \
   hint_path_and_diff_path_agree sync_patches_the_named_cell_and_matches_fresh
+named_tests -p vire-bench --test elimination_work -- \
+  elimination_work_on_the_fixture_is_pinned
+named_tests -p vire-bench --test locate_allocations -- \
+  steady_state_locates_allocate_nothing
 
 # The generational tag slab: handle allocation, slot reuse, and the
 # lifetime-safety invariants every layer leans on.
@@ -186,7 +201,10 @@ named_tests -p vire-core --lib -- a_repeat_at_the_ceiling_supersedes_instead_of_
 # one-tag middleware, equal a from-scratch recompute over its reading
 # history, to the bit (the median's order matches partial_cmp, ±0.0 ties
 # in arrival order, and is total, so a non-finite reading cannot panic
-# it). An invalid policy panics when the middleware is built. A drain reports each
+# it). A window of five finite non-zero readings takes its median from a
+# compare-exchange network, which matches the stable sort to the bit on
+# every window (ties, ±0.0, NaN, ±∞) and on every order of five distinct
+# readings. An invalid policy panics when the middleware is built. A drain reports each
 # dirty, fully heard tag once and keeps nothing. The testbed hands each
 # decoded reading straight to its stage: replaying its raw log into a
 # fresh middleware rebuilds the engine's smoothed table to the bit.
@@ -195,7 +213,9 @@ named_tests -p vire-sim --test properties -- \
   filter_value_and_change_flag_match_a_recompute \
   windowed_filters_take_non_finite_readings_without_panicking
 named_tests -p vire-sim --lib -- \
-  smoothing::tests::invalid_alpha_panics smoothing::tests::zero_window_panics
+  smoothing::tests::invalid_alpha_panics smoothing::tests::zero_window_panics \
+  smoothing::tests::median_of_five_matches_the_stable_sort \
+  smoothing::tests::median_of_five_network_sorts_every_permutation
 named_tests -p vire-sim --test drain -- \
   partially_heard_tags_are_left_out_and_reported_once_complete \
   tags_heard_by_one_reader_do_not_accumulate
