@@ -88,8 +88,7 @@ fn bench_incremental_prepare(c: &mut Criterion) {
             b.iter(|| {
                 toggle(&mut map, &cells, round);
                 round += 1;
-                let prepared = vire.prepare(black_box(&map)).expect("refine > 0");
-                black_box(prepared.planes()[0]);
+                black_box(vire.prepare(black_box(&map)).expect("refine > 0"));
             })
         });
     }
@@ -165,11 +164,15 @@ fn emit_json_summary(_c: &mut Criterion) {
             toggle(&mut map, &cells, 0);
             owned.sync(&map, &[]);
             let fresh = vire.prepare(&map).expect("refine > 0");
-            let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let bits = |prepared: &vire_core::PreparedVire| {
+                let grid = prepared.grid();
+                let fields = (0..grid.reader_count()).flat_map(|k| grid.field(k));
+                fields.map(f64::to_bits).collect::<Vec<_>>()
+            };
             assert_eq!(
-                bits(owned.planes()),
-                bits(fresh.planes()),
-                "synced planes must be bit-identical at {case:?}"
+                bits(&owned),
+                bits(&fresh),
+                "synced grid must be bit-identical at {case:?}"
             );
 
             let mut round = 1u64;
@@ -182,8 +185,7 @@ fn emit_json_summary(_c: &mut Criterion) {
             let prepare_ns = time_ns(|| {
                 toggle(&mut map, &cells, round);
                 round += 1;
-                let prepared = vire.prepare(black_box(&map)).expect("refine > 0");
-                black_box(prepared.planes()[0])
+                black_box(vire.prepare(black_box(&map)).expect("refine > 0"))
             });
             SummaryRow {
                 dirty_readers: case.0,

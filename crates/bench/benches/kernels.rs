@@ -252,8 +252,13 @@ fn prepared_vire() -> (PreparedVire, ThresholdMode) {
 fn virtual_planes() -> (Vec<f64>, usize, Vec<f64>) {
     let (_, tags) = fixture();
     let (prepared, _) = prepared_vire();
-    let nodes = prepared.grid().tag_count();
-    (prepared.planes().to_vec(), nodes, tags[0].1.rssi().to_vec())
+    let grid = prepared.grid();
+    let planes = (0..grid.reader_count()).flat_map(|k| grid.field(k));
+    (
+        planes.collect(),
+        grid.tag_count(),
+        tags[0].1.rssi().to_vec(),
+    )
 }
 
 fn bench_kernels(c: &mut Criterion) {

@@ -355,12 +355,11 @@ fn emit_json_summary(_c: &mut Criterion) {
     // build vs building every zone's prepared state.
     let vire = Vire::new(VireConfig::default());
     let union = union_map(largest);
-    let union_rebuild_ns =
-        time_ns(|| black_box(vire.prepare(&union).expect("refine > 0").planes()[0]));
+    let union_rebuild_ns = time_ns(|| black_box(vire.prepare(&union).expect("refine > 0")));
     let zone = zone_map();
     let zones_rebuild_ns = time_ns(|| {
         for _ in 0..largest {
-            black_box(vire.prepare(&zone).expect("refine > 0").planes()[0]);
+            black_box(vire.prepare(&zone).expect("refine > 0"));
         }
     });
 

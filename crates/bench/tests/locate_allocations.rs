@@ -1,6 +1,8 @@
 //! A steady-state locate allocates nothing: elimination reads the tile
 //! store in place, and every buffer of the scratch arena keeps its
-//! capacity from one reading to the next.
+//! capacity from one reading to the next. Neither does a steady-state
+//! sync: the sweep re-interpolates a reader through its own scratch and
+//! writes the virtual grid's store in place.
 //!
 //! Its own test binary, because it installs a counting global allocator.
 
@@ -8,7 +10,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vire_bench::fixture;
-use vire_core::{TrackingReading, Vire, VireConfig, VireScratch};
+use vire_core::incremental::SyncOutcome;
+use vire_core::{OwnedPreparedLocalizer, TrackingReading, Vire, VireConfig, VireScratch};
+use vire_geom::GridIndex;
 
 /// Counts allocations made on a thread while its `COUNTING` flag is set,
 /// so the harness's other threads do not disturb the count.
@@ -87,6 +91,36 @@ fn steady_state_locates_allocate_nothing() {
             prepared
                 .locate_with_scratch(r, &mut scratch)
                 .expect("locates");
+        }
+        COUNTING.with(|c| c.set(false));
+        assert_eq!(ALLOCATIONS.load(Ordering::Relaxed), 0, "refine {refine}");
+    }
+}
+
+/// A hinted sync that re-interpolates one reader, at refine 10 and 20.
+#[test]
+fn steady_state_syncs_allocate_nothing() {
+    let (map, _) = fixture();
+    let cell = GridIndex::new(1, 2);
+    for refine in [10, 20] {
+        let config = VireConfig {
+            refine,
+            ..VireConfig::default()
+        };
+        let mut prepared = Vire::new(config).prepare(&map).expect("refine > 0");
+        let mut moving = map.clone();
+        let base = map.rssi(0, cell);
+        let mut sync = |round: usize| {
+            moving.set_rssi(0, cell, base - [0.5, 1.0][round % 2]);
+            let outcome = prepared.sync(&moving, &[(0, cell)]);
+            assert_eq!(outcome, SyncOutcome::Patched(1), "refine {refine}");
+        };
+        // The first sync meets a new map id and diffs the whole map.
+        sync(0);
+        ALLOCATIONS.store(0, Ordering::Relaxed);
+        COUNTING.with(|c| c.set(true));
+        for round in 1..9 {
+            sync(round);
         }
         COUNTING.with(|c| c.set(false));
         assert_eq!(ALLOCATIONS.load(Ordering::Relaxed), 0, "refine {refine}");

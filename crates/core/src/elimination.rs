@@ -17,20 +17,20 @@
 //! is the independent variable.
 //!
 //! At the default operating point only two or three of the 961 virtual
-//! regions survive, so the adaptive mode does not sweep the lattice. A
-//! tile-major store holds, for every 4 × 4 tile, each reader's RSSI range
-//! over the tile and each reader's 16 values in one contiguous block, and
-//! a locate reads nothing else. One fused pass over the ranges bounds
-//! every tile's gaps `|s − θ|` before any node is read; a reader's
-//! smallest gap is then taken exactly from the few tiles that could hold
-//! it, and per-node max-gaps are computed only in the tiles whose bound
-//! is below the threshold, where every survivor lies, visited best-first
-//! by bound. Phases 2–3 and the weighting read the survivors' values from
-//! the same store. The thresholds and the mask are bit-identical to a
+//! regions survive, so the adaptive mode does not sweep the lattice. The
+//! [`VirtualGrid`] is itself a tile-major store: for every 4 × 4 tile,
+//! each reader's RSSI range over the tile and its 16 values in one
+//! contiguous block, and a locate reads it in place. One fused pass over
+//! the ranges bounds every tile's gaps `|s − θ|` before any node is
+//! read; a reader's smallest gap is then taken exactly from the few
+//! tiles that could hold it, and per-node max-gaps are computed only in
+//! the tiles whose bound is below the threshold, where every survivor
+//! lies, visited best-first by bound. Phases 2–3 and the weighting read
+//! the survivors' values from the same store. The thresholds and the mask are bit-identical to a
 //! dense pass over every node.
 
 use crate::types::TrackingReading;
-use crate::virtual_grid::VirtualGrid;
+use crate::virtual_grid::{lanes_min, Lanes, VirtualGrid, LANES, SLOTS};
 use vire_geom::{bitgrid, BitGrid};
 
 /// How the elimination threshold is chosen.
@@ -88,201 +88,12 @@ impl EliminationResult {
     }
 }
 
-/// Side of one elimination tile, in fine-lattice nodes. The paper's
-/// operating point (31 × 31 nodes) splits into 8 × 8 tiles; an edge tile
-/// is narrower where a side is not a multiple of `TILE`.
-pub(crate) const TILE: usize = 4;
-
-/// Nodes in one tile. A reader's values over a tile are one contiguous
-/// block of `SLOTS`, row-major within the tile.
-const SLOTS: usize = TILE * TILE;
-
-/// Tiles per block, and blocks per group, of the range store: one
-/// reader's ranges over a block (or a group) are `LANES` independent
-/// lanes, so the bounds run across tiles, for any reader count.
-const LANES: usize = 8;
-
-/// One value per tile of a block.
-type Lanes = [f64; LANES];
-
-/// The one store adaptive elimination and weighting read, tile-major: for
-/// every `TILE × TILE` tile of the fine lattice, each reader's RSSI range
-/// over the tile and each reader's values at the tile's nodes.
-///
-/// * `ranges[block · K + k]` holds reader `k`'s minima and maxima over
-///   a block of `LANES` consecutive tiles, lane `tile % LANES` of block
-///   `tile / LANES`. The last block is padded with tiles whose range is
-///   `[+∞, +∞]`, so their bounds are `+∞`.
-/// * `blocks[group · K + k]` holds, the same way, reader `k`'s range over
-///   each whole block (lane `block % LANES` of group `block / LANES`):
-///   a second level, so a locate bounds blocks first and reads the tile
-///   ranges of only the blocks that can matter.
-/// * `values[(tile · K + k) · SLOTS + slot]` is reader `k`'s value at the
-///   tile's node `slot = r · TILE + c`, `r` rows below and `c` columns
-///   right of the tile's first node. Slots off the lattice (in edge tiles)
-///   hold `+∞`, whose gap to any reading is `+∞`: never a survivor and
-///   never a smaller gap.
-///
-/// Adaptive elimination bounds a whole block's or tile's gaps from its
-/// ranges before looking at any node: for `s ∈ [lo, hi]`,
-/// `|s − θ| ≥ max(θ − hi, lo − θ, 0)`. The bound holds for the computed
-/// floats too, because rounding is monotone: `s ≤ hi` gives
-/// `fl(θ − s) ≥ fl(θ − hi)`, and `s ≥ lo` gives `fl(s − θ) ≥ fl(lo − θ)`.
-/// The store is a function of the reader-major planes alone (the sweep
-/// writes the planes, never the store), so whatever changes a plane must
-/// refresh that reader (every sync of [`crate::PreparedVire`] does).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct TileSummary {
-    nx: usize,
-    ny: usize,
-    /// Readers `K`.
-    readers: usize,
-    /// Tiles per band of `TILE` fine rows, `⌈nx / TILE⌉`.
-    tiles_x: usize,
-    /// Tiles in the lattice, `tiles_x · ⌈ny / TILE⌉`.
-    tiles: usize,
-    /// Each reader's smallest and largest value per tile, in blocks of
-    /// `LANES` tiles.
-    ranges: Vec<[Lanes; 2]>,
-    /// Each reader's smallest and largest value per block of tiles, in
-    /// groups of `LANES` blocks.
-    blocks: Vec<[Lanes; 2]>,
-    /// Each reader's values per tile, one `SLOTS` block per tile and
-    /// reader.
-    values: Vec<f64>,
-    /// Each tile's first (top-left) flat node.
-    firsts: Vec<u32>,
-}
-
-impl TileSummary {
-    /// The store of a virtual grid's planes.
-    pub(crate) fn of(grid: &VirtualGrid) -> Self {
-        let mut summary = TileSummary::default();
-        summary.refresh_planes(grid.planes(), grid.grid().nx(), grid.grid().ny());
-        summary
-    }
-
-    /// Rebuilds the store of reader-major planes over an `nx × ny`
-    /// row-major lattice.
-    fn refresh_planes(&mut self, planes: &[f64], nx: usize, ny: usize) {
-        let nodes = nx * ny;
-        debug_assert!(nodes > 0 && planes.len().is_multiple_of(nodes));
-        self.nx = nx;
-        self.ny = ny;
-        self.readers = planes.len() / nodes;
-        self.tiles_x = nx.div_ceil(TILE);
-        self.tiles = self.tiles_x * ny.div_ceil(TILE);
-        let blocks = self.tiles.div_ceil(LANES);
-        // Pad tiles, pad blocks and off-lattice slots keep these `+∞`: a
-        // refresh writes only the lattice's own tiles, blocks and nodes.
-        self.ranges.clear();
-        self.ranges
-            .resize(blocks * self.readers, [[f64::INFINITY; LANES]; 2]);
-        self.blocks.clear();
-        self.blocks.resize(
-            blocks.div_ceil(LANES) * self.readers,
-            [[f64::INFINITY; LANES]; 2],
-        );
-        self.values.clear();
-        self.values
-            .resize(self.tiles * self.readers * SLOTS, f64::INFINITY);
-        self.firsts.clear();
-        for y0 in (0..ny).step_by(TILE) {
-            self.firsts
-                .extend((0..nx).step_by(TILE).map(|x0| (y0 * nx + x0) as u32));
-        }
-        for k in 0..self.readers {
-            self.refresh_reader(planes, k);
-        }
-    }
-
-    /// Recomputes reader `k`'s ranges and values from the stored `planes`
-    /// — all a sync must redo after re-interpolating that reader's plane.
-    /// Each tile's rows are copied into its value block (a whole tile row
-    /// at a time where the tile is `TILE` wide), and its range folds the
-    /// block's values on the lattice.
-    pub(crate) fn refresh_reader(&mut self, planes: &[f64], k: usize) {
-        let TileSummary {
-            nx,
-            ny,
-            readers,
-            tiles,
-            ranges,
-            blocks,
-            values,
-            ..
-        } = self;
-        let (nx, ny, readers) = (*nx, *ny, *readers);
-        let plane = &planes[k * nx * ny..(k + 1) * nx * ny];
-        let mut tile = 0;
-        for y0 in (0..ny).step_by(TILE) {
-            let h = TILE.min(ny - y0);
-            for x0 in (0..nx).step_by(TILE) {
-                let w = TILE.min(nx - x0);
-                let block = &mut values[(tile * readers + k) * SLOTS..][..SLOTS];
-                let (lo, hi) = if (h, w) == (TILE, TILE) {
-                    let mut full = [0.0f64; SLOTS];
-                    for (r, row) in full.chunks_exact_mut(TILE).enumerate() {
-                        row.copy_from_slice(&plane[(y0 + r) * nx + x0..][..TILE]);
-                    }
-                    block.copy_from_slice(&full);
-                    (lanes_min(full), lanes_max(full))
-                } else {
-                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-                    for (r, row) in block.chunks_exact_mut(TILE).take(h).enumerate() {
-                        let src = &plane[(y0 + r) * nx + x0..][..w];
-                        for (slot, &v) in row.iter_mut().zip(src) {
-                            *slot = v;
-                            lo = if v < lo { v } else { lo };
-                            hi = if v > hi { v } else { hi };
-                        }
-                    }
-                    (lo, hi)
-                };
-                let [tile_lo, tile_hi] = &mut ranges[tile / LANES * readers + k];
-                tile_lo[tile % LANES] = lo;
-                tile_hi[tile % LANES] = hi;
-                tile += 1;
-            }
-        }
-        // Each block's range folds its real tiles' ranges.
-        for (block, [lo, hi]) in ranges.iter().skip(k).step_by(readers).enumerate() {
-            let real = LANES.min(*tiles - block * LANES);
-            let [block_lo, block_hi] = &mut blocks[block / LANES * readers + k];
-            block_lo[block % LANES] = lo[..real].iter().fold(lo[0], |m, &v| m.min(v));
-            block_hi[block % LANES] = hi[..real].iter().fold(hi[0], |m, &v| m.max(v));
-        }
-    }
-
-    /// Node count of the stored lattice.
-    pub(crate) fn nodes(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// Nodes per row of the stored lattice.
-    pub(crate) fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Flat (row-major) index of the node in `slot` of `tile`.
-    fn flat(&self, tile: usize, slot: usize) -> usize {
-        self.firsts[tile] as usize + slot / TILE * self.nx + slot % TILE
-    }
-
-    /// The readers' values at node `flat`, `k` ascending.
-    pub(crate) fn node_values(&self, flat: usize) -> impl Iterator<Item = f64> + '_ {
-        let (y, x) = (flat / self.nx, flat % self.nx);
-        let tile = y / TILE * self.tiles_x + x / TILE;
-        let first = tile * self.readers * SLOTS + y % TILE * TILE + x % TILE;
-        let values = self.values[first..].iter().step_by(SLOTS);
-        values.take(self.readers).copied()
-    }
-
-    /// Reader `k`'s values over `tile`.
-    fn block(&self, tile: usize, k: usize) -> &[f64] {
-        &self.values[(tile * self.readers + k) * SLOTS..][..SLOTS]
-    }
-
+// The bounds a locate reads off the grid's tile store (see `VirtualGrid`
+// for its layout). For `s ∈ [lo, hi]`,
+// `|s − θ| ≥ max(θ − hi, lo − θ, 0)`; the bound holds for the computed
+// floats too, because rounding is monotone: `s ≤ hi` gives
+// `fl(θ − s) ≥ fl(θ − hi)`, and `s ≥ lo` gives `fl(s − θ) ≥ fl(lo − θ)`.
+impl VirtualGrid {
     /// The block pass, one read of every block range: `bounds[block]`
     /// becomes the block's bound over readers, a lower bound on every
     /// max-gap in it (padded to whole groups with `+∞`), and
@@ -505,31 +316,6 @@ pub(crate) struct ElimBuffers {
     areas: Vec<usize>,
 }
 
-/// `lanes` reduced pairwise by `pick` (`min` or `max`), so the lanes stay
-/// independent. Over non-NaN values both are exact and do not depend on
-/// the order, so this equals a sequential fold.
-fn lanes_fold<const N: usize>(mut lanes: [f64; N], pick: impl Fn(f64, f64) -> f64) -> f64 {
-    const { assert!(N.is_power_of_two(), "pairwise halving needs 2^n lanes") };
-    let mut n = N;
-    while n > 1 {
-        n /= 2;
-        for i in 0..n {
-            lanes[i] = pick(lanes[i], lanes[i + n]);
-        }
-    }
-    lanes[0]
-}
-
-/// The smallest of `lanes` (see `lanes_fold`).
-fn lanes_min<const N: usize>(lanes: [f64; N]) -> f64 {
-    lanes_fold(lanes, |a, b| if b < a { b } else { a })
-}
-
-/// The largest of `lanes` (see `lanes_fold`).
-fn lanes_max<const N: usize>(lanes: [f64; N]) -> f64 {
-    lanes_fold(lanes, |a, b| if b > a { b } else { a })
-}
-
 /// The slots of one tile's max-gaps below `t`, as bits.
 fn below(gaps: &[f64], t: f64) -> u32 {
     let bits = gaps.iter().enumerate();
@@ -558,7 +344,7 @@ fn count_gap_below(vals: &[f64], theta: f64, bound: f64) -> usize {
 /// Computes `tile`'s max-gaps into `done` and `gaps` and returns their
 /// smallest.
 fn compute_tile(
-    tiles: &TileSummary,
+    grid: &VirtualGrid,
     thetas: &[f64],
     tile: usize,
     done: &mut Vec<u32>,
@@ -566,18 +352,17 @@ fn compute_tile(
     work: &mut impl Tally,
 ) -> f64 {
     work.computed_tile();
-    let g = tiles.max_gaps(tile, thetas);
+    let g = grid.max_gaps(tile, thetas);
     done.push(tile as u32);
     gaps.extend_from_slice(&g);
     lanes_min(g)
 }
 
-/// Allocation-free elimination over the tile store of the reader-major
-/// RSSI planes. On success the final mask and per-reader thresholds are
-/// left in `buf` and `true` is returned; `false` means a **fixed**
-/// threshold eliminated every region (adaptive mode always keeps at
-/// least one). `work` counts what the elimination read (`()` counts
-/// nothing).
+/// Allocation-free elimination over the virtual grid's tile store. On
+/// success the final mask and per-reader thresholds are left in `buf` and
+/// `true` is returned; `false` means a **fixed** threshold eliminated
+/// every region (adaptive mode always keeps at least one). `work` counts
+/// what the elimination read (`()` counts nothing).
 ///
 /// A fixed threshold computes every tile's max-gaps and keeps the nodes
 /// below it: `∀k: |s_k − θ_k| < t` ⟺ `max_k |s_k − θ_k| < t` for finite
@@ -587,7 +372,8 @@ fn compute_tile(
 /// map-building implementation, but visits only the tiles that can hold
 /// a survivor. The joint survival test `∀k: |s_k − θ_k| < t` at a uniform
 /// `t` equals `max_k |s_k − θ_k| < t`, and every block and tile carries a
-/// lower bound on that max-gap (see [`TileSummary`]):
+/// lower bound on that max-gap, from each reader's range `[lo, hi]` over
+/// it: `|s − θ| ≥ max(θ − hi, lo − θ, 0)`, for the computed floats too:
 ///
 /// * one pass over the block ranges yields each block's bound over
 ///   readers and each reader's nearest-extreme gap;
@@ -622,7 +408,7 @@ fn compute_tile(
 /// `+ step` / `− step` float arithmetic as the historical loops, so the
 /// resulting thresholds, mask, and downstream weights are bit-identical.
 pub(crate) fn eliminate_into(
-    tiles: &TileSummary,
+    grid: &VirtualGrid,
     reading: &TrackingReading,
     mode: ThresholdMode,
     buf: &mut ElimBuffers,
@@ -630,8 +416,8 @@ pub(crate) fn eliminate_into(
 ) -> bool {
     let thetas = reading.rssi();
     let k_readers = thetas.len();
-    let nodes = tiles.nodes();
-    debug_assert_eq!(k_readers, tiles.readers);
+    let nodes = grid.tag_count();
+    debug_assert_eq!(k_readers, grid.readers);
 
     match mode {
         ThresholdMode::Fixed(t) => {
@@ -642,10 +428,10 @@ pub(crate) fn eliminate_into(
             let mask = &mut buf.mask;
             bitgrid::ensure_words(mask, nodes);
             mask.fill(0);
-            for tile in 0..tiles.tiles {
-                for (slot, &g) in tiles.max_gaps(tile, thetas).iter().enumerate() {
+            for tile in 0..grid.tiles {
+                for (slot, &g) in grid.max_gaps(tile, thetas).iter().enumerate() {
                     if g < t {
-                        bitgrid::set_bit(mask, tiles.flat(tile, slot));
+                        bitgrid::set_bit(mask, grid.flat(tile, slot));
                     }
                 }
             }
@@ -678,8 +464,8 @@ pub(crate) fn eliminate_into(
                 order,
                 areas,
             } = buf;
-            tiles.block_pass(thetas, block_bounds, near);
-            work.range_entries(tiles.blocks.len() * 2 * LANES);
+            grid.block_pass(thetas, block_bounds, near);
+            work.range_entries(grid.blocks.len() * 2 * LANES);
             // Smallest per-reader gap: at threshold just above it, reader k
             // still highlights its best-matching region. The common start
             // is the largest of those (at least `min`), plus one step,
@@ -692,7 +478,7 @@ pub(crate) fn eliminate_into(
             for (k, (&theta, lanes)) in thetas.iter().zip(near.iter()).enumerate() {
                 let m = lanes_min(*lanes);
                 if m > reach {
-                    let m = tiles.smallest_gap(k, theta, m, reach, work);
+                    let m = grid.smallest_gap(k, theta, m, reach, work);
                     reach = if m > reach { m } else { reach };
                 }
             }
@@ -729,7 +515,7 @@ pub(crate) fn eliminate_into(
                     continue;
                 }
                 work.range_entries(k_readers * 2 * LANES);
-                let lanes = tiles.tile_bounds(block, thetas);
+                let lanes = grid.tile_bounds(block, thetas);
                 descended.push((block, lanes));
                 for (tile, b) in (block * LANES..).zip(lanes) {
                     if b < first_bound {
@@ -740,7 +526,7 @@ pub(crate) fn eliminate_into(
             // Every max-gap is at least that tile's bound, so it lies below
             // the final `t` and is computed first; its smallest max-gap caps
             // the walk at `last`, and the tiles below the cap are queued.
-            let mut tightest = compute_tile(tiles, thetas, first, done, gaps, work);
+            let mut tightest = compute_tile(grid, thetas, first, done, gaps, work);
             let mut last = start;
             while tightest >= last {
                 last += step;
@@ -754,7 +540,7 @@ pub(crate) fn eliminate_into(
                     Some(&(_, lanes)) => lanes,
                     None => {
                         work.range_entries(k_readers * 2 * LANES);
-                        tiles.tile_bounds(block, thetas)
+                        grid.tile_bounds(block, thetas)
                     }
                 };
                 let lanes = (block * LANES..).zip(lanes);
@@ -770,7 +556,7 @@ pub(crate) fn eliminate_into(
             let mut queued = queue.iter().peekable();
             loop {
                 while let Some(&(_, tile)) = queued.next_if(|&&(b, _)| b < t) {
-                    let g = compute_tile(tiles, thetas, tile as usize, done, gaps, work);
+                    let g = compute_tile(grid, thetas, tile as usize, done, gaps, work);
                     tightest = if g < tightest { g } else { tightest };
                 }
                 if tightest < t {
@@ -823,7 +609,7 @@ pub(crate) fn eliminate_into(
                 for_each_below(done, gaps, t, |tile, slot| {
                     list.push((tile * SLOTS + slot) as u32);
                     for (k, &theta) in thetas.iter().enumerate() {
-                        list_gaps.push((tiles.block(tile, k)[slot] - theta).abs());
+                        list_gaps.push((grid.block(tile, k)[slot] - theta).abs());
                     }
                 });
                 // While reader k's threshold is being tightened, every
@@ -841,7 +627,7 @@ pub(crate) fn eliminate_into(
                     // reader order.
                     areas.clear();
                     areas.extend(
-                        (thetas.iter().enumerate()).map(|(k, &theta)| tiles.area(k, theta, t)),
+                        (thetas.iter().enumerate()).map(|(k, &theta)| grid.area(k, theta, t)),
                     );
                     order.clear();
                     order.extend(0..k_readers);
@@ -882,11 +668,11 @@ pub(crate) fn eliminate_into(
                 }
                 for &id in list.iter() {
                     let id = id as usize;
-                    bitgrid::set_bit(mask, tiles.flat(id / SLOTS, id % SLOTS));
+                    bitgrid::set_bit(mask, grid.flat(id / SLOTS, id % SLOTS));
                 }
             } else {
                 for_each_below(done, gaps, t, |tile, slot| {
-                    bitgrid::set_bit(mask, tiles.flat(tile, slot));
+                    bitgrid::set_bit(mask, grid.flat(tile, slot));
                 });
             }
             true
@@ -897,19 +683,24 @@ pub(crate) fn eliminate_into(
 /// Runs elimination. Returns `None` when a **fixed** threshold eliminates
 /// every region (adaptive mode always keeps at least one).
 ///
-/// One-shot convenience over the internal `eliminate_into`, which also
-/// builds the grid's tile store; hot paths go through
-/// [`crate::PreparedVire`], which keeps the store in step with its grid
-/// and reuses the buffers across readings.
+/// One-shot convenience over the internal `eliminate_into`, which reads
+/// the grid's store in place; hot paths go through
+/// [`crate::PreparedVire`], which reuses the buffers across readings.
+///
+/// # Panics
+/// Panics when the reading's reader count differs from the grid's.
 pub fn eliminate(
     grid: &VirtualGrid,
     reading: &TrackingReading,
     mode: ThresholdMode,
 ) -> Option<EliminationResult> {
-    debug_assert_eq!(grid.reader_count(), reading.reader_count());
+    assert_eq!(
+        reading.reader_count(),
+        grid.reader_count(),
+        "reading and virtual grid must cover the same readers"
+    );
     let mut buf = ElimBuffers::default();
-    let tiles = TileSummary::of(grid);
-    if !eliminate_into(&tiles, reading, mode, &mut buf, &mut ()) {
+    if !eliminate_into(grid, reading, mode, &mut buf, &mut ()) {
         return None;
     }
     Some(EliminationResult {
@@ -1028,6 +819,25 @@ mod tests {
             }
         }
         assert!(prev > 0);
+    }
+
+    /// The one-shot path refuses a reading with more or fewer readers
+    /// than the grid, rather than reading other tiles' values.
+    #[test]
+    #[should_panic(expected = "same readers")]
+    fn eliminate_rejects_a_reading_with_more_readers() {
+        let (vg, reading, _) = setup();
+        let mut rssi = reading.rssi().to_vec();
+        rssi.push(-70.0);
+        eliminate(&vg, &TrackingReading::new(rssi), ThresholdMode::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "same readers")]
+    fn eliminate_rejects_a_reading_with_fewer_readers() {
+        let (vg, reading, _) = setup();
+        let rssi = reading.rssi()[..2].to_vec();
+        eliminate(&vg, &TrackingReading::new(rssi), ThresholdMode::Fixed(2.0));
     }
 
     #[test]
@@ -1176,6 +986,19 @@ mod tests {
         }
     }
 
+    /// The store of reader-major `planes` over an `nx × ny` lattice.
+    fn store_of(planes: &[f64], nx: usize, ny: usize) -> VirtualGrid {
+        let grid = RegularGrid::new(Point2::ORIGIN, 1.0, 1.0, nx, ny);
+        let fields = planes.chunks_exact(nx * ny);
+        let fields = fields.map(|p| GD::from_vec(grid, p.to_vec())).collect();
+        VirtualGrid::from_fields(grid, fields)
+    }
+
+    /// Every reader's field of `vg`, reader-major.
+    fn planes_of(vg: &VirtualGrid) -> Vec<f64> {
+        (0..vg.reader_count()).flat_map(|k| vg.field(k)).collect()
+    }
+
     /// Plane values: RSSI-like decibels, half-dB steps that tie, and
     /// values at and around ±0.0.
     fn plane_value() -> impl Strategy<Value = f64> {
@@ -1192,10 +1015,9 @@ mod tests {
     /// or largest value of one of its tiles, a point between two values,
     /// a point outside its range, or ±0.0.
     fn theta_for(plane: &[f64], nx: usize, ny: usize, pick: usize, kind: u8) -> f64 {
-        let mut summary = TileSummary::default();
-        summary.refresh_planes(plane, nx, ny);
-        let tile = pick % summary.tiles;
-        let [lo, hi] = summary.ranges[tile / LANES];
+        let store = store_of(plane, nx, ny);
+        let tile = pick % store.tiles;
+        let [lo, hi] = store.ranges[tile / LANES];
         let (lo, hi) = (lo[tile % LANES], hi[tile % LANES]);
         let (i, j) = (pick % plane.len(), (pick / 7) % plane.len());
         match kind {
@@ -1243,12 +1065,11 @@ mod tests {
         mode: ThresholdMode,
     ) -> Result<(), TestCaseError> {
         let reading = TrackingReading::new(thetas.to_vec());
-        let mut summary = TileSummary::default();
-        summary.refresh_planes(planes, nx, ny);
+        let store = store_of(planes, nx, ny);
         let mut buf = ElimBuffers::default();
         // Twice through one buffer, so stale scratch would show.
         for _ in 0..2 {
-            let kept = eliminate_into(&summary, &reading, mode, &mut buf, &mut ());
+            let kept = eliminate_into(&store, &reading, mode, &mut buf, &mut ());
             let reference = dense::eliminate(planes, nx * ny, &reading, mode);
             prop_assert_eq!(kept, reference.is_some(), "{:?}", mode);
             if let Some((mask, thresholds)) = reference {
@@ -1321,11 +1142,13 @@ mod tests {
             for kernel in InterpolationKernel::ALL {
                 let vg = VirtualGrid::build(&refs, refine, kernel);
                 let (nx, ny, nodes) = (vg.grid().nx(), vg.grid().ny(), vg.tag_count());
+                let planes = planes_of(&vg);
+                let plane = |k: usize| &planes[k * nodes..(k + 1) * nodes];
                 let thetas: Vec<f64> = (0..3)
-                    .map(|k| theta_for(vg.field(k), nx, ny, picks[k].0, picks[k].1))
+                    .map(|k| theta_for(plane(k), nx, ny, picks[k].0, picks[k].1))
                     .collect();
-                let gap = (vg.field(0)[picks[0].0 % nodes] - thetas[0]).abs();
-                assert_matches_dense(vg.planes(), nx, ny, &thetas, mode_for(nodes, gap, params))?;
+                let gap = (planes[picks[0].0 % nodes] - thetas[0]).abs();
+                assert_matches_dense(&planes, nx, ny, &thetas, mode_for(nodes, gap, params))?;
             }
         }
     }
@@ -1364,11 +1187,13 @@ mod tests {
             let refs = ReferenceRssiMap::new(coarse, readers, fields);
             let vg = VirtualGrid::build(&refs, refine, InterpolationKernel::ALL[kernel]);
             let (nx, ny, nodes) = (vg.grid().nx(), vg.grid().ny(), vg.tag_count());
+            let planes = planes_of(&vg);
+            let plane = |k: usize| &planes[k * nodes..(k + 1) * nodes];
             let thetas: Vec<f64> = (0..k_readers)
-                .map(|k| theta_for(vg.field(k), nx, ny, picks[k].0, picks[k].1))
+                .map(|k| theta_for(plane(k), nx, ny, picks[k].0, picks[k].1))
                 .collect();
-            let gap = (vg.field(0)[picks[0].0 % nodes] - thetas[0]).abs();
-            assert_matches_dense(vg.planes(), nx, ny, &thetas, mode_for(nodes, gap, params))?;
+            let gap = (planes[picks[0].0 % nodes] - thetas[0]).abs();
+            assert_matches_dense(&planes, nx, ny, &thetas, mode_for(nodes, gap, params))?;
         }
     }
 
@@ -1376,8 +1201,7 @@ mod tests {
     /// `nx × ny` lattice, with `step` 0.25, `min` 0, floor 1 and no
     /// per-reader tightening.
     fn work_on(planes: &[f64], nx: usize, ny: usize, thetas: &[f64]) -> EliminationWork {
-        let mut summary = TileSummary::default();
-        summary.refresh_planes(planes, nx, ny);
+        let store = store_of(planes, nx, ny);
         let mode = ThresholdMode::Adaptive {
             step: 0.25,
             min: 0.0,
@@ -1387,7 +1211,7 @@ mod tests {
         let mut work = EliminationWork::default();
         let reading = TrackingReading::new(thetas.to_vec());
         assert!(eliminate_into(
-            &summary,
+            &store,
             &reading,
             mode,
             &mut ElimBuffers::default(),

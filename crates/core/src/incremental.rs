@@ -6,17 +6,16 @@
 //! hot across drives instead of preparing afresh whenever a calibration
 //! cell moves:
 //!
-//! * [`PreparedVire`] — owns the map mirror and the virtual grid, whose
-//!   reader-major planes the sweep writes and the tile store elimination
-//!   and weighting read is refreshed from. Paper §4.2 interpolates each reader's plane from that reader's
-//!   real tags alone, so [`sync`](OwnedPreparedLocalizer::sync) flags
-//!   each reader whose cells changed and re-interpolates exactly those
-//!   readers' planes, whole and in place, refreshing each one's part of
-//!   the tile store (its RSSI range and values per 4 × 4 tile, the one
-//!   store a locate reads) as it goes. A build is the same per-reader call run for every reader, so
-//!   the synced state is **bit-identical** to a from-scratch
-//!   [`PreparedVire::build`] (pinned by property tests in
-//!   `tests/incremental.rs`).
+//! * [`PreparedVire`] — owns the map mirror and the virtual grid, a
+//!   tile-major store (each reader's RSSI range and values per 4 × 4
+//!   tile) that the sweep writes and a locate reads. Paper §4.2
+//!   interpolates each reader's values from that reader's real tags
+//!   alone, so [`sync`](OwnedPreparedLocalizer::sync) flags each reader
+//!   whose cells changed and re-interpolates exactly those readers,
+//!   whole and in place, into their part of the store. A build is the
+//!   same per-reader call run for every reader, so the synced state is
+//!   **bit-identical** to a from-scratch [`PreparedVire::build`] (pinned
+//!   by property tests in `tests/incremental.rs`).
 //! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
 //!   baseline, which reads the mirror's own reader-major planes, so a
 //!   changed calibration cell is one O(1) write into the mirror.
@@ -124,10 +123,9 @@ fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
 /// VIRE bound to one calibration map, surviving across snapshots.
 ///
 /// Owns a mirror of the calibration map and the interpolated virtual
-/// grid, whose reader-major RSSI planes (`planes[k * nodes + flat]`)
-/// elimination and weighting scan as contiguous memory.
-/// [`sync`](OwnedPreparedLocalizer::sync) re-interpolates, in place, the
-/// plane of each reader whose calibration cells changed.
+/// grid, whose tile-major store elimination and weighting read in place.
+/// [`sync`](OwnedPreparedLocalizer::sync) re-interpolates, in place, each
+/// reader whose calibration cells changed.
 pub struct PreparedVire {
     state: VireState,
     /// Owned mirror of the source map, bit-identical to it as of the last
@@ -153,15 +151,9 @@ impl PreparedVire {
         })
     }
 
-    /// The virtual grid's reader-major RSSI planes — for bit-identity
-    /// tests.
-    pub fn planes(&self) -> &[f64] {
-        self.state.grid().planes()
-    }
-
     /// The cached virtual grid.
     pub fn grid(&self) -> &VirtualGrid {
-        self.state.grid()
+        &self.state.grid
     }
 
     /// The owned mirror of the calibration map.
@@ -271,7 +263,8 @@ impl OwnedPreparedLocalizer for PreparedVire {
         };
         for k in 0..self.flagged.len() {
             if std::mem::take(&mut self.flagged[k]) {
-                self.state.reinterpolate(&self.refs, k);
+                let state = &mut self.state;
+                state.sweep.reinterpolate(&mut state.grid, &self.refs, k);
             }
         }
         debug_assert!(
@@ -284,7 +277,7 @@ impl OwnedPreparedLocalizer for PreparedVire {
 
 impl Vire {
     /// Binds this VIRE configuration to one calibration map, building the
-    /// virtual grid's RSSI planes once (see [`PreparedVire`]).
+    /// virtual grid once (see [`PreparedVire`]).
     /// Errors when the configuration is degenerate (`refine == 0`).
     pub fn prepare(&self, refs: &ReferenceRssiMap) -> Result<PreparedVire, LocalizeError> {
         PreparedVire::build(self.config(), refs)
@@ -293,9 +286,9 @@ impl Vire {
 
 /// LANDMARC bound to one calibration map, surviving across snapshots: a
 /// mirror of the map, whose reader-major RSSI planes
-/// (`planes[k * nodes + flat]`, the layout VIRE uses) each query's
-/// lane-chunked squared-E-distance kernel scans in place, plus the node
-/// positions. A dirty calibration cell is one write into the mirror.
+/// (`planes[k * nodes + flat]`) each query's lane-chunked
+/// squared-E-distance kernel scans in place, plus the node positions. A
+/// dirty calibration cell is one write into the mirror.
 pub struct PreparedLandmarc {
     config: LandmarcConfig,
     refs: ReferenceRssiMap,
@@ -391,10 +384,16 @@ mod tests {
         ReferenceRssiMap::new(grid, readers(), fields)
     }
 
+    /// Every reader's field of the prepared grid, reader-major, as bits.
+    fn grid_bits(prepared: &PreparedVire) -> Vec<u64> {
+        let grid = prepared.grid();
+        let fields = (0..grid.reader_count()).flat_map(|k| grid.field(k));
+        fields.map(f64::to_bits).collect()
+    }
+
     fn assert_matches_fresh(owned: &PreparedVire, refs: &ReferenceRssiMap) {
         let fresh = Vire::default().prepare(refs).unwrap();
-        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(owned.planes()), bits(fresh.planes()));
+        assert_eq!(grid_bits(owned), grid_bits(&fresh));
         let probe = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
         assert_eq!(owned.locate(&probe), fresh.locate(&probe));
     }
@@ -457,8 +456,7 @@ mod tests {
         assert_eq!(hinted.sync(&refs, &hint), SyncOutcome::Patched(1));
         assert_eq!(diffed.sync(&refs, &[]), SyncOutcome::Patched(1));
         assert_eq!(hinted.sync(&refs, &[]), SyncOutcome::Reused);
-        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(hinted.planes()), bits(diffed.planes()));
+        assert_eq!(grid_bits(&hinted), grid_bits(&diffed));
         assert_matches_fresh(&hinted, &refs);
     }
 }

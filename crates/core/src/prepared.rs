@@ -2,11 +2,11 @@
 //! map once, then answer many queries cheaply.
 //!
 //! VIRE's map-dependent work — interpolating the virtual grid (§4.2) into
-//! its reader-major RSSI planes, and copying them into a tile-major store
-//! (each reader's RSSI range and 16 values per 4 × 4 tile) — does not
-//! depend on the reading. Each locate reads only that store: one pass
-//! over the ranges bounds every tile's gaps, and only the tiles that can
-//! hold a reader's smallest gap or a survivor have their values read.
+//! its tile-major store (each reader's RSSI range and 16 values per 4 × 4
+//! tile) — does not depend on the reading. Each locate reads only that
+//! store: one pass over the ranges bounds every tile's gaps, and only the
+//! tiles that can hold a reader's smallest gap or a survivor have their
+//! values read.
 //! This module holds the query side of that split:
 //!
 //! * the [`PreparedLocalizer`] trait every prepared form implements, with
@@ -28,7 +28,7 @@
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
-use crate::elimination::{eliminate_into, ElimBuffers, Tally, ThresholdMode, TileSummary};
+use crate::elimination::{eliminate_into, ElimBuffers, Tally, ThresholdMode};
 use crate::kernels;
 use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
@@ -144,7 +144,7 @@ impl<L: Localizer + ?Sized> PreparedLocalizer for Unprepared<'_, L> {
 }
 
 /// Reusable per-thread scratch arena for [`crate::PreparedVire`] queries:
-/// elimination gap planes and masks, candidate/weight buffers, and the
+/// elimination gaps and masks, candidate/weight buffers, and the
 /// centroid position buffer. After the first query every vector has its
 /// steady-state capacity, so subsequent queries allocate nothing.
 #[derive(Debug, Default, Clone)]
@@ -177,27 +177,21 @@ pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
 }
 
 /// The map-bound core of [`crate::PreparedVire`]: the interpolated
-/// [`VirtualGrid`], whose reader-major planes (`planes[k * nodes + flat]`)
-/// the sweep writes, the tile store elimination and weighting read, the
-/// sweep that re-interpolates a reader's plane, and the resolved
+/// [`VirtualGrid`] (the tile store elimination and weighting read), the
+/// sweep that re-interpolates a reader into it, and the resolved
 /// threshold mode.
 pub(crate) struct VireState {
     pub(crate) config: VireConfig,
-    /// Private, so every change to the planes goes through
-    /// [`VireState::reinterpolate`], which refreshes `tiles`.
-    grid: VirtualGrid,
-    /// Each reader's RSSI range and values per 4 × 4 tile of `grid`'s
-    /// planes: the one store elimination and weighting read.
-    tiles: TileSummary,
-    sweep: Sweep,
+    pub(crate) grid: VirtualGrid,
+    pub(crate) sweep: Sweep,
     /// Threshold mode with the auto candidate floor already resolved to
     /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
     pub(crate) threshold: ThresholdMode,
 }
 
 impl VireState {
-    /// Interpolates the virtual grid of `refs` and fills its tile store.
-    /// Errors when the configuration is degenerate (`refine == 0`).
+    /// Interpolates the virtual grid of `refs`. Errors when the
+    /// configuration is degenerate (`refine == 0`).
     pub(crate) fn build(
         config: &VireConfig,
         refs: &ReferenceRssiMap,
@@ -228,24 +222,10 @@ impl VireState {
         };
         Ok(VireState {
             config: config.clone(),
-            tiles: TileSummary::of(&grid),
             grid,
             sweep,
             threshold,
         })
-    }
-
-    /// The interpolated virtual grid.
-    pub(crate) fn grid(&self) -> &VirtualGrid {
-        &self.grid
-    }
-
-    /// Re-interpolates reader `k`'s whole plane in place from `refs` (see
-    /// [`Sweep::reinterpolate`]) and refreshes that reader's part of the
-    /// tile store.
-    pub(crate) fn reinterpolate(&mut self, refs: &ReferenceRssiMap, k: usize) {
-        self.sweep.reinterpolate(&mut self.grid, refs, k);
-        self.tiles.refresh_reader(self.grid.planes(), k);
     }
 
     /// Elimination over the grid's tile store (see `eliminate_into`),
@@ -257,7 +237,7 @@ impl VireState {
         buf: &mut ElimBuffers,
         work: &mut impl Tally,
     ) -> bool {
-        eliminate_into(&self.tiles, reading, self.threshold, buf, work)
+        eliminate_into(&self.grid, reading, self.threshold, buf, work)
     }
 
     /// Query core shared by every VIRE entry point (prepared, batch, and
@@ -286,7 +266,7 @@ impl VireState {
         }
 
         if !candidate_weights_into(
-            &self.tiles,
+            &self.grid,
             reading,
             &scratch.elim.mask,
             self.config.weighting,

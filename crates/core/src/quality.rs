@@ -15,10 +15,9 @@
 //! tests check the property that matters: low scores must correlate with
 //! high true error on random workloads.
 
-use crate::localizer::{Estimate, LocalizeError};
+use crate::localizer::{check_readers, Estimate, LocalizeError};
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::Vire;
-use crate::virtual_grid::VirtualGrid;
 use crate::weights::candidate_weights;
 use vire_geom::Point2;
 
@@ -54,13 +53,17 @@ impl Vire {
     ///
     /// Falls back like `Vire::locate`; fallback fixes get the worst
     /// possible diagnostics available (no candidate cloud to measure), so
-    /// their score is conservatively low.
+    /// their score is conservatively low. The virtual grid is built once:
+    /// the fix, its weights and the candidates' signal vectors all come
+    /// from one prepared state.
     pub fn locate_scored(
         &self,
         refs: &ReferenceRssiMap,
         reading: &TrackingReading,
     ) -> Result<(Estimate, FixQuality), LocalizeError> {
-        let (estimate, diag) = self.locate_with_diagnostics(refs, reading)?;
+        check_readers(refs, reading)?;
+        let prepared = self.prepare(refs)?;
+        let (estimate, diag) = prepared.locate_with_diagnostics(reading)?;
         let Some(result) = diag else {
             // Fallback path (LANDMARC): no elimination diagnostics. Score
             // from the LANDMARC residual alone with a spread penalty of a
@@ -76,9 +79,9 @@ impl Vire {
             return Ok((estimate, FixQuality::combine(best, grid_pitch)));
         };
 
-        let grid = VirtualGrid::build(refs, self.config().refine, self.config().kernel);
+        let grid = prepared.grid();
         let (candidates, weights) = candidate_weights(
-            &grid,
+            grid,
             reading,
             &result.mask,
             self.config().weighting,

@@ -4,9 +4,9 @@
 //! (see [`crate::prepared`] and [`crate::PreparedVire`]):
 //!
 //! 1. *prepare, once per calibration map:* build the virtual reference
-//!    grid (interpolation, §4.2) into its reader-major RSSI planes,
+//!    grid (interpolation, §4.2), held as one tile-major store,
 //! 2. *query, per tracking reading:* run proximity-based elimination
-//!    (§4.3) over the cached planes,
+//!    (§4.3) over the cached store,
 //! 3. weight the surviving virtual tags by `w1·w2`,
 //! 4. estimate `(x, y) = Σ wᵢ (xᵢ, yᵢ)`.
 //!

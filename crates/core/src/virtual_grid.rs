@@ -11,11 +11,20 @@
 //! 31² = 961 nodes — the paper's `N² = 900` operating point. The
 //! construction is O(N²) in the number of virtual tags, as stated in §4.2.
 //!
-//! A reader's plane depends on that reader's real tags only, so the grid
-//! is interpolated one whole reader plane at a time by a `Sweep`: a
-//! build runs it for every reader, and a sync of
-//! [`crate::PreparedVire`] runs it for each reader whose calibration
-//! cells changed. There is no partial re-interpolation of a plane.
+//! The grid holds its values once, tile-major: for every 4 × 4 tile of
+//! the fine lattice, each reader's 16 values in one contiguous block and
+//! its RSSI range over the tile, plus each reader's range over every
+//! block of 8 tiles (see [`VirtualGrid`]). Elimination and weighting read
+//! that store in place; [`VirtualGrid::rssi`], [`VirtualGrid::field`] and
+//! [`VirtualGrid::signal_vector`] read it for everyone else.
+//!
+//! A reader's values depend on that reader's real tags only, so the grid
+//! is interpolated one whole reader at a time by a `Sweep`: it runs the
+//! two passes into one reusable row-major plane and writes that plane
+//! into the reader's tile blocks and ranges. A build runs it for every
+//! reader, and a sync of [`crate::PreparedVire`] runs it for each reader
+//! whose calibration cells changed. There is no partial
+//! re-interpolation of a reader.
 
 use crate::types::ReferenceRssiMap;
 use vire_geom::interp::linear::{lerp_uniform, paper_weighting};
@@ -75,14 +84,64 @@ impl InterpolationKernel {
     }
 }
 
-/// The virtual reference grid: per-reader RSSI fields on the fine lattice,
-/// stored as one reader-major buffer (`planes[k * nodes + flat]`) — the
-/// layout elimination, weighting and the proximity maps read directly.
+/// Side of one tile, in fine-lattice nodes. The paper's operating point
+/// (31 × 31 nodes) splits into 8 × 8 tiles; an edge tile is narrower
+/// where a side is not a multiple of `TILE`.
+pub(crate) const TILE: usize = 4;
+
+/// Nodes in one tile. A reader's values over a tile are one contiguous
+/// block of `SLOTS`, row-major within the tile.
+pub(crate) const SLOTS: usize = TILE * TILE;
+
+/// Tiles per block, and blocks per group, of the range store: one
+/// reader's ranges over a block (or a group) are `LANES` independent
+/// lanes, so the bounds run across tiles, for any reader count.
+pub(crate) const LANES: usize = 8;
+
+/// One value per tile of a block.
+pub(crate) type Lanes = [f64; LANES];
+
+/// The virtual reference grid: every reader's RSSI at every node of the
+/// fine lattice, held once, tile-major — the one store elimination,
+/// weighting and the accessors read.
+///
+/// * `values[(tile · K + k) · SLOTS + slot]` is reader `k`'s value at the
+///   tile's node `slot = r · TILE + c`, `r` rows below and `c` columns
+///   right of the tile's first node. Tiles run row-major over the
+///   lattice. Slots off the lattice (in edge tiles) hold `+∞`, whose gap
+///   to any reading is `+∞`: never a survivor and never a smaller gap.
+/// * `ranges[block · K + k]` holds reader `k`'s minima and maxima over a
+///   block of `LANES` consecutive tiles, lane `tile % LANES` of block
+///   `tile / LANES`. The last block is padded with tiles whose range is
+///   `[+∞, +∞]`.
+/// * `blocks[group · K + k]` holds, the same way, reader `k`'s range over
+///   each whole block (lane `block % LANES` of group `block / LANES`): a
+///   second level, so a locate bounds blocks first and reads the tile
+///   ranges of only the blocks that can matter.
+///
+/// A reader's values and ranges are written together, whole, by
+/// `write_reader`, so the ranges always describe the values.
 #[derive(Debug, Clone)]
 pub struct VirtualGrid {
     fine: RegularGrid,
-    planes: Vec<f64>,
     refine: usize,
+    /// Readers `K`.
+    pub(crate) readers: usize,
+    /// Tiles per band of `TILE` fine rows, `⌈nx / TILE⌉`.
+    tiles_x: usize,
+    /// Tiles in the lattice, `tiles_x · ⌈ny / TILE⌉`.
+    pub(crate) tiles: usize,
+    /// Each reader's smallest and largest value per tile, in blocks of
+    /// `LANES` tiles.
+    pub(crate) ranges: Vec<[Lanes; 2]>,
+    /// Each reader's smallest and largest value per block of tiles, in
+    /// groups of `LANES` blocks.
+    pub(crate) blocks: Vec<[Lanes; 2]>,
+    /// Each reader's values per tile, one `SLOTS` block per tile and
+    /// reader.
+    pub(crate) values: Vec<f64>,
+    /// Each tile's first (top-left) flat node.
+    firsts: Vec<u32>,
 }
 
 impl VirtualGrid {
@@ -90,9 +149,9 @@ impl VirtualGrid {
     ///
     /// `n` is the per-cell refinement factor (`n = 1` keeps only the real
     /// tags). The total number of virtual+real tags is
-    /// `((nx−1)·n+1) · ((ny−1)·n+1)`. Each reader's plane is interpolated
-    /// by the same per-reader call a sync of [`crate::PreparedVire`] runs
-    /// for each reader whose cells changed.
+    /// `((nx−1)·n+1) · ((ny−1)·n+1)`. Each reader is interpolated by the
+    /// same per-reader call a sync of [`crate::PreparedVire`] runs for
+    /// each reader whose cells changed.
     ///
     /// # Panics
     /// Panics when `n == 0`.
@@ -112,15 +171,92 @@ impl VirtualGrid {
     /// `grid`.
     pub fn from_fields(grid: RegularGrid, per_reader: Vec<GridData<f64>>) -> Self {
         assert!(!per_reader.is_empty(), "need at least one reader field");
-        let mut planes = Vec::with_capacity(per_reader.len() * grid.node_count());
-        for f in &per_reader {
+        let mut vg = VirtualGrid::empty(grid, per_reader.len(), 1);
+        for (k, f) in per_reader.iter().enumerate() {
             assert_eq!(f.grid(), &grid, "field grid mismatch");
-            planes.extend_from_slice(f.as_slice());
+            vg.write_reader(k, f.as_slice());
+        }
+        vg
+    }
+
+    /// The store of `readers` readers over `fine`, every value and range
+    /// `+∞` until `write_reader` fills it. Pad tiles, pad blocks and
+    /// off-lattice slots keep their `+∞`: a write touches only the
+    /// lattice's own tiles, blocks and nodes.
+    fn empty(fine: RegularGrid, readers: usize, refine: usize) -> Self {
+        let (nx, ny) = (fine.nx(), fine.ny());
+        let tiles_x = nx.div_ceil(TILE);
+        let tiles = tiles_x * ny.div_ceil(TILE);
+        let blocks = tiles.div_ceil(LANES);
+        let pad = [[f64::INFINITY; LANES]; 2];
+        let mut firsts = Vec::with_capacity(tiles);
+        for y0 in (0..ny).step_by(TILE) {
+            firsts.extend((0..nx).step_by(TILE).map(|x0| (y0 * nx + x0) as u32));
         }
         VirtualGrid {
-            fine: grid,
-            planes,
-            refine: 1,
+            fine,
+            refine,
+            readers,
+            tiles_x,
+            tiles,
+            ranges: vec![pad; blocks * readers],
+            blocks: vec![pad; blocks.div_ceil(LANES) * readers],
+            values: vec![f64::INFINITY; tiles * readers * SLOTS],
+            firsts,
+        }
+    }
+
+    /// Writes reader `k`'s row-major `plane` into the store: each tile's
+    /// rows into its value block (a whole tile row at a time where the
+    /// tile is `TILE` wide), each tile's range folded from its values on
+    /// the lattice, and each block's range from its tiles'.
+    fn write_reader(&mut self, k: usize, plane: &[f64]) {
+        let (nx, ny, readers) = (self.fine.nx(), self.fine.ny(), self.readers);
+        debug_assert_eq!(plane.len(), nx * ny);
+        let VirtualGrid {
+            tiles,
+            ranges,
+            blocks,
+            values,
+            ..
+        } = self;
+        let mut tile = 0;
+        for y0 in (0..ny).step_by(TILE) {
+            let h = TILE.min(ny - y0);
+            for x0 in (0..nx).step_by(TILE) {
+                let w = TILE.min(nx - x0);
+                let block = &mut values[(tile * readers + k) * SLOTS..][..SLOTS];
+                let (lo, hi) = if (h, w) == (TILE, TILE) {
+                    let mut full = [0.0f64; SLOTS];
+                    for (r, row) in full.chunks_exact_mut(TILE).enumerate() {
+                        row.copy_from_slice(&plane[(y0 + r) * nx + x0..][..TILE]);
+                    }
+                    block.copy_from_slice(&full);
+                    (lanes_min(full), lanes_max(full))
+                } else {
+                    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+                    for (r, row) in block.chunks_exact_mut(TILE).take(h).enumerate() {
+                        let src = &plane[(y0 + r) * nx + x0..][..w];
+                        for (slot, &v) in row.iter_mut().zip(src) {
+                            *slot = v;
+                            lo = if v < lo { v } else { lo };
+                            hi = if v > hi { v } else { hi };
+                        }
+                    }
+                    (lo, hi)
+                };
+                let [tile_lo, tile_hi] = &mut ranges[tile / LANES * readers + k];
+                tile_lo[tile % LANES] = lo;
+                tile_hi[tile % LANES] = hi;
+                tile += 1;
+            }
+        }
+        // Each block's range folds its real tiles' ranges.
+        for (block, [lo, hi]) in ranges.iter().skip(k).step_by(readers).enumerate() {
+            let real = LANES.min(*tiles - block * LANES);
+            let [block_lo, block_hi] = &mut blocks[block / LANES * readers + k];
+            block_lo[block % LANES] = lo[..real].iter().fold(lo[0], |m, &v| m.min(v));
+            block_hi[block % LANES] = hi[..real].iter().fold(hi[0], |m, &v| m.max(v));
         }
     }
 
@@ -136,7 +272,7 @@ impl VirtualGrid {
 
     /// Number of readers covered.
     pub fn reader_count(&self) -> usize {
-        self.planes.len() / self.fine.node_count()
+        self.readers
     }
 
     /// Total number of virtual+real reference tags — the paper's `N²`.
@@ -144,32 +280,80 @@ impl VirtualGrid {
         self.fine.node_count()
     }
 
-    /// RSSI plane of reader `k` on the fine lattice, in row-major node
-    /// order.
+    /// RSSI field of reader `k` on the fine lattice, in row-major node
+    /// order, gathered from the tile store.
     ///
     /// # Panics
     /// Panics when `k` is out of range.
-    pub fn field(&self, k: usize) -> &[f64] {
-        let nodes = self.fine.node_count();
-        &self.planes[k * nodes..(k + 1) * nodes]
-    }
-
-    /// Every reader's plane, reader-major: `planes[k * nodes + flat]`.
-    pub fn planes(&self) -> &[f64] {
-        &self.planes
+    pub fn field(&self, k: usize) -> Vec<f64> {
+        assert!(k < self.readers, "reader {k} out of range");
+        (0..self.tag_count())
+            .map(|flat| self.values[self.index(k, flat)])
+            .collect()
     }
 
     /// RSSI of virtual tag `idx` at reader `k`.
+    ///
+    /// # Panics
+    /// Panics when `k` is out of range.
     pub fn rssi(&self, k: usize, idx: GridIndex) -> f64 {
-        self.field(k)[self.fine.flat(idx)]
+        assert!(k < self.readers, "reader {k} out of range");
+        self.values[self.index(k, self.fine.flat(idx))]
     }
 
     /// Signal vector (one RSSI per reader) of virtual tag `idx`.
     pub fn signal_vector(&self, idx: GridIndex) -> Vec<f64> {
-        (0..self.reader_count())
-            .map(|k| self.rssi(k, idx))
-            .collect()
+        self.node_values(self.fine.flat(idx)).collect()
     }
+
+    /// Position in `values` of reader `k`'s value at node `flat`.
+    fn index(&self, k: usize, flat: usize) -> usize {
+        let nx = self.fine.nx();
+        let (y, x) = (flat / nx, flat % nx);
+        let tile = y / TILE * self.tiles_x + x / TILE;
+        (tile * self.readers + k) * SLOTS + y % TILE * TILE + x % TILE
+    }
+
+    /// The readers' values at node `flat`, `k` ascending.
+    pub(crate) fn node_values(&self, flat: usize) -> impl Iterator<Item = f64> + '_ {
+        let values = self.values[self.index(0, flat)..].iter().step_by(SLOTS);
+        values.take(self.readers).copied()
+    }
+
+    /// Flat (row-major) index of the node in `slot` of `tile`.
+    pub(crate) fn flat(&self, tile: usize, slot: usize) -> usize {
+        self.firsts[tile] as usize + slot / TILE * self.fine.nx() + slot % TILE
+    }
+
+    /// Reader `k`'s values over `tile`.
+    pub(crate) fn block(&self, tile: usize, k: usize) -> &[f64] {
+        &self.values[(tile * self.readers + k) * SLOTS..][..SLOTS]
+    }
+}
+
+/// `lanes` reduced pairwise by `pick` (`min` or `max`), so the lanes stay
+/// independent. Over non-NaN values both are exact and do not depend on
+/// the order, so this equals a sequential fold.
+fn lanes_fold<const N: usize>(mut lanes: [f64; N], pick: impl Fn(f64, f64) -> f64) -> f64 {
+    const { assert!(N.is_power_of_two(), "pairwise halving needs 2^n lanes") };
+    let mut n = N;
+    while n > 1 {
+        n /= 2;
+        for i in 0..n {
+            lanes[i] = pick(lanes[i], lanes[i + n]);
+        }
+    }
+    lanes[0]
+}
+
+/// The smallest of `lanes` (see `lanes_fold`).
+pub(crate) fn lanes_min<const N: usize>(lanes: [f64; N]) -> f64 {
+    lanes_fold(lanes, |a, b| if b < a { b } else { a })
+}
+
+/// The largest of `lanes` (see `lanes_fold`).
+fn lanes_max<const N: usize>(lanes: [f64; N]) -> f64 {
+    lanes_fold(lanes, |a, b| if b > a { b } else { a })
 }
 
 /// The coarse and fine abscissae of both axes: `(coarse_xs, fine_xs,
@@ -274,15 +458,17 @@ fn vertical_pass(
 }
 
 /// The §4.2 sweep from one coarse lattice onto its refinement: the four
-/// axes' abscissae, one `cny × fnx` scratch for the horizontal pass and
-/// one column scratch for the vertical pass.
+/// axes' abscissae, one `cny × fnx` scratch for the horizontal pass, one
+/// column scratch for the vertical pass and one row-major plane it
+/// writes.
 ///
-/// Each reader's plane is a function of that reader's coarse field alone,
-/// so re-interpolating reader `k` whole, in place, is both how
-/// [`VirtualGrid::build`] fills fresh planes (every reader) and how a
+/// Each reader's values are a function of that reader's coarse field
+/// alone, so re-interpolating reader `k` whole, in place, is both how
+/// [`VirtualGrid::build`] fills a fresh store (every reader) and how a
 /// sync follows a changed map (each reader whose cells changed). It runs
-/// the same `horizontal_pass` and `vertical_pass` on the same inputs
-/// either way, so the planes are **bit-identical** to a fresh build.
+/// the same `horizontal_pass`, `vertical_pass` and store write on the
+/// same inputs either way, so the store is **bit-identical** to a fresh
+/// build.
 #[derive(Debug, Clone)]
 pub(crate) struct Sweep {
     coarse: RegularGrid,
@@ -299,6 +485,9 @@ pub(crate) struct Sweep {
     /// The global kernels' column of `intermediate` (`cny` values), then
     /// its interpolation (`fny` values).
     columns: Vec<f64>,
+    /// The vertical-pass output of the reader being interpolated: its
+    /// row-major plane on the fine lattice, before the store write.
+    plane: Vec<f64>,
 }
 
 impl Sweep {
@@ -321,28 +510,26 @@ impl Sweep {
             fine_ys,
             intermediate: vec![0.0; coarse.ny() * fine.nx()],
             columns: vec![0.0; coarse.ny() + fine.ny()],
+            plane: vec![0.0; fine.node_count()],
         }
     }
 
-    /// Interpolates every reader of `refs` into fresh planes.
+    /// Interpolates every reader of `refs` into a fresh store.
     pub(crate) fn build(&mut self, refs: &ReferenceRssiMap) -> VirtualGrid {
-        let mut grid = VirtualGrid {
-            fine: self.fine,
-            planes: vec![0.0; refs.reader_count() * self.fine.node_count()],
-            refine: self.n,
-        };
+        let mut grid = VirtualGrid::empty(self.fine, refs.reader_count(), self.n);
         for k in 0..refs.reader_count() {
             self.reinterpolate(&mut grid, refs, k);
         }
         grid
     }
 
-    /// Re-interpolates reader `k`'s whole plane of `grid` from `refs`, in
-    /// place; every other reader's plane is untouched.
+    /// Re-interpolates reader `k` of `grid` whole from `refs` and writes
+    /// its values and ranges into the store, in place; every other
+    /// reader's values and ranges are untouched.
     ///
     /// # Panics
-    /// Panics when `refs` or `grid` does not span the lattices this sweep
-    /// refines, or `k` is out of range.
+    /// Panics when `refs` or `grid` does not span the lattices and
+    /// readers this sweep refines, or `k` is out of range.
     pub(crate) fn reinterpolate(
         &mut self,
         grid: &mut VirtualGrid,
@@ -351,7 +538,7 @@ impl Sweep {
     ) {
         assert_eq!(refs.grid(), &self.coarse, "reference lattice mismatch");
         assert_eq!(grid.grid(), &self.fine, "virtual lattice mismatch");
-        let nodes = self.fine.node_count();
+        assert_eq!(refs.reader_count(), grid.readers, "reader count mismatch");
         horizontal_pass(
             refs.field(k),
             &self.coarse_xs,
@@ -367,8 +554,9 @@ impl Sweep {
             self.n,
             self.kernel,
             &mut self.columns,
-            &mut grid.planes[k * nodes..(k + 1) * nodes],
+            &mut self.plane,
         );
+        grid.write_reader(k, &self.plane);
     }
 }
 
@@ -496,6 +684,73 @@ mod tests {
         }
     }
 
+    /// On 1 × 1, 1 × 4 and 4 × 1 reference lattices, at refines that put
+    /// the long side on and off a multiple of the tile side, every
+    /// kernel's values read back through `rssi`, `field` and
+    /// `signal_vector` are the formula's at each node: the piecewise
+    /// kernels' own 1D formula along the long axis, to the bit, and for
+    /// the spline and the polynomial the plane field they reproduce. Each
+    /// node's value differs, so a store slot read for the wrong node
+    /// fails here rather than agreeing with the store it came from.
+    #[test]
+    fn thin_lattices_hold_the_formula_on_every_kernel() {
+        let f = |k: usize, p: Point2| -60.0 - (2.5 + k as f64) * p.x + (1.25 - k as f64) * p.y;
+        for (nx, ny) in [(1, 1), (1, 4), (4, 1)] {
+            let grid = RegularGrid::new(Point2::ORIGIN, 1.0, 1.5, nx, ny);
+            let readers = vec![Point2::new(-1.0, -1.0), Point2::new(4.0, 4.0)];
+            let fields = (0..2)
+                .map(|k| GridData::from_fn(grid, |_, p| f(k, p)))
+                .collect();
+            let refs = ReferenceRssiMap::new(grid, readers, fields);
+            // The coarse values along the long axis, and the fine node's
+            // position on it.
+            let along = |k: usize, c: usize| refs.rssi(k, GridIndex::new(c % nx, c % ny));
+            let (long, pos) = (nx.max(ny), |idx: GridIndex| idx.i.max(idx.j));
+            for (n, kernel) in [1, 3, 6]
+                .into_iter()
+                .flat_map(|n| InterpolationKernel::ALL.map(|kernel| (n, kernel)))
+            {
+                let vg = VirtualGrid::build(&refs, n, kernel);
+                assert_eq!(vg.tag_count(), (long - 1) * n + 1);
+                let fields = [vg.field(0), vg.field(1)];
+                for (idx, p) in vg.grid().nodes() {
+                    let flat = vg.grid().flat(idx);
+                    for (k, field) in fields.iter().enumerate() {
+                        let got = vg.rssi(k, idx);
+                        let want = if !kernel.is_local() {
+                            f(k, p)
+                        } else if long == 1 {
+                            along(k, 0)
+                        } else {
+                            let t = pos(idx);
+                            let c = (t / n).min(long - 2);
+                            let (l, r, q) = (along(k, c), along(k, c + 1), t - c * n);
+                            match q {
+                                0 => l,
+                                _ if q == n => r,
+                                _ if kernel == InterpolationKernel::PaperLinear => {
+                                    paper_weighting(l, r, n, q)
+                                }
+                                _ => lerp_uniform(l, r, n, q),
+                            }
+                        };
+                        let close = if kernel.is_local() {
+                            got.to_bits() == want.to_bits()
+                        } else {
+                            (got - want).abs() < 1e-9
+                        };
+                        assert!(
+                            close,
+                            "{kernel:?} {nx}×{ny} n={n} at {idx}: {got} vs {want}"
+                        );
+                        assert_eq!(field[flat].to_bits(), got.to_bits());
+                        assert_eq!(vg.signal_vector(idx)[k].to_bits(), got.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn spline_and_polynomial_exact_on_cubic_rows() {
         // A separable cubic is reproduced exactly by both nonlinear kernels
@@ -608,8 +863,8 @@ mod tests {
                         &before
                     };
                     assert_eq!(
-                        bits(vg.field(k)),
-                        bits(want.field(k)),
+                        bits(&vg.field(k)),
+                        bits(&want.field(k)),
                         "{kernel:?}, subset {subset:#b}, reader {k}"
                     );
                 }

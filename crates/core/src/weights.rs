@@ -9,9 +9,10 @@
 //!   4-connected blob ("conjunctive region") it belongs to, normalized
 //!   over all candidates — "the densest area has the largest weight".
 //!
-//! The combined weight is `w = w1·w2`, renormalized.
+//! The combined weight is `w = w1·w2`, renormalized. Each candidate's
+//! per-reader values come from the virtual grid's tile store, the one
+//! store elimination reads too.
 
-use crate::elimination::TileSummary;
 use crate::landmarc::inverse_square_weights_into;
 use crate::virtual_grid::VirtualGrid;
 use crate::TrackingReading;
@@ -161,27 +162,27 @@ fn label_components(mask: &[u64], nx: usize, nodes: usize, buf: &mut WeightBuffe
     }
 }
 
-/// Allocation-free weighting over the tile store of the reader-major RSSI
-/// planes (the one store elimination reads, [`TileSummary`]) and a packed
-/// candidate mask in the [`bitgrid`] word layout. On success the candidate
-/// flat indices and their normalized weights are left in `buf` and `true`
-/// is returned; `false` corresponds to the `None` cases of
-/// [`candidate_weights`] (empty mask or degenerate weights).
+/// Allocation-free weighting over the virtual grid's tile store (the one
+/// store elimination reads) and a packed candidate mask in the [`bitgrid`]
+/// word layout. On success the candidate flat indices and their
+/// normalized weights are left in `buf` and `true` is returned; `false`
+/// corresponds to the `None` cases of [`candidate_weights`] (empty mask or
+/// degenerate weights).
 ///
 /// Bit-for-bit equivalent to the historical implementation: candidate
 /// iteration walks `trailing_zeros` word by word, which enumerates the
 /// same ascending row-major order as a full scan; every per-candidate sum
-/// runs k-ascending over the same values the planes hold, and
+/// runs k-ascending over the same values the store holds, and
 /// normalization divides in the same order.
 pub(crate) fn candidate_weights_into(
-    tiles: &TileSummary,
+    grid: &VirtualGrid,
     reading: &TrackingReading,
     mask: &[u64],
     mode: WeightingMode,
     w1_mode: W1Mode,
     buf: &mut WeightBuffers,
 ) -> bool {
-    let (nodes, nx) = (tiles.nodes(), tiles.nx());
+    let (nodes, nx) = (grid.tag_count(), grid.grid().nx());
     debug_assert_eq!(mask.len(), bitgrid::words_for(nodes));
     buf.candidates.clear();
     buf.candidates.extend(bitgrid::iter_ones(mask));
@@ -195,7 +196,7 @@ pub(crate) fn candidate_weights_into(
             // Σ_k (θ_k − s_k)², k ascending, then sqrt.
             buf.scores.clear();
             for &flat in &buf.candidates {
-                let e = (reading.rssi().iter().zip(tiles.node_values(flat)))
+                let e = (reading.rssi().iter().zip(grid.node_values(flat)))
                     .map(|(&theta, s)| (theta - s).powi(2))
                     .sum::<f64>()
                     .sqrt();
@@ -211,7 +212,7 @@ pub(crate) fn candidate_weights_into(
             let k_f = reading.reader_count() as f64;
             buf.scores.clear();
             for &flat in &buf.candidates {
-                let raw = (reading.rssi().iter().zip(tiles.node_values(flat)))
+                let raw = (reading.rssi().iter().zip(grid.node_values(flat)))
                     .map(|(&theta, s)| (s - theta).abs() / (k_f * s.abs().max(1e-9)))
                     .sum::<f64>();
                 buf.scores.push(raw);
@@ -271,9 +272,11 @@ pub(crate) fn candidate_weights_into(
 /// to 1. Returns `None` when the mask is empty or the weights degenerate.
 ///
 /// One-shot convenience over the internal `candidate_weights_into`, which
-/// also builds the grid's tile store; hot paths go through
-/// [`crate::PreparedVire`], which keeps the store in step with its grid
-/// and reuses the buffers across readings.
+/// reads the grid's store in place; hot paths go through
+/// [`crate::PreparedVire`], which reuses the buffers across readings.
+///
+/// # Panics
+/// Panics when the reading's reader count differs from the grid's.
 pub fn candidate_weights(
     grid: &VirtualGrid,
     reading: &TrackingReading,
@@ -281,16 +284,14 @@ pub fn candidate_weights(
     mode: WeightingMode,
     w1_mode: W1Mode,
 ) -> Option<(Vec<GridIndex>, Vec<f64>)> {
+    assert_eq!(
+        reading.reader_count(),
+        grid.reader_count(),
+        "reading and virtual grid must cover the same readers"
+    );
     let nx = grid.grid().nx();
     let mut buf = WeightBuffers::default();
-    if !candidate_weights_into(
-        &TileSummary::of(grid),
-        reading,
-        mask.words(),
-        mode,
-        w1_mode,
-        &mut buf,
-    ) {
+    if !candidate_weights_into(grid, reading, mask.words(), mode, w1_mode, &mut buf) {
         return None;
     }
     let candidates = buf
@@ -469,7 +470,6 @@ mod tests {
     #[test]
     fn reused_buffers_leave_labels_clear_and_match_fresh_ones() {
         let (vg, reading) = setup();
-        let tiles = TileSummary::of(&vg);
         let masks = [
             mask_with(&vg, &[GridIndex::new(5, 5), GridIndex::new(6, 5)]),
             mask_with(
@@ -487,7 +487,7 @@ mod tests {
         for mask in masks.iter().chain(&masks) {
             let run = |buf: &mut WeightBuffers| {
                 candidate_weights_into(
-                    &tiles,
+                    &vg,
                     &reading,
                     mask.words(),
                     WeightingMode::Combined,
@@ -501,6 +501,29 @@ mod tests {
             assert_eq!(bits(&reused.weights), bits(&fresh.weights));
             assert!(reused.labels.iter().all(|&l| l == 0));
         }
+    }
+
+    /// The one-shot path refuses a reading with more or fewer readers
+    /// than the grid, rather than zipping past the shorter side.
+    fn weights_for_readers(rssi: Vec<f64>) {
+        let (vg, _) = setup();
+        let mask = mask_with(&vg, &[GridIndex::new(5, 5), GridIndex::new(6, 5)]);
+        let reading = TrackingReading::new(rssi);
+        for (mode, w1) in WeightingMode::ALL.into_iter().zip(W1Mode::ALL) {
+            candidate_weights(&vg, &reading, &mask, mode, w1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "same readers")]
+    fn candidate_weights_rejects_a_reading_with_more_readers() {
+        weights_for_readers(vec![-70.0, -72.0, -74.0, -76.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "same readers")]
+    fn candidate_weights_rejects_a_reading_with_fewer_readers() {
+        weights_for_readers(vec![-70.0]);
     }
 
     #[test]

@@ -53,6 +53,14 @@ fn kernels() -> [InterpolationKernel; 4] {
     ]
 }
 
+/// Every reader's field of the prepared virtual grid, reader-major.
+fn planes(prepared: &PreparedVire) -> Vec<f64> {
+    let grid = prepared.grid();
+    (0..grid.reader_count())
+        .flat_map(|k| grid.field(k))
+        .collect()
+}
+
 /// Asserts the synced `owned` state is bit-identical to a from-scratch
 /// build against `map`, including on a probe localization.
 fn assert_matches_fresh(
@@ -63,8 +71,8 @@ fn assert_matches_fresh(
     let fresh = PreparedVire::build(config, map).expect("config is non-degenerate");
     let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     prop_assert_eq!(
-        bits(owned.planes()),
-        bits(fresh.planes()),
+        bits(&planes(owned)),
+        bits(&planes(&fresh)),
         "flattened planes diverged from a fresh prepare"
     );
     let probe = TrackingReading::new(vec![-70.0, -74.5, -77.25]);
@@ -155,14 +163,14 @@ proptest! {
 
                 let hinted = (n + round) % 2 == 0;
                 let hint: &[DirtyCell] = if hinted { &hint } else { &[] };
-                let before = owned.planes().to_vec();
+                let before = planes(&owned);
                 let expect = expected_outcome(&synced, &map);
                 prop_assert_eq!(owned.sync(&map, hint), expect, "round {} hinted {}", round, hinted);
                 prop_assert!(owned.refs().same_bits(&map));
                 let nodes = owned.grid().tag_count();
                 for k in (0..3).filter(|k| !dirty.contains(k)) {
                     prop_assert_eq!(
-                        bits(&owned.planes()[k * nodes..(k + 1) * nodes]),
+                        bits(&planes(&owned)[k * nodes..(k + 1) * nodes]),
                         bits(&before[k * nodes..(k + 1) * nodes]),
                         "clean reader {} changed in round {}", k, round
                     );
@@ -258,7 +266,7 @@ fn reading_from(readers: usize, value: impl Fn(usize) -> f64) -> TrackingReading
 /// values, each reader's new maximum, and a mid-range probe. After a reshape, where
 /// old and new nodes do not correspond, the middle node stands in.
 fn telling_readings(before: &[f64], after: &PreparedVire) -> Vec<TrackingReading> {
-    let planes = after.planes();
+    let planes = planes(after);
     let nodes = after.grid().tag_count();
     let readers = planes.len() / nodes;
     let mut readings = vec![TrackingReading::new(vec![-70.0, -74.5, -77.25])];
@@ -345,7 +353,7 @@ fn every_map_change_localizes_like_a_fresh_build() {
 
         // One dirty cell, lifted well above its neighbours: one reader
         // re-interpolated.
-        let (before, synced) = (owned.planes().to_vec(), map.clone());
+        let (before, synced) = (planes(&owned), map.clone());
         let cell = GridIndex::new(1, 2);
         map.set_rssi(0, cell, map.rssi(0, cell) + 12.0);
         assert_eq!(owned.sync(&map, &[]), expected_outcome(&synced, &map));
@@ -353,7 +361,7 @@ fn every_map_change_localizes_like_a_fresh_build() {
         assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "one reader");
 
         // Every cell: every reader re-interpolated in place.
-        let (before, synced) = (owned.planes().to_vec(), map.clone());
+        let (before, synced) = (planes(&owned), map.clone());
         for k in 0..map.reader_count() {
             for idx in map.grid().indices().collect::<Vec<_>>() {
                 map.set_rssi(k, idx, map.rssi(k, idx) + 7.5);
@@ -364,7 +372,7 @@ fn every_map_change_localizes_like_a_fresh_build() {
         assert_diagnostics_match_fresh(&owned, &config, &map, &readings, "every reader");
 
         // A different lattice: the reshape rebuild.
-        let before = owned.planes().to_vec();
+        let before = planes(&owned);
         let grid = RegularGrid::square(Point2::ORIGIN, 0.75, SIDE + 1);
         let fields = readers()
             .iter()
@@ -411,8 +419,8 @@ fn one_node_axis_lattices_localize_and_patch_on_every_kernel() {
             );
             let fresh = PreparedVire::build(&config, &moved).unwrap();
             assert_eq!(
-                bits(owned.planes()),
-                bits(fresh.planes()),
+                bits(&planes(&owned)),
+                bits(&planes(&fresh)),
                 "{kernel:?} on {nx}×{ny}"
             );
             assert_eq!(owned.locate(&reading), fresh.locate(&reading));

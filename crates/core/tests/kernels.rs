@@ -383,13 +383,14 @@ proptest! {
             let vg = VirtualGrid::build(&map, refine, kernel);
             let nodes = vg.tag_count();
             // The tag sits on (or just off, reader by reader) one region.
+            let fields: Vec<Vec<f64>> = (0..READERS).map(|k| vg.field(k)).collect();
             let thetas: Vec<f64> = (0..READERS)
-                .map(|k| vg.field(k)[pick % nodes] + offsets[k])
+                .map(|k| fields[k][pick % nodes] + offsets[k])
                 .collect();
             // Mostly a small floor, which the survivors can exceed.
             let floor = 1 + floor_pick % if small_floor > 0 { nodes.min(4) } else { nodes };
             let mode = ThresholdMode::Adaptive { step, min, per_reader, min_candidates: floor };
-            let planes: Vec<&[f64]> = (0..READERS).map(|k| vg.field(k)).collect();
+            let planes: Vec<&[f64]> = fields.iter().map(Vec::as_slice).collect();
             let (ts, mask) = reference_adaptive(&planes, &thetas, step, min, per_reader, floor);
             let r = eliminate(&vg, &TrackingReading::new(thetas), mode)
                 .expect("adaptive elimination keeps a region");
@@ -449,12 +450,13 @@ proptest! {
         let kernel = all_kernels()[kernel];
         let vg = VirtualGrid::build(&map, refine, kernel);
         let nodes = vg.tag_count();
+        let fields: Vec<Vec<f64>> = (0..k_readers).map(|k| vg.field(k)).collect();
         let thetas: Vec<f64> = (0..k_readers)
-            .map(|k| vg.field(k)[pick % nodes] + offsets[k])
+            .map(|k| fields[k][pick % nodes] + offsets[k])
             .collect();
         let floor = 1 + floor_pick % if small_floor > 0 { nodes.min(4) } else { nodes };
         let mode = ThresholdMode::Adaptive { step, min, per_reader, min_candidates: floor };
-        let planes: Vec<&[f64]> = (0..k_readers).map(|k| vg.field(k)).collect();
+        let planes: Vec<&[f64]> = fields.iter().map(Vec::as_slice).collect();
         let (ts, mask) = reference_adaptive(&planes, &thetas, step, min, per_reader, floor);
         let r = eliminate(&vg, &TrackingReading::new(thetas), mode)
             .expect("adaptive elimination keeps a region");

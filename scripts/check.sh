@@ -48,28 +48,31 @@ cargo test -p vire-geom -q
 # One prepared state per algorithm: the vector kernels match their scalar
 # oracles, every VIRE entry point (one-shot, prepare, sync from a
 # perturbed map) agrees bit-for-bit, and a synced state equals a fresh
-# build on every interpolation kernel. The calibration map and the
-# virtual grid each hold the only copy of their reader-major planes:
-# LANDMARC reads the map's, elimination and weighting read the grid's,
-# and a sync re-interpolates straight into them. Adaptive elimination
-# matches a map-building reference of the paper's procedure through all
-# three phases (threshold bits and mask, largest-area reader first), and
-# a lattice with one node along an axis localizes and syncs on every
-# kernel. Elimination and weighting read one tile-major store (each
-# reader's RSSI range and 16 values per 4x4 tile, refreshed at sync);
-# adaptive elimination reads the values of only the tiles whose bounds
-# admit a survivor or a smaller gap, and matches the dense max-gap
-# elimination to the bit: fixed and adaptive modes, every floor, ties and
+# build on every interpolation kernel. The calibration map holds the
+# only copy of its reader-major planes, which LANDMARC reads; the virtual
+# grid is one tile-major store (each reader's RSSI range and 16 values
+# per 4x4 tile), the only copy of its values, which the sweep writes and
+# elimination and weighting read. Every node of 1x1, 1x4 and 4x1
+# reference lattices reads back the kernels' formulas through rssi,
+# field and signal_vector, on every kernel, and the one-shot eliminate
+# and candidate_weights refuse a reading with more or fewer readers than
+# the grid. Adaptive elimination matches a map-building reference of the
+# paper's procedure through all three phases (threshold bits and mask,
+# largest-area reader first), and a lattice with one node along an axis
+# localizes and syncs on every kernel. Adaptive elimination reads the
+# values of only the tiles whose bounds admit a survivor or a smaller
+# gap, and matches the dense max-gap elimination to the bit: fixed and adaptive modes, every floor, ties and
 # ±0.0, readings on tile extremes, lattice sides off multiples of 4 (1xN,
 # Nx1, 1x1, refine 1), and the lattices the server runs (refine 10 and
 # 20, 1 to 6 readers), where it also matches the map-building reference.
 # Its work is pinned: exact counts of range entries read, tiles scanned,
 # queued and computed on the Env2 fixture, a tile whose bound equals the
 # threshold is not computed, and tiles holding the reading tie at a zero
-# bound. A steady-state locate (refine 10 and 20) allocates nothing.
-# The one sync path: a sync re-interpolates, whole, the plane of exactly
-# each reader with a changed cell and refreshes that reader's tile
-# summary; the readers it leaves clean keep their planes to the bit
+# bound. A steady-state locate and a steady-state hinted one-reader sync
+# (refine 10 and 20) allocate nothing.
+# The one sync path: a sync re-interpolates, whole, exactly each reader
+# with a changed cell into its part of the tile store; the readers it
+# leaves clean keep their values to the bit
 # (rounds dirty one reader, several, and all), and re-interpolating any
 # subset of readers equals a fresh build. Every map change (some readers,
 # every reader, reshape) localizes like a fresh build, a batch matches
@@ -98,12 +101,17 @@ named_tests -p vire-core --lib -- \
   a_tile_whose_bound_equals_the_threshold_is_not_computed \
   tiles_holding_the_reading_tie_at_a_zero_bound \
   reinterpolating_any_reader_subset_matches_fresh_builds \
+  thin_lattices_hold_the_formula_on_every_kernel \
+  eliminate_rejects_a_reading_with_more_readers \
+  eliminate_rejects_a_reading_with_fewer_readers \
+  candidate_weights_rejects_a_reading_with_more_readers \
+  candidate_weights_rejects_a_reading_with_fewer_readers \
   reused_buffers_leave_labels_clear_and_match_fresh_ones \
   hint_path_and_diff_path_agree sync_patches_the_named_cell_and_matches_fresh
 named_tests -p vire-bench --test elimination_work -- \
   elimination_work_on_the_fixture_is_pinned
 named_tests -p vire-bench --test locate_allocations -- \
-  steady_state_locates_allocate_nothing
+  steady_state_locates_allocate_nothing steady_state_syncs_allocate_nothing
 
 # The generational tag slab: handle allocation, slot reuse, and the
 # lifetime-safety invariants every layer leans on.
