@@ -1,6 +1,7 @@
-//! A steady-state locate allocates nothing: elimination reads the tile
-//! store in place, and every buffer of the scratch arena keeps its
-//! capacity from one reading to the next. Neither does a steady-state
+//! A steady-state locate allocates nothing, VIRE's or LANDMARC's:
+//! elimination reads the tile store in place, LANDMARC reads the map
+//! mirror's planes in place, and every buffer of the scratch arena keeps
+//! its capacity from one reading to the next. Neither does a steady-state
 //! sync: the sweep re-interpolates a reader through its own scratch and
 //! writes the virtual grid's store in place.
 //!
@@ -11,7 +12,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use vire_bench::fixture;
 use vire_core::incremental::SyncOutcome;
-use vire_core::{OwnedPreparedLocalizer, TrackingReading, Vire, VireConfig, VireScratch};
+use vire_core::{
+    Landmarc, OwnedPreparedLocalizer, PreparedLocalizer, TrackingReading, Vire, VireConfig,
+    VireScratch,
+};
 use vire_geom::GridIndex;
 
 /// Counts allocations made on a thread while its `COUNTING` flag is set,
@@ -62,6 +66,17 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Locates every reading once to warm the scratch up, then twice more
+/// under the counting allocator, and returns the allocations counted.
+fn allocations(readings: &[TrackingReading], mut locate: impl FnMut(&TrackingReading)) -> u64 {
+    readings.iter().for_each(&mut locate);
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
+    readings.iter().chain(readings).for_each(&mut locate);
+    COUNTING.with(|c| c.set(false));
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
 #[test]
 fn steady_state_locates_allocate_nothing() {
     let (map, tags) = fixture();
@@ -80,21 +95,27 @@ fn steady_state_locates_allocate_nothing() {
         };
         let prepared = Vire::new(config).prepare(&map).expect("refine > 0");
         let mut scratch = VireScratch::new();
-        for r in &readings {
+        let count = allocations(&readings, |r| {
             prepared
                 .locate_with_scratch(r, &mut scratch)
                 .expect("locates");
-        }
-        ALLOCATIONS.store(0, Ordering::Relaxed);
-        COUNTING.with(|c| c.set(true));
-        for r in readings.iter().chain(&readings) {
-            prepared
-                .locate_with_scratch(r, &mut scratch)
-                .expect("locates");
-        }
-        COUNTING.with(|c| c.set(false));
-        assert_eq!(ALLOCATIONS.load(Ordering::Relaxed), 0, "refine {refine}");
+        });
+        assert_eq!(count, 0, "refine {refine}");
     }
+    // LANDMARC, alone and as the fallback of a VIRE whose threshold
+    // eliminates every region, on the thread's own scratch.
+    let landmarc = Landmarc::default().prepare(&map);
+    let count = allocations(&readings, |r| {
+        landmarc.locate(r).expect("locates");
+    });
+    assert_eq!(count, 0, "LANDMARC");
+    let falling_back = Vire::new(VireConfig::with_fixed_threshold(1e-9));
+    let prepared = falling_back.prepare(&map).expect("refine > 0");
+    let count = allocations(&readings, |r| {
+        let est = prepared.locate(r).expect("locates");
+        assert_eq!(est.threshold, None, "falls back to LANDMARC");
+    });
+    assert_eq!(count, 0, "VIRE falling back to LANDMARC");
 }
 
 /// A hinted sync that re-interpolates one reader, at refine 10 and 20.

@@ -6,9 +6,11 @@
 //! hot across drives instead of preparing afresh whenever a calibration
 //! cell moves:
 //!
-//! * [`PreparedVire`] — owns the map mirror and the virtual grid, a
-//!   tile-major store (each reader's RSSI range and values per 4 × 4
-//!   tile) that the sweep writes and a locate reads. Paper §4.2
+//! * [`PreparedVire`] — owns the map mirror, the resolved threshold mode,
+//!   the virtual grid (a tile-major store: each reader's RSSI range and
+//!   values per 4 × 4 tile) and the sweep that writes it, and runs the
+//!   one VIRE query core over that store: elimination, weighting, the
+//!   centroid, and the LANDMARC fallback on the mirror. Paper §4.2
 //!   interpolates each reader's values from that reader's real tags
 //!   alone, so [`sync`](OwnedPreparedLocalizer::sync) flags each reader
 //!   whose cells changed and re-interpolates exactly those readers,
@@ -17,8 +19,12 @@
 //!   **bit-identical** to a from-scratch [`PreparedVire::build`] (pinned
 //!   by property tests in `tests/incremental.rs`).
 //! * [`PreparedLandmarc`] — the same lifecycle for the LANDMARC
-//!   baseline, which reads the mirror's own reader-major planes, so a
-//!   changed calibration cell is one O(1) write into the mirror.
+//!   baseline, whose query core reads the mirror's own reader-major
+//!   planes, so a changed calibration cell is one O(1) write into the
+//!   mirror.
+//!
+//! Both query cores run through one [`VireScratch`] arena: the caller's,
+//! or the calling thread's (see [`crate::prepared`]).
 //!
 //! These are the only prepared forms: [`Vire::prepare`] and
 //! [`Landmarc::prepare`] build them, and the one-shot
@@ -36,16 +42,17 @@
 //! the same way. Debug builds check after every sync that the mirror
 //! equals the map bit for bit, so a hint that misses a cell fails loudly.
 
-use crate::elimination::{EliminationResult, EliminationWork, Tally};
-use crate::landmarc::{Landmarc, LandmarcConfig};
-use crate::localizer::{Estimate, LocalizeError};
-use crate::prepared::{
-    landmarc_locate_core, with_landmarc_scratch, with_vire_scratch, PreparedLocalizer, VireScratch,
-    VireState,
+use crate::elimination::{
+    eliminate_into, ElimBuffers, EliminationResult, EliminationWork, ThresholdMode,
 };
+use crate::kernels;
+use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
+use crate::localizer::{check_readers, Estimate, LocalizeError};
+use crate::prepared::{with_scratch, PreparedLocalizer, VireScratch};
 use crate::types::{ReferenceRssiMap, TrackingReading};
-use crate::vire_alg::{Vire, VireConfig};
-use crate::virtual_grid::VirtualGrid;
+use crate::vire_alg::{EmptyFallback, Vire, VireConfig};
+use crate::virtual_grid::{Sweep, VirtualGrid};
+use crate::weights::candidate_weights_into;
 use vire_geom::{BitGrid, GridIndex, Point2};
 
 /// One changed calibration entry: `(reader, coarse lattice node)`.
@@ -127,7 +134,14 @@ fn same_shape(a: &ReferenceRssiMap, b: &ReferenceRssiMap) -> bool {
 /// [`sync`](OwnedPreparedLocalizer::sync) re-interpolates, in place, each
 /// reader whose calibration cells changed.
 pub struct PreparedVire {
-    state: VireState,
+    config: VireConfig,
+    /// Threshold mode with the auto candidate floor already resolved to
+    /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
+    threshold: ThresholdMode,
+    grid: VirtualGrid,
+    /// Re-interpolates one reader into `grid` (the only writer of its
+    /// store).
+    sweep: Sweep,
     /// Owned mirror of the source map, bit-identical to it as of the last
     /// sync.
     refs: ReferenceRssiMap,
@@ -143,8 +157,35 @@ impl PreparedVire {
     /// mirror). Errors when the configuration is degenerate
     /// (`refine == 0`).
     pub fn build(config: &VireConfig, refs: &ReferenceRssiMap) -> Result<Self, LocalizeError> {
+        if config.refine == 0 {
+            return Err(LocalizeError::InsufficientData(
+                "refinement factor must be >= 1".into(),
+            ));
+        }
+        let mut sweep = Sweep::new(refs.grid(), config.refine, config.kernel);
+        let grid = sweep.build(refs);
+        // Resolve the auto candidate floor: one physical cell's worth of
+        // virtual regions (n²) keeps elimination from degenerating into a
+        // single-cell snap (see ThresholdMode::Adaptive::min_candidates).
+        let threshold = match config.threshold {
+            ThresholdMode::Adaptive {
+                step,
+                min,
+                per_reader,
+                min_candidates: 0,
+            } => ThresholdMode::Adaptive {
+                step,
+                min,
+                per_reader,
+                min_candidates: config.refine * config.refine,
+            },
+            other => other,
+        };
         Ok(PreparedVire {
-            state: VireState::build(config, refs)?,
+            config: config.clone(),
+            threshold,
+            grid,
+            sweep,
             refs: refs.clone(),
             source_id: refs.id(),
             flagged: vec![false; refs.reader_count()],
@@ -153,7 +194,7 @@ impl PreparedVire {
 
     /// The cached virtual grid.
     pub fn grid(&self) -> &VirtualGrid {
-        &self.state.grid
+        &self.grid
     }
 
     /// The owned mirror of the calibration map.
@@ -180,13 +221,9 @@ impl PreparedVire {
         &self,
         reading: &TrackingReading,
     ) -> Result<(Estimate, Option<EliminationResult>), LocalizeError> {
-        with_vire_scratch(|scratch| {
+        with_scratch(|scratch| {
             let (estimate, eliminated) = self.locate_core(reading, scratch)?;
-            let diag = eliminated.then(|| EliminationResult {
-                mask: BitGrid::from_words(*self.grid().grid(), scratch.elim.mask.clone()),
-                thresholds: scratch.elim.thresholds.clone(),
-            });
-            Ok((estimate, diag))
+            Ok((estimate, eliminated.then(|| self.result(&scratch.elim))))
         })
     }
 
@@ -195,7 +232,11 @@ impl PreparedVire {
     /// eliminates every region. The same tile-pruned elimination
     /// [`PreparedLocalizer::locate`] runs, without weighting.
     pub fn eliminate(&self, reading: &TrackingReading) -> Option<EliminationResult> {
-        self.eliminate_counting(reading, &mut ())
+        with_scratch(|scratch| {
+            let elim = &mut scratch.elim;
+            eliminate_into(&self.grid, reading, self.threshold, elim, &mut ())
+                .then(|| self.result(elim))
+        })
     }
 
     /// The work [`PreparedVire::eliminate`] does on one reading: the
@@ -205,39 +246,79 @@ impl PreparedVire {
     /// counts kept.
     pub fn elimination_work(&self, reading: &TrackingReading) -> EliminationWork {
         let mut work = EliminationWork::default();
-        self.eliminate_counting(reading, &mut work);
+        with_scratch(|s| {
+            eliminate_into(&self.grid, reading, self.threshold, &mut s.elim, &mut work)
+        });
         work
     }
 
-    fn eliminate_counting(
-        &self,
-        reading: &TrackingReading,
-        work: &mut impl Tally,
-    ) -> Option<EliminationResult> {
-        with_vire_scratch(|scratch| {
-            self.state
-                .eliminate(reading, &mut scratch.elim, work)
-                .then(|| EliminationResult {
-                    mask: BitGrid::from_words(*self.grid().grid(), scratch.elim.mask.clone()),
-                    thresholds: scratch.elim.thresholds.clone(),
-                })
-        })
+    /// The owned form of the mask and thresholds an elimination left in
+    /// `elim`.
+    fn result(&self, elim: &ElimBuffers) -> EliminationResult {
+        EliminationResult {
+            mask: BitGrid::from_words(*self.grid.grid(), elim.mask.clone()),
+            thresholds: elim.thresholds.clone(),
+        }
     }
 
-    /// The query core with its diagnostics flag (see
-    /// [`VireState::locate_core`]).
-    fn locate_core(
+    /// The query core every VIRE entry point runs. The bool is false when
+    /// the LANDMARC fallback produced the estimate; on true,
+    /// `scratch.elim` holds the final mask and thresholds and
+    /// `scratch.weights` the candidates and their weights.
+    pub(crate) fn locate_core(
         &self,
         reading: &TrackingReading,
         scratch: &mut VireScratch,
     ) -> Result<(Estimate, bool), LocalizeError> {
-        self.state.locate_core(&self.refs, reading, scratch)
+        check_readers(&self.refs, reading)?;
+
+        let elim = &mut scratch.elim;
+        if !eliminate_into(&self.grid, reading, self.threshold, elim, &mut ()) {
+            return match self.config.fallback {
+                EmptyFallback::Error => Err(LocalizeError::AllEliminated),
+                EmptyFallback::Landmarc => {
+                    let k = LandmarcConfig::default().k;
+                    let est = PreparedLandmarc::locate_core(&self.refs, k, reading, scratch)?;
+                    Ok((est, false))
+                }
+            };
+        }
+
+        if !candidate_weights_into(
+            &self.grid,
+            reading,
+            &scratch.elim.mask,
+            self.config.weighting,
+            self.config.w1,
+            &mut scratch.weights,
+        ) {
+            return Err(LocalizeError::DegenerateWeights);
+        }
+
+        let fine = self.grid.grid();
+        scratch.positions.clear();
+        scratch.positions.extend(
+            scratch
+                .weights
+                .candidates
+                .iter()
+                .map(|&flat| fine.position(fine.unflat(flat))),
+        );
+        let position = Point2::weighted_centroid(&scratch.positions, &scratch.weights.weights)
+            .ok_or(LocalizeError::DegenerateWeights)?;
+
+        let estimate = Estimate {
+            position,
+            contributors: scratch.weights.candidates.len(),
+            threshold: scratch.elim.thresholds.iter().copied().reduce(f64::max),
+        };
+        Ok((estimate, true))
     }
 }
 
 impl PreparedLocalizer for PreparedVire {
     fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        with_vire_scratch(|scratch| self.locate_with_scratch(reading, scratch))
+        with_scratch(|scratch| self.locate_with_scratch(reading, scratch))
     }
 
     fn name(&self) -> &'static str {
@@ -248,7 +329,7 @@ impl PreparedLocalizer for PreparedVire {
 impl OwnedPreparedLocalizer for PreparedVire {
     fn sync(&mut self, refs: &ReferenceRssiMap, hint: &[DirtyCell]) -> SyncOutcome {
         if !same_shape(&self.refs, refs) {
-            *self = PreparedVire::build(&self.state.config, refs)
+            *self = PreparedVire::build(&self.config, refs)
                 .expect("refine was validated when this instance was built");
             return SyncOutcome::Rebuilt;
         }
@@ -263,8 +344,7 @@ impl OwnedPreparedLocalizer for PreparedVire {
         };
         for k in 0..self.flagged.len() {
             if std::mem::take(&mut self.flagged[k]) {
-                let state = &mut self.state;
-                state.sweep.reinterpolate(&mut state.grid, &self.refs, k);
+                self.sweep.reinterpolate(&mut self.grid, &self.refs, k);
             }
         }
         debug_assert!(
@@ -287,24 +367,33 @@ impl Vire {
 /// LANDMARC bound to one calibration map, surviving across snapshots: a
 /// mirror of the map, whose reader-major RSSI planes
 /// (`planes[k * nodes + flat]`) each query's lane-chunked
-/// squared-E-distance kernel scans in place, plus the node positions. A
-/// dirty calibration cell is one write into the mirror.
+/// squared-E-distance kernel scans in place. A dirty calibration cell is
+/// one write into the mirror.
 pub struct PreparedLandmarc {
     config: LandmarcConfig,
     refs: ReferenceRssiMap,
-    positions: Vec<Point2>,
     /// [`ReferenceRssiMap::id`] of the map last synced to.
     source_id: u64,
+}
+
+/// LANDMARC's part of the query scratch arena: the kernel's
+/// squared-distance plane, the `(e², flat)` selection pairs, and the
+/// winners' distances and weights (their positions go in the arena's
+/// shared centroid buffer).
+#[derive(Debug, Default, Clone)]
+pub(crate) struct LandmarcBuffers {
+    esq: Vec<f64>,
+    scored: Vec<(f64, u32)>,
+    distances: Vec<f64>,
+    weights: Vec<f64>,
 }
 
 impl PreparedLandmarc {
     /// Builds the prepared state bound to `refs` (cloned).
     pub fn build(config: LandmarcConfig, refs: &ReferenceRssiMap) -> Self {
-        let grid = refs.grid();
         PreparedLandmarc {
             config,
             refs: refs.clone(),
-            positions: grid.indices().map(|idx| grid.position(idx)).collect(),
             source_id: refs.id(),
         }
     }
@@ -313,20 +402,65 @@ impl PreparedLandmarc {
     pub fn planes(&self) -> &[f64] {
         self.refs.planes()
     }
+
+    /// The query core, over the reader-major planes of `refs`: this
+    /// state's mirror, or a VIRE state's when its elimination came up
+    /// empty. The reading's reader count must already be checked.
+    ///
+    /// The per-node E-distance plane comes from the vector kernel in
+    /// squared form; selection of the `k` nearest runs on `(e², flat)` —
+    /// exact because `sqrt` is monotone, with the flat-index tie-break
+    /// reproducing the historical stable sort — and the square root is
+    /// taken only for the winners before the inverse-square weighting.
+    pub(crate) fn locate_core(
+        refs: &ReferenceRssiMap,
+        k: usize,
+        reading: &TrackingReading,
+        scratch: &mut VireScratch,
+    ) -> Result<Estimate, LocalizeError> {
+        let grid = refs.grid();
+        let total_refs = grid.node_count();
+        if k == 0 || k > total_refs {
+            return Err(LocalizeError::InsufficientData(format!(
+                "k = {k} with {total_refs} reference tags"
+            )));
+        }
+        let buf = &mut scratch.landmarc;
+        // Same per-node accumulation as `TrackingReading::signal_distance`:
+        // Σ_k (θ_k − S_k)², k ascending; node order is the grid's row-major
+        // order, as in `Landmarc::signal_distances`.
+        kernels::edist_sq_into(refs.planes(), total_refs, reading.rssi(), &mut buf.esq);
+        buf.scored.clear();
+        let scored = buf
+            .esq
+            .iter()
+            .enumerate()
+            .map(|(flat, &e)| (e, flat as u32));
+        buf.scored.extend(scored);
+        kernels::select_k_smallest(&mut buf.scored, k);
+
+        buf.distances.clear();
+        scratch.positions.clear();
+        for &(esq, flat) in buf.scored.iter() {
+            // Deferred sqrt: e = √(Σ d²) bit-matches the historical per-node
+            // sqrt because the sum ran in the same order.
+            buf.distances.push(esq.sqrt());
+            scratch
+                .positions
+                .push(grid.position(grid.unflat(flat as usize)));
+        }
+        inverse_square_weights_into(&buf.distances, &mut buf.weights);
+
+        Point2::weighted_centroid(&scratch.positions, &buf.weights)
+            .map(|position| Estimate::new(position, k))
+            .ok_or(LocalizeError::DegenerateWeights)
+    }
 }
 
 impl PreparedLocalizer for PreparedLandmarc {
     fn locate(&self, reading: &TrackingReading) -> Result<Estimate, LocalizeError> {
-        crate::localizer::check_readers(&self.refs, reading)?;
-        with_landmarc_scratch(|scratch| {
-            landmarc_locate_core(
-                self.refs.planes(),
-                &self.positions,
-                self.config.k,
-                reading,
-                scratch,
-            )
-        })
+        check_readers(&self.refs, reading)?;
+        with_scratch(|scratch| Self::locate_core(&self.refs, self.config.k, reading, scratch))
     }
 
     fn name(&self) -> &'static str {
@@ -356,7 +490,7 @@ impl OwnedPreparedLocalizer for PreparedLandmarc {
 
 impl Landmarc {
     /// Binds this LANDMARC configuration to one calibration map, mirroring
-    /// it and caching its node positions (see [`PreparedLandmarc`]).
+    /// it (see [`PreparedLandmarc`]).
     pub fn prepare(&self, refs: &ReferenceRssiMap) -> PreparedLandmarc {
         PreparedLandmarc::build(LandmarcConfig { k: self.k() }, refs)
     }

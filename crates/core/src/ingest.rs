@@ -48,12 +48,13 @@ use std::fmt;
 
 use crate::service::TagKey;
 
-/// Newest wire schema version accepted ([`vire-sim`'s `TRACE_VERSION`]
-/// — kept equal by a cross-crate test there).
+/// Newest wire schema version accepted. `vire-sim` re-exports it as
+/// `TRACE_VERSION`: the trace format is the same schema.
 pub const WIRE_VERSION: u32 = 2;
 
 /// Oldest wire schema version accepted (v1 readings carry no tag
-/// generations and parse as generation 0).
+/// generations and parse as generation 0); `vire-sim`'s
+/// `TRACE_MIN_VERSION`.
 pub const WIRE_MIN_VERSION: u32 = 1;
 
 /// One beacon event on the wire: a single tag/reader RSSI observation.

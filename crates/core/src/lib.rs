@@ -86,7 +86,7 @@ pub use localizer::{Estimate, LocalizeError, Localizer};
 pub use pipeline::SnapshotSource;
 pub use pool::WorkerPool;
 pub use prepared::{locate_batch_parallel, PreparedLocalizer, Unprepared, VireScratch};
-pub use quality::{FixQuality, ScoredLocate};
+pub use quality::FixQuality;
 pub use scattered::{ScatteredLandmarc, ScatteredReferenceMap, ScatteredVire};
 pub use service::{
     LocationQuery, LocationService, QueryResponse, ServiceConfig, SyncStats, TagKey,

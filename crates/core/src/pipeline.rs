@@ -7,9 +7,10 @@
 //! is the seam between the last two stages: anything that maintains a
 //! smoothed calibration table and can say *which tracking tags changed*
 //! can drive [`LocationService::drive`](crate::LocationService::drive)
-//! incrementally. The `vire-sim` crate implements it for its bus-fed
-//! `MiddlewareStage`; a real deployment would implement it over a live
-//! reader gateway.
+//! incrementally. The `vire-sim` crate implements it for its
+//! `MiddlewareStage`, which is handed each decoded reading through
+//! `ingest`; a real deployment would implement it over a live reader
+//! gateway.
 
 use crate::incremental::DirtyCell;
 use crate::service::TagKey;

@@ -2,40 +2,34 @@
 //! map once, then answer many queries cheaply.
 //!
 //! VIRE's map-dependent work — interpolating the virtual grid (§4.2) into
-//! its tile-major store (each reader's RSSI range and 16 values per 4 × 4
-//! tile) — does not depend on the reading. Each locate reads only that
-//! store: one pass over the ranges bounds every tile's gaps, and only the
-//! tiles that can hold a reader's smallest gap or a survivor have their
-//! values read.
-//! This module holds the query side of that split:
+//! its tile-major store — does not depend on the reading; elimination and
+//! weighting (§4.3) do, and read only that store. This module holds the
+//! query contract of that split:
 //!
 //! * the [`PreparedLocalizer`] trait every prepared form implements, with
 //!   an order-preserving [`PreparedLocalizer::locate_batch`] that fans a
 //!   slice of readings across the [`WorkerPool`](crate::pool::WorkerPool)
 //!   (each lane with its own thread-local scratch);
-//! * the VIRE and LANDMARC query cores, which run elimination and
-//!   weighting through a reusable [`VireScratch`] arena, so steady state
-//!   performs **zero heap allocation** per reading;
+//! * [`VireScratch`], the reusable arena every VIRE and LANDMARC query
+//!   runs through, one per thread for the implicit entry points, so steady
+//!   state performs **zero heap allocation** per reading;
 //! * [`Unprepared`], the adapter for localizers with no per-map state.
 //!
 //! The prepared states themselves, [`crate::PreparedVire`] and
-//! [`crate::PreparedLandmarc`], own a mirror of their map and live in
-//! [`crate::incremental`] beside the `sync` that updates them. They are
-//! the only prepared form of either algorithm: one-shot
-//! [`Localizer::locate`] is prepare-then-locate on the same state, so
-//! there is a single code path to trust.
+//! [`crate::PreparedLandmarc`], own a mirror of their map and their query
+//! core, and live in [`crate::incremental`] beside the `sync` that
+//! updates them. They are the only prepared form of either algorithm:
+//! one-shot [`Localizer::locate`] is prepare-then-locate on the same
+//! state, so there is a single code path to trust.
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
-use crate::elimination::{eliminate_into, ElimBuffers, Tally, ThresholdMode};
-use crate::kernels;
-use crate::landmarc::{inverse_square_weights_into, Landmarc, LandmarcConfig};
-use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
+use crate::elimination::ElimBuffers;
+use crate::incremental::LandmarcBuffers;
+use crate::localizer::{Estimate, LocalizeError, Localizer};
 use crate::types::{ReferenceRssiMap, TrackingReading};
-use crate::vire_alg::{EmptyFallback, VireConfig};
-use crate::virtual_grid::{Sweep, VirtualGrid};
-use crate::weights::{candidate_weights_into, WeightBuffers};
+use crate::weights::WeightBuffers;
 use vire_geom::Point2;
 
 /// A localizer already bound to one calibration map. Queries borrow the
@@ -143,14 +137,16 @@ impl<L: Localizer + ?Sized> PreparedLocalizer for Unprepared<'_, L> {
     }
 }
 
-/// Reusable per-thread scratch arena for [`crate::PreparedVire`] queries:
-/// elimination gaps and masks, candidate/weight buffers, and the
-/// centroid position buffer. After the first query every vector has its
+/// Reusable per-thread scratch arena for prepared queries: VIRE's
+/// elimination gaps and masks and candidate/weight buffers, LANDMARC's
+/// E-distance and selection buffers, and the centroid position buffer
+/// both algorithms blend. After the first query every vector has its
 /// steady-state capacity, so subsequent queries allocate nothing.
 #[derive(Debug, Default, Clone)]
 pub struct VireScratch {
     pub(crate) elim: ElimBuffers,
     pub(crate) weights: WeightBuffers,
+    pub(crate) landmarc: LandmarcBuffers,
     pub(crate) positions: Vec<Point2>,
 }
 
@@ -164,215 +160,26 @@ impl VireScratch {
 
 thread_local! {
     /// Scratch for the implicit-arena entry points
-    /// ([`PreparedLocalizer::locate`] on [`crate::PreparedVire`], and the
-    /// one-shot `Vire::locate` which routes through it). One arena per
-    /// thread keeps `locate_batch` workers allocation-free without
-    /// synchronization.
-    static VIRE_SCRATCH: RefCell<VireScratch> = RefCell::new(VireScratch::new());
+    /// ([`PreparedLocalizer::locate`] on [`crate::PreparedVire`] and
+    /// [`crate::PreparedLandmarc`], and the one-shot locates that route
+    /// through them). One arena per thread keeps `locate_batch` workers
+    /// allocation-free without synchronization.
+    static SCRATCH: RefCell<VireScratch> = RefCell::new(VireScratch::new());
 }
 
-/// Runs `f` with this thread's VIRE scratch borrowed mutably.
-pub(crate) fn with_vire_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
-    VIRE_SCRATCH.with(|s| f(&mut s.borrow_mut()))
-}
-
-/// The map-bound core of [`crate::PreparedVire`]: the interpolated
-/// [`VirtualGrid`] (the tile store elimination and weighting read), the
-/// sweep that re-interpolates a reader into it, and the resolved
-/// threshold mode.
-pub(crate) struct VireState {
-    pub(crate) config: VireConfig,
-    pub(crate) grid: VirtualGrid,
-    pub(crate) sweep: Sweep,
-    /// Threshold mode with the auto candidate floor already resolved to
-    /// `refine²` (see `ThresholdMode::Adaptive::min_candidates`).
-    pub(crate) threshold: ThresholdMode,
-}
-
-impl VireState {
-    /// Interpolates the virtual grid of `refs`. Errors when the
-    /// configuration is degenerate (`refine == 0`).
-    pub(crate) fn build(
-        config: &VireConfig,
-        refs: &ReferenceRssiMap,
-    ) -> Result<Self, LocalizeError> {
-        if config.refine == 0 {
-            return Err(LocalizeError::InsufficientData(
-                "refinement factor must be >= 1".into(),
-            ));
-        }
-        let mut sweep = Sweep::new(refs.grid(), config.refine, config.kernel);
-        let grid = sweep.build(refs);
-        // Resolve the auto candidate floor: one physical cell's worth of
-        // virtual regions (n²) keeps elimination from degenerating into a
-        // single-cell snap (see ThresholdMode::Adaptive::min_candidates).
-        let threshold = match config.threshold {
-            ThresholdMode::Adaptive {
-                step,
-                min,
-                per_reader,
-                min_candidates: 0,
-            } => ThresholdMode::Adaptive {
-                step,
-                min,
-                per_reader,
-                min_candidates: config.refine * config.refine,
-            },
-            other => other,
-        };
-        Ok(VireState {
-            config: config.clone(),
-            grid,
-            sweep,
-            threshold,
-        })
-    }
-
-    /// Elimination over the grid's tile store (see `eliminate_into`),
-    /// counting its work into `work`: `false` when a fixed threshold left
-    /// nothing.
-    pub(crate) fn eliminate(
-        &self,
-        reading: &TrackingReading,
-        buf: &mut ElimBuffers,
-        work: &mut impl Tally,
-    ) -> bool {
-        eliminate_into(&self.grid, reading, self.threshold, buf, work)
-    }
-
-    /// Query core shared by every VIRE entry point (prepared, batch, and
-    /// the one-shot [`crate::Vire::locate_with_diagnostics`]). `refs`
-    /// supplies the reader count check and the LANDMARC fallback; it must
-    /// be the map this state was built from (bit-identical values). The
-    /// bool is false when the fallback produced the estimate (no
-    /// elimination diagnostics exist); on true, `scratch.elim` holds the
-    /// final mask and thresholds.
-    pub(crate) fn locate_core(
-        &self,
-        refs: &ReferenceRssiMap,
-        reading: &TrackingReading,
-        scratch: &mut VireScratch,
-    ) -> Result<(Estimate, bool), LocalizeError> {
-        check_readers(refs, reading)?;
-
-        if !self.eliminate(reading, &mut scratch.elim, &mut ()) {
-            return match self.config.fallback {
-                EmptyFallback::Error => Err(LocalizeError::AllEliminated),
-                EmptyFallback::Landmarc => {
-                    let est = Landmarc::new(LandmarcConfig::default()).locate(refs, reading)?;
-                    Ok((est, false))
-                }
-            };
-        }
-
-        if !candidate_weights_into(
-            &self.grid,
-            reading,
-            &scratch.elim.mask,
-            self.config.weighting,
-            self.config.w1,
-            &mut scratch.weights,
-        ) {
-            return Err(LocalizeError::DegenerateWeights);
-        }
-
-        let fine = self.grid.grid();
-        scratch.positions.clear();
-        scratch.positions.extend(
-            scratch
-                .weights
-                .candidates
-                .iter()
-                .map(|&flat| fine.position(fine.unflat(flat))),
-        );
-        let position = Point2::weighted_centroid(&scratch.positions, &scratch.weights.weights)
-            .ok_or(LocalizeError::DegenerateWeights)?;
-
-        let estimate = Estimate {
-            position,
-            contributors: scratch.weights.candidates.len(),
-            threshold: scratch.elim.thresholds.iter().copied().reduce(f64::max),
-        };
-        Ok((estimate, true))
-    }
-}
-
-/// Scratch for [`crate::PreparedLandmarc`] queries:
-/// the kernel's squared-distance plane, the `(e², flat)` selection pairs,
-/// and the winner distance/position/weight buffers.
-#[derive(Debug, Default)]
-pub(crate) struct LandmarcScratch {
-    esq: Vec<f64>,
-    scored: Vec<(f64, u32)>,
-    distances: Vec<f64>,
-    positions: Vec<Point2>,
-    weights: Vec<f64>,
-}
-
-thread_local! {
-    static LANDMARC_SCRATCH: RefCell<LandmarcScratch> = RefCell::new(LandmarcScratch::default());
-}
-
-/// Runs `f` with this thread's LANDMARC scratch borrowed mutably.
-pub(crate) fn with_landmarc_scratch<R>(f: impl FnOnce(&mut LandmarcScratch) -> R) -> R {
-    LANDMARC_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
-}
-
-/// LANDMARC query core over the reader-major planes of
-/// [`crate::PreparedLandmarc`].
-///
-/// The per-node E-distance plane comes from the vector kernel in squared
-/// form; selection of the `k_select` nearest runs on `(e², flat)` — exact
-/// because `sqrt` is monotone, with the flat-index tie-break reproducing
-/// the historical stable sort — and the square root is taken only for the
-/// winners before the inverse-square weighting.
-pub(crate) fn landmarc_locate_core(
-    planes: &[f64],
-    positions: &[Point2],
-    k_select: usize,
-    reading: &TrackingReading,
-    scratch: &mut LandmarcScratch,
-) -> Result<Estimate, LocalizeError> {
-    let total_refs = positions.len();
-    if k_select == 0 || k_select > total_refs {
-        return Err(LocalizeError::InsufficientData(format!(
-            "k = {k_select} with {total_refs} reference tags"
-        )));
-    }
-    // Same per-node accumulation as `TrackingReading::signal_distance`:
-    // Σ_k (θ_k − S_k)², k ascending; node order is the grid's row-major
-    // order, as in `Landmarc::signal_distances`.
-    kernels::edist_sq_into(planes, total_refs, reading.rssi(), &mut scratch.esq);
-    scratch.scored.clear();
-    scratch.scored.extend(
-        scratch
-            .esq
-            .iter()
-            .enumerate()
-            .map(|(flat, &e)| (e, flat as u32)),
-    );
-    kernels::select_k_smallest(&mut scratch.scored, k_select);
-
-    scratch.distances.clear();
-    scratch.positions.clear();
-    for &(esq, flat) in scratch.scored.iter() {
-        // Deferred sqrt: e = √(Σ d²) bit-matches the historical per-node
-        // sqrt because the sum ran in the same order.
-        scratch.distances.push(esq.sqrt());
-        scratch.positions.push(positions[flat as usize]);
-    }
-    inverse_square_weights_into(&scratch.distances, &mut scratch.weights);
-
-    Point2::weighted_centroid(&scratch.positions, &scratch.weights)
-        .map(|position| Estimate::new(position, k_select))
-        .ok_or(LocalizeError::DegenerateWeights)
+/// Runs `f` with this thread's scratch arena borrowed mutably. `f` must
+/// not call back into it: a VIRE locate that falls back to LANDMARC
+/// passes its own borrow on instead.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut VireScratch) -> R) -> R {
+    SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::landmarc::Landmarc;
     use crate::nearest::NearestReference;
-    use crate::vire_alg::Vire;
+    use crate::vire_alg::{Vire, VireConfig};
     use vire_geom::{GridData, RegularGrid};
 
     fn readers() -> Vec<Point2> {

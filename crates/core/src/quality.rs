@@ -11,15 +11,21 @@
 //!   candidates from the estimate: a wide, ambiguous candidate cloud means
 //!   the intersection did not pin the tag down.
 //!
+//! Both are read off the fix's own locate: the candidates and weights it
+//! left in the scratch arena, and the candidates' signal vectors in its
+//! prepared grid, so scoring weights nothing twice. A fix the LANDMARC
+//! fallback produced has no candidates; it is scored from the best
+//! reference tag's signal distance and a full cell of spread.
+//!
 //! The combined score maps both to `(0, 1]` (1 = clean fix). The quality
 //! tests check the property that matters: low scores must correlate with
 //! high true error on random workloads.
 
+use crate::landmarc::Landmarc;
 use crate::localizer::{check_readers, Estimate, LocalizeError};
+use crate::prepared::with_scratch;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::vire_alg::Vire;
-use crate::weights::candidate_weights;
-use vire_geom::Point2;
 
 /// Quality diagnostics for one fix.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,9 +59,10 @@ impl Vire {
     ///
     /// Falls back like `Vire::locate`; fallback fixes get the worst
     /// possible diagnostics available (no candidate cloud to measure), so
-    /// their score is conservatively low. The virtual grid is built once:
-    /// the fix, its weights and the candidates' signal vectors all come
-    /// from one prepared state.
+    /// their score is conservatively low. An eliminated fix is scored from
+    /// the candidates and weights its own locate left in the scratch
+    /// arena, and the candidates' signal vectors from the same prepared
+    /// grid.
     pub fn locate_scored(
         &self,
         refs: &ReferenceRssiMap,
@@ -63,72 +70,44 @@ impl Vire {
     ) -> Result<(Estimate, FixQuality), LocalizeError> {
         check_readers(refs, reading)?;
         let prepared = self.prepare(refs)?;
-        let (estimate, diag) = prepared.locate_with_diagnostics(reading)?;
-        let Some(result) = diag else {
-            // Fallback path (LANDMARC): no elimination diagnostics. Score
-            // from the LANDMARC residual alone with a spread penalty of a
-            // full cell.
-            let grid_pitch = refs.grid().pitch_x();
-            // sqrt-free scan: sqrt is monotone (and correctly rounded), so
-            // √(min E²) is bitwise the same as min √(E²) — one sqrt total.
-            let best = crate::landmarc::Landmarc::signal_distances_sq(refs, reading)
-                .into_iter()
-                .map(|(esq, _)| esq)
-                .fold(f64::INFINITY, f64::min)
-                .sqrt();
-            return Ok((estimate, FixQuality::combine(best, grid_pitch)));
-        };
-
-        let grid = prepared.grid();
-        let (candidates, weights) = candidate_weights(
-            grid,
-            reading,
-            &result.mask,
-            self.config().weighting,
-            self.config().w1,
-        )
-        .ok_or(LocalizeError::DegenerateWeights)?;
-
-        let mut residual = 0.0;
-        let mut spread_sq = 0.0;
-        for (&idx, &w) in candidates.iter().zip(&weights) {
-            residual += w * reading.signal_distance(&grid.signal_vector(idx));
-            spread_sq += w * grid.grid().position(idx).distance_sq(estimate.position);
-        }
-        Ok((estimate, FixQuality::combine(residual, spread_sq.sqrt())))
+        with_scratch(|scratch| {
+            let (estimate, eliminated) = prepared.locate_core(reading, scratch)?;
+            if !eliminated {
+                // Fallback path (LANDMARC): no elimination diagnostics.
+                // Score from the LANDMARC residual alone with a spread
+                // penalty of a full cell. sqrt-free scan: sqrt is monotone
+                // (and correctly rounded), so √(min E²) is bitwise the same
+                // as min √(E²) — one sqrt total.
+                let best = Landmarc::signal_distances_sq(refs, reading)
+                    .into_iter()
+                    .map(|(esq, _)| esq)
+                    .fold(f64::INFINITY, f64::min)
+                    .sqrt();
+                return Ok((estimate, FixQuality::combine(best, refs.grid().pitch_x())));
+            }
+            let grid = prepared.grid();
+            let fine = grid.grid();
+            let mut residual = 0.0;
+            let mut spread_sq = 0.0;
+            let weighted = scratch
+                .weights
+                .candidates
+                .iter()
+                .zip(&scratch.weights.weights);
+            for (&flat, &w) in weighted {
+                let idx = fine.unflat(flat);
+                residual += w * reading.signal_distance(&grid.signal_vector(idx));
+                spread_sq += w * fine.position(idx).distance_sq(estimate.position);
+            }
+            Ok((estimate, FixQuality::combine(residual, spread_sq.sqrt())))
+        })
     }
-}
-
-/// Convenience trait hook so other localizers can grow scoring later.
-pub trait ScoredLocate {
-    /// Localizes and scores.
-    fn locate_scored(
-        &self,
-        refs: &ReferenceRssiMap,
-        reading: &TrackingReading,
-    ) -> Result<(Estimate, FixQuality), LocalizeError>;
-}
-
-impl ScoredLocate for Vire {
-    fn locate_scored(
-        &self,
-        refs: &ReferenceRssiMap,
-        reading: &TrackingReading,
-    ) -> Result<(Estimate, FixQuality), LocalizeError> {
-        Vire::locate_scored(self, refs, reading)
-    }
-}
-
-/// Helper for tests and telemetry: the distance between two points (a thin
-/// re-export so callers need not import geometry for one call).
-pub fn position_error(estimate: Point2, truth: Point2) -> f64 {
-    estimate.distance(truth)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vire_geom::{GridData, RegularGrid};
+    use vire_geom::{GridData, Point2, RegularGrid};
 
     fn readers() -> Vec<Point2> {
         vec![

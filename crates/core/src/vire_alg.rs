@@ -21,7 +21,7 @@
 use crate::elimination::EliminationResult;
 use crate::incremental::OwnedPreparedLocalizer;
 use crate::localizer::{check_readers, Estimate, LocalizeError, Localizer};
-use crate::prepared::with_vire_scratch;
+use crate::prepared::PreparedLocalizer;
 use crate::types::{ReferenceRssiMap, TrackingReading};
 use crate::virtual_grid::InterpolationKernel;
 use crate::weights::{W1Mode, WeightingMode};
@@ -157,8 +157,7 @@ impl Localizer for Vire {
         reading: &TrackingReading,
     ) -> Result<Estimate, LocalizeError> {
         check_readers(refs, reading)?;
-        let prepared = self.prepare(refs)?;
-        with_vire_scratch(|scratch| prepared.locate_with_scratch(reading, scratch))
+        self.prepare(refs)?.locate(reading)
     }
 
     fn name(&self) -> &'static str {

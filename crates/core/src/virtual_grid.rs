@@ -72,10 +72,11 @@ impl InterpolationKernel {
         }
     }
 
-    /// Whether a changed knot moves only the fine samples in its two
-    /// adjacent cells (piecewise-linear kernels). The spline's tridiagonal
-    /// solve and the full-degree polynomial couple every knot, so any
-    /// change re-shapes the whole line.
+    /// Whether the kernel is piecewise linear, so each fine sample blends
+    /// only its two adjacent knots: `vertical_pass` then blends whole
+    /// intermediate rows, one weight per fine row. The spline's
+    /// tridiagonal solve and the full-degree polynomial couple every knot,
+    /// so they are fitted one fine column at a time.
     pub fn is_local(self) -> bool {
         matches!(
             self,

@@ -2,8 +2,8 @@
 //!
 //! The streaming data path is `engine → middleware stage → location
 //! service`: the engine (or a serving front end) hands every decoded
-//! [`Reading`] to [`MiddlewareStage::ingest`], which applies the smoothing
-//! filters per event and tracks exactly which `(tag, reader)` cells
+//! [`Reading`] to [`MiddlewareStage::ingest`], which folds each event into
+//! its `(tag, reader)` smoothing stream and tracks exactly which cells
 //! changed, so downstream exports touch only dirty state:
 //!
 //! * [`MiddlewareStage::reference_map`] exports the calibration map once,
@@ -24,10 +24,10 @@
 //! readings over directly and build their stages with
 //! [`MiddlewareStage::detached`].
 //!
-//! The stage keeps no per-tag state of its own: the pins, the filters and
-//! the first-dirtied list of tracking tags are rows of the middleware's
-//! tag table ([`crate::middleware`]), so each ingested reading costs one
-//! keyed lookup.
+//! The stage keeps no per-tag state of its own: the pins, the smoothing
+//! streams and the first-dirtied list of tracking tags are rows of the
+//! middleware's tag table ([`crate::middleware`]), so each ingested
+//! reading costs one keyed lookup.
 //!
 //! The stage implements [`vire_core::SnapshotSource`], so
 //! [`vire_core::LocationService::drive`] can poll it incrementally —

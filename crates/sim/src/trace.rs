@@ -12,9 +12,9 @@
 //! * **v1** identified tags by a bare integer. A capture containing a
 //!   remove-then-respawn of the same tag slot collapsed both lifetimes
 //!   onto one `TagId`, so replay married the re-entering tag to the dead
-//!   tag's smoothing filters.
+//!   tag's smoothing streams.
 //! * **v2** (current) adds the slot **generation** to each reading, so a
-//!   churn capture replays each lifetime into its own filter streams.
+//!   churn capture replays each lifetime into its own smoothing streams.
 //!   Generation 0 is omitted from the JSON, which keeps fixed-population
 //!   v2 traces byte-compatible with v1 readers and lets v1 captures
 //!   deserialize as all-generation-0 v2 data. [`Trace::load`] accepts
@@ -30,12 +30,14 @@ use std::path::Path;
 use vire_geom::{GridIndex, Point2, RegularGrid};
 
 /// Schema version of the trace format (see the [module docs](self) for
-/// the version history).
-pub const TRACE_VERSION: u32 = 2;
+/// the version history): the ingest wire's, since both are one JSON
+/// schema.
+pub use vire_core::ingest::WIRE_VERSION as TRACE_VERSION;
 
-/// Oldest schema version [`Trace::validate`] still accepts. v1 traces
-/// carry no generations and deserialize as generation 0 throughout.
-pub const TRACE_MIN_VERSION: u32 = 1;
+/// Oldest schema version [`Trace::validate`] still accepts (the ingest
+/// wire's oldest). v1 traces carry no generations and deserialize as
+/// generation 0 throughout.
+pub use vire_core::ingest::WIRE_MIN_VERSION as TRACE_MIN_VERSION;
 
 /// One serialized reading.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -312,10 +312,10 @@ fn server_ingests_trace_json_wholesale() {
     );
 }
 
-/// The core crate's wire-format constants mirror the sim crate's trace
-/// schema constants — they describe the same JSON. If one moves without
-/// the other, ingest would accept (or reject) versions the trace format
-/// does not.
+/// The sim crate's trace schema constants are the core crate's wire-format
+/// constants — they describe the same JSON. If one moved without the
+/// other, ingest would accept (or reject) versions the trace format does
+/// not.
 #[test]
 fn wire_versions_track_trace_versions() {
     assert_eq!(

@@ -68,8 +68,12 @@ cargo test -p vire-geom -q
 # Its work is pinned: exact counts of range entries read, tiles scanned,
 # queued and computed on the Env2 fixture, a tile whose bound equals the
 # threshold is not computed, and tiles holding the reading tie at a zero
-# bound. A steady-state locate and a steady-state hinted one-reader sync
-# (refine 10 and 20) allocate nothing.
+# bound. A steady-state locate (VIRE at refine 10 and 20, LANDMARC, and
+# VIRE falling back to LANDMARC) and a steady-state hinted one-reader
+# sync (refine 10 and 20) allocate nothing. A scored fix, read off its own
+# locate's weights, matches a score built from the one-shot stages to the
+# bit (refine 1, 3 and 10, every weighting and w1 mode), and a fallback
+# fix scored right after an eliminated one gets the fallback score.
 # The one sync path: a sync re-interpolates, whole, exactly each reader
 # with a changed cell into its part of the tile store; the readers it
 # leaves clean keep their values to the bit
@@ -112,6 +116,7 @@ named_tests -p vire-bench --test elimination_work -- \
   elimination_work_on_the_fixture_is_pinned
 named_tests -p vire-bench --test locate_allocations -- \
   steady_state_locates_allocate_nothing steady_state_syncs_allocate_nothing
+named_tests -p vire-bench --test scoring -- locate_scored_matches_the_one_shot_stages
 
 # The generational tag slab: handle allocation, slot reuse, and the
 # lifetime-safety invariants every layer leans on.
